@@ -9,7 +9,7 @@ network transmission), ``adversary`` (key counting and forgeries), and a
 small CLI on top.
 """
 
-from .codes import CoalitionSpec, LinearCode, code_from_generator, rs_code
+from .codes import CoalitionSpec, LinearCode, rs_code
 from .ec import AGCodeSpec, EllipticCurve, ECPoint, classify_coalition, residue_code
 from .errors import SubtagError
 from .fields import BaseField, ExtField, FieldElement, frobenius, linearized_eval
@@ -44,7 +44,6 @@ __all__ = [
     "TaggedPacket",
     "VerifierKey",
     "classify_coalition",
-    "code_from_generator",
     "distribute",
     "frobenius",
     "keygen",

@@ -13,8 +13,8 @@ flattens into one system over F_{q^l} in the kdim*(M+1) unknowns a_{r,t}
 With r0 the rank of the packet rows (as length-(M+1) vectors) and K0 the
 rank of the coalition's generator columns, the system admits exactly
 order^((M+1-r0)*(kdim-K0)) master keys; count_consistent_keys returns
-that closed form next to the solver's nullity-based count and insists
-they agree.
+that closed form next to the solver's nullity-based count and raises
+InvariantViolated unless they agree.
 
 Forgery follows the same linearity: when the target's generator column
 lies in the coalition's column span, the witness combination rebuilds the
@@ -28,17 +28,18 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     InconsistentSystem,
     InvalidParams,
+    InvariantViolated,
     NotQualified,
     PayloadInSubspace,
     TargetInCoalition,
     TooLargeToEnumerate,
 )
-from .fields import FieldElement, frobenius, iso_vec
+from .fields import FieldElement
 from .linalg import Matrix, solve_all, span_contains
 from .scheme import (
     MasterKey,
@@ -46,6 +47,7 @@ from .scheme import (
     TaggedPacket,
     VerifierKey,
     label as scheme_label,
+    label_row,
 )
 from . import rng as _rng
 
@@ -112,9 +114,6 @@ class CoalitionView:
             observed=observed,
         )
 
-    def all_packets(self) -> tuple[TaggedPacket, ...]:
-        return self.observed
-
     def observed_payloads(self) -> tuple[tuple[int, ...], ...]:
         return tuple(p.payload for p in self.observed)
 
@@ -134,19 +133,6 @@ class AttackSystem:
         return self.pp.kdim * (self.pp.M + 1)
 
 
-def _constraint_row(
-    pp: PublicParams, tracker: Union[int, FieldElement], payload: Sequence[int]
-) -> tuple[FieldElement, ...]:
-    """(tracker, s, s^q, ..., s^(q^(M-1))) as extension elements."""
-    row = [pp.ext.embed(tracker)]
-    power = iso_vec(pp.ext, list(payload))
-    for t in range(1, pp.M + 1):
-        if t > 1:
-            power = frobenius(power)
-        row.append(power)
-    return tuple(row)
-
-
 def assemble_system(view: CoalitionView) -> AttackSystem:
     pp = view.pp
     ext = pp.ext
@@ -156,8 +142,8 @@ def assemble_system(view: CoalitionView) -> AttackSystem:
     consts: list[FieldElement] = []
 
     packet_rows: list[tuple[FieldElement, ...]] = []
-    for pkt in view.all_packets():
-        d = _constraint_row(pp, pkt.tracker, pkt.payload)
+    for pkt in view.observed:
+        d = label_row(pp, pkt.tracker, pkt.payload)
         packet_rows.append(d)
         if len(pkt.tag) != pp.kdim:
             raise InvalidParams("packet tag width does not match the code")
@@ -212,7 +198,11 @@ def count_consistent_keys(system: AttackSystem) -> KeyCount:
         raise InconsistentSystem("the view admits no master key at all")
     measured = pp.ext.order**sol.nullity
     predicted = pp.ext.order ** ((pp.M + 1 - system.r0) * (pp.kdim - system.k0))
-    assert predicted == measured, (predicted, measured, system.r0, system.k0)
+    if predicted != measured:
+        raise InvariantViolated(
+            f"key-count law broken: closed form {predicted}, solver {measured} "
+            f"(r0={system.r0}, k0={system.k0})"
+        )
     return KeyCount(
         predicted=predicted,
         measured=measured,
@@ -299,7 +289,10 @@ def packet_for_label(
     target's generator column is nonzero."""
     g = pp.generator_column(target)
     t_star = next((t for t in range(pp.kdim) if g[t].index), None)
-    assert t_star is not None, "params validation keeps generator columns nonzero"
+    if t_star is None:
+        raise InvariantViolated(
+            f"generator column {target} is zero; params validation forbids that"
+        )
     tag = [pp.ext.zero] * pp.kdim
     tag[t_star] = lab / g[t_star]
     payload = tuple(pp.base.element(int(v)).index for v in payload)
@@ -366,7 +359,7 @@ def label_distribution(
     if target in view.members:
         raise TargetInCoalition(f"target {target} is a coalition member")
     payload = tuple(pp.base.element(int(v)).index for v in payload)
-    d = _constraint_row(pp, tracker, payload)
+    d = label_row(pp, tracker, payload)
     g = pp.generator_column(target)
     system = assemble_system(view)
     hist: Counter[int] = Counter()

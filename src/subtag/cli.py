@@ -49,7 +49,10 @@ def _build_fields(q: int, l: int) -> tuple[BaseField, ExtField]:
 
 
 def _csv_ints(text: str) -> list[int]:
-    return [int(v) for v in text.replace(" ", "").split(",") if v != ""]
+    try:
+        return [int(v) for v in text.replace(" ", "").split(",") if v != ""]
+    except ValueError:
+        raise InvalidParams(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _emit(kind: str, report: dict, out: Optional[str]) -> None:
@@ -215,6 +218,11 @@ def build_attack_report(
     payload: Optional[Sequence[int]] = None,
 ) -> dict:
     CoalitionSpec(frozenset(coalition), target)  # index sanity
+    for i in (*coalition, target):
+        if not 1 <= i <= pp.V:
+            raise InvalidParams(f"verifier index {i} outside 1..{pp.V}")
+    if mode == "guess" and trials < 1:
+        raise InvalidParams(f"guessing needs at least one trial, got {trials}")
     mk = scheme.keygen(pp, seed)
     vks = scheme.distribute(pp, mk)
     basis = scheme.random_payload_basis(pp, seed)

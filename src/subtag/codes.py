@@ -4,9 +4,9 @@ A code of length V and dimension kdim over F_{q^l} fixes, through its
 public generator matrix, how the authority's master key is spread over V
 verifiers.  Which coalitions of verifiers can cheat which targets is a
 question about column spans of the generator, or equivalently about
-supports of dual codewords; both criteria are implemented and the cheap
-span test is cross-checked against the dual-support one in debug runs
-whenever the dual is small enough to enumerate.
+supports of dual codewords.  ``forgeable`` decides the question with the
+cheap span test; ``access_structure`` reads the same answer off the
+minimal dual codewords.
 
 Enumeration-based routines (minimum distance, minimal codewords) are the
 exact oracles the rest of the package leans on, so they refuse instead of
@@ -34,7 +34,6 @@ __all__ = [
     "CoalitionSpec",
     "LinearCode",
     "rs_code",
-    "code_from_generator",
 ]
 
 ENUM_GUARD = 1 << 24
@@ -185,21 +184,7 @@ class LinearCode:
         for j in spec.members:
             self._index_ok(j)
         gens = [self.generator.column(j - 1) for j in spec.sorted_members]
-        ok, witness = span_contains(gens, self.generator.column(spec.target - 1))
-        if __debug__ and self.field.order ** (self.length - self.kdim) <= 4096:
-            assert ok == self._dual_support_forgeable(spec)
-        return ok, witness
-
-    def _dual_support_forgeable(self, spec: CoalitionSpec) -> bool:
-        """Dual-support criterion: some dual codeword is nonzero at the
-        target and vanishes outside coalition-plus-target."""
-        allowed = set(spec.members) | {spec.target}
-        for word in self.dual().codewords():
-            if word[spec.target - 1] == 0:
-                continue
-            if all(v == 0 or (c + 1) in allowed for c, v in enumerate(word)):
-                return True
-        return False
+        return span_contains(gens, self.generator.column(spec.target - 1))
 
     def access_structure(
         self, i: int, guard: int = ENUM_GUARD
@@ -226,11 +211,6 @@ class LinearCode:
 
     def __repr__(self):
         return f"LinearCode[{self.length},{self.kdim}] over {self.field.name}"
-
-
-def code_from_generator(generator: Matrix) -> LinearCode:
-    """Wrap a generator matrix, rejecting rank-deficient input."""
-    return LinearCode(generator)
 
 
 def rs_code(

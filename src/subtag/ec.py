@@ -21,6 +21,7 @@ from .errors import (
     DuplicatePoint,
     FieldMismatch,
     InvalidParams,
+    InvariantViolated,
     SingularCurve,
     TargetInCoalition,
 )
@@ -203,7 +204,8 @@ def rr_basis(curve: EllipticCurve, m: int) -> tuple[Monomial, ...]:
     ]
     basis.sort(key=lambda mono: mono.pole_order)
     expected = 1 if m == 0 else m
-    assert len(basis) == expected, (m, basis)
+    if len(basis) != expected:
+        raise InvariantViolated(f"L({m}O) has {len(basis)} basis monomials, not {expected}")
     return tuple(basis)
 
 
@@ -240,7 +242,10 @@ def eval_code(spec: AGCodeSpec) -> LinearCode:
     gen = Matrix(spec.curve.field, tuple(rows), ncols=spec.n)
     code = LinearCode(gen)
     # degree < n makes the evaluation map injective on L(degree * O).
-    assert code.kdim == spec.degree
+    if code.kdim != spec.degree:
+        raise InvariantViolated(
+            f"evaluation code has dimension {code.kdim}, not the degree {spec.degree}"
+        )
     return code
 
 

@@ -71,3 +71,11 @@ class PayloadInSubspace(SubtagError, ValueError):
 
 class InconsistentSystem(SubtagError, ValueError):
     """Constraint rows admit no master key at all (corrupted view)."""
+
+
+class InvariantViolated(SubtagError):
+    """An identity the scheme's guarantees rest on failed to hold.
+
+    Raised explicitly (never via ``assert``) so the check survives
+    ``python -O``.
+    """

@@ -23,6 +23,7 @@ from .errors import (
     DivisionByZero,
     FieldMismatch,
     InvalidParams,
+    InvariantViolated,
     LengthMismatch,
 )
 
@@ -32,7 +33,6 @@ __all__ = [
     "FieldElement",
     "frobenius",
     "iso_vec",
-    "iso_vec_inv",
     "linearized_eval",
     "moore_matrix",
 ]
@@ -256,7 +256,62 @@ class FieldElement:
         return f"{self.field.name}:[" + " ".join(str(c) for c in coords) + "]"
 
 
-class BaseField:
+class _TabulatedField:
+    """Discrete-log tables and square-and-multiply, shared by both levels.
+
+    Subclasses provide ``order``, ``_mul_raw`` (multiplication without
+    tables) and the index operations ``add_idx``, ``neg_idx``, ``mul_idx``
+    and ``inv_idx``.
+    """
+
+    __slots__ = ()
+
+    def _pow_raw(self, i: int, e: int) -> int:
+        acc, base = 1, i
+        while e:
+            if e & 1:
+                acc = self._mul_raw(acc, base)
+            base = self._mul_raw(base, base)
+            e >>= 1
+        return acc
+
+    def _build_log_tables(self) -> None:
+        n = self.order - 1
+        gen = 1
+        if n > 1:
+            factors = _prime_factors(n)
+            for cand in range(2, self.order):
+                if all(self._pow_raw(cand, n // f) != 1 for f in factors):
+                    gen = cand
+                    break
+        exp = [1] * n
+        for i in range(1, n):
+            exp[i] = self._mul_raw(exp[i - 1], gen)
+        log = [0] * self.order
+        for i, v in enumerate(exp):
+            log[v] = i
+        self._exp = exp
+        self._log = log
+
+    def sub_idx(self, i: int, j: int) -> int:
+        return self.add_idx(i, self.neg_idx(j))
+
+    def div_idx(self, i: int, j: int) -> int:
+        return self.mul_idx(i, self.inv_idx(j))
+
+    @property
+    def zero(self) -> FieldElement:
+        return FieldElement(self, 0)
+
+    @property
+    def one(self) -> FieldElement:
+        return FieldElement(self, 1)
+
+    def elements(self) -> Iterator[FieldElement]:
+        return (FieldElement(self, i) for i in range(self.order))
+
+
+class BaseField(_TabulatedField):
     """F_q with q = p^m; symbols are integers 0..q-1 (base-p digit vectors)."""
 
     __slots__ = (
@@ -322,33 +377,6 @@ class BaseField:
         rem += [0] * (self.m - len(rem))
         return self._from_digits(rem)
 
-    def _build_log_tables(self) -> None:
-        n = self.order - 1
-        gen = 1
-        if n > 1:
-            factors = _prime_factors(n)
-            for cand in range(2, self.order):
-                if all(self._pow_raw(cand, n // f) != 1 for f in factors):
-                    gen = cand
-                    break
-        exp = [1] * n
-        for i in range(1, n):
-            exp[i] = self._mul_raw(exp[i - 1], gen)
-        log = [0] * self.order
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._exp = exp
-        self._log = log
-
-    def _pow_raw(self, i: int, e: int) -> int:
-        acc, base = 1, i
-        while e:
-            if e & 1:
-                acc = self._mul_raw(acc, base)
-            base = self._mul_raw(base, base)
-            e >>= 1
-        return acc
-
     # -- index-level operations ----------------------------------------
 
     def add_idx(self, i: int, j: int) -> int:
@@ -363,9 +391,6 @@ class BaseField:
             return (-i) % self.p
         return self._from_digits((-d) % self.p for d in self.coords_of(i))
 
-    def sub_idx(self, i: int, j: int) -> int:
-        return self.add_idx(i, self.neg_idx(j))
-
     def mul_idx(self, i: int, j: int) -> int:
         if i == 0 or j == 0:
             return 0
@@ -377,9 +402,6 @@ class BaseField:
             raise DivisionByZero(f"inverse of zero in {self.name}")
         n = self.order - 1
         return self._exp[(n - self._log[i]) % n]
-
-    def div_idx(self, i: int, j: int) -> int:
-        return self.mul_idx(i, self.inv_idx(j))
 
     def pow_idx(self, i: int, e: int) -> int:
         if e < 0:
@@ -399,14 +421,6 @@ class BaseField:
     def char(self) -> int:
         return self.p
 
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
     def element(self, x: Union[int, FieldElement]) -> FieldElement:
         if isinstance(x, FieldElement):
             if x.field != self:
@@ -415,9 +429,6 @@ class BaseField:
         if not 0 <= x < self.order:
             raise InvalidParams(f"symbol {x} out of range for {self.name}")
         return FieldElement(self, x)
-
-    def elements(self) -> Iterator[FieldElement]:
-        return (FieldElement(self, i) for i in range(self.order))
 
     def __eq__(self, other) -> bool:
         return (
@@ -434,7 +445,7 @@ class BaseField:
         return self.name
 
 
-class ExtField:
+class ExtField(_TabulatedField):
     """Degree-l extension of a base field, elements indexed 0..q^l-1."""
 
     __slots__ = (
@@ -480,6 +491,7 @@ class ExtField:
                 for i in range(self.order)
             ]
         self.frobenius_matrix = self._build_frobenius_matrix()
+        self._check_frobenius_order()
 
     # -- raw arithmetic on base-q digit vectors --------------------------
 
@@ -513,85 +525,23 @@ class ExtField:
         rem += [0] * (self.l - len(rem))
         return self._from_digits(rem)
 
-    def _pow_raw(self, i: int, e: int) -> int:
-        acc, b = 1, i
-        while e:
-            if e & 1:
-                acc = self._mul_raw(acc, b)
-            b = self._mul_raw(b, b)
-            e >>= 1
-        return acc
-
-    def _build_log_tables(self) -> None:
-        n = self.order - 1
-        gen = 1
-        if n > 1:
-            factors = _prime_factors(n)
-            for cand in range(2, self.order):
-                if all(self._pow_raw(cand, n // f) != 1 for f in factors):
-                    gen = cand
-                    break
-        exp = [1] * n
-        for i in range(1, n):
-            exp[i] = self._mul_raw(exp[i - 1], gen)
-        log = [0] * self.order
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._exp = exp
-        self._log = log
-
     def _build_frobenius_matrix(self) -> tuple[tuple[int, ...], ...]:
         q = self.base.order
         cols = []
         for j in range(self.l):
             basis_idx = q**j  # coordinate vector e_{j+1}
             cols.append(self.coords_of(self.pow_idx(basis_idx, q)))
-        rows = tuple(tuple(cols[c][r] for c in range(self.l)) for r in range(self.l))
-        # The q-power map is an F_q-automorphism, so this matrix must be
-        # invertible and of multiplicative order dividing l.
-        assert self._matrix_rank(rows) == self.l
-        power = rows
-        for _ in range(self.l - 1):
-            power = self._matmul(rows, power)
-        ident = tuple(
-            tuple(1 if r == c else 0 for c in range(self.l)) for r in range(self.l)
-        )
-        assert power == ident
-        return rows
+        return tuple(tuple(cols[c][r] for c in range(self.l)) for r in range(self.l))
 
-    def _matmul(self, a, b):
-        add, mul = self.base.add_idx, self.base.mul_idx
-        n = self.l
-        out = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                acc = 0
-                for k in range(n):
-                    acc = add(acc, mul(a[r][k], b[k][c]))
-                row.append(acc)
-            out.append(tuple(row))
-        return tuple(out)
-
-    def _matrix_rank(self, rows) -> int:
-        work = [list(r) for r in rows]
-        rank = 0
-        for col in range(self.l):
-            piv = next((r for r in range(rank, self.l) if work[r][col]), None)
-            if piv is None:
-                continue
-            work[rank], work[piv] = work[piv], work[rank]
-            inv = self.base.inv_idx(work[rank][col])
-            work[rank] = [self.base.mul_idx(inv, v) for v in work[rank]]
-            for r in range(self.l):
-                if r != rank and work[r][col]:
-                    c = work[r][col]
-                    work[r] = [
-                        self.base.sub_idx(v, self.base.mul_idx(c, w))
-                        for v, w in zip(work[r], work[rank])
-                    ]
-            rank += 1
-        return rank
+    def _check_frobenius_order(self) -> None:
+        # The q-power map is an F_q-automorphism of order dividing l: l steps
+        # must return every basis vector, which also makes it invertible.
+        q = self.base.order
+        for j in range(self.l):
+            if self.frobenius_chain(q**j, self.l + 1)[-1] != q**j:
+                raise InvariantViolated(
+                    f"Frobenius matrix of {self.name} does not have order dividing {self.l}"
+                )
 
     # -- index-level operations ------------------------------------------
 
@@ -603,9 +553,6 @@ class ExtField:
     def neg_idx(self, i: int) -> int:
         neg = self.base.neg_idx
         return self._from_digits(neg(d) for d in self.coords_of(i))
-
-    def sub_idx(self, i: int, j: int) -> int:
-        return self.add_idx(i, self.neg_idx(j))
 
     def mul_idx(self, i: int, j: int) -> int:
         if i == 0 or j == 0:
@@ -623,9 +570,6 @@ class ExtField:
             return self._exp[(n - self._log[i]) % n]
         return self._pow_raw(i, self.order - 2)
 
-    def div_idx(self, i: int, j: int) -> int:
-        return self.mul_idx(i, self.inv_idx(j))
-
     def pow_idx(self, i: int, e: int) -> int:
         if e < 0:
             return self.pow_idx(self.inv_idx(i), -e)
@@ -636,24 +580,32 @@ class ExtField:
             return self._exp[(self._log[i] * e) % n]
         return self._pow_raw(i, e)
 
-    def frobenius_idx(self, i: int, t: int = 1) -> int:
-        """Apply the q-power map t times via the precomputed matrix."""
-        if t < 0:
-            raise InvalidParams("frobenius power must be non-negative")
+    def frobenius_chain(self, i: int, count: int) -> tuple[int, ...]:
+        """Indices of x, x^q, ..., x^(q^(count-1)) for x of index i.
+
+        Each step applies the precomputed Frobenius matrix to the
+        coordinate vector of the previous power.
+        """
         add, mul = self.base.add_idx, self.base.mul_idx
-        mat = self.frobenius_matrix
-        for _ in range(t % self.l):
-            coords = self.coords_of(i)
+        mat, l = self.frobenius_matrix, self.l
+        chain = [i] if count > 0 else []
+        while len(chain) < count:
+            coords = self.coords_of(chain[-1])
             new = []
-            for r in range(self.l):
+            for row in mat:
                 acc = 0
-                row = mat[r]
-                for c in range(self.l):
+                for c in range(l):
                     if coords[c]:
                         acc = add(acc, mul(row[c], coords[c]))
                 new.append(acc)
-            i = self._from_digits(new)
-        return i
+            chain.append(self._from_digits(new))
+        return tuple(chain)
+
+    def frobenius_idx(self, i: int, t: int = 1) -> int:
+        """Apply the q-power map t times."""
+        if t < 0:
+            raise InvalidParams("frobenius power must be non-negative")
+        return self.frobenius_chain(i, t % self.l + 1)[-1]
 
     # -- element API -------------------------------------------------------
 
@@ -666,14 +618,6 @@ class ExtField:
     @property
     def char(self) -> int:
         return self.base.p
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
 
     def embed(self, sym: Union[int, FieldElement]) -> FieldElement:
         """Constant embedding of F_q; on indices this is the identity."""
@@ -689,9 +633,6 @@ class ExtField:
         if not 0 <= x < self.order:
             raise InvalidParams(f"index {x} out of range for {self.name}")
         return FieldElement(self, x)
-
-    def elements(self) -> Iterator[FieldElement]:
-        return (FieldElement(self, i) for i in range(self.order))
 
     def __eq__(self, other) -> bool:
         return (
@@ -714,11 +655,6 @@ class ExtField:
 def iso_vec(field: ExtField, vec: Sequence[Union[int, FieldElement]]) -> FieldElement:
     """Identify a length-l vector over F_q with an element of F_{q^l}."""
     return field.from_coords(vec)
-
-
-def iso_vec_inv(x: FieldElement) -> tuple[int, ...]:
-    """Inverse of iso_vec: coordinates over F_q, constant term first."""
-    return x.coords
 
 
 def frobenius(x: FieldElement, t: int = 1) -> FieldElement:
@@ -776,11 +712,6 @@ def moore_matrix(elements: Sequence[FieldElement], m: int):
     for s in elements:
         if s.field != field:
             raise FieldMismatch("all row elements must share one field")
-        row = [field.one]
-        power = s
-        for t in range(1, m + 1):
-            if t > 1:
-                power = frobenius(power)
-            row.append(power)
-        rows.append(tuple(row))
+        chain = field.frobenius_chain(s.index, m)
+        rows.append((field.one,) + tuple(FieldElement(field, i) for i in chain))
     return Matrix(field, tuple(rows), ncols=m + 1)

@@ -19,7 +19,6 @@ from . import rng as _rng
 __all__ = [
     "Matrix",
     "LinearSolution",
-    "rref",
     "solve_all",
     "span_contains",
     "random_full_rank",
@@ -88,13 +87,6 @@ class Matrix:
     def columns(self) -> tuple[Vector, ...]:
         return tuple(self.column(j) for j in range(self.ncols))
 
-    def take_columns(self, which: Sequence[int]) -> "Matrix":
-        return Matrix(
-            self.field,
-            tuple(tuple(r[j] for j in which) for r in self.rows),
-            ncols=len(which),
-        )
-
     def to_index_rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(e.index for e in r) for r in self.rows)
 
@@ -109,11 +101,6 @@ class Matrix:
             tuple(a + b for a, b in zip(self.rows, other.rows)),
             ncols=self.ncols + other.ncols,
         )
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        if other.ncols != self.ncols or other.field != self.field:
-            raise DimensionMismatch("stack needs matching column counts and field")
-        return Matrix(self.field, self.rows + other.rows, ncols=self.ncols)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -154,28 +141,6 @@ class Matrix:
                 row.append(FieldElement(f, acc))
             out.append(tuple(row))
         return Matrix(f, tuple(out), ncols=other.ncols)
-
-    def scale(self, c: FieldElement) -> "Matrix":
-        return Matrix(
-            self.field,
-            tuple(tuple(c * e for e in r) for r in self.rows),
-            ncols=self.ncols,
-        )
-
-    def apply(self, v: Sequence[FieldElement]) -> Vector:
-        """Matrix-vector product."""
-        if len(v) != self.ncols:
-            raise DimensionMismatch("vector length does not match column count")
-        f = self.field
-        add, mul = f.add_idx, f.mul_idx
-        out = []
-        for r in self.rows:
-            acc = 0
-            for e, x in zip(r, v):
-                if e.index and x.index:
-                    acc = add(acc, mul(e.index, x.index))
-            out.append(FieldElement(f, acc))
-        return tuple(out)
 
     # -- elimination -------------------------------------------------------
 
@@ -250,10 +215,6 @@ class Matrix:
             "[" + " ".join(str(e.index) for e in r) + "]" for r in self.rows
         )
         return f"Matrix<{self.nrows}x{self.ncols} over {self.field.name}>({body})"
-
-
-def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
-    return m.rref()
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ kernel has one row per message packet, and by convention its first n
 out-edges carry the unit combinations e_1..e_n.  Propagating kernels
 through the graph yields one global vector f_e per edge with the defining
 property that the packet on e equals f_e applied to the stacked source
-packets; transmit() asserts exactly that on honest runs.
+packets; transmit() checks exactly that on honest runs and raises
+InvariantViolated if it fails.
 
 Topology files are plain text: ``node <name> <role>``, ``edge <from>
 <to>``, ``kernel <node> <row-major entries>``, with blank lines and #
@@ -25,6 +26,7 @@ from .errors import (
     CyclicGraph,
     DimensionMismatch,
     InvalidParams,
+    InvariantViolated,
     LengthMismatch,
     UnknownNode,
 )
@@ -42,7 +44,6 @@ __all__ = [
     "random_topology",
     "compute_global_kernels",
     "transmit",
-    "inject",
     "decode_subspace",
     "same_span",
 ]
@@ -325,12 +326,28 @@ def _resolve_kernels(
     return out
 
 
+def _combine(
+    base: BaseField,
+    coeffs: Sequence[int],
+    vectors: Sequence[Sequence[int]],
+    width: int,
+) -> tuple[int, ...]:
+    """sum_k coeffs[k] * vectors[k] over F_q, on symbol indices."""
+    add, mul = base.add_idx, base.mul_idx
+    acc = [0] * width
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            for i in range(width):
+                if vec[i]:
+                    acc[i] = add(acc[i], mul(c, vec[i]))
+    return tuple(acc)
+
+
 def compute_global_kernels(
     t: Topology, base: BaseField, n: int, seed: int
 ) -> tuple[dict[str, tuple[tuple[int, ...], ...]], tuple[tuple[int, ...], ...]]:
     """Resolve kernels and propagate the per-edge global vectors f_e."""
     kernels = _resolve_kernels(t, base, n, seed)
-    add, mul = base.add_idx, base.mul_idx
     f: list[Optional[tuple[int, ...]]] = [None] * len(t.edges)
     for name in t.topo_order():
         outs = t.out_edges(name)
@@ -344,14 +361,7 @@ def compute_global_kernels(
         else:
             in_vectors = [f[i] for i in t.in_edges(name)]
         for col, edge_idx in enumerate(outs):
-            acc = [0] * n
-            for row, vec in zip(kern, in_vectors):
-                c = row[col]
-                if c:
-                    for i in range(n):
-                        if vec[i]:
-                            acc[i] = add(acc[i], mul(c, vec[i]))
-            f[edge_idx] = tuple(acc)
+            f[edge_idx] = _combine(base, [row[col] for row in kern], in_vectors, n)
     return kernels, tuple(v for v in f)
 
 
@@ -385,7 +395,6 @@ def transmit(
         fake = tuple(base.element(int(v)).index for v in fake)
 
     kernels, f = compute_global_kernels(t, base, n, seed)
-    add, mul = base.add_idx, base.mul_idx
     y: list[Optional[tuple[int, ...]]] = [None] * len(t.edges)
     for name in t.topo_order():
         outs = t.out_edges(name)
@@ -400,26 +409,15 @@ def transmit(
             pkts if name == t.source else [y[i] for i in t.in_edges(name)]
         )
         for col, edge_idx in enumerate(outs):
-            acc = [0] * width
-            for row, pkt in zip(kern, in_packets):
-                c = row[col]
-                if c:
-                    for i in range(width):
-                        if pkt[i]:
-                            acc[i] = add(acc[i], mul(c, pkt[i]))
-            y[edge_idx] = tuple(acc)
+            y[edge_idx] = _combine(base, [row[col] for row in kern], in_packets, width)
 
     if inject_at is None:
         # defining property of the global vectors, checked on honest runs
-        for edge_idx in range(len(t.edges)):
-            vec = f[edge_idx]
-            expect = [0] * width
-            for c, pkt in zip(vec, pkts):
-                if c:
-                    for i in range(width):
-                        if pkt[i]:
-                            expect[i] = add(expect[i], mul(c, pkt[i]))
-            assert tuple(expect) == y[edge_idx], f"edge {edge_idx} inconsistent"
+        for edge_idx, vec in enumerate(f):
+            if _combine(base, vec, pkts, width) != y[edge_idx]:
+                raise InvariantViolated(
+                    f"edge {edge_idx} carries a packet its global vector does not predict"
+                )
 
     return Transmission(
         topology=t,
@@ -430,18 +428,6 @@ def transmit(
         edge_packets=tuple(v for v in y),
         injected_at=inject_at,
     )
-
-
-def inject(
-    t: Topology,
-    base: BaseField,
-    packets: Sequence[Sequence[int]],
-    seed: int,
-    at: str,
-    fake: Sequence[int],
-) -> Transmission:
-    """Honest transmission except that node ``at`` emits ``fake``."""
-    return transmit(t, base, packets, seed, inject_at=at, fake=fake)
 
 
 def decode_subspace(

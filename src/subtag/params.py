@@ -123,7 +123,11 @@ def write_params(path: str, pp: PublicParams, curve_spec: Optional[AGCodeSpec] =
 
 def read_params(path: str) -> tuple[PublicParams, Optional[AGCodeSpec]]:
     with open(path, "r", encoding="utf-8") as fh:
-        return params_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidParams(f"{path} is not valid JSON: {exc}") from None
+    return params_from_dict(doc)
 
 
 def _packet_header(pp: PublicParams) -> str:

@@ -37,7 +37,7 @@ from .errors import (
     LengthMismatch,
     RankDeficient,
 )
-from .fields import BaseField, ExtField, FieldElement, frobenius, iso_vec
+from .fields import BaseField, ExtField, FieldElement, iso_vec
 from .linalg import Matrix
 from . import rng as _rng
 
@@ -51,6 +51,7 @@ __all__ = [
     "distribute",
     "tag_payload",
     "tag_basis",
+    "label_row",
     "label",
     "verify",
     "combine_packets",
@@ -207,13 +208,18 @@ def distribute(
     return tuple(VerifierKey(i + 1, b.column(i)) for i in range(pp.V))
 
 
-def _payload_powers(pp: PublicParams, payload: Sequence[int]) -> list[FieldElement]:
-    """[s, s^q, ..., s^(q^(M-1))] through the Frobenius matrix chain."""
-    s = iso_vec(pp.ext, list(payload))
-    powers = [s]
-    for _ in range(pp.M - 1):
-        powers.append(frobenius(powers[-1]))
-    return powers
+def label_row(
+    pp: PublicParams, tracker: Union[int, FieldElement], payload: Sequence[int]
+) -> tuple[FieldElement, ...]:
+    """(tracker, s, s^q, ..., s^(q^(M-1))) as extension elements.
+
+    Tags, labels and every attack constraint are this row weighted by a
+    column of the master key or of a verifier key.
+    """
+    ext = pp.ext
+    s = iso_vec(ext, list(payload))
+    powers = ext.frobenius_chain(s.index, pp.M)
+    return (ext.embed(tracker),) + tuple(FieldElement(ext, i) for i in powers)
 
 
 def tag_payload(
@@ -224,13 +230,13 @@ def tag_payload(
 ) -> TaggedPacket:
     """One source packet: tracker 1, the payload, and its kdim tags."""
     payload = _check_payload(pp, payload)
-    powers = _payload_powers(pp, payload)
+    row = label_row(pp, 1, payload)
     a = mk.matrix
     tags = []
     for t in range(pp.kdim):
         acc = a.rows[0][t]
         for j in range(1, pp.M + 1):
-            acc = acc + a.rows[j][t] * powers[j - 1]
+            acc = acc + a.rows[j][t] * row[j]
         tags.append(acc)
     if counter is not None:
         counter.add(mults=pp.kdim * pp.M, frobs=pp.M - 1)
@@ -264,12 +270,10 @@ def label(
     payload = _check_payload(pp, payload)
     if len(vk.column) != pp.M + 1:
         raise LengthMismatch("verifier key column has the wrong height")
-    acc = pp.ext.embed(tracker) * vk.column[0]
-    power = iso_vec(pp.ext, list(payload))
+    row = label_row(pp, tracker, payload)
+    acc = row[0] * vk.column[0]
     for t in range(1, pp.M + 1):
-        if t > 1:
-            power = frobenius(power)
-        acc = acc + power * vk.column[t]
+        acc = acc + row[t] * vk.column[t]
     if counter is not None:
         counter.add(mults=pp.M + 1, frobs=pp.M - 1)
     return acc

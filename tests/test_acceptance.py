@@ -20,7 +20,7 @@ from subtag.adversary import (
     guess_forge,
     label_distribution,
 )
-from subtag.codes import CoalitionSpec, code_from_generator, rs_code
+from subtag.codes import CoalitionSpec, LinearCode, rs_code
 from subtag.ec import (
     AGCodeSpec,
     EllipticCurve,
@@ -125,7 +125,7 @@ def test_criterion_2_key_count_grid():
         else:
             # F_2 has too few evaluation points; use the classic length-3 codes
             rows = [[1, 1, 1]] if kdim == 1 else [[1, 1, 0], [1, 0, 1]]
-            code = code_from_generator(Matrix.from_indices(ext, rows, ncols=3))
+            code = LinearCode(Matrix.from_indices(ext, rows, ncols=3))
         n = min(l, M)
         pp = PublicParams(base=base, ext=ext, n=n, M=M, code=code)
         assert ext.order ** (pp.kdim * (pp.M + 1)) <= 1 << 24
@@ -289,7 +289,7 @@ def test_criterion_5_span_equals_dual_support():
         ncols = rng.randint(2, 6)
         kdim = rng.randint(1, min(3, ncols))
         gen = random_full_rank(kdim, ncols, field, rng.randrange(1 << 30))
-        code = code_from_generator(gen)
+        code = LinearCode(gen)
         words = brute_dual_words(field, gen.to_index_rows(), ncols)
         masks = [sum(1 << j for j, x in enumerate(w) if x) for w in words]
         for tgt in range(1, ncols + 1):

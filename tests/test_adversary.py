@@ -54,7 +54,7 @@ def test_view_build_validation(tiny):
         CoalitionView.build(pp, {1: vks[0]}, {9: packets})
     view = CoalitionView.build(pp, [vks[0], vks[2]], {1: packets})
     assert view.members == (1, 3)
-    assert view.all_packets() == packets
+    assert view.observed == packets
     # an eavesdropper holds traffic but no keys
     outsider = CoalitionView.build(pp, {}, packets)
     assert outsider.members == ()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subtag.codes import CoalitionSpec, LinearCode, code_from_generator, rs_code
+from subtag.codes import CoalitionSpec, LinearCode, rs_code
 from subtag.errors import (
     DuplicatePoint,
     InvalidParams,
@@ -208,3 +208,25 @@ def test_access_structure_matches_enumeration():
             got = {frozenset(s) for s in code.access_structure(target)}
             want = set(brute_minimal_qualified(f, rows, V, target))
             assert got == want, (q, V, k, target, rows)
+
+
+def test_forgeable_enumerates_no_codewords(monkeypatch, f5):
+    # RS[4,2] over F_5: a 25-word dual, small enough that a dual-support
+    # cross-check could afford to enumerate it on every call
+    code = rs_code(f5, range(4), 2)
+    seen = []
+    original = LinearCode.codewords
+
+    def counting(self, *args, **kwargs):
+        for word in original(self, *args, **kwargs):
+            seen.append(word)
+            yield word
+
+    monkeypatch.setattr(LinearCode, "codewords", counting)
+    verdicts = [
+        code.forgeable(CoalitionSpec(frozenset(members), 4))[0]
+        for members in ([1], [1, 2], [2, 3])
+    ]
+    assert verdicts == [False, True, True]
+    assert seen == []
+    assert len(list(code.dual().codewords())) == len(seen) == 25

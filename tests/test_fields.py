@@ -16,7 +16,6 @@ from subtag.fields import (
     FieldElement,
     frobenius,
     iso_vec,
-    iso_vec_inv,
     linearized_eval,
     moore_matrix,
 )
@@ -87,7 +86,7 @@ def test_invalid_field_params():
 def test_element_coords_round_trip(e9):
     for x in e9.elements():
         assert e9.from_coords(x.coords) == x
-        assert iso_vec(e9, iso_vec_inv(x)) == x
+        assert iso_vec(e9, x.coords) == x
 
 
 def test_embed_is_identity_on_indices(e25, f5):

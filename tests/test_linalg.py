@@ -82,7 +82,8 @@ def test_null_space_annihilates_and_counts():
         basis = a.null_space()
         assert len(basis) == 4 - a.rank()
         for v in basis:
-            assert all(not e for e in a.apply(v))
+            col = Matrix(f, tuple((e,) for e in v), ncols=1)
+            assert all(not e for (e,) in (a @ col).rows)
         # dimension count agrees with direct enumeration of G v = 0
         assert 3 ** len(basis) == len(brute_dual_words(f, rows, 4))
 
@@ -158,14 +159,11 @@ def test_span_contains_matches_enumeration(rows):
             assert tuple(recon) == vec
 
 
-def test_take_columns_transpose_augment_stack():
+def test_transpose_augment():
     a = M5([[1, 2, 3], [4, 0, 1]])
-    assert a.take_columns([2, 0]).to_index_rows() == ((3, 1), (1, 4))
     assert a.transpose().to_index_rows() == ((1, 4), (2, 0), (3, 1))
     b = M5([[9 % 5], [2]])
     assert a.augment(b).to_index_rows() == ((1, 2, 3, 4), (4, 0, 1, 2))
-    c = M5([[1, 1, 1]])
-    assert a.stack(c).to_index_rows() == ((1, 2, 3), (4, 0, 1), (1, 1, 1))
 
 
 def test_random_full_rank_deterministic():

@@ -15,7 +15,6 @@ from subtag.network import (
     compute_global_kernels,
     decode_subspace,
     format_topology,
-    inject,
     parse_topology,
     random_topology,
     same_span,
@@ -179,7 +178,7 @@ def test_injection_changes_downstream():
     t = butterfly()
     base = BaseField(5)
     p1, p2 = (1, 0), (0, 1)
-    tx = inject(t, base, [p1, p2], seed=0, at="b", fake=(3, 3))
+    tx = transmit(t, base, [p1, p2], seed=0, inject_at="b", fake=(3, 3))
     # a's side is untouched, b's outputs are the fake, c mixes honest + fake
     assert tx.packets_at("c") == ((1, 0), (3, 3))
     assert tx.packets_at("t2")[0] == (3, 3)

@@ -397,3 +397,24 @@ def test_cli_rejects_unknown_mode(capsys, tmp_path):
     path = _setup_tiny(capsys, tmp_path)
     with pytest.raises(SystemExit):
         main(["attack", "--params", str(path), "--target", "3", "--mode", "lucky"])
+
+
+@pytest.mark.parametrize(
+    "argv, params_text",
+    [
+        (["attack", "--coalition", "1,9", "--target", "4"], None),
+        (["attack", "--coalition", "1", "--target", "9"], None),
+        (["attack", "--coalition", "1,2", "--target", "4", "--mode", "guess", "--trials", "0"], None),
+        (["attack", "--coalition", "x", "--target", "4"], None),
+        (["analyze", "--target", "4"], '{"format": "subtag-params/1", '),
+    ],
+    ids=["member-out-of-range", "target-out-of-range", "zero-trials", "non-integer-member", "malformed-json"],
+)
+def test_cli_bad_input_is_a_subtag_error(capsys, tmp_path, argv, params_text):
+    path, _ = _setup_rs(capsys, tmp_path)
+    if params_text is not None:
+        path.write_text(params_text)
+    rc, out, err = _run(capsys, [argv[0], "--params", str(path), *argv[1:]])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("subtag:")

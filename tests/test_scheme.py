@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subtag.codes import rs_code, code_from_generator
+from subtag.codes import LinearCode, rs_code
 from subtag.errors import (
     DependentBasis,
     FieldMismatch,
@@ -47,15 +47,15 @@ def test_params_reject_weak_codes(f2, e4):
     # a zero generator column would leave one verifier keyless
     gen = Matrix.from_indices(e4, [[1, 0, 2]], ncols=3)
     with pytest.raises(InvalidParams):
-        PublicParams(base=f2, ext=e4, n=1, M=1, code=code_from_generator(gen))
+        PublicParams(base=f2, ext=e4, n=1, M=1, code=LinearCode(gen))
     # a unit vector inside the code means distance 1
     gen2 = Matrix.from_indices(e4, [[1, 0, 0], [0, 1, 1]], ncols=3)
     with pytest.raises(InvalidParams):
-        PublicParams(base=f2, ext=e4, n=1, M=1, code=code_from_generator(gen2))
+        PublicParams(base=f2, ext=e4, n=1, M=1, code=LinearCode(gen2))
     # the full space has a zero dual: no unconditional protection at all
     gen3 = Matrix.identity(e4, 2)
     with pytest.raises(InvalidParams):
-        PublicParams(base=f2, ext=e4, n=1, M=1, code=code_from_generator(gen3))
+        PublicParams(base=f2, ext=e4, n=1, M=1, code=LinearCode(gen3))
 
 
 def test_shape_properties(rs_pp, tiny_pp):
