@@ -391,24 +391,33 @@ def cmd_analyze(args) -> None:
 # -- ec-code ----------------------------------------------------------------------
 
 
+def _curve_coefficient(ext, text: str):
+    """A curve coefficient given as l coordinates, or as one base symbol."""
+    coords = _csv_ints(text)
+    if "," not in text:
+        coords += [0] * (ext.l - 1)
+    return ext.from_coords(coords)
+
+
 def cmd_ec_code(args) -> None:
     base, ext = _build_fields(args.q, args.l)
-    a = ext.from_coords(_csv_ints(args.a) if "," in args.a else [int(args.a)] + [0] * (args.l - 1))
-    b = ext.from_coords(_csv_ints(args.b) if "," in args.b else [int(args.b)] + [0] * (args.l - 1))
+    a = _curve_coefficient(ext, args.a)
+    b = _curve_coefficient(ext, args.b)
     curve = EllipticCurve(ext, a, b)
     pts = ec_points(curve)
     affine = [p for p in pts if not p.is_infinity]
     if args.points:
         chosen = []
         for pair in args.points.split(";"):
-            xi, yi = (int(v) for v in pair.split(","))
-            chosen.append(
-                next(
-                    p
-                    for p in affine
-                    if p.x.index == xi and p.y.index == yi
-                )
+            xy = _csv_ints(pair)
+            if len(xy) != 2:
+                raise InvalidParams(f"--points entry {pair!r} is not an x,y index pair")
+            point = next(
+                (p for p in affine if (p.x.index, p.y.index) == tuple(xy)), None
             )
+            if point is None:
+                raise InvalidParams(f"({xy[0]}, {xy[1]}) is not an affine point of the curve")
+            chosen.append(point)
     else:
         if args.num_points > len(affine):
             raise InvalidParams(

@@ -8,11 +8,26 @@ over F_q in base q.  The public identification of F_q^l with F_{q^l} is
 therefore literally digit decomposition in the polynomial basis
 1, a, ..., a^{l-1}, with the first unit vector mapping to 1.
 
-Multiplication uses discrete-log tables whenever the field is small
-enough to tabulate (the common case here); otherwise it falls back to
-polynomial arithmetic modulo the defining polynomial.  The q-power
-Frobenius map on the extension is precomputed once as an l x l matrix
-over F_q, since tag verification applies it in a chain.
+How each field adds and negates indices:
+
+* characteristic 2 (``BaseField(2, m)`` and every ``ExtField`` over it):
+  the base-2 digits of an index are its coefficients at both levels, so
+  addition is XOR and negation is the identity; no add table is built;
+* odd p, tabulated (every ``BaseField``, and an ``ExtField`` of order at
+  most ``_MUL_TABLE_MAX``): negation is a lookup in a length-order table
+  built once; addition is a lookup in an order x order table when the
+  order is at most ``_ADD_TABLE_MAX``, mod p in a prime field, and
+  digit by digit otherwise;
+* odd p, untabulated ``ExtField``: digit by digit over the base field.
+
+Multiplication and inversion use discrete-log tables whenever the field
+is small enough to tabulate (the common case here).  Otherwise a product
+is the schoolbook product of the two coordinate vectors, folded back with
+the monic modulus (x^l = -sum m_k x^k), and an inverse comes from the
+norm: x^-1 = (x^q x^(q^2) ... x^(q^(l-1))) N(x)^-1, where
+N(x) = x x^q ... x^(q^(l-1)) lies in F_q.  The q-power Frobenius map on
+the extension is precomputed once as an l x l matrix over F_q, since tag
+verification and the norm apply it in a chain.
 """
 
 from __future__ import annotations
@@ -75,49 +90,30 @@ def _prime_factors(n: int) -> list[int]:
 
 
 class _PrimeOps:
-    """Arithmetic on integers mod p, used while bootstrapping a base field."""
+    """Index arithmetic on integers mod p, used while bootstrapping a base field."""
 
     __slots__ = ("order",)
 
     def __init__(self, p: int):
         self.order = p
 
-    def add(self, a: int, b: int) -> int:
+    def add_idx(self, a: int, b: int) -> int:
         return (a + b) % self.order
 
-    def sub(self, a: int, b: int) -> int:
+    def sub_idx(self, a: int, b: int) -> int:
         return (a - b) % self.order
 
-    def mul(self, a: int, b: int) -> int:
+    def neg_idx(self, a: int) -> int:
+        return (-a) % self.order
+
+    def mul_idx(self, a: int, b: int) -> int:
         return (a * b) % self.order
 
-    def inv(self, a: int) -> int:
-        return pow(a, self.order - 2, self.order)
 
-
-class _BaseOps:
-    """Adapter exposing a BaseField's index arithmetic to the poly helpers."""
-
-    __slots__ = ("f", "order")
-
-    def __init__(self, f: "BaseField"):
-        self.f = f
-        self.order = f.order
-
-    def add(self, a: int, b: int) -> int:
-        return self.f.add_idx(a, b)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.f.sub_idx(a, b)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.f.mul_idx(a, b)
-
-    def inv(self, a: int) -> int:
-        return self.f.inv_idx(a)
-
-
-# -- little-endian polynomial helpers over an ops provider ------------------
+# -- little-endian polynomial helpers over a coefficient field ---------------
+#
+# ``ops`` is a _PrimeOps or a BaseField: anything with ``order``,
+# ``sub_idx`` and ``mul_idx`` on coefficient indices.
 
 
 def _poly_trim(cs: list[int]) -> list[int]:
@@ -126,33 +122,45 @@ def _poly_trim(cs: list[int]) -> list[int]:
     return cs
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int], ops) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] = ops.add(out[i + j], ops.mul(ai, bj))
-    return _poly_trim(out)
-
-
 def _poly_rem(num: Sequence[int], den: Sequence[int], ops) -> list[int]:
-    """Remainder of num by den; den need not be monic."""
-    rem = list(num)
-    _poly_trim(rem)
+    """Remainder of num by the monic polynomial den."""
+    rem = _poly_trim(list(num))
     dd = len(den) - 1
-    lead_inv = ops.inv(den[-1])
-    while len(rem) - 1 >= dd and rem:
+    while len(rem) - 1 >= dd:
         shift = len(rem) - 1 - dd
-        coef = ops.mul(rem[-1], lead_inv)
+        coef = rem[-1]
         for i in range(dd + 1):
             if den[i]:
-                rem[shift + i] = ops.sub(rem[shift + i], ops.mul(coef, den[i]))
+                rem[shift + i] = ops.sub_idx(rem[shift + i], ops.mul_idx(coef, den[i]))
         _poly_trim(rem)
     return rem
+
+
+def _fold_terms(modulus: Sequence[int], neg) -> tuple[tuple[int, int], ...]:
+    """(k, -m_k) for each nonzero lower coefficient of a monic modulus."""
+    return tuple((k, neg(c)) for k, c in enumerate(modulus[:-1]) if c)
+
+
+def _mul_mod(a: Sequence[int], b: Sequence[int], fold, add, mul) -> list[int]:
+    """Coefficients of a*b modulo a monic degree-d modulus.
+
+    a and b hold d coefficients each; ``fold`` comes from _fold_terms and
+    rewrites x^d as -sum m_k x^k, from the top degree down.
+    """
+    d = len(a)
+    prod = [0] * (2 * d - 1)
+    for s, x in enumerate(a):
+        if x:
+            for t, y in enumerate(b):
+                if y:
+                    prod[s + t] = add(prod[s + t], mul(x, y))
+    for top in range(2 * d - 2, d - 1, -1):
+        c = prod[top]
+        if c:
+            low = top - d
+            for k, m in fold:
+                prod[low + k] = add(prod[low + k], mul(c, m))
+    return prod[:d]
 
 
 def _index_digits(value: int, radix: int, width: int) -> tuple[int, ...]:
@@ -257,11 +265,12 @@ class FieldElement:
 
 
 class _TabulatedField:
-    """Discrete-log tables and square-and-multiply, shared by both levels.
+    """Discrete-log tables, square-and-multiply and subtraction, shared by both levels.
 
-    Subclasses provide ``order``, ``_mul_raw`` (multiplication without
-    tables) and the index operations ``add_idx``, ``neg_idx``, ``mul_idx``
-    and ``inv_idx``.
+    Subclasses provide ``order``, ``_char2`` (characteristic 2),
+    ``_mul_raw`` (multiplication without tables), ``_neg_digits``
+    (negation without tables) and the index operations ``add_idx``,
+    ``neg_idx``, ``mul_idx`` and ``inv_idx``.
     """
 
     __slots__ = ()
@@ -293,7 +302,12 @@ class _TabulatedField:
         self._exp = exp
         self._log = log
 
+    def _build_neg_table(self) -> None:
+        self._neg = [self._neg_digits(i) for i in range(self.order)]
+
     def sub_idx(self, i: int, j: int) -> int:
+        if self._char2:
+            return i ^ j
         return self.add_idx(i, self.neg_idx(j))
 
     def div_idx(self, i: int, j: int) -> int:
@@ -319,8 +333,11 @@ class BaseField(_TabulatedField):
         "m",
         "order",
         "modulus",
+        "_char2",
+        "_fold",
         "_exp",
         "_log",
+        "_neg",
         "_add_table",
         "_hash",
     )
@@ -347,11 +364,16 @@ class BaseField(_TabulatedField):
                 raise InvalidParams(f"modulus {mod} is reducible over GF({p})")
         self.modulus = mod
         self._hash = hash(("BaseField", p, m, mod))
+        self._char2 = p == 2
+        self._fold = _fold_terms(mod, ops.neg_idx)
+        self._neg = None
         self._add_table = None
-        if m > 1 and order <= _ADD_TABLE_MAX:
-            self._add_table = [
-                [self._add_digits(i, j) for j in range(order)] for i in range(order)
-            ]
+        if not self._char2:
+            self._build_neg_table()
+            if m > 1 and order <= _ADD_TABLE_MAX:
+                self._add_table = [
+                    [self._add_digits(i, j) for j in range(order)] for i in range(order)
+                ]
         self._build_log_tables()
 
     # -- raw digit arithmetic ------------------------------------------
@@ -369,17 +391,23 @@ class BaseField(_TabulatedField):
         a, b = self.coords_of(i), self.coords_of(j)
         return self._from_digits((x + y) % self.p for x, y in zip(a, b))
 
+    def _neg_digits(self, i: int) -> int:
+        return self._from_digits((-d) % self.p for d in self.coords_of(i))
+
     def _mul_raw(self, i: int, j: int) -> int:
         if self.m == 1:
             return (i * j) % self.p
-        prod = _poly_mul(self.coords_of(i), self.coords_of(j), _PrimeOps(self.p))
-        rem = _poly_rem(prod, self.modulus, _PrimeOps(self.p))
-        rem += [0] * (self.m - len(rem))
-        return self._from_digits(rem)
+        ops = _PrimeOps(self.p)
+        prod = _mul_mod(
+            self.coords_of(i), self.coords_of(j), self._fold, ops.add_idx, ops.mul_idx
+        )
+        return self._from_digits(prod)
 
     # -- index-level operations ----------------------------------------
 
     def add_idx(self, i: int, j: int) -> int:
+        if self._char2:
+            return i ^ j
         if self.m == 1:
             return (i + j) % self.p
         if self._add_table is not None:
@@ -387,9 +415,9 @@ class BaseField(_TabulatedField):
         return self._add_digits(i, j)
 
     def neg_idx(self, i: int) -> int:
-        if self.m == 1:
-            return (-i) % self.p
-        return self._from_digits((-d) % self.p for d in self.coords_of(i))
+        if self._char2:
+            return i
+        return self._neg[i]
 
     def mul_idx(self, i: int, j: int) -> int:
         if i == 0 or j == 0:
@@ -454,8 +482,11 @@ class ExtField(_TabulatedField):
         "order",
         "modulus",
         "frobenius_matrix",
+        "_char2",
+        "_fold",
         "_exp",
         "_log",
+        "_neg",
         "_add_table",
         "_hash",
     )
@@ -466,30 +497,34 @@ class ExtField(_TabulatedField):
         self.base = base
         self.l = l
         self.order = base.order**l
-        ops = _BaseOps(base)
         if modulus is None:
-            mod = _canonical_irreducible(l, ops)
+            mod = _canonical_irreducible(l, base)
         else:
             mod = tuple(int(c) for c in modulus)
             if len(mod) != l + 1 or mod[-1] != 1:
                 raise InvalidParams("modulus must be monic of degree l")
             if any(not 0 <= c < base.order for c in mod):
                 raise InvalidParams("modulus coefficients out of range")
-            if not _is_irreducible(mod, ops):
+            if not _is_irreducible(mod, base):
                 raise InvalidParams(f"modulus {mod} is reducible over {base.name}")
         self.modulus = mod
         self._hash = hash(("ExtField", base, l, mod))
+        self._char2 = base.p == 2
+        self._fold = _fold_terms(mod, base.neg_idx)
 
         self._exp = None
         self._log = None
+        self._neg = None
+        self._add_table = None
         if self.order <= _MUL_TABLE_MAX:
             self._build_log_tables()
-        self._add_table = None
-        if self.order <= _ADD_TABLE_MAX:
-            self._add_table = [
-                [self._add_digits(i, j) for j in range(self.order)]
-                for i in range(self.order)
-            ]
+            if not self._char2:
+                self._build_neg_table()
+                if self.order <= _ADD_TABLE_MAX:
+                    self._add_table = [
+                        [self._add_digits(i, j) for j in range(self.order)]
+                        for i in range(self.order)
+                    ]
         self.frobenius_matrix = self._build_frobenius_matrix()
         self._check_frobenius_order()
 
@@ -518,12 +553,16 @@ class ExtField(_TabulatedField):
             idx = idx * self.base.order + d
         return idx
 
+    def _neg_digits(self, i: int) -> int:
+        neg = self.base.neg_idx
+        return self._from_digits(neg(d) for d in self.coords_of(i))
+
     def _mul_raw(self, i: int, j: int) -> int:
-        ops = _BaseOps(self.base)
-        prod = _poly_mul(self.coords_of(i), self.coords_of(j), ops)
-        rem = _poly_rem(prod, self.modulus, ops)
-        rem += [0] * (self.l - len(rem))
-        return self._from_digits(rem)
+        base = self.base
+        prod = _mul_mod(
+            self.coords_of(i), self.coords_of(j), self._fold, base.add_idx, base.mul_idx
+        )
+        return self._from_digits(prod)
 
     def _build_frobenius_matrix(self) -> tuple[tuple[int, ...], ...]:
         q = self.base.order
@@ -546,13 +585,18 @@ class ExtField(_TabulatedField):
     # -- index-level operations ------------------------------------------
 
     def add_idx(self, i: int, j: int) -> int:
+        if self._char2:
+            return i ^ j
         if self._add_table is not None:
             return self._add_table[i][j]
         return self._add_digits(i, j)
 
     def neg_idx(self, i: int) -> int:
-        neg = self.base.neg_idx
-        return self._from_digits(neg(d) for d in self.coords_of(i))
+        if self._char2:
+            return i
+        if self._neg is not None:
+            return self._neg[i]
+        return self._neg_digits(i)
 
     def mul_idx(self, i: int, j: int) -> int:
         if i == 0 or j == 0:
@@ -568,7 +612,15 @@ class ExtField(_TabulatedField):
         if self._exp is not None:
             n = self.order - 1
             return self._exp[(n - self._log[i]) % n]
-        return self._pow_raw(i, self.order - 2)
+        # Norm inverse.  An untabulated field has l >= 2, because every
+        # base field is tabulated; the norm x * rest lies in F_q, so its
+        # index is a base symbol.
+        chain = self.frobenius_chain(i, self.l)
+        rest = chain[1]
+        for c in chain[2:]:
+            rest = self._mul_raw(rest, c)
+        norm = self._mul_raw(i, rest)
+        return self._mul_raw(rest, self.base.inv_idx(norm))
 
     def pow_idx(self, i: int, e: int) -> int:
         if e < 0:

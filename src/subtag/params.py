@@ -70,43 +70,82 @@ def params_to_dict(pp: PublicParams, curve_spec: Optional[AGCodeSpec] = None) ->
     return doc
 
 
+def _object(doc, key: str) -> dict:
+    value = doc[key]
+    if not isinstance(value, dict):
+        raise InvalidParams(f"params field {key!r} must be a JSON object")
+    return value
+
+
+def _int(doc: dict, key: str) -> int:
+    value = doc[key]
+    if type(value) is not int:
+        raise InvalidParams(f"params field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _int_list(value, what: str) -> list[int]:
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise InvalidParams(f"{what} must be a list of integers, got {value!r}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InvalidParams(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def params_from_dict(doc: dict) -> tuple[PublicParams, Optional[AGCodeSpec]]:
+    if not isinstance(doc, dict):
+        raise InvalidParams("params file must hold a JSON object")
     try:
         if doc["format"] != PARAMS_FORMAT:
             raise InvalidParams(f"unknown params format {doc.get('format')!r}")
-        base = BaseField(doc["base"]["p"], doc["base"]["m"], doc["base"]["modulus"])
-        ext = ExtField(base, doc["ext"]["l"], doc["ext"]["modulus"])
-        code_doc = doc["code"]
+        base_doc, ext_doc = _object(doc, "base"), _object(doc, "ext")
+        scheme_doc, code_doc = _object(doc, "scheme"), _object(doc, "code")
+        base = BaseField(
+            _int(base_doc, "p"),
+            _int(base_doc, "m"),
+            _int_list(base_doc["modulus"], "base modulus"),
+        )
+        ext = ExtField(base, _int(ext_doc, "l"), _int_list(ext_doc["modulus"], "ext modulus"))
         rows = [
-            tuple(ext.from_coords(entry) for entry in row)
-            for row in code_doc["generator"]
+            tuple(
+                ext.from_coords(_int_list(entry, "generator entry"))
+                for entry in _list(row, "generator row")
+            )
+            for row in _list(code_doc["generator"], "generator")
         ]
-        gen = Matrix(ext, rows, ncols=code_doc["length"])
-        if gen.nrows != code_doc["kdim"]:
+        gen = Matrix(ext, rows, ncols=_int(code_doc, "length"))
+        if gen.nrows != _int(code_doc, "kdim"):
             raise InvalidParams("generator row count disagrees with kdim")
         code = LinearCode(gen)
         pp = PublicParams(
             base=base,
             ext=ext,
-            n=doc["scheme"]["n"],
-            M=doc["scheme"]["M"],
+            n=_int(scheme_doc, "n"),
+            M=_int(scheme_doc, "M"),
             code=code,
-            iso=doc["scheme"].get("iso", "poly-basis-le"),
+            iso=scheme_doc.get("iso", "poly-basis-le"),
         )
         curve_spec = None
         if "curve" in doc:
-            cdoc = doc["curve"]
+            cdoc = _object(doc, "curve")
             curve = EllipticCurve(
-                ext, ext.from_coords(cdoc["a"]), ext.from_coords(cdoc["b"])
+                ext,
+                ext.from_coords(_int_list(cdoc["a"], "curve coefficient a")),
+                ext.from_coords(_int_list(cdoc["b"], "curve coefficient b")),
             )
             points = []
-            for pt in cdoc["points"]:
+            for pt in _list(cdoc["points"], "curve points"):
                 if pt == "O":
                     raise InvalidParams("the pole point cannot be in the support")
-                points.append(
-                    ECPoint(curve, ext.from_coords(pt[0]), ext.from_coords(pt[1]))
-                )
-            curve_spec = AGCodeSpec(curve, tuple(points), cdoc["degree"])
+                if not isinstance(pt, list) or len(pt) != 2:
+                    raise InvalidParams(f"curve point must be an [x, y] pair, got {pt!r}")
+                x, y = (ext.from_coords(_int_list(c, "curve point coordinate")) for c in pt)
+                points.append(ECPoint(curve, x, y))
+            curve_spec = AGCodeSpec(curve, tuple(points), _int(cdoc, "degree"))
             if residue_code(curve_spec).generator != code.generator:
                 raise InvalidParams(
                     "stored generator is not the residue code of the stored curve"

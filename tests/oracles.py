@@ -1,11 +1,12 @@
 """Independent brute-force oracles for the test suite.
 
-Everything here recomputes library answers from first principles: dual
-codewords by direct enumeration of G v = 0, forgeability by dual-support
-search, consistent master keys by trying every matrix, labels by direct
-powering.  None of it routes through the library's rref/null-space code,
-so agreement between the two sides actually means something.  All of it
-is exponential and meant for tiny parameters only.
+Everything here recomputes library answers from first principles: field
+arithmetic from the stored moduli alone, dual codewords by direct
+enumeration of G v = 0, forgeability by dual-support search, consistent
+master keys by trying every matrix, labels by direct powering.  None of
+it routes through the library's rref/null-space code, so agreement
+between the two sides actually means something.  The code and key
+oracles are exponential and meant for tiny parameters only.
 """
 
 from __future__ import annotations
@@ -15,6 +16,93 @@ from typing import Iterable, Iterator, Sequence
 
 from subtag.fields import ExtField, FieldElement
 from subtag.scheme import PublicParams, TaggedPacket
+
+
+# -- field arithmetic ----------------------------------------------------------
+
+
+class RefPrime:
+    """Integers mod p."""
+
+    def __init__(self, p: int):
+        self.order = p
+
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.order
+
+    def neg(self, a: int) -> int:
+        return (-a) % self.order
+
+    def mul(self, a: int, b: int) -> int:
+        return (a * b) % self.order
+
+
+class RefQuotient:
+    """Polynomials over ``coef`` modulo a monic modulus.
+
+    Indices follow the library's encoding (little-endian digits in base
+    ``coef.order``), but every operation is recomputed here from the
+    modulus: digit-wise add and negate, a schoolbook product reduced by
+    long division, and a Fermat inverse x^(order-2).
+    """
+
+    def __init__(self, coef, modulus: Sequence[int]):
+        self.coef = coef
+        self.modulus = tuple(modulus)
+        self.degree = len(self.modulus) - 1
+        self.order = coef.order**self.degree
+
+    def digits(self, i: int) -> list[int]:
+        out = []
+        for _ in range(self.degree):
+            i, d = divmod(i, self.coef.order)
+            out.append(d)
+        return out
+
+    def index(self, digits: Sequence[int]) -> int:
+        return sum(d * self.coef.order**k for k, d in enumerate(digits))
+
+    def add(self, i: int, j: int) -> int:
+        return self.index([self.coef.add(a, b) for a, b in zip(self.digits(i), self.digits(j))])
+
+    def neg(self, i: int) -> int:
+        return self.index([self.coef.neg(a) for a in self.digits(i)])
+
+    def sub(self, i: int, j: int) -> int:
+        return self.add(i, self.neg(j))
+
+    def mul(self, i: int, j: int) -> int:
+        c, d = self.coef, self.degree
+        prod = [0] * (2 * d - 1)
+        for s, x in enumerate(self.digits(i)):
+            for t, y in enumerate(self.digits(j)):
+                if x and y:
+                    prod[s + t] = c.add(prod[s + t], c.mul(x, y))
+        for top in range(2 * d - 2, d - 1, -1):
+            lead = prod[top]
+            for k, m in enumerate(self.modulus):
+                if lead and m:
+                    prod[top - d + k] = c.add(prod[top - d + k], c.neg(c.mul(lead, m)))
+        return self.index(prod[:d])
+
+    def inv(self, i: int) -> int:
+        acc, base, e = 1, i, self.order - 2
+        while e:
+            if e & 1:
+                acc = self.mul(acc, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return acc
+
+
+def reference_field(field) -> RefQuotient:
+    """A RefQuotient tower with the same moduli as a BaseField or ExtField."""
+    if isinstance(field, ExtField):
+        return RefQuotient(reference_field(field.base), field.modulus)
+    return RefQuotient(RefPrime(field.p), field.modulus)
+
+
+# -- codes ---------------------------------------------------------------------
 
 
 def all_vectors(field, n: int) -> Iterator[tuple[int, ...]]:

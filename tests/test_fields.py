@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,8 @@ from subtag.fields import (
     linearized_eval,
     moore_matrix,
 )
+
+from oracles import reference_field
 
 
 # hand-checked canonical moduli (little-endian, monic)
@@ -68,6 +71,76 @@ def test_field_axioms_exhaustive(maker):
         assert (x + y) + z == x + (y + z)
         assert x * (y + z) == x * y + x * z
         assert x * y == y * x
+
+
+DIFFERENTIAL_FIELDS = {
+    "GF(2)": lambda: BaseField(2),
+    "GF(2^8)": lambda: BaseField(2, 8),
+    "GF(2^4)^2": lambda: ExtField(BaseField(2, 4), 2),
+    "GF(2^8)^3": lambda: ExtField(BaseField(2, 8), 3),  # untabulated
+    "GF(5)^3": lambda: ExtField(BaseField(5), 3),
+    "GF(7^2)^2": lambda: ExtField(BaseField(7, 2), 2),
+    "GF(3)^11": lambda: ExtField(BaseField(3), 11),  # untabulated, odd p
+}
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_FIELDS))
+def test_index_ops_match_reference(name):
+    f = DIFFERENTIAL_FIELDS[name]()
+    ref = reference_field(f)
+    assert ref.order == f.order
+    if f.char == 2:
+        # characteristic 2 adds by XOR; the O(order^2) table must stay gone
+        assert f._add_table is None
+    r = random.Random(name)
+    for k in range(200):
+        x, y = r.randrange(f.order), r.randrange(f.order)
+        assert f.add_idx(x, y) == ref.add(x, y)
+        assert f.neg_idx(x) == ref.neg(x)
+        assert f.sub_idx(x, y) == ref.sub(x, y)
+        assert f.mul_idx(x, y) == ref.mul(x, y)
+        if x:
+            inv = f.inv_idx(x)
+            assert f.mul_idx(x, inv) == 1
+            # inverses are unique, so a reference product of 1 pins inv
+            # down; the costly Fermat power runs on a prefix as well
+            assert ref.mul(x, inv) == 1
+            if k < 25:
+                assert inv == ref.inv(x)
+
+
+# (x, y, x*y, x^-1, -x) on the two untabulated fields, recorded from the
+# polynomial-remainder product and the Fermat inverse x^(order-2).
+FROZEN_UNTABULATED = {
+    "GF(2^8)^3": (
+        (13587199, 14087828, 220805, 7092954, 13587199),
+        (12035467, 5868146, 2537446, 4621145, 12035467),
+        (423876, 5840527, 3537239, 9520572, 423876),
+        (13374328, 8691561, 16074498, 16230577, 13374328),
+        (3013648, 11067385, 8313335, 16400105, 3013648),
+        (3496712, 1738758, 14860025, 12283746, 3496712),
+        (2401705, 2525549, 16437815, 3611292, 2401705),
+        (9834004, 5361428, 4425754, 8913238, 9834004),
+    ),
+    "GF(3)^11": (
+        (13179, 49077, 118239, 158969, 6594),
+        (75157, 90597, 10101, 147434, 130541),
+        (125145, 69971, 26424, 97788, 72414),
+        (81597, 40798, 42871, 28639, 162222),
+        (93637, 18284, 69661, 107054, 165404),
+        (124721, 39801, 49434, 119763, 72202),
+        (111605, 87631, 65530, 162142, 144394),
+        (164341, 122720, 52320, 11757, 92378),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_UNTABULATED))
+def test_untabulated_ops_frozen(name):
+    f = DIFFERENTIAL_FIELDS[name]()
+    assert f._exp is None
+    for x, y, prod, inv, neg in FROZEN_UNTABULATED[name]:
+        assert (f.mul_idx(x, y), f.inv_idx(x), f.neg_idx(x)) == (prod, inv, neg)
 
 
 def test_invalid_field_params():

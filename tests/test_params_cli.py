@@ -399,6 +399,14 @@ def test_cli_rejects_unknown_mode(capsys, tmp_path):
         main(["attack", "--params", str(path), "--target", "3", "--mode", "lucky"])
 
 
+EC_ARGS = ["--q", "5", "--l", "2", "--degree", "2", "--n", "1", "--M", "1"]
+
+
+def _string_for_int(doc):
+    doc["scheme"]["n"] = "2"
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "argv, params_text",
     [
@@ -407,14 +415,31 @@ def test_cli_rejects_unknown_mode(capsys, tmp_path):
         (["attack", "--coalition", "1,2", "--target", "4", "--mode", "guess", "--trials", "0"], None),
         (["attack", "--coalition", "x", "--target", "4"], None),
         (["analyze", "--target", "4"], '{"format": "subtag-params/1", '),
+        (["analyze", "--target", "4"], "[]"),
+        (["analyze", "--target", "4"], _string_for_int),
+        (["ec-code", "--a", "1", "--b", "1", "--points", "0,0;1,1", *EC_ARGS], None),
+        (["ec-code", "--a", "x", "--b", "1", "--num-points", "6", *EC_ARGS], None),
     ],
-    ids=["member-out-of-range", "target-out-of-range", "zero-trials", "non-integer-member", "malformed-json"],
+    ids=[
+        "member-out-of-range",
+        "target-out-of-range",
+        "zero-trials",
+        "non-integer-member",
+        "malformed-json",
+        "params-not-an-object",
+        "params-string-for-int",
+        "ec-point-not-on-curve",
+        "ec-non-integer-coefficient",
+    ],
 )
 def test_cli_bad_input_is_a_subtag_error(capsys, tmp_path, argv, params_text):
     path, _ = _setup_rs(capsys, tmp_path)
+    if callable(params_text):
+        params_text = params_text(json.loads(path.read_text()))
     if params_text is not None:
         path.write_text(params_text)
-    rc, out, err = _run(capsys, [argv[0], "--params", str(path), *argv[1:]])
+    flag = "--out" if argv[0] == "ec-code" else "--params"
+    rc, out, err = _run(capsys, [argv[0], flag, str(path), *argv[1:]])
     assert rc == 1
     assert out == ""
     assert err.startswith("subtag:")
