@@ -526,7 +526,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SubtagError as exc:
         print(f"subtag: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # unreadable input or output files: missing, a directory, not text
         print(f"subtag: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -459,6 +459,8 @@ class BaseField(_TabulatedField):
         return FieldElement(self, x)
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         return (
             isinstance(other, BaseField)
             and other.p == self.p
@@ -687,6 +689,8 @@ class ExtField(_TabulatedField):
         return FieldElement(self, x)
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         return (
             isinstance(other, ExtField)
             and other.base == self.base

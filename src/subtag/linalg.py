@@ -41,7 +41,9 @@ class Matrix:
                 if len(r) != width:
                     raise DimensionMismatch("ragged rows")
                 for e in r:
-                    if not isinstance(e, FieldElement) or e.field != field:
+                    if not isinstance(e, FieldElement) or (
+                        e.field is not field and e.field != field
+                    ):
                         raise FieldMismatch("entry does not belong to the matrix field")
             if ncols is not None and ncols != width:
                 raise DimensionMismatch(f"declared {ncols} columns, rows have {width}")

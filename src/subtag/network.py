@@ -10,6 +10,11 @@ property that the packet on e equals f_e applied to the stacked source
 packets; transmit() checks exactly that on honest runs and raises
 InvariantViolated if it fails.
 
+A Topology is immutable.  Its per-node in- and out-edge indices and its
+topological order are built once, in one pass over the edges, when it is
+constructed; transmit() and every per-node query read those indices
+instead of scanning the edge list.
+
 Topology files are plain text: ``node <name> <role>``, ``edge <from>
 <to>``, ``kernel <node> <row-major entries>``, with blank lines and #
 comments ignored.  Any kernel not given in the file is drawn uniformly
@@ -57,55 +62,86 @@ class Node:
     role: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class Topology:
-    """Nodes, directed edges, and optional per-node kernels."""
+    """Nodes, directed edges, and optional per-node kernels.
+
+    The structure helpers are lookups into indices built once in
+    ``__post_init__``.  ``kernels`` stays a plain dict.
+    """
 
     nodes: tuple[Node, ...]
     edges: tuple[tuple[str, str], ...]
     kernels: dict[str, tuple[tuple[int, ...], ...]] = dc_field(default_factory=dict)
+    _source: str = dc_field(init=False, repr=False, compare=False)
+    _in: dict[str, tuple[int, ...]] = dc_field(init=False, repr=False, compare=False)
+    _out: dict[str, tuple[int, ...]] = dc_field(init=False, repr=False, compare=False)
+    _order: tuple[str, ...] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.nodes = tuple(self.nodes)
-        self.edges = tuple((a, b) for a, b in self.edges)
-        names = [nd.name for nd in self.nodes]
+        nodes = tuple(self.nodes)
+        edges = tuple((a, b) for a, b in self.edges)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
+        names = [nd.name for nd in nodes]
         if len(set(names)) != len(names):
             raise InvalidParams("node names must be unique")
-        for nd in self.nodes:
+        for nd in nodes:
             if nd.role not in ROLES:
                 raise InvalidParams(f"unknown role {nd.role!r} for node {nd.name}")
-        sources = [nd.name for nd in self.nodes if nd.role == "source"]
+        sources = [nd.name for nd in nodes if nd.role == "source"]
         if len(sources) != 1:
             raise InvalidParams(f"need exactly one source, found {len(sources)}")
-        known = set(names)
-        for a, b in self.edges:
-            if a not in known or b not in known:
+        ins: dict[str, list[int]] = {name: [] for name in names}
+        outs: dict[str, list[int]] = {name: [] for name in names}
+        for i, (a, b) in enumerate(edges):
+            if a not in ins or b not in ins:
                 raise UnknownNode(f"edge {a}->{b} references an unknown node")
             if a == b:
                 raise CyclicGraph(f"self-loop at {a}")
             if b == sources[0]:
                 raise InvalidParams("the source cannot have incoming edges")
-        self.topo_order()  # raises CyclicGraph if needed
+            outs[a].append(i)
+            ins[b].append(i)
+        object.__setattr__(self, "_source", sources[0])
+        object.__setattr__(self, "_in", {k: tuple(v) for k, v in ins.items()})
+        object.__setattr__(self, "_out", {k: tuple(v) for k, v in outs.items()})
+        object.__setattr__(self, "_order", self._kahn_order())
         for name, rows in self.kernels.items():
-            if name not in known:
+            if name not in ins:
                 raise UnknownNode(f"kernel for unknown node {name}")
             rows = tuple(tuple(int(v) for v in r) for r in rows)
             self.kernels[name] = rows
-            out_deg = len(self.out_edges(name))
+            out_deg = len(self._out[name])
             if any(len(r) != out_deg for r in rows):
                 raise DimensionMismatch(
                     f"kernel at {name} must have {out_deg} columns"
                 )
-            if name != sources[0] and len(rows) != len(self.in_edges(name)):
+            if name != sources[0] and len(rows) != len(self._in[name]):
                 raise DimensionMismatch(
                     f"kernel at {name} must have one row per incoming edge"
                 )
+
+    def _kahn_order(self) -> tuple[str, ...]:
+        indeg = {name: len(e) for name, e in self._in.items()}
+        order = [nd.name for nd in self.nodes if indeg[nd.name] == 0]
+        # order doubles as the FIFO queue: the loop reaches each name
+        # appended behind it
+        for cur in order:
+            for i in self._out[cur]:
+                b = self.edges[i][1]
+                indeg[b] -= 1
+                if indeg[b] == 0:
+                    order.append(b)
+        if len(order) != len(self.nodes):
+            raise CyclicGraph("topology contains a directed cycle")
+        return tuple(order)
 
     # -- structure helpers -------------------------------------------------
 
     @property
     def source(self) -> str:
-        return next(nd.name for nd in self.nodes if nd.role == "source")
+        return self._source
 
     def node(self, name: str) -> Node:
         for nd in self.nodes:
@@ -114,10 +150,12 @@ class Topology:
         raise UnknownNode(name)
 
     def in_edges(self, name: str) -> tuple[int, ...]:
-        return tuple(i for i, (_, b) in enumerate(self.edges) if b == name)
+        """Indices of the edges into ``name``, in declaration order."""
+        return self._in.get(name, ())
 
     def out_edges(self, name: str) -> tuple[int, ...]:
-        return tuple(i for i, (a, _) in enumerate(self.edges) if a == name)
+        """Indices of the edges out of ``name``, in declaration order."""
+        return self._out.get(name, ())
 
     def verifier_nodes(self) -> tuple[str, ...]:
         """Verifier names in declaration order; order fixes key indices."""
@@ -127,22 +165,8 @@ class Topology:
         return tuple(nd.name for nd in self.nodes if nd.role == "sink")
 
     def topo_order(self) -> tuple[str, ...]:
-        indeg = {nd.name: 0 for nd in self.nodes}
-        for _, b in self.edges:
-            indeg[b] += 1
-        ready = [nd.name for nd in self.nodes if indeg[nd.name] == 0]
-        order = []
-        while ready:
-            cur = ready.pop(0)
-            order.append(cur)
-            for i in self.out_edges(cur):
-                b = self.edges[i][1]
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    ready.append(b)
-        if len(order) != len(self.nodes):
-            raise CyclicGraph("topology contains a directed cycle")
-        return tuple(order)
+        """Kahn order: sources of the DAG first, ties in declaration order."""
+        return self._order
 
 
 def parse_topology(text: str) -> Topology:
@@ -160,10 +184,17 @@ def parse_topology(text: str) -> Topology:
         elif kind == "edge" and len(parts) == 3:
             edges.append((parts[1], parts[2]))
         elif kind == "kernel" and len(parts) >= 3:
-            raw_kernels.append((parts[1], [int(v) for v in parts[2:]]))
+            try:
+                flat = [int(v) for v in parts[2:]]
+            except ValueError:
+                raise InvalidParams(
+                    f"non-integer kernel entry on topology line {lineno}: {line!r}"
+                ) from None
+            raw_kernels.append((parts[1], flat))
         else:
             raise InvalidParams(f"cannot parse topology line {lineno}: {line!r}")
     topo = Topology(tuple(nodes), tuple(edges))
+    kernels = {}
     for name, flat in raw_kernels:
         topo.node(name)  # raises UnknownNode
         out_deg = len(topo.out_edges(name))
@@ -171,13 +202,12 @@ def parse_topology(text: str) -> Topology:
             raise DimensionMismatch(
                 f"kernel at {name}: {len(flat)} entries do not tile {out_deg} columns"
             )
-        rows = tuple(
+        kernels[name] = tuple(
             tuple(flat[r * out_deg : (r + 1) * out_deg])
             for r in range(len(flat) // out_deg)
         )
-        topo.kernels[name] = rows
     # re-run shape validation with kernels attached
-    return Topology(topo.nodes, topo.edges, dict(topo.kernels))
+    return Topology(topo.nodes, topo.edges, kernels)
 
 
 def format_topology(t: Topology) -> str:

@@ -20,7 +20,10 @@ packets passes every verifier.
 
 Verification costs are data-independent: per packet, M-1 Frobenius steps
 and M + kdim + 1 extension multiplications.  The optional OpCounter
-records these schedule counts so tests can pin them down.
+records these schedule counts so tests can pin them down.  verify() and
+TaggedPacket.from_symbols() run on raw field indices: the label, the
+weighted tag sum and the unpacked tag chunks never build intermediate
+FieldElements.
 """
 
 from __future__ import annotations
@@ -173,20 +176,47 @@ class TaggedPacket:
             raise LengthMismatch(
                 f"expected {pp.packet_symbols} symbols, got {len(syms)}"
             )
-        l = pp.l
-        tracker = pp.base.element(int(syms[0])).index
-        payload = tuple(pp.base.element(int(v)).index for v in syms[1 : 1 + l])
-        tag = []
-        for t in range(pp.kdim):
-            chunk = syms[1 + l + t * l : 1 + l + (t + 1) * l]
-            tag.append(iso_vec(pp.ext, list(chunk)))
-        return cls(tracker=tracker, payload=payload, tag=tuple(tag))
+        syms = _symbols(pp, syms)
+        l, q, ext = pp.l, pp.base.order, pp.ext
+        tag = tuple(
+            FieldElement(ext, _fold(q, syms[start : start + l]))
+            for start in range(1 + l, len(syms), l)
+        )
+        return cls(tracker=syms[0], payload=syms[1 : 1 + l], tag=tag)
+
+
+def _symbols(pp: PublicParams, values: Sequence[int]) -> tuple[int, ...]:
+    """Base-field symbol indices, each checked to be in range."""
+    out = tuple(int(v) for v in values)
+    q = pp.base.order
+    for v in out:
+        if not 0 <= v < q:
+            raise InvalidParams(f"symbol {v} out of range for {pp.base.name}")
+    return out
+
+
+def _fold(q: int, digits: Sequence[int]) -> int:
+    """Extension index of a coordinate vector (little-endian base-q digits)."""
+    idx = 0
+    for d in reversed(digits):
+        idx = idx * q + d
+    return idx
+
+
+def _indices(field: ExtField, elements: Sequence[FieldElement]) -> list[int]:
+    """Indices of elements that must belong to ``field``."""
+    out = []
+    for e in elements:
+        if not isinstance(e, FieldElement) or (e.field is not field and e.field != field):
+            raise FieldMismatch(f"{e!r} does not belong to {field.name}")
+        out.append(e.index)
+    return out
 
 
 def _check_payload(pp: PublicParams, payload: Sequence[int]) -> tuple[int, ...]:
     if len(payload) != pp.l:
         raise LengthMismatch(f"payload needs {pp.l} coordinates, got {len(payload)}")
-    return tuple(pp.base.element(int(v)).index for v in payload)
+    return _symbols(pp, payload)
 
 
 def keygen(pp: PublicParams, seed: Union[int, random.Random]) -> MasterKey:
@@ -267,13 +297,29 @@ def label(
     counter: Optional[OpCounter] = None,
 ) -> FieldElement:
     """Verifier-side combination of tracker and payload with the key column."""
+    return FieldElement(pp.ext, _label_idx(pp, vk, tracker, payload, counter))
+
+
+def _label_idx(
+    pp: PublicParams,
+    vk: VerifierKey,
+    tracker: Union[int, FieldElement],
+    payload: Sequence[int],
+    counter: Optional[OpCounter],
+) -> int:
+    """Index of tracker * b_0 + sum_t s^(q^(t-1)) * b_t for key column b."""
     payload = _check_payload(pp, payload)
     if len(vk.column) != pp.M + 1:
         raise LengthMismatch("verifier key column has the wrong height")
-    row = label_row(pp, tracker, payload)
-    acc = row[0] * vk.column[0]
-    for t in range(1, pp.M + 1):
-        acc = acc + row[t] * vk.column[t]
+    ext = pp.ext
+    add, mul = ext.add_idx, ext.mul_idx
+    # the constant embedding of F_q is the identity on indices
+    tracker = pp.base.element(tracker).index
+    column = _indices(ext, vk.column)
+    acc = mul(tracker, column[0])
+    powers = ext.frobenius_chain(_fold(pp.base.order, payload), pp.M)
+    for x, b in zip(powers, column[1:]):
+        acc = add(acc, mul(x, b))
     if counter is not None:
         counter.add(mults=pp.M + 1, frobs=pp.M - 1)
     return acc
@@ -286,13 +332,14 @@ def verify(
     counter: Optional[OpCounter] = None,
 ) -> bool:
     """Accept iff the label equals the G-weighted tag combination."""
-    lhs = label(pp, vk, pkt.tracker, pkt.payload, counter)
+    lhs = _label_idx(pp, vk, pkt.tracker, pkt.payload, counter)
     if len(pkt.tag) != pp.kdim:
         raise LengthMismatch("tag has the wrong number of components")
-    g = pp.generator_column(vk.index)
-    acc = pp.ext.zero
-    for t in range(pp.kdim):
-        acc = acc + pkt.tag[t] * g[t]
+    ext = pp.ext
+    add, mul = ext.add_idx, ext.mul_idx
+    acc = 0
+    for t, g in zip(_indices(ext, pkt.tag), pp.generator_column(vk.index)):
+        acc = add(acc, mul(t, g.index))
     if counter is not None:
         counter.add(mults=pp.kdim)
     return lhs == acc

@@ -78,15 +78,16 @@ def test_corrupted_invariant_raises(monkeypatch, corrupt):
         corrupt(monkeypatch.setattr)
 
 
-def test_key_count_law_checked_under_optimize():
+def test_invariants_checked_under_optimize():
     code = (
         "import sys\n"
         "from subtag.errors import InvariantViolated\n"
-        "from test_invariants import corrupt_key_count_law\n"
-        "try:\n"
-        "    corrupt_key_count_law(setattr)\n"
-        "except InvariantViolated:\n"
-        "    print('raised', sys.flags.optimize)\n"
+        "import test_invariants as ti\n"
+        "for corrupt in (ti.corrupt_key_count_law, ti.corrupt_global_kernel_identity):\n"
+        "    try:\n"
+        "        corrupt(setattr)\n"
+        "    except InvariantViolated:\n"
+        "        print(corrupt.__name__, sys.flags.optimize)\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -100,4 +101,6 @@ def test_key_count_law_checked_under_optimize():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised", "1"]
+    assert proc.stdout.split() == [
+        "corrupt_key_count_law", "1", "corrupt_global_kernel_identity", "1"
+    ]

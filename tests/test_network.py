@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from subtag.errors import (
@@ -213,3 +215,55 @@ def test_decode_subspace_and_same_span():
     assert not same_span(base, rows, [(1, 0, 0), (0, 1, 0)], 3)
     # cross-check against full enumeration of both spans
     assert spanned_vectors(base, rows, 3) == spanned_vectors(base, list(basis), 3)
+
+
+def _scan_in_edges(t, name):
+    return tuple(i for i, (_, b) in enumerate(t.edges) if b == name)
+
+
+def _scan_out_edges(t, name):
+    return tuple(i for i, (a, _) in enumerate(t.edges) if a == name)
+
+
+def _scan_topo_order(t):
+    """Kahn's algorithm over edge-list scans, FIFO, in declaration order."""
+    indeg = {nd.name: len(_scan_in_edges(t, nd.name)) for nd in t.nodes}
+    ready = [nd.name for nd in t.nodes if indeg[nd.name] == 0]
+    order = []
+    while ready:
+        cur = ready.pop(0)
+        order.append(cur)
+        for i in _scan_out_edges(t, cur):
+            b = t.edges[i][1]
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                ready.append(b)
+    return tuple(order)
+
+
+def _indexed_topologies():
+    yield butterfly()
+    yield parse_topology(format_topology(butterfly()))
+    for num_nodes, seed in [(3, 0), (8, 1), (25, 2), (60, 3), (110, 4), (200, 5)]:
+        t = random_topology(num_nodes, seed, extra_edge_prob=0.05)
+        yield t
+        yield parse_topology(format_topology(t))
+
+
+def test_indexed_adjacency_matches_edge_scans():
+    for t in _indexed_topologies():
+        for nd in t.nodes:
+            assert t.in_edges(nd.name) == _scan_in_edges(t, nd.name)
+            assert t.out_edges(nd.name) == _scan_out_edges(t, nd.name)
+        assert t.in_edges("no-such-node") == t.out_edges("no-such-node") == ()
+        assert t.topo_order() == _scan_topo_order(t)
+        assert len(t.topo_order()) == len(t.nodes)
+
+
+def test_topology_is_frozen():
+    t = butterfly()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.edges = t.edges[:1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.nodes = ()
+    assert len(t.edges) == 9 and t.out_edges("s") == (0, 1)

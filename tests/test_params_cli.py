@@ -407,6 +407,16 @@ def _string_for_int(doc):
     return json.dumps(doc)
 
 
+def _topology_file(tmp_path):
+    path = tmp_path / "net.topo"
+    path.write_text("node s source\nnode a verifier\nedge s a\nkernel a x\n")
+    return str(path)
+
+
+def _directory(tmp_path):
+    return str(tmp_path)
+
+
 @pytest.mark.parametrize(
     "argv, params_text",
     [
@@ -419,6 +429,8 @@ def _string_for_int(doc):
         (["analyze", "--target", "4"], _string_for_int),
         (["ec-code", "--a", "1", "--b", "1", "--points", "0,0;1,1", *EC_ARGS], None),
         (["ec-code", "--a", "x", "--b", "1", "--num-points", "6", *EC_ARGS], None),
+        (["simulate", "--topology", _topology_file], None),
+        (["simulate", "--topology", _directory], None),
     ],
     ids=[
         "member-out-of-range",
@@ -430,6 +442,8 @@ def _string_for_int(doc):
         "params-string-for-int",
         "ec-point-not-on-curve",
         "ec-non-integer-coefficient",
+        "topology-non-integer-kernel",
+        "topology-is-a-directory",
     ],
 )
 def test_cli_bad_input_is_a_subtag_error(capsys, tmp_path, argv, params_text):
@@ -439,7 +453,8 @@ def test_cli_bad_input_is_a_subtag_error(capsys, tmp_path, argv, params_text):
     if params_text is not None:
         path.write_text(params_text)
     flag = "--out" if argv[0] == "ec-code" else "--params"
-    rc, out, err = _run(capsys, [argv[0], flag, str(path), *argv[1:]])
+    rest = [a(tmp_path) if callable(a) else a for a in argv[1:]]
+    rc, out, err = _run(capsys, [argv[0], flag, str(path), *rest])
     assert rc == 1
     assert out == ""
     assert err.startswith("subtag:")

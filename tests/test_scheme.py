@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_field
+
 from subtag.codes import LinearCode, rs_code
 from subtag.errors import (
     DependentBasis,
@@ -11,12 +13,13 @@ from subtag.errors import (
     InvalidParams,
     LengthMismatch,
 )
-from subtag.fields import BaseField, ExtField, iso_vec, linearized_eval
+from subtag.fields import BaseField, ExtField, FieldElement, iso_vec, linearized_eval
 from subtag.linalg import Matrix
 from subtag.scheme import (
     OpCounter,
     PublicParams,
     TaggedPacket,
+    VerifierKey,
     combine_packets,
     distribute,
     keygen,
@@ -210,3 +213,96 @@ def test_random_payload_basis_rank(rs_pp):
     b2 = random_payload_basis(rs_pp, 3)
     assert b1 == b2
     assert Matrix.from_indices(rs_pp.base, [list(r) for r in b1], ncols=3).rank() == 2
+
+
+@pytest.fixture(scope="module")
+def gf256_cubed_pp():
+    """Characteristic 2 with no tables: GF(2^8)^3, RS [5,3]."""
+    ext = ExtField(BaseField(2, 8), 3)
+    return PublicParams(base=ext.base, ext=ext, n=2, M=2, code=rs_code(ext, range(5), 3))
+
+
+def _reference_accepts(pp, ref, vk, wire):
+    """The acceptance equation recomputed from the moduli alone:
+    tracker * b_0 + sum_t s^(q^(t-1)) * b_t == sum_t tag_t * g_t."""
+    l, q = pp.l, pp.base.order
+    tracker, payload = wire[0], wire[1 : 1 + l]
+    tags = [ref.index(wire[start : start + l]) for start in range(1 + l, len(wire), l)]
+    powers = [ref.index(payload)]
+    while len(powers) < pp.M:
+        acc, x, e = 1, powers[-1], q  # square-and-multiply x^q
+        while e:
+            if e & 1:
+                acc = ref.mul(acc, x)
+            x = ref.mul(x, x)
+            e >>= 1
+        powers.append(acc)
+    b = [e.index for e in vk.column]
+    lhs = ref.mul(tracker, b[0])
+    for x, b_t in zip(powers, b[1:]):
+        lhs = ref.add(lhs, ref.mul(x, b_t))
+    rhs = 0
+    for tag, g in zip(tags, pp.generator_column(vk.index)):
+        rhs = ref.add(rhs, ref.mul(tag, g.index))
+    return lhs == rhs
+
+
+@pytest.mark.parametrize("which", ["rs_pp", "gf256_cubed_pp"])
+def test_verify_matches_reference_acceptance(request, which):
+    pp = request.getfixturevalue(which)
+    ref = reference_field(pp.ext)
+    mk = keygen(pp, 21)
+    vks = distribute(pp, mk)
+    rng = random.Random(4)
+    honest = tag_basis(pp, mk, random_payload_basis(pp, 21))
+    # (c, 1) gives the trackers c + 1: every symbol of F_5, and six of GF(2^8)
+    coeffs = [(c, 1) for c in range(min(pp.base.order, 6))]
+    coeffs += [tuple(rng.randrange(pp.base.order) for _ in honest) for _ in range(4)]
+    wires = {
+        "honest": [p.symbols() for p in honest],
+        "mixed": [combine_packets(pp, honest, c).symbols() for c in coeffs],
+        "random": [
+            tuple(rng.randrange(pp.base.order) for _ in range(pp.packet_symbols))
+            for _ in range(8)
+        ],
+    }
+    for kind, batch in wires.items():
+        for wire in batch:
+            pkt = TaggedPacket.from_symbols(pp, wire)
+            assert pkt.symbols() == tuple(wire)
+            got = [verify(pp, vk, pkt) for vk in vks]
+            want = [_reference_accepts(pp, ref, vk, wire) for vk in vks]
+            assert got == want, (kind, wire)
+            if kind != "random":
+                assert all(got), (kind, wire)
+    # a random wire passes one verifier with probability 1/q^l
+    assert not any(
+        verify(pp, vks[0], TaggedPacket.from_symbols(pp, w)) for w in wires["random"]
+    )
+
+
+def test_verify_input_checks(rs_pp, e25):
+    mk = keygen(rs_pp, 5)
+    vk = distribute(rs_pp, mk)[0]
+    pkt = tag_payload(rs_pp, mk, (1, 2, 3))
+    # an equal field object that is not the same instance is accepted
+    twin = ExtField(BaseField(5), 3)
+    twin_tag = tuple(FieldElement(twin, t.index) for t in pkt.tag)
+    assert verify(rs_pp, vk, TaggedPacket(pkt.tracker, pkt.payload, twin_tag))
+    foreign = (FieldElement(e25, 1),) + pkt.tag[1:]
+    with pytest.raises(FieldMismatch):
+        verify(rs_pp, vk, TaggedPacket(pkt.tracker, pkt.payload, foreign))
+    with pytest.raises(FieldMismatch):
+        verify(rs_pp, VerifierKey(vk.index, (FieldElement(e25, 1),) + vk.column[1:]), pkt)
+    with pytest.raises(FieldMismatch):
+        verify(rs_pp, VerifierKey(vk.index, (1,) + vk.column[1:]), pkt)
+    with pytest.raises(LengthMismatch):
+        verify(rs_pp, vk, TaggedPacket(pkt.tracker, pkt.payload, pkt.tag[:-1]))
+    with pytest.raises(LengthMismatch):
+        verify(rs_pp, VerifierKey(vk.index, vk.column[:-1]), pkt)
+    with pytest.raises(InvalidParams):
+        verify(rs_pp, vk, TaggedPacket(5, pkt.payload, pkt.tag))
+    with pytest.raises(InvalidParams):
+        verify(rs_pp, vk, TaggedPacket(pkt.tracker, (1, 9, 3), pkt.tag))
+    with pytest.raises(InvalidParams):
+        verify(rs_pp, VerifierKey(rs_pp.V + 1, vk.column), pkt)
