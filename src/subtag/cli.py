@@ -70,7 +70,11 @@ def _load_topology(spec: str) -> network.Topology:
     if spec == "butterfly":
         return network.butterfly()
     with open(spec, "r", encoding="utf-8") as fh:
-        return network.parse_topology(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise InvalidParams(f"{spec} is not UTF-8 text") from None
+    return network.parse_topology(text)
 
 
 def _payload_outside(pp: scheme.PublicParams, rows: Sequence[Sequence[int]]) -> tuple[int, ...]:

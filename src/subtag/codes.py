@@ -11,6 +11,16 @@ minimal dual codewords.
 Enumeration-based routines (minimum distance, minimal codewords) are the
 exact oracles the rest of the package leans on, so they refuse instead of
 approximating when the codeword count exceeds their guard bound.
+
+``codewords`` is the one enumeration.  It yields words in
+``itertools.product`` order over the message digits and never multiplies
+inside the loop: each call tabulates every scalar multiple m * (row r) of
+the generator once, keeps the running sum of the rows before the last
+(recomputing only the rows whose digit changed), and forms each word as
+that sum plus a multiple of the last row.  Word lists are not cached.  A
+code memoizes only small answers: its dual, its minimum distance and, per
+coordinate, its minimal codewords, so an ``analyze`` report enumerates the
+dual once for the distance and once for the minimal words.
 """
 
 from __future__ import annotations
@@ -67,7 +77,7 @@ class CoalitionSpec:
 class LinearCode:
     """A linear code held as its generator matrix, stored verbatim."""
 
-    __slots__ = ("field", "generator", "length", "kdim", "_dual", "_dmin")
+    __slots__ = ("field", "generator", "length", "kdim", "_dual", "_dmin", "_minimal")
 
     def __init__(self, generator: Matrix):
         if generator.ncols < 1:
@@ -80,6 +90,7 @@ class LinearCode:
         self.kdim = generator.nrows
         self._dual = None
         self._dmin = None
+        self._minimal = {}
 
     @property
     def is_zero(self) -> bool:
@@ -100,20 +111,39 @@ class LinearCode:
             )
 
     def codewords(self, guard: int = ENUM_GUARD) -> Iterator[tuple[int, ...]]:
-        """All codewords as index tuples (exact, guarded enumeration)."""
+        """All codewords as index tuples (exact, guarded enumeration).
+
+        The order is that of ``itertools.product(range(order), repeat=kdim)``
+        over the message digits.
+        """
         self._check_enumerable(guard)
         f = self.field
+        zero = (0,) * self.length
+        if self.is_zero:
+            yield zero
+            return
         add, mul = f.add_idx, f.mul_idx
-        gen = self.generator.to_index_rows()
-        n = self.length
-        for msg in itertools.product(range(f.order), repeat=self.kdim):
-            word = [0] * n
-            for m, row in zip(msg, gen):
-                if m:
-                    for c in range(n):
-                        if row[c]:
-                            word[c] = add(word[c], mul(m, row[c]))
-            yield tuple(word)
+        rows = self.generator.to_index_rows()
+        # head[r][m] = m * (row r); the last row's multiples are tabulated
+        # only when more than one prefix reuses them
+        head = [
+            [tuple(mul(m, g) for g in row) for m in range(f.order)] for row in rows[:-1]
+        ]
+        last = (tuple(mul(m, g) for g in rows[-1]) for m in range(f.order))
+        if head:
+            last = tuple(last)
+        sums = [zero] * self.kdim  # sums[r]: rows 0..r-1 of the current prefix
+        prev = ()
+        for msg in itertools.product(range(f.order), repeat=self.kdim - 1):
+            start = 0
+            while start < len(prev) and msg[start] == prev[start]:
+                start += 1
+            for r in range(start, self.kdim - 1):
+                sums[r + 1] = tuple(map(add, sums[r], head[r][msg[r]]))
+            prev = msg
+            prefix = sums[-1]
+            for mult in last:
+                yield tuple(map(add, prefix, mult))
 
     def min_distance(self, guard: int = ENUM_GUARD) -> int:
         """Minimum Hamming weight over all nonzero codewords."""
@@ -145,6 +175,9 @@ class LinearCode:
         collapsed by the normalization at i.
         """
         self._index_ok(i)
+        self._check_enumerable(guard)
+        if i in self._minimal:
+            return self._minimal[i]
         candidates = []
         for word in self.codewords(guard):
             if word[i - 1] != 1:  # index 1 is the field's one
@@ -165,7 +198,9 @@ class LinearCode:
                 out.append(word)
         out.sort()
         f = self.field
-        return tuple(tuple(FieldElement(f, v) for v in w) for w in out)
+        found = tuple(tuple(FieldElement(f, v) for v in w) for w in out)
+        self._minimal[i] = found
+        return found
 
     def _index_ok(self, i: int) -> None:
         if not 1 <= i <= self.length:

@@ -239,11 +239,10 @@ class LinearSolution:
         return self.particular.field.order**self.nullity
 
 
-def solve_all(a: Matrix, b: Matrix) -> LinearSolution | None:
-    """Solve a @ X = b exactly; None when the system is inconsistent."""
+def _particular(a: Matrix, b: Matrix) -> Matrix | None:
+    """One solution of a @ X = b, free unknowns 0; None when inconsistent."""
     if b.nrows != a.nrows:
         raise DimensionMismatch("right-hand side has wrong row count")
-    f = a.field
     aug = a.augment(b)
     reduced, rank, pivots = aug.rref(pivot_limit=a.ncols)
     red = reduced.to_index_rows()
@@ -255,7 +254,14 @@ def solve_all(a: Matrix, b: Matrix) -> LinearSolution | None:
     for r, pc in enumerate(pivots):
         for j in range(b.ncols):
             part_rows[pc][j] = red[r][a.ncols + j]
-    particular = Matrix.from_indices(f, part_rows, ncols=b.ncols)
+    return Matrix.from_indices(a.field, part_rows, ncols=b.ncols)
+
+
+def solve_all(a: Matrix, b: Matrix) -> LinearSolution | None:
+    """Solve a @ X = b exactly; None when the system is inconsistent."""
+    particular = _particular(a, b)
+    if particular is None:
+        return None
     return LinearSolution(particular=particular, null_basis=a.null_space())
 
 
@@ -266,7 +272,8 @@ def span_contains(
 
     The witness lambda satisfies sum(lambda_j * generators[j]) == v and is
     aligned with the generator order; the zero vector is witnessed by
-    all-zero coefficients even when there are no generators.
+    all-zero coefficients even when there are no generators.  Only a
+    particular solution is computed, never the null space.
     """
     if not generators:
         if any(e.index for e in v):
@@ -275,10 +282,10 @@ def span_contains(
     field = generators[0][0].field
     a = Matrix(field, tuple(zip(*generators)), ncols=len(generators))
     b = Matrix(field, tuple((e,) for e in v), ncols=1)
-    sol = solve_all(a, b)
-    if sol is None:
+    particular = _particular(a, b)
+    if particular is None:
         return False, None
-    return True, sol.particular.column(0)
+    return True, particular.column(0)
 
 
 def random_full_rank(

@@ -166,6 +166,8 @@ def read_params(path: str) -> tuple[PublicParams, Optional[AGCodeSpec]]:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidParams(f"{path} is not valid JSON: {exc}") from None
+        except UnicodeDecodeError:
+            raise InvalidParams(f"{path} is not UTF-8 text") from None
     return params_from_dict(doc)
 
 

@@ -211,52 +211,45 @@ def packet_powers(pp: PublicParams, tracker: int, payload: Sequence[int]) -> lis
     return out
 
 
-def key_matches_view(
-    pp: PublicParams,
-    key_rows: Sequence[Sequence[FieldElement]],
-    members: Sequence[int],
-    columns: Sequence[Sequence[FieldElement]],
-    packets: Sequence[TaggedPacket],
-) -> bool:
-    """Check one candidate master key against a coalition view directly."""
-    ext = pp.ext
-    for i, col in zip(members, columns):
-        g = pp.generator_column(i)
-        for r in range(pp.M + 1):
-            acc = ext.zero
-            for t in range(pp.kdim):
-                acc = acc + key_rows[r][t] * g[t]
-            if acc != col[r]:
-                return False
-    for pkt in packets:
-        d = packet_powers(pp, pkt.tracker, pkt.payload)
-        for t in range(pp.kdim):
-            acc = ext.zero
-            for r in range(pp.M + 1):
-                acc = acc + key_rows[r][t] * d[r]
-            if acc != pkt.tag[t]:
-                return False
-    return True
-
-
 def brute_consistent_keys(
     pp: PublicParams,
     members: Sequence[int],
     columns: Sequence[Sequence[FieldElement]],
     packets: Sequence[TaggedPacket],
 ) -> Iterator[tuple[tuple[FieldElement, ...], ...]]:
-    """Every (M+1) x kdim master key matching the view, by trying them all."""
+    """Every (M+1) x kdim master key matching the view, by trying them all.
+
+    A member constraint (key row r) . g_i = column_i[r] involves row r
+    alone, so every possible row is checked against the members' entries
+    for its position first; every key formed from rows that pass is then
+    checked against every packet's tag.  Keys come out in row-major
+    product order; all arithmetic is on field indices.
+    """
     ext = pp.ext
-    cells = (pp.M + 1) * pp.kdim
-    for flat in itertools.product(range(ext.order), repeat=cells):
-        rows = tuple(
-            tuple(
-                FieldElement(ext, flat[r * pp.kdim + t]) for t in range(pp.kdim)
-            )
-            for r in range(pp.M + 1)
+    gens = [[e.index for e in pp.generator_column(i)] for i in members]
+    cols = [[e.index for e in col] for col in columns]
+    row_options = [
+        [
+            row
+            for row in all_vectors(ext, pp.kdim)
+            if all(dot_idx(ext, row, g) == col[r] for g, col in zip(gens, cols))
+        ]
+        for r in range(pp.M + 1)
+    ]
+    checks = [
+        (
+            [e.index for e in packet_powers(pp, pkt.tracker, pkt.payload)],
+            [e.index for e in pkt.tag],
         )
-        if key_matches_view(pp, rows, members, columns, packets):
-            yield rows
+        for pkt in packets
+    ]
+    for rows in itertools.product(*row_options):
+        if all(
+            dot_idx(ext, [row[t] for row in rows], d) == tag[t]
+            for d, tag in checks
+            for t in range(pp.kdim)
+        ):
+            yield tuple(tuple(FieldElement(ext, v) for v in row) for row in rows)
 
 
 def brute_label(

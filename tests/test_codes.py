@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subtag.cli import build_analyze_report
 from subtag.codes import CoalitionSpec, LinearCode, rs_code
+from subtag.ec import AGCodeSpec, EllipticCurve, ec_points, residue_code
 from subtag.errors import (
     DuplicatePoint,
     InvalidParams,
@@ -16,12 +18,14 @@ from subtag.errors import (
 )
 from subtag.fields import BaseField, ExtField
 from subtag.linalg import Matrix
+from subtag.scheme import PublicParams
 
 from oracles import (
     brute_dual_words,
     brute_forgeable,
     brute_min_distance,
     brute_minimal_qualified,
+    reference_field,
 )
 
 
@@ -230,3 +234,97 @@ def test_forgeable_enumerates_no_codewords(monkeypatch, f5):
     assert verdicts == [False, True, True]
     assert seen == []
     assert len(list(code.dual().codewords())) == len(seen) == 25
+
+
+def _product_order_words(field, rows, ncols):
+    """Codewords in itertools.product order, from the reference arithmetic."""
+    ref = reference_field(field)
+    words = []
+    for msg in itertools.product(range(field.order), repeat=len(rows)):
+        word = [0] * ncols
+        for m, row in zip(msg, rows):
+            for c, g in enumerate(row):
+                word[c] = ref.add(word[c], ref.mul(m, g))
+        words.append(tuple(word))
+    return words
+
+
+def test_codewords_order_matches_reference(f5, e25, f4):
+    e16 = ExtField(f4, 2)
+    codes = [
+        rs_code(f5, range(4), 1),  # kdim 1; its dual has kdim 3
+        rs_code(f5, range(4), 2),
+        make_code(f5, [[1, 0, 2, 0, 4], [0, 3, 0, 1, 1], [2, 2, 0, 0, 1]]),
+        rs_code(e25, range(4), 2),
+        rs_code(BaseField(2, 3), range(6), 3),
+        rs_code(e16, range(4), 2),
+    ]
+    for code in codes:
+        for c in (code, code.dual()):
+            want = _product_order_words(c.field, c.generator.to_index_rows(), c.length)
+            assert list(c.codewords()) == want, c
+    # the dual of a full-rank code has kdim 0 and exactly one word
+    zero = make_code(f5, [[1, 0], [0, 1]]).dual()
+    assert zero.kdim == 0
+    assert list(zero.codewords()) == [(0, 0)] == _product_order_words(f5, [], 2)
+    small = rs_code(e25, range(4), 2)
+    with pytest.raises(TooLargeToEnumerate):
+        list(small.codewords(guard=624))
+    assert len(list(small.codewords(guard=625))) == 625
+
+
+def test_analyze_enumerates_the_dual_twice(monkeypatch, f5):
+    ext = ExtField(f5, 1)
+    curve = EllipticCurve(ext, ext.one, ext.one)
+    affine = [p for p in ec_points(curve) if not p.is_infinity]
+    spec = AGCodeSpec(curve, tuple(affine[:8]), 2)
+    pp = PublicParams(base=f5, ext=ext, n=1, M=1, code=residue_code(spec))
+    dual = pp.code.dual()
+    calls = []
+    original = LinearCode.codewords
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinearCode, "codewords", counting)
+    report = build_analyze_report(pp, spec, 1)
+    # once for the dual distance, once for the minimal words, which the
+    # access structure reuses
+    assert sum(c is dual for c in calls) == 2
+    assert sum(c is pp.code for c in calls) == 1
+    assert len(calls) == 3
+    supports = {
+        tuple(c + 1 for c, v in enumerate(w) if any(v) and c != 0)
+        for w in report["minimal_dual_codewords"]
+    }
+    assert sorted(map(tuple, report["access_structure"])) == sorted(supports)
+
+
+def test_forgeable_computes_no_null_space(monkeypatch, f5):
+    code = rs_code(f5, range(4), 2)
+    calls = []
+    original = Matrix.null_space
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Matrix, "null_space", counting)
+    verdicts = [
+        code.forgeable(CoalitionSpec(frozenset(members), 4))[0]
+        for members in ([1], [1, 2], [2, 3], [])
+    ]
+    assert verdicts == [False, True, True, False]
+    assert calls == []
+
+
+def test_minimal_codewords_memo_keeps_the_checks(f5):
+    code = rs_code(f5, range(4), 2)  # 25 words
+    first = code.minimal_codewords_wrt(1)
+    assert code.minimal_codewords_wrt(1) is first
+    with pytest.raises(TooLargeToEnumerate):
+        code.minimal_codewords_wrt(1, guard=24)
+    with pytest.raises(InvalidParams):
+        code.minimal_codewords_wrt(5)
+    assert code.minimal_codewords_wrt(2) != first

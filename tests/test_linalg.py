@@ -119,6 +119,15 @@ def test_solve_all_inconsistent():
     assert solve_all(a, b) is None
 
 
+def test_solve_all_null_basis_frozen_on_rank_deficient_system():
+    # row 3 = row 1 + row 2, so rank 2 and two free unknowns
+    a = M5([[1, 2, 0, 3], [0, 1, 1, 2], [1, 3, 1, 0]])
+    b = M5([[1, 0], [2, 1], [3, 1]])
+    sol = solve_all(a, b)
+    assert sol.particular.to_index_rows() == ((2, 3), (2, 1), (0, 0), (0, 0))
+    assert [[e.index for e in v] for v in sol.null_basis] == [[2, 4, 1, 0], [1, 3, 0, 1]]
+
+
 def test_span_contains_witness():
     f = BaseField(5)
     gens = [

@@ -417,6 +417,15 @@ def _directory(tmp_path):
     return str(tmp_path)
 
 
+NOT_UTF8 = b"\xff\xfe\x00 not text"
+
+
+def _binary_file(tmp_path):
+    path = tmp_path / "binary.topo"
+    path.write_bytes(NOT_UTF8)
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "argv, params_text",
     [
@@ -431,6 +440,8 @@ def _directory(tmp_path):
         (["ec-code", "--a", "x", "--b", "1", "--num-points", "6", *EC_ARGS], None),
         (["simulate", "--topology", _topology_file], None),
         (["simulate", "--topology", _directory], None),
+        (["analyze", "--target", "1"], NOT_UTF8),
+        (["simulate", "--topology", _binary_file], None),
     ],
     ids=[
         "member-out-of-range",
@@ -444,13 +455,17 @@ def _directory(tmp_path):
         "ec-non-integer-coefficient",
         "topology-non-integer-kernel",
         "topology-is-a-directory",
+        "params-not-utf8",
+        "topology-not-utf8",
     ],
 )
 def test_cli_bad_input_is_a_subtag_error(capsys, tmp_path, argv, params_text):
     path, _ = _setup_rs(capsys, tmp_path)
     if callable(params_text):
         params_text = params_text(json.loads(path.read_text()))
-    if params_text is not None:
+    if isinstance(params_text, bytes):
+        path.write_bytes(params_text)
+    elif params_text is not None:
         path.write_text(params_text)
     flag = "--out" if argv[0] == "ec-code" else "--params"
     rest = [a(tmp_path) if callable(a) else a for a in argv[1:]]
@@ -458,3 +473,8 @@ def test_cli_bad_input_is_a_subtag_error(capsys, tmp_path, argv, params_text):
     assert rc == 1
     assert out == ""
     assert err.startswith("subtag:")
+    # a file that is not text is named in the message
+    named = [str(path)] if isinstance(params_text, bytes) else []
+    named += [r for a, r in zip(argv[1:], rest) if a is _binary_file]
+    for name in named:
+        assert f"{name} is not UTF-8 text" in err
