@@ -1,8 +1,8 @@
 """Unconditionally secure tags for subspace messages over coded networks.
 
 The package splits into a small tower of layers: ``fields`` (prime-power
-fields and their extensions, Frobenius, linearized evaluation), ``linalg``
-(exact matrices over those fields), ``codes`` (linear codes, duals,
+fields and their extensions, Frobenius), ``linalg`` (exact matrices over
+those fields), ``codes`` (linear codes, duals,
 coalition forgeability), ``ec`` (elliptic curves and residue codes),
 ``scheme`` (key generation, tagging, verification), ``network`` (linear
 network transmission), ``adversary`` (key counting and forgeries), and a
@@ -12,7 +12,7 @@ small CLI on top.
 from .codes import CoalitionSpec, LinearCode, rs_code
 from .ec import AGCodeSpec, EllipticCurve, ECPoint, classify_coalition, residue_code
 from .errors import SubtagError
-from .fields import BaseField, ExtField, FieldElement, frobenius, linearized_eval
+from .fields import BaseField, ExtField, FieldElement, frobenius
 from .linalg import Matrix, solve_all, span_contains
 from .scheme import (
     MasterKey,
@@ -47,7 +47,6 @@ __all__ = [
     "distribute",
     "frobenius",
     "keygen",
-    "linearized_eval",
     "residue_code",
     "rs_code",
     "solve_all",

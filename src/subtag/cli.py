@@ -21,7 +21,7 @@ from . import adversary, network, params as paramsio, scheme
 from .codes import CoalitionSpec, rs_code
 from .ec import AGCodeSpec, EllipticCurve, classify_coalition, ec_points, residue_code
 from .errors import InvalidParams, NotQualified, SubtagError
-from .fields import BaseField, ExtField
+from .fields import MAX_BASE_ORDER, BaseField, ExtField, _prime_factors
 from .rng import derive_seed
 from .schemas import validate_report
 
@@ -29,16 +29,15 @@ log = logging.getLogger("subtag")
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
+    # refuse before factoring: trial division runs up to sqrt(q)
+    if q > MAX_BASE_ORDER:
+        raise InvalidParams(f"base field order {q} exceeds {MAX_BASE_ORDER}")
+    factors = _prime_factors(q)
+    if len(factors) != 1:
         raise InvalidParams(f"{q} is not a prime power")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    m = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
+    p, m = factors[0], 1
+    while p**m < q:
         m += 1
-    if rest != 1:
-        raise InvalidParams(f"{q} is not a prime power")
     return p, m
 
 

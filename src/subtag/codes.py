@@ -149,6 +149,7 @@ class LinearCode:
         """Minimum Hamming weight over all nonzero codewords."""
         if self.is_zero:
             raise InvalidParams("minimum distance of the zero code is undefined")
+        self._check_enumerable(guard)
         if self._dmin is None:
             best = self.length + 1
             for word in self.codewords(guard):

@@ -1,37 +1,42 @@
-"""Arithmetic for a two-level tower of finite fields.
+"""Arithmetic for a two-level tower of finite fields, F_p < F_q < F_{q^l}.
 
-The tagging protocol works over an extension F_{q^l} of a base field
-F_q = F_p[x]/(f).  Elements at both levels are stored as plain integer
-indices: a base-field symbol 0..q-1 encodes its coefficient vector in
-base p, and an extension element 0..q^l-1 encodes its coordinate vector
-over F_q in base q.  The public identification of F_q^l with F_{q^l} is
-therefore literally digit decomposition in the polynomial basis
+Every level is one ``Field``: either the prime field F_p, whose indices
+are the integers mod p, or subfield[x]/(modulus) for a monic irreducible
+modulus, whose index 0..order-1 encodes the coefficient vector over the
+subfield in base (subfield order), constant term least significant.
+``BaseField(p, m)`` builds F_q = F_p[x]/(f) (F_p itself when m = 1) and
+``ExtField(base, l)`` builds F_{q^l} = F_q[x]/(g); both only check their
+arguments and name the field.  The public identification of F_q^l with
+F_{q^l} is therefore literally digit decomposition in the polynomial basis
 1, a, ..., a^{l-1}, with the first unit vector mapping to 1.
 
-How each field adds and negates indices:
+A field binds its index operations ``mul_idx``, ``add_idx``, ``neg_idx``
+and ``sub_idx`` once, when it is built, so no call branches on the kind.
+Addition and negation go by kind:
 
-* characteristic 2 (``BaseField(2, m)`` and every ``ExtField`` over it):
-  the base-2 digits of an index are its coefficients at both levels, so
-  addition is XOR and negation is the identity; no add table is built;
-* odd p, tabulated (every ``BaseField``, and an ``ExtField`` of order at
-  most ``_MUL_TABLE_MAX``): negation is a lookup in a length-order table
-  built once; addition is a lookup in an order x order table when the
-  order is at most ``_ADD_TABLE_MAX``, mod p in a prime field, and
-  digit by digit otherwise;
-* odd p, untabulated ``ExtField``: digit by digit over the base field.
+* characteristic 2: the base-2 digits of an index are its coefficients at
+  every level, so addition and subtraction are XOR and negation is the
+  identity; no add table is built;
+* odd prime field: addition and subtraction mod p, negation by lookup in
+  a length-p table;
+* odd p, order at most ``_MUL_TABLE_MAX``: negation by lookup in a
+  length-order table; addition by lookup in an order x order table when
+  the order is at most ``_ADD_TABLE_MAX``, digit by digit otherwise;
+* odd p, larger (extensions only): digit by digit over the subfield.
 
-Multiplication and inversion use discrete-log tables whenever the field
-is small enough to tabulate (the common case here).  Otherwise a product
-is the schoolbook product of the two coordinate vectors, folded back with
-the monic modulus (x^l = -sum m_k x^k), and an inverse comes from the
-norm: x^-1 = (x^q x^(q^2) ... x^(q^(l-1))) N(x)^-1, where
-N(x) = x x^q ... x^(q^(l-1)) lies in F_q.  The q-power Frobenius map on
-the extension is precomputed once as an l x l matrix over F_q, since tag
-verification and the norm apply it in a chain.
+Multiplication and inversion use discrete-log tables whenever the order is
+at most ``_MUL_TABLE_MAX``: every base field and the small extensions.
+Otherwise a product is the schoolbook product of the two coordinate
+vectors, folded back with the monic modulus (x^l = -sum m_k x^k), and an
+inverse comes from the norm: x^-1 = (x^q x^(q^2) ... x^(q^(l-1))) N(x)^-1,
+where N(x) = x x^q ... x^(q^(l-1)) lies in F_q.  Only an extension
+precomputes the q-power Frobenius map, once, as an l x l matrix over F_q,
+since tag verification and the norm apply it in a chain.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -47,9 +52,6 @@ __all__ = [
     "ExtField",
     "FieldElement",
     "frobenius",
-    "iso_vec",
-    "linearized_eval",
-    "moore_matrix",
 ]
 
 # Guard bounds.  Base fields must stay tabulatable so that exhaustive
@@ -89,30 +91,9 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-class _PrimeOps:
-    """Index arithmetic on integers mod p, used while bootstrapping a base field."""
-
-    __slots__ = ("order",)
-
-    def __init__(self, p: int):
-        self.order = p
-
-    def add_idx(self, a: int, b: int) -> int:
-        return (a + b) % self.order
-
-    def sub_idx(self, a: int, b: int) -> int:
-        return (a - b) % self.order
-
-    def neg_idx(self, a: int) -> int:
-        return (-a) % self.order
-
-    def mul_idx(self, a: int, b: int) -> int:
-        return (a * b) % self.order
-
-
 # -- little-endian polynomial helpers over a coefficient field ---------------
 #
-# ``ops`` is a _PrimeOps or a BaseField: anything with ``order``,
+# ``coef`` is the field the coefficients live in: anything with ``order``,
 # ``sub_idx`` and ``mul_idx`` on coefficient indices.
 
 
@@ -122,16 +103,16 @@ def _poly_trim(cs: list[int]) -> list[int]:
     return cs
 
 
-def _poly_rem(num: Sequence[int], den: Sequence[int], ops) -> list[int]:
+def _poly_rem(num: Sequence[int], den: Sequence[int], coef) -> list[int]:
     """Remainder of num by the monic polynomial den."""
     rem = _poly_trim(list(num))
     dd = len(den) - 1
     while len(rem) - 1 >= dd:
         shift = len(rem) - 1 - dd
-        coef = rem[-1]
+        lead = rem[-1]
         for i in range(dd + 1):
             if den[i]:
-                rem[shift + i] = ops.sub_idx(rem[shift + i], ops.mul_idx(coef, den[i]))
+                rem[shift + i] = coef.sub_idx(rem[shift + i], coef.mul_idx(lead, den[i]))
         _poly_trim(rem)
     return rem
 
@@ -176,38 +157,38 @@ def _monic_from_value(value: int, radix: int, degree: int) -> tuple[int, ...]:
     return _index_digits(value, radix, degree) + (1,)
 
 
-def _is_irreducible(poly: Sequence[int], ops) -> bool:
+def _is_irreducible(poly: Sequence[int], coef) -> bool:
     """Trial division by every monic polynomial of degree <= deg/2."""
     degree = len(poly) - 1
     if degree < 1:
         return False
     for d in range(1, degree // 2 + 1):
-        for value in range(ops.order**d):
-            div = _monic_from_value(value, ops.order, d)
-            if not _poly_rem(poly, div, ops):
+        for value in range(coef.order**d):
+            div = _monic_from_value(value, coef.order, d)
+            if not _poly_rem(poly, div, coef):
                 return False
     return True
 
 
-def _canonical_irreducible(degree: int, ops) -> tuple[int, ...]:
+def _canonical_irreducible(degree: int, coef) -> tuple[int, ...]:
     """Smallest monic irreducible of the given degree.
 
     Candidates are ordered by the integer whose base-(field order) digits
     are the non-leading coefficients, constant term least significant.
     """
-    for value in range(ops.order**degree):
-        cand = _monic_from_value(value, ops.order, degree)
-        if _is_irreducible(cand, ops):
+    for value in range(coef.order**degree):
+        cand = _monic_from_value(value, coef.order, degree)
+        if _is_irreducible(cand, coef):
             return cand
     raise InvalidParams(f"no irreducible polynomial of degree {degree} found")
 
 
 class FieldElement:
-    """An element of a BaseField or ExtField, identified by its index."""
+    """An element of a field, identified by its index."""
 
     __slots__ = ("field", "index")
 
-    def __init__(self, field: Union["BaseField", "ExtField"], index: int):
+    def __init__(self, field: "Field", index: int):
         self.field = field
         self.index = index
 
@@ -264,16 +245,135 @@ class FieldElement:
         return f"{self.field.name}:[" + " ".join(str(c) for c in coords) + "]"
 
 
-class _TabulatedField:
-    """Discrete-log tables, square-and-multiply and subtraction, shared by both levels.
+class Field:
+    """One level of the tower: F_p, or subfield[x]/(modulus).
 
-    Subclasses provide ``order``, ``_char2`` (characteristic 2),
-    ``_mul_raw`` (multiplication without tables), ``_neg_digits``
-    (negation without tables) and the index operations ``add_idx``,
-    ``neg_idx``, ``mul_idx`` and ``inv_idx``.
+    The prime field has no subfield and a single digit mod p; every other
+    field indexes digit vectors of length ``degree`` over its subfield.
+    Build fields through ``BaseField`` and ``ExtField``.
     """
 
-    __slots__ = ()
+    __slots__ = (
+        "subfield",
+        "degree",
+        "char",
+        "order",
+        "modulus",
+        "name",
+        "frobenius_matrix",
+        "add_idx",
+        "neg_idx",
+        "sub_idx",
+        "mul_idx",
+        "_label",
+        "_radix",
+        "_fold",
+        "_exp",
+        "_log",
+        "_neg",
+        "_add_table",
+        "_key",
+        "_hash",
+    )
+
+    def __init__(
+        self,
+        subfield: "Field | None",
+        degree: int,
+        char: int,
+        modulus: Sequence[int] | None,
+        name: str,
+        label: str,
+    ):
+        self.subfield = subfield
+        self.degree = degree
+        self.char = char
+        self.name = name
+        self._label = label
+        self._radix = char if subfield is None else subfield.order
+        self.order = self._radix**degree
+        if subfield is None:
+            # degree 1: every monic linear polynomial is irreducible
+            self.modulus = (0, 1) if modulus is None else modulus
+            self._fold = ()
+        else:
+            if modulus is None:
+                modulus = _canonical_irreducible(degree, subfield)
+            elif not _is_irreducible(modulus, subfield):
+                raise InvalidParams(f"modulus {modulus} is reducible over {subfield.name}")
+            self.modulus = modulus
+            self._fold = _fold_terms(modulus, subfield.neg_idx)
+        self._key = (type(self), char, subfield, degree, self.modulus)
+        self._hash = hash(self._key)
+        self.frobenius_matrix = None
+        self._exp = self._log = self._neg = self._add_table = None
+        self._bind_index_ops()
+
+    def _bind_index_ops(self) -> None:
+        """Pick mul_idx, add_idx, neg_idx and sub_idx once, by the kind of field."""
+        if self.order <= _MUL_TABLE_MAX:
+            self._build_log_tables()
+            exp, log, n = self._exp, self._log, self.order - 1
+            self.mul_idx = lambda i, j: exp[(log[i] + log[j]) % n] if i and j else 0
+        else:
+            raw = self._mul_raw
+            self.mul_idx = lambda i, j: raw(i, j) if i and j else 0
+        if self.char == 2:
+            self.add_idx = self.sub_idx = operator.xor
+            self.neg_idx = operator.pos
+            return
+        if self.subfield is None:
+            p = self.char
+            self._neg = [(-i) % p for i in range(p)]
+            self.neg_idx = self._neg.__getitem__
+            self.add_idx = lambda i, j: (i + j) % p
+            self.sub_idx = lambda i, j: (i - j) % p
+            return
+        if self._exp is not None:
+            self._neg = [self._neg_digits(i) for i in range(self.order)]
+            neg = self.neg_idx = self._neg.__getitem__
+        else:
+            neg = self.neg_idx = self._neg_digits
+        if self.order <= _ADD_TABLE_MAX:
+            table = self._add_table = [
+                [self._add_digits(i, j) for j in range(self.order)] for i in range(self.order)
+            ]
+            self.add_idx = lambda i, j: table[i][j]
+            self.sub_idx = lambda i, j: table[i][neg(j)]
+        else:
+            add = self.add_idx = self._add_digits
+            self.sub_idx = lambda i, j: add(i, neg(j))
+
+    # -- digits over the subfield -----------------------------------------
+
+    def coords_of(self, index: int) -> tuple[int, ...]:
+        return _index_digits(index, self._radix, self.degree)
+
+    def _from_digits(self, digits: Iterable[int]) -> int:
+        idx = 0
+        for d in reversed(list(digits)):
+            idx = idx * self._radix + d
+        return idx
+
+    def from_coords(self, coords: Sequence[Union[int, FieldElement]]) -> FieldElement:
+        if len(coords) != self.degree:
+            raise LengthMismatch(f"expected {self.degree} coordinates, got {len(coords)}")
+        coef = self if self.subfield is None else self.subfield
+        return FieldElement(self, self._from_digits(coef.element(c).index for c in coords))
+
+    def _add_digits(self, i: int, j: int) -> int:
+        add = self.subfield.add_idx
+        return self._from_digits(map(add, self.coords_of(i), self.coords_of(j)))
+
+    def _neg_digits(self, i: int) -> int:
+        return self._from_digits(map(self.subfield.neg_idx, self.coords_of(i)))
+
+    def _mul_raw(self, i: int, j: int) -> int:
+        sub = self.subfield
+        if sub is None:
+            return i * j % self.char
+        prod = _mul_mod(self.coords_of(i), self.coords_of(j), self._fold, sub.add_idx, sub.mul_idx)
+        return self._from_digits(prod)
 
     def _pow_raw(self, i: int, e: int) -> int:
         acc, base = 1, i
@@ -302,311 +402,10 @@ class _TabulatedField:
         self._exp = exp
         self._log = log
 
-    def _build_neg_table(self) -> None:
-        self._neg = [self._neg_digits(i) for i in range(self.order)]
-
-    def sub_idx(self, i: int, j: int) -> int:
-        if self._char2:
-            return i ^ j
-        return self.add_idx(i, self.neg_idx(j))
+    # -- index-level operations ------------------------------------------
 
     def div_idx(self, i: int, j: int) -> int:
         return self.mul_idx(i, self.inv_idx(j))
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
-    def elements(self) -> Iterator[FieldElement]:
-        return (FieldElement(self, i) for i in range(self.order))
-
-
-class BaseField(_TabulatedField):
-    """F_q with q = p^m; symbols are integers 0..q-1 (base-p digit vectors)."""
-
-    __slots__ = (
-        "p",
-        "m",
-        "order",
-        "modulus",
-        "_char2",
-        "_fold",
-        "_exp",
-        "_log",
-        "_neg",
-        "_add_table",
-        "_hash",
-    )
-
-    def __init__(self, p: int, m: int = 1, modulus: Sequence[int] | None = None):
-        if not _is_prime(p):
-            raise InvalidParams(f"characteristic {p} is not prime")
-        if m < 1:
-            raise InvalidParams("extension degree must be at least 1")
-        order = p**m
-        if order > MAX_BASE_ORDER:
-            raise InvalidParams(f"base field order {order} exceeds {MAX_BASE_ORDER}")
-        self.p = p
-        self.m = m
-        self.order = order
-        ops = _PrimeOps(p)
-        if modulus is None:
-            mod = _canonical_irreducible(m, ops)
-        else:
-            mod = tuple(int(c) % p for c in modulus)
-            if len(mod) != m + 1 or mod[-1] != 1:
-                raise InvalidParams("modulus must be monic of degree m")
-            if not _is_irreducible(mod, ops):
-                raise InvalidParams(f"modulus {mod} is reducible over GF({p})")
-        self.modulus = mod
-        self._hash = hash(("BaseField", p, m, mod))
-        self._char2 = p == 2
-        self._fold = _fold_terms(mod, ops.neg_idx)
-        self._neg = None
-        self._add_table = None
-        if not self._char2:
-            self._build_neg_table()
-            if m > 1 and order <= _ADD_TABLE_MAX:
-                self._add_table = [
-                    [self._add_digits(i, j) for j in range(order)] for i in range(order)
-                ]
-        self._build_log_tables()
-
-    # -- raw digit arithmetic ------------------------------------------
-
-    def coords_of(self, index: int) -> tuple[int, ...]:
-        return _index_digits(index, self.p, self.m)
-
-    def _from_digits(self, digits: Iterable[int]) -> int:
-        idx = 0
-        for d in reversed(list(digits)):
-            idx = idx * self.p + d
-        return idx
-
-    def _add_digits(self, i: int, j: int) -> int:
-        a, b = self.coords_of(i), self.coords_of(j)
-        return self._from_digits((x + y) % self.p for x, y in zip(a, b))
-
-    def _neg_digits(self, i: int) -> int:
-        return self._from_digits((-d) % self.p for d in self.coords_of(i))
-
-    def _mul_raw(self, i: int, j: int) -> int:
-        if self.m == 1:
-            return (i * j) % self.p
-        ops = _PrimeOps(self.p)
-        prod = _mul_mod(
-            self.coords_of(i), self.coords_of(j), self._fold, ops.add_idx, ops.mul_idx
-        )
-        return self._from_digits(prod)
-
-    # -- index-level operations ----------------------------------------
-
-    def add_idx(self, i: int, j: int) -> int:
-        if self._char2:
-            return i ^ j
-        if self.m == 1:
-            return (i + j) % self.p
-        if self._add_table is not None:
-            return self._add_table[i][j]
-        return self._add_digits(i, j)
-
-    def neg_idx(self, i: int) -> int:
-        if self._char2:
-            return i
-        return self._neg[i]
-
-    def mul_idx(self, i: int, j: int) -> int:
-        if i == 0 or j == 0:
-            return 0
-        n = self.order - 1
-        return self._exp[(self._log[i] + self._log[j]) % n]
-
-    def inv_idx(self, i: int) -> int:
-        if i == 0:
-            raise DivisionByZero(f"inverse of zero in {self.name}")
-        n = self.order - 1
-        return self._exp[(n - self._log[i]) % n]
-
-    def pow_idx(self, i: int, e: int) -> int:
-        if e < 0:
-            return self.pow_idx(self.inv_idx(i), -e)
-        if i == 0:
-            return 1 if e == 0 else 0
-        n = self.order - 1
-        return self._exp[(self._log[i] * e) % n]
-
-    # -- element API -----------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        return f"GF({self.p})" if self.m == 1 else f"GF({self.p}^{self.m})"
-
-    @property
-    def char(self) -> int:
-        return self.p
-
-    def element(self, x: Union[int, FieldElement]) -> FieldElement:
-        if isinstance(x, FieldElement):
-            if x.field != self:
-                raise FieldMismatch(f"{x!r} does not belong to {self.name}")
-            return x
-        if not 0 <= x < self.order:
-            raise InvalidParams(f"symbol {x} out of range for {self.name}")
-        return FieldElement(self, x)
-
-    def __eq__(self, other) -> bool:
-        if other is self:
-            return True
-        return (
-            isinstance(other, BaseField)
-            and other.p == self.p
-            and other.m == self.m
-            and other.modulus == self.modulus
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return self.name
-
-
-class ExtField(_TabulatedField):
-    """Degree-l extension of a base field, elements indexed 0..q^l-1."""
-
-    __slots__ = (
-        "base",
-        "l",
-        "order",
-        "modulus",
-        "frobenius_matrix",
-        "_char2",
-        "_fold",
-        "_exp",
-        "_log",
-        "_neg",
-        "_add_table",
-        "_hash",
-    )
-
-    def __init__(self, base: BaseField, l: int, modulus: Sequence[int] | None = None):
-        if l < 1:
-            raise InvalidParams("extension degree must be at least 1")
-        self.base = base
-        self.l = l
-        self.order = base.order**l
-        if modulus is None:
-            mod = _canonical_irreducible(l, base)
-        else:
-            mod = tuple(int(c) for c in modulus)
-            if len(mod) != l + 1 or mod[-1] != 1:
-                raise InvalidParams("modulus must be monic of degree l")
-            if any(not 0 <= c < base.order for c in mod):
-                raise InvalidParams("modulus coefficients out of range")
-            if not _is_irreducible(mod, base):
-                raise InvalidParams(f"modulus {mod} is reducible over {base.name}")
-        self.modulus = mod
-        self._hash = hash(("ExtField", base, l, mod))
-        self._char2 = base.p == 2
-        self._fold = _fold_terms(mod, base.neg_idx)
-
-        self._exp = None
-        self._log = None
-        self._neg = None
-        self._add_table = None
-        if self.order <= _MUL_TABLE_MAX:
-            self._build_log_tables()
-            if not self._char2:
-                self._build_neg_table()
-                if self.order <= _ADD_TABLE_MAX:
-                    self._add_table = [
-                        [self._add_digits(i, j) for j in range(self.order)]
-                        for i in range(self.order)
-                    ]
-        self.frobenius_matrix = self._build_frobenius_matrix()
-        self._check_frobenius_order()
-
-    # -- raw arithmetic on base-q digit vectors --------------------------
-
-    def coords_of(self, index: int) -> tuple[int, ...]:
-        return _index_digits(index, self.base.order, self.l)
-
-    def from_coords(self, coords: Sequence[Union[int, FieldElement]]) -> FieldElement:
-        if len(coords) != self.l:
-            raise LengthMismatch(f"expected {self.l} coordinates, got {len(coords)}")
-        idx = 0
-        for c in reversed(list(coords)):
-            sym = self.base.element(c).index
-            idx = idx * self.base.order + sym
-        return FieldElement(self, idx)
-
-    def _add_digits(self, i: int, j: int) -> int:
-        add = self.base.add_idx
-        a, b = self.coords_of(i), self.coords_of(j)
-        return self._from_digits(add(x, y) for x, y in zip(a, b))
-
-    def _from_digits(self, digits: Iterable[int]) -> int:
-        idx = 0
-        for d in reversed(list(digits)):
-            idx = idx * self.base.order + d
-        return idx
-
-    def _neg_digits(self, i: int) -> int:
-        neg = self.base.neg_idx
-        return self._from_digits(neg(d) for d in self.coords_of(i))
-
-    def _mul_raw(self, i: int, j: int) -> int:
-        base = self.base
-        prod = _mul_mod(
-            self.coords_of(i), self.coords_of(j), self._fold, base.add_idx, base.mul_idx
-        )
-        return self._from_digits(prod)
-
-    def _build_frobenius_matrix(self) -> tuple[tuple[int, ...], ...]:
-        q = self.base.order
-        cols = []
-        for j in range(self.l):
-            basis_idx = q**j  # coordinate vector e_{j+1}
-            cols.append(self.coords_of(self.pow_idx(basis_idx, q)))
-        return tuple(tuple(cols[c][r] for c in range(self.l)) for r in range(self.l))
-
-    def _check_frobenius_order(self) -> None:
-        # The q-power map is an F_q-automorphism of order dividing l: l steps
-        # must return every basis vector, which also makes it invertible.
-        q = self.base.order
-        for j in range(self.l):
-            if self.frobenius_chain(q**j, self.l + 1)[-1] != q**j:
-                raise InvariantViolated(
-                    f"Frobenius matrix of {self.name} does not have order dividing {self.l}"
-                )
-
-    # -- index-level operations ------------------------------------------
-
-    def add_idx(self, i: int, j: int) -> int:
-        if self._char2:
-            return i ^ j
-        if self._add_table is not None:
-            return self._add_table[i][j]
-        return self._add_digits(i, j)
-
-    def neg_idx(self, i: int) -> int:
-        if self._char2:
-            return i
-        if self._neg is not None:
-            return self._neg[i]
-        return self._neg_digits(i)
-
-    def mul_idx(self, i: int, j: int) -> int:
-        if i == 0 or j == 0:
-            return 0
-        if self._exp is not None:
-            n = self.order - 1
-            return self._exp[(self._log[i] + self._log[j]) % n]
-        return self._mul_raw(i, j)
 
     def inv_idx(self, i: int) -> int:
         if i == 0:
@@ -614,15 +413,15 @@ class ExtField(_TabulatedField):
         if self._exp is not None:
             n = self.order - 1
             return self._exp[(n - self._log[i]) % n]
-        # Norm inverse.  An untabulated field has l >= 2, because every
-        # base field is tabulated; the norm x * rest lies in F_q, so its
-        # index is a base symbol.
-        chain = self.frobenius_chain(i, self.l)
+        # Norm inverse.  An untabulated field is an extension of degree
+        # l >= 2, because every base field is tabulated; the norm
+        # x * rest lies in F_q, so its index is a base symbol.
+        chain = self.frobenius_chain(i, self.degree)
         rest = chain[1]
         for c in chain[2:]:
             rest = self._mul_raw(rest, c)
         norm = self._mul_raw(i, rest)
-        return self._mul_raw(rest, self.base.inv_idx(norm))
+        return self._mul_raw(rest, self.subfield.inv_idx(norm))
 
     def pow_idx(self, i: int, e: int) -> int:
         if e < 0:
@@ -634,14 +433,29 @@ class ExtField(_TabulatedField):
             return self._exp[(self._log[i] * e) % n]
         return self._pow_raw(i, e)
 
+    # -- Frobenius (extensions only) ---------------------------------------
+
+    def _build_frobenius(self) -> None:
+        """The q-power map as a matrix over F_q, checked to have order dividing l."""
+        q, l = self._radix, self.degree
+        cols = [self.coords_of(self.pow_idx(q**j, q)) for j in range(l)]  # images of e_{j+1}
+        self.frobenius_matrix = tuple(tuple(col[r] for col in cols) for r in range(l))
+        # The q-power map is an F_q-automorphism of order dividing l: l steps
+        # must return every basis vector, which also makes it invertible.
+        for j in range(l):
+            if self.frobenius_chain(q**j, l + 1)[-1] != q**j:
+                raise InvariantViolated(
+                    f"Frobenius matrix of {self.name} does not have order dividing {l}"
+                )
+
     def frobenius_chain(self, i: int, count: int) -> tuple[int, ...]:
         """Indices of x, x^q, ..., x^(q^(count-1)) for x of index i.
 
         Each step applies the precomputed Frobenius matrix to the
         coordinate vector of the previous power.
         """
-        add, mul = self.base.add_idx, self.base.mul_idx
-        mat, l = self.frobenius_matrix, self.l
+        add, mul = self.subfield.add_idx, self.subfield.mul_idx
+        mat, l = self.frobenius_matrix, self.degree
         chain = [i] if count > 0 else []
         while len(chain) < count:
             coords = self.coords_of(chain[-1])
@@ -659,23 +473,24 @@ class ExtField(_TabulatedField):
         """Apply the q-power map t times."""
         if t < 0:
             raise InvalidParams("frobenius power must be non-negative")
-        return self.frobenius_chain(i, t % self.l + 1)[-1]
+        return self.frobenius_chain(i, t % self.degree + 1)[-1]
 
     # -- element API -------------------------------------------------------
 
     @property
-    def name(self) -> str:
-        if self.base.m == 1:
-            return f"GF({self.base.p}^{self.l})" if self.l > 1 else f"GF({self.base.p})"
-        return f"GF({self.base.p}^{self.base.m}*{self.l})"
+    def zero(self) -> FieldElement:
+        return FieldElement(self, 0)
 
     @property
-    def char(self) -> int:
-        return self.base.p
+    def one(self) -> FieldElement:
+        return FieldElement(self, 1)
+
+    def elements(self) -> Iterator[FieldElement]:
+        return (FieldElement(self, i) for i in range(self.order))
 
     def embed(self, sym: Union[int, FieldElement]) -> FieldElement:
-        """Constant embedding of F_q; on indices this is the identity."""
-        return FieldElement(self, self.base.element(sym).index)
+        """Constant embedding of the subfield; on indices this is the identity."""
+        return FieldElement(self, self.subfield.element(sym).index)
 
     def element(self, x) -> FieldElement:
         if isinstance(x, FieldElement):
@@ -689,28 +504,59 @@ class ExtField(_TabulatedField):
         return FieldElement(self, x)
 
     def __eq__(self, other) -> bool:
-        if other is self:
-            return True
-        return (
-            isinstance(other, ExtField)
-            and other.base == self.base
-            and other.l == self.l
-            and other.modulus == self.modulus
-        )
+        return other is self or (isinstance(other, Field) and other._key == self._key)
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return f"{self.name} over {self.base.name}"
+        return self._label
 
 
-# -- protocol-level helpers ---------------------------------------------
+class BaseField(Field):
+    """F_q with q = p^m; symbols are integers 0..q-1 (base-p digit vectors)."""
+
+    __slots__ = ("p", "m")
+
+    def __init__(self, p: int, m: int = 1, modulus: Sequence[int] | None = None):
+        if not _is_prime(p):
+            raise InvalidParams(f"characteristic {p} is not prime")
+        if m < 1:
+            raise InvalidParams("extension degree must be at least 1")
+        if p**m > MAX_BASE_ORDER:
+            raise InvalidParams(f"base field order {p**m} exceeds {MAX_BASE_ORDER}")
+        if modulus is not None:
+            modulus = tuple(int(c) % p for c in modulus)
+            if len(modulus) != m + 1 or modulus[-1] != 1:
+                raise InvalidParams("modulus must be monic of degree m")
+        self.p = p
+        self.m = m
+        name = f"GF({p})" if m == 1 else f"GF({p}^{m})"
+        super().__init__(BaseField(p) if m > 1 else None, m, p, modulus, name, name)
 
 
-def iso_vec(field: ExtField, vec: Sequence[Union[int, FieldElement]]) -> FieldElement:
-    """Identify a length-l vector over F_q with an element of F_{q^l}."""
-    return field.from_coords(vec)
+class ExtField(Field):
+    """Degree-l extension of a base field, elements indexed 0..q^l-1."""
+
+    __slots__ = ("base", "l")
+
+    def __init__(self, base: BaseField, l: int, modulus: Sequence[int] | None = None):
+        if l < 1:
+            raise InvalidParams("extension degree must be at least 1")
+        if modulus is not None:
+            modulus = tuple(int(c) for c in modulus)
+            if len(modulus) != l + 1 or modulus[-1] != 1:
+                raise InvalidParams("modulus must be monic of degree l")
+            if any(not 0 <= c < base.order for c in modulus):
+                raise InvalidParams("modulus coefficients out of range")
+        self.base = base
+        self.l = l
+        if base.m == 1:
+            name = f"GF({base.p}^{l})" if l > 1 else f"GF({base.p})"
+        else:
+            name = f"GF({base.p}^{base.m}*{l})"
+        super().__init__(base, l, base.p, modulus, name, f"{name} over {base.name}")
+        self._build_frobenius()
 
 
 def frobenius(x: FieldElement, t: int = 1) -> FieldElement:
@@ -719,55 +565,3 @@ def frobenius(x: FieldElement, t: int = 1) -> FieldElement:
     if not isinstance(field, ExtField):
         raise FieldMismatch("frobenius is defined on extension-field elements")
     return FieldElement(field, field.frobenius_idx(x.index, t))
-
-
-def linearized_eval(
-    coeffs: Sequence[FieldElement],
-    tracker: Union[int, FieldElement],
-    s: FieldElement,
-) -> FieldElement:
-    """tracker * a_0 + sum_{t=1}^{M} a_t * s^(q^(t-1)).
-
-    Powers are computed by square-and-multiply, independently of the
-    Frobenius-matrix path, so the two can cross-check each other.
-    """
-    field = s.field
-    if not isinstance(field, ExtField):
-        raise FieldMismatch("linearized maps act on extension-field elements")
-    if not coeffs:
-        raise LengthMismatch("need at least the constant coefficient")
-    for c in coeffs:
-        if c.field != field:
-            raise FieldMismatch("coefficients must live in the same field as s")
-    q = field.base.order
-    acc = field.embed(tracker) * coeffs[0]
-    power = s
-    for t in range(1, len(coeffs)):
-        if t > 1:
-            power = power**q
-        acc = acc + coeffs[t] * power
-    return acc
-
-
-def moore_matrix(elements: Sequence[FieldElement], m: int):
-    """Rows (1, s_i, s_i^q, ..., s_i^(q^(m-1))) for each s_i, as a Matrix.
-
-    For r = m+1 elements the matrix is invertible exactly when the
-    differences s_i - s_1 are linearly independent over F_q (subtracting
-    the first row leaves a classical Moore block of the differences).
-    F_q-linear independence of the s_i themselves is sufficient.
-    """
-    from .linalg import Matrix
-
-    if not elements:
-        raise LengthMismatch("need at least one row element")
-    field = elements[0].field
-    if not isinstance(field, ExtField):
-        raise FieldMismatch("moore rows are defined over an extension field")
-    rows = []
-    for s in elements:
-        if s.field != field:
-            raise FieldMismatch("all row elements must share one field")
-        chain = field.frobenius_chain(s.index, m)
-        rows.append((field.one,) + tuple(FieldElement(field, i) for i in chain))
-    return Matrix(field, tuple(rows), ncols=m + 1)

@@ -8,20 +8,17 @@ reproducibility, deterministic.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import DimensionMismatch, FieldMismatch, RankDeficient
+from .errors import DimensionMismatch, FieldMismatch
 from .fields import BaseField, ExtField, FieldElement
-from . import rng as _rng
 
 __all__ = [
     "Matrix",
     "LinearSolution",
     "solve_all",
     "span_contains",
-    "random_full_rank",
 ]
 
 AnyField = Union[BaseField, ExtField]
@@ -64,20 +61,6 @@ class Matrix:
         )
         return cls(field, rows, ncols=ncols)
 
-    @classmethod
-    def identity(cls, field: AnyField, n: int) -> "Matrix":
-        one, zero = field.one, field.zero
-        return cls(
-            field,
-            tuple(tuple(one if r == c else zero for c in range(n)) for r in range(n)),
-            ncols=n,
-        )
-
-    @classmethod
-    def zeros(cls, field: AnyField, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, tuple(tuple(z for _ in range(ncols)) for _ in range(nrows)), ncols=ncols)
-
     # -- access ----------------------------------------------------------
 
     def row(self, i: int) -> Vector:
@@ -86,14 +69,8 @@ class Matrix:
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.rows)
 
-    def columns(self) -> tuple[Vector, ...]:
-        return tuple(self.column(j) for j in range(self.ncols))
-
     def to_index_rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(e.index for e in r) for r in self.rows)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.columns(), ncols=self.nrows)
 
     def augment(self, other: "Matrix") -> "Matrix":
         if other.nrows != self.nrows or other.field != self.field:
@@ -105,20 +82,6 @@ class Matrix:
         )
 
     # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if other.field != self.field:
-            raise FieldMismatch("matrix sum across different fields")
-        if (other.nrows, other.ncols) != (self.nrows, self.ncols):
-            raise DimensionMismatch("shape mismatch in addition")
-        return Matrix(
-            self.field,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-            ncols=self.ncols,
-        )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if other.field != self.field:
@@ -235,9 +198,6 @@ class LinearSolution:
     def nullity(self) -> int:
         return len(self.null_basis)
 
-    def count_per_column(self) -> int:
-        return self.particular.field.order**self.nullity
-
 
 def _particular(a: Matrix, b: Matrix) -> Matrix | None:
     """One solution of a @ X = b, free unknowns 0; None when inconsistent."""
@@ -286,26 +246,3 @@ def span_contains(
     if particular is None:
         return False, None
     return True, particular.column(0)
-
-
-def random_full_rank(
-    nrows: int,
-    ncols: int,
-    field: AnyField,
-    seed: int | random.Random,
-    max_attempts: int = 1000,
-) -> Matrix:
-    """Uniform full-rank matrix by rejection sampling (deterministic per seed)."""
-    if min(nrows, ncols) < 0 or nrows == 0 or ncols == 0:
-        raise DimensionMismatch("matrix must have at least one row and column")
-    r = seed if isinstance(seed, random.Random) else _rng.stream(seed, "full-rank")
-    want = min(nrows, ncols)
-    for _ in range(max_attempts):
-        cand = Matrix.from_indices(
-            field,
-            [[r.randrange(field.order) for _ in range(ncols)] for _ in range(nrows)],
-            ncols=ncols,
-        )
-        if cand.rank() == want:
-            return cand
-    raise RankDeficient(f"no full-rank sample in {max_attempts} attempts")

@@ -40,7 +40,7 @@ from .errors import (
     LengthMismatch,
     RankDeficient,
 )
-from .fields import BaseField, ExtField, FieldElement, iso_vec
+from .fields import BaseField, ExtField, FieldElement
 from .linalg import Matrix
 from . import rng as _rng
 
@@ -247,7 +247,7 @@ def label_row(
     column of the master key or of a verifier key.
     """
     ext = pp.ext
-    s = iso_vec(ext, list(payload))
+    s = ext.from_coords(list(payload))
     powers = ext.frobenius_chain(s.index, pp.M)
     return (ext.embed(tracker),) + tuple(FieldElement(ext, i) for i in powers)
 

@@ -1,7 +1,12 @@
+import random
+
 import pytest
 
+from subtag import rng as _rng
 from subtag.codes import rs_code
+from subtag.errors import DimensionMismatch, RankDeficient
 from subtag.fields import BaseField, ExtField
+from subtag.linalg import Matrix
 from subtag.scheme import PublicParams
 
 # one line per acceptance criterion, echoed after the run so the
@@ -74,3 +79,26 @@ def tiny_pp(f2, e4):
     """Small enough to brute-force the whole key space: q=2, l=2,
     n=M=1, RS [3,2] over F_4."""
     return PublicParams(base=f2, ext=e4, n=1, M=1, code=rs_code(e4, [0, 1, 2], 2))
+
+
+def random_full_rank(
+    nrows: int,
+    ncols: int,
+    field,
+    seed: int | random.Random,
+    max_attempts: int = 1000,
+) -> Matrix:
+    """Uniform full-rank matrix by rejection sampling (deterministic per seed)."""
+    if min(nrows, ncols) < 0 or nrows == 0 or ncols == 0:
+        raise DimensionMismatch("matrix must have at least one row and column")
+    r = seed if isinstance(seed, random.Random) else _rng.stream(seed, "full-rank")
+    want = min(nrows, ncols)
+    for _ in range(max_attempts):
+        cand = Matrix.from_indices(
+            field,
+            [[r.randrange(field.order) for _ in range(ncols)] for _ in range(nrows)],
+            ncols=ncols,
+        )
+        if cand.rank() == want:
+            return cand
+    raise RankDeficient(f"no full-rank sample in {max_attempts} attempts")

@@ -3,17 +3,18 @@
 Everything here recomputes library answers from first principles: field
 arithmetic from the stored moduli alone, dual codewords by direct
 enumeration of G v = 0, forgeability by dual-support search, consistent
-master keys by trying every matrix, labels by direct powering.  None of
-it routes through the library's rref/null-space code, so agreement
-between the two sides actually means something.  The code and key
-oracles are exponential and meant for tiny parameters only.
+master keys by trying every matrix, labels and linearized evaluations by
+direct powering.  None of it routes through the library's rref/null-space
+code, so agreement between the two sides actually means something.  The
+code and key oracles are exponential and meant for tiny parameters only.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, Union
 
+from subtag.errors import FieldMismatch, LengthMismatch
 from subtag.fields import ExtField, FieldElement
 from subtag.scheme import PublicParams, TaggedPacket
 
@@ -156,28 +157,34 @@ def brute_min_distance(field, gen_rows: Sequence[Sequence[int]], ncols: int) -> 
     return best
 
 
-def brute_forgeable(field, gen_rows, ncols: int, members: Iterable[int], target: int) -> bool:
+def dual_support_forges(dual_words, members: Iterable[int], target: int) -> bool:
     """Dual-support route: some dual word is nonzero at target and vanishes
     outside members + {target}.  Indices are 1-based."""
     allowed = set(members) | {target}
-    for w in brute_dual_words(field, gen_rows, ncols):
+    for w in dual_words:
         if w[target - 1] == 0:
             continue
-        if all(w[j] == 0 for j in range(ncols) if (j + 1) not in allowed):
+        if all(w[j] == 0 for j in range(len(w)) if (j + 1) not in allowed):
             return True
     return False
+
+
+def brute_forgeable(field, gen_rows, ncols: int, members: Iterable[int], target: int) -> bool:
+    """``dual_support_forges`` on the brute-force dual of G."""
+    return dual_support_forges(brute_dual_words(field, gen_rows, ncols), members, target)
 
 
 def brute_minimal_qualified(field, gen_rows, ncols: int, target: int) -> list[frozenset[int]]:
     """Inclusion-minimal coalitions that can forge against ``target``."""
     others = [i for i in range(1, ncols + 1) if i != target]
+    words = brute_dual_words(field, gen_rows, ncols)
     qualified = []
     for size in range(0, len(others) + 1):
         for combo in itertools.combinations(others, size):
             s = frozenset(combo)
             if any(prev <= s for prev in qualified):
                 continue
-            if brute_forgeable(field, gen_rows, ncols, s, target):
+            if dual_support_forges(words, s, target):
                 qualified.append(s)
     return sorted(qualified, key=lambda s: (len(s), sorted(s)))
 
@@ -193,6 +200,34 @@ def brute_solutions(field, a_rows, b_col) -> list[tuple[int, ...]]:
 
 
 # -- scheme-level oracles ------------------------------------------------------
+
+
+def linearized_eval(
+    coeffs: Sequence[FieldElement],
+    tracker: Union[int, FieldElement],
+    s: FieldElement,
+) -> FieldElement:
+    """tracker * a_0 + sum_{t=1}^{M} a_t * s^(q^(t-1)).
+
+    Powers are computed by square-and-multiply, independently of the
+    library's Frobenius-matrix path, so the two can cross-check each other.
+    """
+    field = s.field
+    if not isinstance(field, ExtField):
+        raise FieldMismatch("linearized maps act on extension-field elements")
+    if not coeffs:
+        raise LengthMismatch("need at least the constant coefficient")
+    for c in coeffs:
+        if c.field != field:
+            raise FieldMismatch("coefficients must live in the same field as s")
+    q = field.base.order
+    acc = field.embed(tracker) * coeffs[0]
+    power = s
+    for t in range(1, len(coeffs)):
+        if t > 1:
+            power = power**q
+        acc = acc + coeffs[t] * power
+    return acc
 
 
 def _pow_q(x: FieldElement, q: int, times: int) -> FieldElement:

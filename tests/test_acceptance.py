@@ -30,7 +30,7 @@ from subtag.ec import (
 )
 from subtag.errors import NotQualified
 from subtag.fields import BaseField, ExtField
-from subtag.linalg import Matrix, random_full_rank
+from subtag.linalg import Matrix
 from subtag.network import butterfly, random_topology, same_span, transmit
 from subtag.rng import derive_seed
 from subtag.scheme import (
@@ -45,7 +45,7 @@ from subtag.scheme import (
     verify,
 )
 
-from conftest import acceptance_lines
+from conftest import acceptance_lines, random_full_rank
 from oracles import (
     brute_consistent_keys,
     brute_dual_words,

@@ -137,6 +137,16 @@ def test_enumeration_guard(e125):
     assert code.dual().min_distance(guard=1 << 10) == 5
 
 
+def test_min_distance_memo_still_honors_the_guard(f5):
+    code = rs_code(f5, range(4), 2)
+    assert code.min_distance() == 3
+    # a memoized answer must not bypass a guard that a fresh code enforces
+    with pytest.raises(TooLargeToEnumerate):
+        code.min_distance(guard=1)
+    with pytest.raises(TooLargeToEnumerate):
+        rs_code(f5, range(4), 2).min_distance(guard=1)
+
+
 def test_zero_dual_of_full_code(f3):
     full = make_code(f3, [[1, 0], [0, 1]])
     assert full.dual().is_zero

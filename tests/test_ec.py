@@ -30,7 +30,7 @@ from subtag.errors import (
 )
 from subtag.fields import BaseField, ExtField
 
-from oracles import brute_forgeable
+from oracles import brute_dual_words, dual_support_forges
 
 
 @pytest.fixture(scope="module")
@@ -233,15 +233,15 @@ def test_classifier_agrees_with_span_oracle(curve, support, deg):
     spec = AGCodeSpec(curve, support, deg)
     res = residue_code(spec)
     rows = [[e.index for e in r] for r in res.generator.rows]
-    f = curve.field
     n = 6
+    words = brute_dual_words(curve.field, rows, n)
     for size in range(0, n):
         for combo in itertools.combinations(range(1, n + 1), size):
             for tgt in range(1, n + 1):
                 if tgt in combo:
                     continue
                 verdict = classify_coalition(spec, combo, tgt).against(tgt)
-                assert verdict == brute_forgeable(f, rows, n, combo, tgt), (
+                assert verdict == dual_support_forges(words, combo, tgt), (
                     deg,
                     combo,
                     tgt,
@@ -256,10 +256,11 @@ def test_residue_code_with_smaller_support(curve):
     res = residue_code(spec)
     assert (res.length, res.kdim) == (5, 3)
     rows = [[e.index for e in r] for r in res.generator.rows]
+    words = brute_dual_words(curve.field, rows, 5)
     for size in (2, 3):
         for combo in itertools.combinations(range(1, 6), size):
             for tgt in range(1, 6):
                 if tgt in combo:
                     continue
                 verdict = classify_coalition(spec, combo, tgt).against(tgt)
-                assert verdict == brute_forgeable(curve.field, rows, 5, combo, tgt)
+                assert verdict == dual_support_forges(words, combo, tgt)

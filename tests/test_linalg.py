@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from subtag.errors import DimensionMismatch, FieldMismatch
 from subtag.fields import BaseField
-from subtag.linalg import Matrix, LinearSolution, random_full_rank, solve_all, span_contains
+from subtag.linalg import Matrix, solve_all, span_contains
 
+from conftest import random_full_rank
 from oracles import brute_dual_words, brute_solutions, spanned_vectors
 
 
@@ -22,25 +23,12 @@ def test_matmul_frozen():
     assert (a @ b).to_index_rows() == ((4, 2), (3, 0))
 
 
-def test_identity_and_zeros():
-    f = BaseField(3)
-    i3 = Matrix.identity(f, 3)
-    z = Matrix.zeros(f, 2, 3)
-    assert i3.to_index_rows() == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert z.to_index_rows() == ((0, 0, 0), (0, 0, 0))
-    a = M5([[1, 2, 3], [4, 0, 1]])
-    assert (a @ Matrix.identity(BaseField(5), 3)).to_index_rows() == a.to_index_rows()
-
-
 def test_shape_errors():
     a = M5([[1, 2]])
-    b = M5([[1, 2], [3, 4]])
     with pytest.raises(DimensionMismatch):
         a @ a
-    with pytest.raises(DimensionMismatch):
-        a + b
     with pytest.raises(FieldMismatch):
-        a @ Matrix.identity(BaseField(3), 2)
+        a @ Matrix.from_indices(BaseField(3), [[1, 0], [0, 1]], ncols=2)
 
 
 def test_rref_frozen():
@@ -101,7 +89,7 @@ def test_solve_all_against_enumeration():
         if sol is None:
             assert brute == []
             continue
-        assert sol.count_per_column() == len(brute)
+        assert f.order ** sol.nullity == len(brute)
         got = {tuple(e.index for e in sol.particular.column(0))}
         for coeffs in itertools.product(range(3), repeat=sol.nullity):
             vec = [e.index for e in sol.particular.column(0)]
@@ -168,9 +156,8 @@ def test_span_contains_matches_enumeration(rows):
             assert tuple(recon) == vec
 
 
-def test_transpose_augment():
+def test_augment():
     a = M5([[1, 2, 3], [4, 0, 1]])
-    assert a.transpose().to_index_rows() == ((1, 4), (2, 0), (3, 1))
     b = M5([[9 % 5], [2]])
     assert a.augment(b).to_index_rows() == ((1, 2, 3, 4), (4, 0, 1, 2))
 

@@ -442,6 +442,11 @@ def _binary_file(tmp_path):
         (["simulate", "--topology", _directory], None),
         (["analyze", "--target", "1"], NOT_UTF8),
         (["simulate", "--topology", _binary_file], None),
+        (
+            ["setup", "--q", "1000000007", "--l", "2", "--n", "1", "--M", "1", "--V", "3",
+             "--kdim", "2"],
+            None,
+        ),
     ],
     ids=[
         "member-out-of-range",
@@ -457,6 +462,7 @@ def _binary_file(tmp_path):
         "topology-is-a-directory",
         "params-not-utf8",
         "topology-not-utf8",
+        "base-order-too-large",
     ],
 )
 def test_cli_bad_input_is_a_subtag_error(capsys, tmp_path, argv, params_text):
@@ -467,7 +473,7 @@ def test_cli_bad_input_is_a_subtag_error(capsys, tmp_path, argv, params_text):
         path.write_bytes(params_text)
     elif params_text is not None:
         path.write_text(params_text)
-    flag = "--out" if argv[0] == "ec-code" else "--params"
+    flag = "--out" if argv[0] in ("setup", "ec-code") else "--params"
     rest = [a(tmp_path) if callable(a) else a for a in argv[1:]]
     rc, out, err = _run(capsys, [argv[0], flag, str(path), *rest])
     assert rc == 1

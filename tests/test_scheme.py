@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_field
+from oracles import linearized_eval, reference_field
 
 from subtag.codes import LinearCode, rs_code
 from subtag.errors import (
@@ -13,7 +13,7 @@ from subtag.errors import (
     InvalidParams,
     LengthMismatch,
 )
-from subtag.fields import BaseField, ExtField, FieldElement, iso_vec, linearized_eval
+from subtag.fields import BaseField, ExtField, FieldElement
 from subtag.linalg import Matrix
 from subtag.scheme import (
     OpCounter,
@@ -56,7 +56,7 @@ def test_params_reject_weak_codes(f2, e4):
     with pytest.raises(InvalidParams):
         PublicParams(base=f2, ext=e4, n=1, M=1, code=LinearCode(gen2))
     # the full space has a zero dual: no unconditional protection at all
-    gen3 = Matrix.identity(e4, 2)
+    gen3 = Matrix.from_indices(e4, [[1, 0], [0, 1]], ncols=2)
     with pytest.raises(InvalidParams):
         PublicParams(base=f2, ext=e4, n=1, M=1, code=LinearCode(gen3))
 
@@ -127,7 +127,7 @@ def test_label_matches_linearized_eval(rs_pp):
         tracker = rng.randrange(5)
         vk = vks[rng.randrange(6)]
         got = label(rs_pp, vk, tracker, payload)
-        want = linearized_eval(vk.column, tracker, iso_vec(rs_pp.ext, payload))
+        want = linearized_eval(vk.column, tracker, rs_pp.ext.from_coords(payload))
         assert got == want
 
 
