@@ -21,6 +21,13 @@ lies in the coalition's column span, the witness combination rebuilds the
 target's key column exactly, after which any payload outside the observed
 subspace can be tagged at will.  Otherwise the best available move is to
 guess the one label the target would accept.
+
+Everything here works on field indices; FieldElement appears only in the
+keys, packets and histograms handed back.  Each question costs one
+elimination: the key count reads its nullity off the same reduced system
+as the particular solution, a view reduces its observed payloads once for
+all the forgeries made from it, and the params cache each verifier's
+first nonzero generator slot and its inverse for packet_for_label.
 """
 
 from __future__ import annotations
@@ -28,9 +35,11 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
+    FieldMismatch,
     InconsistentSystem,
     InvalidParams,
     InvariantViolated,
@@ -40,12 +49,13 @@ from .errors import (
     TooLargeToEnumerate,
 )
 from .fields import FieldElement
-from .linalg import Matrix, solve_all, span_contains
+from .linalg import Matrix, solve_all, span_witness
 from .scheme import (
     MasterKey,
     PublicParams,
     TaggedPacket,
     VerifierKey,
+    _indices,
     label as scheme_label,
     label_row,
 )
@@ -117,6 +127,18 @@ class CoalitionView:
     def observed_payloads(self) -> tuple[tuple[int, ...], ...]:
         return tuple(p.payload for p in self.observed)
 
+    @cached_property
+    def payload_span(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """Reduced basis rows and their pivot columns for the observed
+        payloads' span over F_q; one elimination per view."""
+        payloads = self.observed_payloads()
+        if not payloads:
+            return (), ()
+        reduced, rank, pivots = Matrix.from_indices(
+            self.pp.base, payloads, ncols=self.pp.l
+        ).rref()
+        return reduced.to_index_rows()[:rank], pivots
+
 
 @dataclass(frozen=True)
 class AttackSystem:
@@ -136,48 +158,43 @@ class AttackSystem:
 def assemble_system(view: CoalitionView) -> AttackSystem:
     pp = view.pp
     ext = pp.ext
-    width = pp.kdim * (pp.M + 1)
-    zero = ext.zero
-    rows: list[tuple[FieldElement, ...]] = []
-    consts: list[FieldElement] = []
+    height = pp.M + 1
+    width = pp.kdim * height
+    rows: list[list[int]] = []
+    consts: list[int] = []
 
-    packet_rows: list[tuple[FieldElement, ...]] = []
+    packet_rows: list[tuple[int, ...]] = []
     for pkt in view.observed:
         d = label_row(pp, pkt.tracker, pkt.payload)
         packet_rows.append(d)
         if len(pkt.tag) != pp.kdim:
             raise InvalidParams("packet tag width does not match the code")
-        for t in range(pp.kdim):
-            row = [zero] * width
-            base_col = t * (pp.M + 1)
-            for r in range(pp.M + 1):
-                row[base_col + r] = d[r]
-            rows.append(tuple(row))
-            consts.append(pkt.tag[t])
+        for t, tag in enumerate(_indices(ext, pkt.tag)):
+            row = [0] * width
+            row[t * height : (t + 1) * height] = d
+            rows.append(row)
+            consts.append(tag)
 
+    cols = []
     for member, vk in zip(view.members, view.keys):
-        g = pp.generator_column(member)
-        if len(vk.column) != pp.M + 1:
+        g = pp.generator_indices(member)
+        cols.append(g)
+        if len(vk.column) != height:
             raise InvalidParams(f"key column for member {member} has wrong height")
-        for r in range(pp.M + 1):
-            row = [zero] * width
-            for t in range(pp.kdim):
-                row[t * (pp.M + 1) + r] = g[t]
-            rows.append(tuple(row))
-            consts.append(vk.column[r])
+        for r, b in enumerate(_indices(ext, vk.column)):
+            row = [0] * width
+            row[r::height] = g
+            rows.append(row)
+            consts.append(b)
 
-    if packet_rows:
-        r0 = Matrix(ext, packet_rows, ncols=pp.M + 1).rank()
-    else:
-        r0 = 0
-    if view.members:
-        cols = [pp.generator_column(i) for i in view.members]
-        k0 = Matrix(ext, tuple(zip(*cols)), ncols=len(cols)).rank()
+    r0 = Matrix.from_indices(ext, packet_rows, ncols=height).rank() if packet_rows else 0
+    if cols:
+        k0 = Matrix.from_indices(ext, tuple(zip(*cols)), ncols=len(cols)).rank()
     else:
         k0 = 0
 
-    coeff = Matrix(ext, rows, ncols=width)
-    const = Matrix(ext, tuple((c,) for c in consts), ncols=1)
+    coeff = Matrix.from_indices(ext, rows, ncols=width)
+    const = Matrix.from_indices(ext, ((c,) for c in consts), ncols=1)
     return AttackSystem(pp=pp, coefficients=coeff, constants=const, r0=r0, k0=k0)
 
 
@@ -212,11 +229,10 @@ def count_consistent_keys(system: AttackSystem) -> KeyCount:
     )
 
 
-def _unflatten(pp: PublicParams, flat: Sequence[FieldElement]) -> MasterKey:
-    rows = []
-    for r in range(pp.M + 1):
-        rows.append(tuple(flat[t * (pp.M + 1) + r] for t in range(pp.kdim)))
-    return MasterKey(Matrix(pp.ext, rows, ncols=pp.kdim))
+def _unflatten(pp: PublicParams, flat: Sequence[int]) -> MasterKey:
+    height = pp.M + 1
+    rows = [flat[r::height] for r in range(height)]
+    return MasterKey(Matrix.from_indices(pp.ext, rows, ncols=pp.kdim))
 
 
 def consistent_keys(
@@ -231,27 +247,29 @@ def consistent_keys(
         raise TooLargeToEnumerate(
             f"{pp.ext.order}^{sol.nullity} solutions exceed the guard {guard}"
         )
-    part = sol.particular.column(0)
-    basis = sol.null_basis
+    part = [r[0] for r in sol.particular.to_index_rows()]
+    basis = [[e.index for e in vec] for vec in sol.null_basis]
     add, mul = pp.ext.add_idx, pp.ext.mul_idx
-    width = len(part)
     for combo in itertools.product(range(pp.ext.order), repeat=len(basis)):
-        flat = [e.index for e in part]
+        flat = list(part)
         for c, vec in zip(combo, basis):
             if c:
-                for i in range(width):
-                    if vec[i].index:
-                        flat[i] = add(flat[i], mul(c, vec[i].index))
-        yield _unflatten(pp, [FieldElement(pp.ext, v) for v in flat])
+                for i, v in enumerate(vec):
+                    if v:
+                        flat[i] = add(flat[i], mul(c, v))
+        yield _unflatten(pp, flat)
 
 
 def _payload_outside_view(view: CoalitionView, payload: tuple[int, ...]) -> None:
-    observed = [list(p) for p in view.observed_payloads()]
+    """Reduce the payload against the view's observed span; zero means inside."""
     base = view.pp.base
-    l = view.pp.l
-    before = Matrix.from_indices(base, observed, ncols=l).rank() if observed else 0
-    after = Matrix.from_indices(base, observed + [list(payload)], ncols=l).rank()
-    if after == before:
+    mul, sub = base.mul_idx, base.sub_idx
+    v = payload
+    for row, col in zip(*view.payload_span):
+        c = v[col]
+        if c:
+            v = [sub(x, mul(c, y)) for x, y in zip(v, row)]
+    if not any(v):
         raise PayloadInSubspace(
             "substituted payload lies inside the observed message space"
         )
@@ -262,19 +280,21 @@ def recover_verifier_key(view: CoalitionView, target: int) -> VerifierKey:
     pp = view.pp
     if target in view.members:
         raise TargetInCoalition(f"target {target} is a coalition member")
-    g_target = pp.generator_column(target)
-    gens = [pp.generator_column(i) for i in view.members]
-    ok, witness = span_contains(gens, g_target)
-    if not ok:
+    ext = pp.ext
+    g_target = pp.generator_indices(target)
+    gens = [pp.generator_indices(i) for i in view.members]
+    witness = span_witness(ext, gens, g_target)
+    if witness is None:
         raise NotQualified(
             f"coalition {view.members} does not determine verifier {target}'s key"
         )
-    column = [pp.ext.zero] * (pp.M + 1)
+    add, mul = ext.add_idx, ext.mul_idx
+    column = [0] * (pp.M + 1)
     for lam, vk in zip(witness, view.keys):
-        if lam.index:
-            for r in range(pp.M + 1):
-                column[r] = column[r] + lam * vk.column[r]
-    return VerifierKey(index=target, column=tuple(column))
+        if lam:
+            for r, b in enumerate(_indices(ext, vk.column)):
+                column[r] = add(column[r], mul(lam, b))
+    return VerifierKey(index=target, column=tuple(FieldElement(ext, c) for c in column))
 
 
 def packet_for_label(
@@ -287,14 +307,12 @@ def packet_for_label(
     """The unique-per-(t*,label) tag vector making verifier ``target`` compute
     ``lab`` against it: all tag slots zero except the first one where the
     target's generator column is nonzero."""
-    g = pp.generator_column(target)
-    t_star = next((t for t in range(pp.kdim) if g[t].index), None)
-    if t_star is None:
-        raise InvariantViolated(
-            f"generator column {target} is zero; params validation forbids that"
-        )
-    tag = [pp.ext.zero] * pp.kdim
-    tag[t_star] = lab / g[t_star]
+    ext = pp.ext
+    t_star, g_inv = pp.tag_slot(target)
+    if not isinstance(lab, FieldElement) or lab.field != ext:
+        raise FieldMismatch(f"label {lab!r} does not belong to {ext.name}")
+    tag = [ext.zero] * pp.kdim
+    tag[t_star] = FieldElement(ext, ext.mul_idx(lab.index, g_inv))
     payload = tuple(pp.base.element(int(v)).index for v in payload)
     tracker = pp.base.element(int(tracker)).index
     return TaggedPacket(tracker=tracker, payload=payload, tag=tuple(tag))
@@ -359,14 +377,15 @@ def label_distribution(
     if target in view.members:
         raise TargetInCoalition(f"target {target} is a coalition member")
     payload = tuple(pp.base.element(int(v)).index for v in payload)
+    ext = pp.ext
+    add, mul = ext.add_idx, ext.mul_idx
     d = label_row(pp, tracker, payload)
-    g = pp.generator_column(target)
+    g = Matrix.from_indices(ext, ((x,) for x in pp.generator_indices(target)), ncols=1)
     system = assemble_system(view)
     hist: Counter[int] = Counter()
     for mk in consistent_keys(system, guard):
-        b_col = mk.matrix @ Matrix(pp.ext, tuple((e,) for e in g), ncols=1)
-        acc = pp.ext.zero
-        for r in range(pp.M + 1):
-            acc = acc + d[r] * b_col.rows[r][0]
-        hist[acc.index] += 1
-    return {FieldElement(pp.ext, idx): cnt for idx, cnt in hist.items()}
+        acc = 0
+        for x, (b,) in zip(d, (mk.matrix @ g).to_index_rows()):
+            acc = add(acc, mul(x, b))
+        hist[acc] += 1
+    return {FieldElement(ext, idx): cnt for idx, cnt in hist.items()}

@@ -220,6 +220,8 @@ def build_attack_report(
     trials: int,
     payload: Optional[Sequence[int]] = None,
 ) -> dict:
+    if len(set(coalition)) != len(coalition):
+        raise InvalidParams(f"coalition {list(coalition)} repeats a member")
     CoalitionSpec(frozenset(coalition), target)  # index sanity
     for i in (*coalition, target):
         if not 1 <= i <= pp.V:
@@ -422,6 +424,8 @@ def cmd_ec_code(args) -> None:
                 raise InvalidParams(f"({xy[0]}, {xy[1]}) is not an affine point of the curve")
             chosen.append(point)
     else:
+        if args.num_points < 0:
+            raise InvalidParams(f"--num-points must be non-negative, got {args.num_points}")
         if args.num_points > len(affine):
             raise InvalidParams(
                 f"curve has {len(affine)} affine points, {args.num_points} requested"

@@ -38,7 +38,7 @@ from .errors import (
     TooLong,
 )
 from .fields import BaseField, ExtField, FieldElement
-from .linalg import Matrix, span_contains
+from .linalg import Matrix, span_witness
 
 __all__ = [
     "CoalitionSpec",
@@ -219,8 +219,12 @@ class LinearCode:
         self._index_ok(spec.target)
         for j in spec.members:
             self._index_ok(j)
-        gens = [self.generator.column(j - 1) for j in spec.sorted_members]
-        return span_contains(gens, self.generator.column(spec.target - 1))
+        rows = self.generator.to_index_rows()
+        gens = [tuple(r[j - 1] for r in rows) for j in spec.sorted_members]
+        witness = span_witness(self.field, gens, tuple(r[spec.target - 1] for r in rows))
+        if witness is None:
+            return False, None
+        return True, tuple(FieldElement(self.field, x) for x in witness)
 
     def access_structure(
         self, i: int, guard: int = ENUM_GUARD

@@ -60,6 +60,10 @@ class CyclicGraph(SubtagError, ValueError):
 class UnknownNode(SubtagError, KeyError):
     """A node name is not present in the topology."""
 
+    def __str__(self) -> str:
+        # KeyError would print the message in quotes
+        return Exception.__str__(self)
+
 
 class NotQualified(SubtagError, ValueError):
     """The coalition cannot determine the target's verification key."""

@@ -4,6 +4,12 @@ Everything here is small and dense: verification keys have a handful of
 rows and attack systems a few dozen, so plain Gaussian elimination with
 first-nonzero pivoting is both fast enough and, importantly for
 reproducibility, deterministic.
+
+A Matrix stores rows of field indices, and products, augmentation and
+elimination never build FieldElement; only the ``rows``, ``row`` and
+``column`` accessors return elements.  Each question is answered by one
+elimination: ``solve_all`` reads the particular solution and the null
+basis off the same reduced [A | b].
 """
 
 from __future__ import annotations
@@ -19,36 +25,50 @@ __all__ = [
     "LinearSolution",
     "solve_all",
     "span_contains",
+    "span_witness",
 ]
 
 AnyField = Union[BaseField, ExtField]
 Vector = tuple[FieldElement, ...]
+IndexRows = tuple[tuple[int, ...], ...]
 
 
 class Matrix:
-    """Immutable dense matrix; rows are tuples of FieldElement."""
+    """Immutable dense matrix over one field, stored as rows of indices.
 
-    __slots__ = ("field", "rows", "nrows", "ncols")
+    Products, augmentation and elimination read and write index rows
+    only.  ``rows``, ``row`` and ``column`` build FieldElement tuples for
+    callers at the API edge; library loops use ``to_index_rows``.
+    """
+
+    __slots__ = ("field", "_rows", "nrows", "ncols")
 
     def __init__(self, field: AnyField, rows, ncols: int | None = None):
-        rows = tuple(tuple(r) for r in rows)
+        idx_rows = []
+        for r in rows:
+            out = []
+            for e in r:
+                if not isinstance(e, FieldElement) or (
+                    e.field is not field and e.field != field
+                ):
+                    raise FieldMismatch("entry does not belong to the matrix field")
+                out.append(e.index)
+            idx_rows.append(tuple(out))
+        self._set(field, tuple(idx_rows), ncols)
+
+    def _set(self, field: AnyField, rows: IndexRows, ncols: int | None) -> None:
         if rows:
             width = len(rows[0])
             for r in rows:
                 if len(r) != width:
                     raise DimensionMismatch("ragged rows")
-                for e in r:
-                    if not isinstance(e, FieldElement) or (
-                        e.field is not field and e.field != field
-                    ):
-                        raise FieldMismatch("entry does not belong to the matrix field")
             if ncols is not None and ncols != width:
                 raise DimensionMismatch(f"declared {ncols} columns, rows have {width}")
             ncols = width
         elif ncols is None:
             raise DimensionMismatch("empty matrix needs an explicit column count")
         self.field = field
-        self.rows = rows
+        self._rows = rows
         self.nrows = len(rows)
         self.ncols = ncols
 
@@ -56,29 +76,42 @@ class Matrix:
 
     @classmethod
     def from_indices(cls, field: AnyField, idx_rows, ncols: int | None = None) -> "Matrix":
-        rows = tuple(
-            tuple(FieldElement(field, int(i)) for i in row) for row in idx_rows
-        )
-        return cls(field, rows, ncols=ncols)
+        m = cls.__new__(cls)
+        m._set(field, tuple(tuple(map(int, row)) for row in idx_rows), ncols)
+        return m
+
+    @classmethod
+    def _of(cls, field: AnyField, rows: IndexRows, ncols: int) -> "Matrix":
+        """Wrap index rows this module built itself; no checks, no copy."""
+        m = cls.__new__(cls)
+        m.field, m._rows, m.nrows, m.ncols = field, rows, len(rows), ncols
+        return m
 
     # -- access ----------------------------------------------------------
 
+    @property
+    def rows(self) -> tuple[Vector, ...]:
+        f = self.field
+        return tuple(tuple(FieldElement(f, i) for i in r) for r in self._rows)
+
     def row(self, i: int) -> Vector:
-        return self.rows[i]
+        f = self.field
+        return tuple(FieldElement(f, v) for v in self._rows[i])
 
     def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.rows)
+        f = self.field
+        return tuple(FieldElement(f, r[j]) for r in self._rows)
 
-    def to_index_rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(e.index for e in r) for r in self.rows)
+    def to_index_rows(self) -> IndexRows:
+        return self._rows
 
     def augment(self, other: "Matrix") -> "Matrix":
         if other.nrows != self.nrows or other.field != self.field:
             raise DimensionMismatch("augment needs matching row counts and field")
-        return Matrix(
+        return Matrix._of(
             self.field,
-            tuple(a + b for a, b in zip(self.rows, other.rows)),
-            ncols=self.ncols + other.ncols,
+            tuple(a + b for a, b in zip(self._rows, other._rows)),
+            self.ncols + other.ncols,
         )
 
     # -- arithmetic --------------------------------------------------------
@@ -92,20 +125,18 @@ class Matrix:
             )
         f = self.field
         add, mul = f.add_idx, f.mul_idx
-        a = self.to_index_rows()
-        b = other.to_index_rows()
+        b = other._rows
         out = []
-        for r in range(self.nrows):
+        for ar in self._rows:
             row = []
-            ar = a[r]
             for c in range(other.ncols):
                 acc = 0
                 for k in range(self.ncols):
                     if ar[k] and b[k][c]:
                         acc = add(acc, mul(ar[k], b[k][c]))
-                row.append(FieldElement(f, acc))
+                row.append(acc)
             out.append(tuple(row))
-        return Matrix(f, tuple(out), ncols=other.ncols)
+        return Matrix._of(f, tuple(out), other.ncols)
 
     # -- elimination -------------------------------------------------------
 
@@ -118,8 +149,8 @@ class Matrix:
         search to the leftmost columns (used for augmented systems).
         """
         f = self.field
-        add, mul, sub, inv = f.add_idx, f.mul_idx, f.sub_idx, f.inv_idx
-        work = [list(row) for row in self.to_index_rows()]
+        mul, sub, inv = f.mul_idx, f.sub_idx, f.inv_idx
+        work = [list(row) for row in self._rows]
         ncols = self.ncols
         limit = ncols if pivot_limit is None else pivot_limit
         pivots = []
@@ -142,7 +173,7 @@ class Matrix:
             rank += 1
             if rank == self.nrows:
                 break
-        reduced = Matrix.from_indices(f, work, ncols=ncols)
+        reduced = Matrix._of(f, tuple(map(tuple, work)), ncols)
         return reduced, rank, tuple(pivots)
 
     def rank(self) -> int:
@@ -150,35 +181,22 @@ class Matrix:
 
     def null_space(self) -> tuple[Vector, ...]:
         """Basis of {x : self @ x = 0}, one vector per free column."""
-        f = self.field
-        reduced, rank, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        red = reduced.to_index_rows()
-        for fc in free:
-            vec = [0] * self.ncols
-            vec[fc] = 1
-            for r, pc in enumerate(pivots):
-                vec[pc] = f.neg_idx(red[r][fc])
-            basis.append(tuple(FieldElement(f, v) for v in vec))
-        return tuple(basis)
+        reduced, _, pivots = self.rref()
+        return _null_basis(self.field, reduced.to_index_rows(), pivots, self.ncols)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
             and other.field == self.field
             and other.ncols == self.ncols
-            and other.rows == self.rows
+            and other._rows == self._rows
         )
 
     def __hash__(self):
-        return hash((self.field, self.ncols, self.rows))
+        return hash((self.field, self.ncols, self._rows))
 
     def __repr__(self):
-        body = "; ".join(
-            "[" + " ".join(str(e.index) for e in r) + "]" for r in self.rows
-        )
+        body = "; ".join("[" + " ".join(map(str, r)) + "]" for r in self._rows)
         return f"Matrix<{self.nrows}x{self.ncols} over {self.field.name}>({body})"
 
 
@@ -199,30 +217,72 @@ class LinearSolution:
         return len(self.null_basis)
 
 
-def _particular(a: Matrix, b: Matrix) -> Matrix | None:
-    """One solution of a @ X = b, free unknowns 0; None when inconsistent."""
+def _null_basis(
+    field: AnyField, red: IndexRows, pivots: Sequence[int], width: int
+) -> tuple[Vector, ...]:
+    """Null basis of a matrix whose rref (first ``width`` columns) is ``red``."""
+    neg = field.neg_idx
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(width):
+        if fc in pivot_set:
+            continue
+        vec = [0] * width
+        vec[fc] = 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = neg(red[r][fc])
+        basis.append(tuple(FieldElement(field, v) for v in vec))
+    return tuple(basis)
+
+
+def _particular(
+    a: Matrix, b: Matrix
+) -> tuple[list[tuple[int, ...]] | None, IndexRows, tuple[int, ...]]:
+    """One elimination of [a | b] with pivots confined to a.
+
+    Returns a solution of a @ X = b with free unknowns 0 (None when the
+    system is inconsistent), the reduced rows and the pivot columns.
+    """
     if b.nrows != a.nrows:
         raise DimensionMismatch("right-hand side has wrong row count")
-    aug = a.augment(b)
-    reduced, rank, pivots = aug.rref(pivot_limit=a.ncols)
+    reduced, rank, pivots = a.augment(b).rref(pivot_limit=a.ncols)
     red = reduced.to_index_rows()
-    # A pivot confined to the b-part means 0 = nonzero.
-    for r in range(rank, a.nrows):
-        if any(red[r][a.ncols + j] for j in range(b.ncols)):
-            return None
-    part_rows = [[0] * b.ncols for _ in range(a.ncols)]
+    width = a.ncols
+    # a zero row of a against a nonzero right-hand side means 0 = nonzero
+    if any(any(row[width:]) for row in red[rank:]):
+        return None, red, pivots
+    part = [(0,) * b.ncols] * width
     for r, pc in enumerate(pivots):
-        for j in range(b.ncols):
-            part_rows[pc][j] = red[r][a.ncols + j]
-    return Matrix.from_indices(a.field, part_rows, ncols=b.ncols)
+        part[pc] = red[r][width:]
+    return part, red, pivots
 
 
 def solve_all(a: Matrix, b: Matrix) -> LinearSolution | None:
-    """Solve a @ X = b exactly; None when the system is inconsistent."""
-    particular = _particular(a, b)
-    if particular is None:
+    """Solve a @ X = b exactly; None when the system is inconsistent.
+
+    One elimination of [a | b] gives both the particular solution and the
+    null basis: with pivots confined to a's columns, its left block is the
+    rref of a.
+    """
+    part, red, pivots = _particular(a, b)
+    if part is None:
         return None
-    return LinearSolution(particular=particular, null_basis=a.null_space())
+    return LinearSolution(
+        particular=Matrix.from_indices(a.field, part, ncols=b.ncols),
+        null_basis=_null_basis(a.field, red, pivots, a.ncols),
+    )
+
+
+def span_witness(
+    field: AnyField, generators: Sequence[Sequence[int]], v: Sequence[int]
+) -> tuple[int, ...] | None:
+    """``span_contains`` on index vectors: the witness, or None when v lies
+    outside the span."""
+    if not generators:
+        return None if any(v) else ()
+    a = Matrix.from_indices(field, tuple(zip(*generators)), ncols=len(generators))
+    part, _, _ = _particular(a, Matrix.from_indices(field, ((x,) for x in v), ncols=1))
+    return None if part is None else tuple(x for (x,) in part)
 
 
 def span_contains(
@@ -241,8 +301,7 @@ def span_contains(
         return True, ()
     field = generators[0][0].field
     a = Matrix(field, tuple(zip(*generators)), ncols=len(generators))
-    b = Matrix(field, tuple((e,) for e in v), ncols=1)
-    particular = _particular(a, b)
-    if particular is None:
+    part, _, _ = _particular(a, Matrix(field, tuple((e,) for e in v), ncols=1))
+    if part is None:
         return False, None
-    return True, particular.column(0)
+    return True, tuple(FieldElement(field, x) for (x,) in part)

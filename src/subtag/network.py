@@ -147,7 +147,7 @@ class Topology:
         for nd in self.nodes:
             if nd.name == name:
                 return nd
-        raise UnknownNode(name)
+        raise UnknownNode(f"unknown node {name!r}")
 
     def in_edges(self, name: str) -> tuple[int, ...]:
         """Indices of the edges into ``name``, in declaration order."""

@@ -52,7 +52,8 @@ def _point_to_json(p: ECPoint):
 
 
 def params_to_dict(pp: PublicParams, curve_spec: Optional[AGCodeSpec] = None) -> dict:
-    gen = [[_coords(e) for e in row] for row in pp.code.generator.rows]
+    coords = pp.ext.coords_of
+    gen = [[list(coords(v)) for v in row] for row in pp.code.generator.to_index_rows()]
     doc = {
         "format": PARAMS_FORMAT,
         "base": {"p": pp.base.p, "m": pp.base.m, "modulus": list(pp.base.modulus)},

@@ -20,16 +20,17 @@ packets passes every verifier.
 
 Verification costs are data-independent: per packet, M-1 Frobenius steps
 and M + kdim + 1 extension multiplications.  The optional OpCounter
-records these schedule counts so tests can pin them down.  verify() and
-TaggedPacket.from_symbols() run on raw field indices: the label, the
-weighted tag sum and the unpacked tag chunks never build intermediate
-FieldElements.
+records these schedule counts so tests can pin them down.  verify(),
+tag_payload() and TaggedPacket.from_symbols() run on raw field indices:
+the label row, the label, the weighted tag sum and the unpacked tag
+chunks never build intermediate FieldElements.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .codes import LinearCode
@@ -37,6 +38,7 @@ from .errors import (
     DependentBasis,
     FieldMismatch,
     InvalidParams,
+    InvariantViolated,
     LengthMismatch,
     RankDeficient,
 )
@@ -106,16 +108,16 @@ class PublicParams:
             raise InvalidParams(f"need M >= n, got M={self.M}, n={self.n}")
         if self.code.is_zero:
             raise InvalidParams("zero-dimensional codes distribute no keys")
-        for j in range(self.code.length):
-            if all(e.index == 0 for e in self.code.generator.column(j)):
+        for j, col in enumerate(self._columns):
+            if not any(col):
                 raise InvalidParams(
                     f"generator column {j + 1} is zero (dual distance below 2)"
                 )
         dual = self.code.dual()
         if dual.is_zero:
             raise InvalidParams("the full space has minimum distance 1")
-        for j in range(self.code.length):
-            if all(e.index == 0 for e in dual.generator.column(j)):
+        for j, col in enumerate(zip(*dual.generator.to_index_rows())):
+            if not any(col):
                 raise InvalidParams(
                     f"dual generator column {j + 1} is zero (distance below 2)"
                 )
@@ -137,11 +139,43 @@ class PublicParams:
         """Wire size of one tagged packet, in F_q symbols."""
         return 1 + self.l + self.kdim * self.l
 
-    def generator_column(self, i: int) -> tuple[FieldElement, ...]:
-        """Column of G for verifier i (1-based)."""
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """The columns of G as index tuples, one per verifier."""
+        return tuple(zip(*self.code.generator.to_index_rows()))
+
+    @cached_property
+    def _tag_slots(self) -> tuple[tuple[int, int] | None, ...]:
+        """Per verifier: the first t with g_t != 0 and the index of 1/g_t,
+        or None for a zero column."""
+        inv = self.ext.inv_idx
+        slots = []
+        for col in self._columns:
+            t = next((t for t, g in enumerate(col) if g), None)
+            slots.append(None if t is None else (t, inv(col[t])))
+        return tuple(slots)
+
+    def generator_indices(self, i: int) -> tuple[int, ...]:
+        """Column of G for verifier i (1-based), as field indices."""
         if not 1 <= i <= self.V:
             raise InvalidParams(f"verifier index {i} outside 1..{self.V}")
-        return self.code.generator.column(i - 1)
+        return self._columns[i - 1]
+
+    def generator_column(self, i: int) -> tuple[FieldElement, ...]:
+        """Column of G for verifier i (1-based)."""
+        ext = self.ext
+        return tuple(FieldElement(ext, g) for g in self.generator_indices(i))
+
+    def tag_slot(self, i: int) -> tuple[int, int]:
+        """(t*, index of 1/g[t*]) for verifier i: t* is the first tag slot
+        where i's generator column is nonzero."""
+        self.generator_indices(i)  # the range check
+        slot = self._tag_slots[i - 1]
+        if slot is None:
+            raise InvariantViolated(
+                f"generator column {i} is zero; params validation forbids that"
+            )
+        return slot
 
 
 @dataclass(frozen=True)
@@ -240,16 +274,15 @@ def distribute(
 
 def label_row(
     pp: PublicParams, tracker: Union[int, FieldElement], payload: Sequence[int]
-) -> tuple[FieldElement, ...]:
-    """(tracker, s, s^q, ..., s^(q^(M-1))) as extension elements.
+) -> tuple[int, ...]:
+    """(tracker, s, s^q, ..., s^(q^(M-1))) as extension-field indices.
 
     Tags, labels and every attack constraint are this row weighted by a
     column of the master key or of a verifier key.
     """
     ext = pp.ext
-    s = ext.from_coords(list(payload))
-    powers = ext.frobenius_chain(s.index, pp.M)
-    return (ext.embed(tracker),) + tuple(FieldElement(ext, i) for i in powers)
+    s = ext.from_coords(list(payload)).index
+    return (ext.embed(tracker).index,) + tuple(ext.frobenius_chain(s, pp.M))
 
 
 def tag_payload(
@@ -261,13 +294,17 @@ def tag_payload(
     """One source packet: tracker 1, the payload, and its kdim tags."""
     payload = _check_payload(pp, payload)
     row = label_row(pp, 1, payload)
-    a = mk.matrix
+    ext = pp.ext
+    if mk.matrix.field != ext:
+        raise FieldMismatch("master key must live in the extension field")
+    add, mul = ext.add_idx, ext.mul_idx
+    a = mk.matrix.to_index_rows()
     tags = []
     for t in range(pp.kdim):
-        acc = a.rows[0][t]
+        acc = a[0][t]
         for j in range(1, pp.M + 1):
-            acc = acc + a.rows[j][t] * row[j]
-        tags.append(acc)
+            acc = add(acc, mul(a[j][t], row[j]))
+        tags.append(FieldElement(ext, acc))
     if counter is not None:
         counter.add(mults=pp.kdim * pp.M, frobs=pp.M - 1)
     return TaggedPacket(tracker=1, payload=payload, tag=tuple(tags))
@@ -338,8 +375,8 @@ def verify(
     ext = pp.ext
     add, mul = ext.add_idx, ext.mul_idx
     acc = 0
-    for t, g in zip(_indices(ext, pkt.tag), pp.generator_column(vk.index)):
-        acc = add(acc, mul(t, g.index))
+    for t, g in zip(_indices(ext, pkt.tag), pp.generator_indices(vk.index)):
+        acc = add(acc, mul(t, g))
     if counter is not None:
         counter.add(mults=pp.kdim)
     return lhs == acc

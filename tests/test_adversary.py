@@ -22,8 +22,11 @@ from subtag.errors import (
     TargetInCoalition,
     TooLargeToEnumerate,
 )
-from subtag.fields import FieldElement
+from subtag.codes import rs_code
+from subtag.fields import BaseField, ExtField, FieldElement
+from subtag.linalg import Matrix
 from subtag.scheme import (
+    PublicParams,
     VerifierKey,
     distribute,
     keygen,
@@ -196,6 +199,43 @@ def test_packet_for_label_hits_requested_label(rs_pp):
     # label the target's key produces
     true_label = scheme_label(rs_pp, vks[3], 1, (0, 0, 1))
     assert verify(rs_pp, vks[3], pkt) == (want == true_label)
+
+
+def test_packet_for_label_divides_by_the_first_nonzero_slot(rs_pp):
+    base = BaseField(2, 8)
+    ext = ExtField(base, 3)
+    gf256_pp = PublicParams(base=base, ext=ext, n=2, M=2, code=rs_code(ext, range(8), 3))
+    for pp in (rs_pp, gf256_pp):
+        labels = [pp.ext.element(i) for i in (1, 77, pp.ext.order - 1)]
+        for target in range(1, pp.V + 1):
+            g = pp.generator_column(target)
+            t_star = next(t for t in range(pp.kdim) if g[t])
+            for lab in labels:
+                pkt = packet_for_label(pp, target, (0, 0, 1), lab)
+                want = [pp.ext.zero] * pp.kdim
+                want[t_star] = lab / g[t_star]
+                assert pkt.tag == tuple(want)
+
+
+def test_guesses_on_one_view_reduce_its_payloads_once(rs_pp, monkeypatch):
+    mk = keygen(rs_pp, 3)
+    vks = distribute(rs_pp, mk)
+    packets = tag_basis(rs_pp, mk, ((1, 0, 0), (0, 1, 0)))
+    view = CoalitionView.build(rs_pp, {1: vks[0]}, {1: packets})
+    calls = []
+    original = Matrix.rref
+
+    def counting(self, pivot_limit=None):
+        calls.append(self)
+        return original(self, pivot_limit)
+
+    monkeypatch.setattr(Matrix, "rref", counting)
+    for k in range(32):
+        guess_forge(view, 4, (0, 0, 1), seed=k)
+    assert len(calls) <= 1
+    with pytest.raises(PayloadInSubspace):
+        guess_forge(view, 4, (2, 3, 0), seed=0)
+    assert len(calls) <= 1
 
 
 def test_guess_forge_deterministic_per_seed(rs_pp):

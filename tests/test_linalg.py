@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subtag.errors import DimensionMismatch, FieldMismatch
-from subtag.fields import BaseField
-from subtag.linalg import Matrix, solve_all, span_contains
+from subtag.fields import BaseField, FieldElement
+from subtag.linalg import Matrix, solve_all, span_contains, span_witness
 
 from conftest import random_full_rank
 from oracles import brute_dual_words, brute_solutions, spanned_vectors
@@ -29,6 +29,82 @@ def test_shape_errors():
         a @ a
     with pytest.raises(FieldMismatch):
         a @ Matrix.from_indices(BaseField(3), [[1, 0], [0, 1]], ncols=2)
+
+
+def test_element_and_index_matrices_agree():
+    f = BaseField(5)
+    rows = [[1, 2, 0], [4, 0, 3]]
+    by_index = Matrix.from_indices(f, rows)
+    by_element = Matrix(f, [[f.element(x) for x in r] for r in rows])
+    assert by_index == by_element
+    assert hash(by_index) == hash(by_element)
+    assert by_index.to_index_rows() == by_element.to_index_rows() == ((1, 2, 0), (4, 0, 3))
+    assert by_index.rows == by_element.rows
+    assert all(isinstance(e, FieldElement) for r in by_index.rows for e in r)
+    assert by_index.row(1) == by_element.row(1) == tuple(f.element(x) for x in (4, 0, 3))
+    assert by_index.column(2) == by_element.column(2) == (f.zero, f.element(3))
+    assert by_index != Matrix.from_indices(BaseField(7), rows)
+    assert by_index != Matrix.from_indices(f, [[1, 2, 0], [4, 0, 4]])
+
+
+def test_constructor_checks_still_fire():
+    f5, f3 = BaseField(5), BaseField(3)
+    with pytest.raises(FieldMismatch):
+        Matrix(f5, [[f5.one, f3.one]])
+    with pytest.raises(FieldMismatch):
+        Matrix(f5, [[1, 2]])  # indices are not elements
+    for build in (Matrix.from_indices, lambda f, rows, **kw: Matrix(
+        f, [[f.element(x) for x in r] for r in rows], **kw
+    )):
+        with pytest.raises(DimensionMismatch):
+            build(f5, [[1, 2], [3]])
+        with pytest.raises(DimensionMismatch):
+            build(f5, [[1, 2]], ncols=3)
+        with pytest.raises(DimensionMismatch):
+            build(f5, [])
+        assert build(f5, [], ncols=2).ncols == 2
+    a = M5([[1, 2]])
+    with pytest.raises(DimensionMismatch):
+        a.augment(M5([[1], [2]]))
+    with pytest.raises(DimensionMismatch):
+        solve_all(a, M5([[1], [2]]))
+
+
+def test_index_rref_builds_no_elements(monkeypatch):
+    a = M5([[0, 2, 1], [0, 4, 2], [1, 1, 1]])
+    created = []
+    original = FieldElement.__init__
+
+    def counting(self, field, index):
+        created.append(index)
+        original(self, field, index)
+
+    monkeypatch.setattr(FieldElement, "__init__", counting)
+    red, rank, _ = a.rref()
+    (a @ a).augment(a).to_index_rows()
+    assert rank == 2 and red.rank() == 2
+    assert created == []
+    red.rows  # the API-edge accessor is the one place elements appear
+    assert len(created) == 9
+
+
+def test_solve_all_runs_one_elimination(monkeypatch):
+    calls = []
+    original = Matrix.rref
+
+    def counting(self, pivot_limit=None):
+        calls.append((self.nrows, self.ncols))
+        return original(self, pivot_limit)
+
+    monkeypatch.setattr(Matrix, "rref", counting)
+    a = M5([[1, 2, 0, 3], [0, 1, 1, 2], [1, 3, 1, 0]])
+    b = M5([[1, 0], [2, 1], [3, 1]])
+    sol = solve_all(a, b)
+    assert calls == [(3, 6)]
+    # the null basis read off [a | b] is the one null_space gives for a
+    assert sol.null_basis == a.null_space()
+    assert solve_all(M5([[1, 1], [1, 1]]), M5([[0], [1]])) is None
+    assert len(calls) == 3
 
 
 def test_rref_frozen():
@@ -137,6 +213,21 @@ def test_span_contains_empty_generators():
     one = (f.one, f.zero)
     assert span_contains((), zero) == (True, ())
     assert span_contains((), one) == (False, None)
+
+
+def test_span_witness_matches_span_contains():
+    f = BaseField(5)
+    assert span_witness(f, (), (0, 0)) == ()
+    assert span_witness(f, (), (1, 0)) is None
+    rng = random.Random(3)
+    for _ in range(40):
+        gens = [tuple(rng.randrange(5) for _ in range(3)) for _ in range(rng.randrange(1, 3))]
+        v = tuple(rng.randrange(5) for _ in range(3))
+        ok, lam = span_contains([tuple(map(f.element, g)) for g in gens], tuple(map(f.element, v)))
+        got = span_witness(f, gens, v)
+        assert (got is not None) == ok
+        if ok:
+            assert got == tuple(e.index for e in lam)
 
 
 @settings(max_examples=40, deadline=None)

@@ -447,6 +447,8 @@ def _binary_file(tmp_path):
              "--kdim", "2"],
             None,
         ),
+        (["ec-code", "--a", "1", "--b", "1", "--num-points", "-3", *EC_ARGS], None),
+        (["attack", "--coalition", "1,1,2", "--target", "4"], None),
     ],
     ids=[
         "member-out-of-range",
@@ -463,6 +465,8 @@ def _binary_file(tmp_path):
         "params-not-utf8",
         "topology-not-utf8",
         "base-order-too-large",
+        "ec-negative-point-count",
+        "repeated-member",
     ],
 )
 def test_cli_bad_input_is_a_subtag_error(capsys, tmp_path, argv, params_text):
@@ -484,3 +488,12 @@ def test_cli_bad_input_is_a_subtag_error(capsys, tmp_path, argv, params_text):
     named += [r for a, r in zip(argv[1:], rest) if a is _binary_file]
     for name in named:
         assert f"{name} is not UTF-8 text" in err
+
+
+def test_cli_unknown_inject_node_is_named(capsys, tmp_path):
+    path, _ = _setup_rs(capsys, tmp_path)
+    rc, out, err = _run(capsys, ["simulate", "--params", str(path), "--inject-at", "zz"])
+    assert rc == 1
+    assert out == ""
+    assert "unknown node" in err
+    assert err == "subtag: unknown node 'zz'\n"
