@@ -56,6 +56,7 @@ from .scheme import (
     TaggedPacket,
     VerifierKey,
     _indices,
+    _symbols,
     label as scheme_label,
     label_row,
 )
@@ -247,17 +248,12 @@ def consistent_keys(
         raise TooLargeToEnumerate(
             f"{pp.ext.order}^{sol.nullity} solutions exceed the guard {guard}"
         )
-    part = [r[0] for r in sol.particular.to_index_rows()]
-    basis = [[e.index for e in vec] for vec in sol.null_basis]
-    add, mul = pp.ext.add_idx, pp.ext.mul_idx
-    for combo in itertools.product(range(pp.ext.order), repeat=len(basis)):
-        flat = list(part)
-        for c, vec in zip(combo, basis):
-            if c:
-                for i, v in enumerate(vec):
-                    if v:
-                        flat[i] = add(flat[i], mul(c, v))
-        yield _unflatten(pp, flat)
+    # particular solution plus every combination of the null basis
+    part = tuple(r[0] for r in sol.particular.to_index_rows())
+    vectors = [part] + [[e.index for e in vec] for vec in sol.null_basis]
+    combine, width = pp.ext.combine, len(part)
+    for combo in itertools.product(range(pp.ext.order), repeat=sol.nullity):
+        yield _unflatten(pp, combine((1,) + combo, vectors, width))
 
 
 def _payload_outside_view(view: CoalitionView, payload: tuple[int, ...]) -> None:
@@ -288,13 +284,17 @@ def recover_verifier_key(view: CoalitionView, target: int) -> VerifierKey:
         raise NotQualified(
             f"coalition {view.members} does not determine verifier {target}'s key"
         )
-    add, mul = ext.add_idx, ext.mul_idx
-    column = [0] * (pp.M + 1)
-    for lam, vk in zip(witness, view.keys):
-        if lam:
-            for r, b in enumerate(_indices(ext, vk.column)):
-                column[r] = add(column[r], mul(lam, b))
+    columns = [_indices(ext, vk.column) for vk in view.keys]
+    column = ext.combine(witness, columns, pp.M + 1)
     return VerifierKey(index=target, column=tuple(FieldElement(ext, c) for c in column))
+
+
+def _forge_payload(pp: PublicParams, payload: Sequence[int]) -> tuple[int, ...]:
+    """Range-checked symbol indices of a payload with exactly l coordinates."""
+    payload = _symbols(pp, payload)
+    if len(payload) != pp.l:
+        raise InvalidParams(f"payload needs {pp.l} coordinates")
+    return payload
 
 
 def packet_for_label(
@@ -311,10 +311,10 @@ def packet_for_label(
     t_star, g_inv = pp.tag_slot(target)
     if not isinstance(lab, FieldElement) or lab.field != ext:
         raise FieldMismatch(f"label {lab!r} does not belong to {ext.name}")
+    payload = _forge_payload(pp, payload)
     tag = [ext.zero] * pp.kdim
     tag[t_star] = FieldElement(ext, ext.mul_idx(lab.index, g_inv))
-    payload = tuple(pp.base.element(int(v)).index for v in payload)
-    tracker = pp.base.element(int(tracker)).index
+    (tracker,) = _symbols(pp, (tracker,))
     return TaggedPacket(tracker=tracker, payload=payload, tag=tuple(tag))
 
 
@@ -332,9 +332,7 @@ def deterministic_forge(
     pp = view.pp
     if target in view.members:
         raise TargetInCoalition(f"target {target} is a coalition member")
-    payload = tuple(pp.base.element(int(v)).index for v in payload)
-    if len(payload) != pp.l:
-        raise InvalidParams(f"payload needs {pp.l} coordinates")
+    payload = _forge_payload(pp, payload)
     _payload_outside_view(view, payload)
     vk = recover_verifier_key(view, target)
     lab = scheme_label(pp, vk, tracker, payload)
@@ -352,9 +350,7 @@ def guess_forge(
     pp = view.pp
     if target in view.members:
         raise TargetInCoalition(f"target {target} is a coalition member")
-    payload = tuple(pp.base.element(int(v)).index for v in payload)
-    if len(payload) != pp.l:
-        raise InvalidParams(f"payload needs {pp.l} coordinates")
+    payload = _forge_payload(pp, payload)
     _payload_outside_view(view, payload)
     r = _rng.stream(seed, "adversary/guess")
     lab = FieldElement(pp.ext, r.randrange(pp.ext.order))
@@ -376,16 +372,12 @@ def label_distribution(
     pp = view.pp
     if target in view.members:
         raise TargetInCoalition(f"target {target} is a coalition member")
-    payload = tuple(pp.base.element(int(v)).index for v in payload)
     ext = pp.ext
-    add, mul = ext.add_idx, ext.mul_idx
-    d = label_row(pp, tracker, payload)
+    d = label_row(pp, tracker, _symbols(pp, payload))
     g = Matrix.from_indices(ext, ((x,) for x in pp.generator_indices(target)), ncols=1)
     system = assemble_system(view)
     hist: Counter[int] = Counter()
     for mk in consistent_keys(system, guard):
-        acc = 0
-        for x, (b,) in zip(d, (mk.matrix @ g).to_index_rows()):
-            acc = add(acc, mul(x, b))
-        hist[acc] += 1
+        # the target's key column is A g; its label is d weighting that column
+        hist[ext.dot(d, (b for (b,) in (mk.matrix @ g).to_index_rows()))] += 1
     return {FieldElement(ext, idx): cnt for idx, cnt in hist.items()}

@@ -32,6 +32,12 @@ inverse comes from the norm: x^-1 = (x^q x^(q^2) ... x^(q^(l-1))) N(x)^-1,
 where N(x) = x x^q ... x^(q^(l-1)) lies in F_q.  Only an extension
 precomputes the q-power Frobenius map, once, as an l x l matrix over F_q,
 since tag verification and the norm apply it in a chain.
+
+Every F-linear combination in the package goes through two methods:
+``combine`` (sum_k c_k v_k over index vectors) and ``dot`` (sum_k x_k y_k).
+They are the one multiply-accumulate; both skip zero coefficients and zero
+entries.  Packet mixing, tags, labels, matrix products, the Frobenius step
+and the attacks' key reconstructions call them.
 """
 
 from __future__ import annotations
@@ -261,6 +267,7 @@ class Field:
         "modulus",
         "name",
         "frobenius_matrix",
+        "_frobenius_cols",
         "add_idx",
         "neg_idx",
         "sub_idx",
@@ -305,7 +312,7 @@ class Field:
             self._fold = _fold_terms(modulus, subfield.neg_idx)
         self._key = (type(self), char, subfield, degree, self.modulus)
         self._hash = hash(self._key)
-        self.frobenius_matrix = None
+        self.frobenius_matrix = self._frobenius_cols = None
         self._exp = self._log = self._neg = self._add_table = None
         self._bind_index_ops()
 
@@ -423,6 +430,30 @@ class Field:
         norm = self._mul_raw(i, rest)
         return self._mul_raw(rest, self.subfield.inv_idx(norm))
 
+    def combine(
+        self, coeffs: Iterable[int], vectors: Iterable[Sequence[int]], width: int
+    ) -> tuple[int, ...]:
+        """Indices of sum_k coeffs[k] * vectors[k]; the zero vector of length
+        ``width`` when there are no vectors.  A unit coefficient adds its
+        vector without multiplying."""
+        add, mul = self.add_idx, self.mul_idx
+        acc = [0] * width
+        for c, vec in zip(coeffs, vectors):
+            if c:
+                for i, v in enumerate(vec):
+                    if v:
+                        acc[i] = add(acc[i], v if c == 1 else mul(c, v))
+        return tuple(acc)
+
+    def dot(self, xs: Iterable[int], ys: Iterable[int]) -> int:
+        """Index of sum_k xs[k] * ys[k]."""
+        add, mul = self.add_idx, self.mul_idx
+        acc = 0
+        for x, y in zip(xs, ys):
+            if x and y:
+                acc = add(acc, mul(x, y))
+        return acc
+
     def pow_idx(self, i: int, e: int) -> int:
         if e < 0:
             return self.pow_idx(self.inv_idx(i), -e)
@@ -438,8 +469,9 @@ class Field:
     def _build_frobenius(self) -> None:
         """The q-power map as a matrix over F_q, checked to have order dividing l."""
         q, l = self._radix, self.degree
-        cols = [self.coords_of(self.pow_idx(q**j, q)) for j in range(l)]  # images of e_{j+1}
-        self.frobenius_matrix = tuple(tuple(col[r] for col in cols) for r in range(l))
+        cols = tuple(self.coords_of(self.pow_idx(q**j, q)) for j in range(l))  # images of e_{j+1}
+        self._frobenius_cols = cols
+        self.frobenius_matrix = tuple(zip(*cols))
         # The q-power map is an F_q-automorphism of order dividing l: l steps
         # must return every basis vector, which also makes it invertible.
         for j in range(l):
@@ -452,21 +484,15 @@ class Field:
         """Indices of x, x^q, ..., x^(q^(count-1)) for x of index i.
 
         Each step applies the precomputed Frobenius matrix to the
-        coordinate vector of the previous power.
+        coordinate vector of the previous power: the images of the basis
+        vectors, weighted by its coordinates.
         """
-        add, mul = self.subfield.add_idx, self.subfield.mul_idx
-        mat, l = self.frobenius_matrix, self.degree
+        combine, cols, l = self.subfield.combine, self._frobenius_cols, self.degree
         chain = [i] if count > 0 else []
+        coords = self.coords_of(i)
         while len(chain) < count:
-            coords = self.coords_of(chain[-1])
-            new = []
-            for row in mat:
-                acc = 0
-                for c in range(l):
-                    if coords[c]:
-                        acc = add(acc, mul(row[c], coords[c]))
-                new.append(acc)
-            chain.append(self._from_digits(new))
+            coords = combine(coords, cols, l)
+            chain.append(self._from_digits(coords))
         return tuple(chain)
 
     def frobenius_idx(self, i: int, t: int = 1) -> int:

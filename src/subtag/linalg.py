@@ -123,20 +123,10 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        f = self.field
-        add, mul = f.add_idx, f.mul_idx
-        b = other._rows
-        out = []
-        for ar in self._rows:
-            row = []
-            for c in range(other.ncols):
-                acc = 0
-                for k in range(self.ncols):
-                    if ar[k] and b[k][c]:
-                        acc = add(acc, mul(ar[k], b[k][c]))
-                row.append(acc)
-            out.append(tuple(row))
-        return Matrix._of(f, tuple(out), other.ncols)
+        # row i of the product is row i of self weighting the rows of other
+        combine, b, width = self.field.combine, other._rows, other.ncols
+        rows = tuple(combine(ar, b, width) for ar in self._rows)
+        return Matrix._of(self.field, rows, width)
 
     # -- elimination -------------------------------------------------------
 

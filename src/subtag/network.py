@@ -356,23 +356,6 @@ def _resolve_kernels(
     return out
 
 
-def _combine(
-    base: BaseField,
-    coeffs: Sequence[int],
-    vectors: Sequence[Sequence[int]],
-    width: int,
-) -> tuple[int, ...]:
-    """sum_k coeffs[k] * vectors[k] over F_q, on symbol indices."""
-    add, mul = base.add_idx, base.mul_idx
-    acc = [0] * width
-    for c, vec in zip(coeffs, vectors):
-        if c:
-            for i in range(width):
-                if vec[i]:
-                    acc[i] = add(acc[i], mul(c, vec[i]))
-    return tuple(acc)
-
-
 def compute_global_kernels(
     t: Topology, base: BaseField, n: int, seed: int
 ) -> tuple[dict[str, tuple[tuple[int, ...], ...]], tuple[tuple[int, ...], ...]]:
@@ -391,7 +374,7 @@ def compute_global_kernels(
         else:
             in_vectors = [f[i] for i in t.in_edges(name)]
         for col, edge_idx in enumerate(outs):
-            f[edge_idx] = _combine(base, [row[col] for row in kern], in_vectors, n)
+            f[edge_idx] = base.combine([row[col] for row in kern], in_vectors, n)
     return kernels, tuple(v for v in f)
 
 
@@ -439,12 +422,12 @@ def transmit(
             pkts if name == t.source else [y[i] for i in t.in_edges(name)]
         )
         for col, edge_idx in enumerate(outs):
-            y[edge_idx] = _combine(base, [row[col] for row in kern], in_packets, width)
+            y[edge_idx] = base.combine([row[col] for row in kern], in_packets, width)
 
     if inject_at is None:
         # defining property of the global vectors, checked on honest runs
         for edge_idx, vec in enumerate(f):
-            if _combine(base, vec, pkts, width) != y[edge_idx]:
+            if base.combine(vec, pkts, width) != y[edge_idx]:
                 raise InvariantViolated(
                     f"edge {edge_idx} carries a packet its global vector does not predict"
                 )

@@ -221,7 +221,7 @@ class TaggedPacket:
 
 def _symbols(pp: PublicParams, values: Sequence[int]) -> tuple[int, ...]:
     """Base-field symbol indices, each checked to be in range."""
-    out = tuple(int(v) for v in values)
+    out = tuple(map(int, values))
     q = pp.base.order
     for v in out:
         if not 0 <= v < q:
@@ -280,9 +280,9 @@ def label_row(
     Tags, labels and every attack constraint are this row weighted by a
     column of the master key or of a verifier key.
     """
-    ext = pp.ext
-    s = ext.from_coords(list(payload)).index
-    return (ext.embed(tracker).index,) + tuple(ext.frobenius_chain(s, pp.M))
+    s = _fold(pp.base.order, _check_payload(pp, payload))
+    # the constant embedding of F_q is the identity on indices
+    return (pp.base.element(tracker).index,) + pp.ext.frobenius_chain(s, pp.M)
 
 
 def tag_payload(
@@ -297,17 +297,13 @@ def tag_payload(
     ext = pp.ext
     if mk.matrix.field != ext:
         raise FieldMismatch("master key must live in the extension field")
-    add, mul = ext.add_idx, ext.mul_idx
-    a = mk.matrix.to_index_rows()
-    tags = []
-    for t in range(pp.kdim):
-        acc = a[0][t]
-        for j in range(1, pp.M + 1):
-            acc = add(acc, mul(a[j][t], row[j]))
-        tags.append(FieldElement(ext, acc))
+    # the tag vector is the label row weighting the rows of A
+    tags = ext.combine(row, mk.matrix.to_index_rows(), pp.kdim)
     if counter is not None:
         counter.add(mults=pp.kdim * pp.M, frobs=pp.M - 1)
-    return TaggedPacket(tracker=1, payload=payload, tag=tuple(tags))
+    return TaggedPacket(
+        tracker=1, payload=payload, tag=tuple(FieldElement(ext, t) for t in tags)
+    )
 
 
 def tag_basis(
@@ -345,21 +341,12 @@ def _label_idx(
     counter: Optional[OpCounter],
 ) -> int:
     """Index of tracker * b_0 + sum_t s^(q^(t-1)) * b_t for key column b."""
-    payload = _check_payload(pp, payload)
+    row = label_row(pp, tracker, payload)
     if len(vk.column) != pp.M + 1:
         raise LengthMismatch("verifier key column has the wrong height")
-    ext = pp.ext
-    add, mul = ext.add_idx, ext.mul_idx
-    # the constant embedding of F_q is the identity on indices
-    tracker = pp.base.element(tracker).index
-    column = _indices(ext, vk.column)
-    acc = mul(tracker, column[0])
-    powers = ext.frobenius_chain(_fold(pp.base.order, payload), pp.M)
-    for x, b in zip(powers, column[1:]):
-        acc = add(acc, mul(x, b))
     if counter is not None:
         counter.add(mults=pp.M + 1, frobs=pp.M - 1)
-    return acc
+    return pp.ext.dot(row, _indices(pp.ext, vk.column))
 
 
 def verify(
@@ -373,13 +360,10 @@ def verify(
     if len(pkt.tag) != pp.kdim:
         raise LengthMismatch("tag has the wrong number of components")
     ext = pp.ext
-    add, mul = ext.add_idx, ext.mul_idx
-    acc = 0
-    for t, g in zip(_indices(ext, pkt.tag), pp.generator_indices(vk.index)):
-        acc = add(acc, mul(t, g))
+    rhs = ext.dot(_indices(ext, pkt.tag), pp.generator_indices(vk.index))
     if counter is not None:
         counter.add(mults=pp.kdim)
-    return lhs == acc
+    return lhs == rhs
 
 
 def combine_packets(
@@ -390,24 +374,19 @@ def combine_packets(
     """F_q-linear combination applied symbol-wise across the wire image."""
     if len(packets) != len(coeffs) or not packets:
         raise LengthMismatch("need one coefficient per packet")
-    width = pp.packet_symbols
-    add, mul = pp.base.add_idx, pp.base.mul_idx
-    acc = [0] * width
+    base, width = pp.base, pp.packet_symbols
+    cs, wires = [], []
     for pkt, c in zip(packets, coeffs):
         if isinstance(c, FieldElement):
-            if c.field is not pp.base:
+            if c.field is not base and c.field != base:
                 raise FieldMismatch("combination coefficients live in the base field")
-            c = c.index
+            cs.append(c.index)
         else:
-            c = pp.base.element(int(c)).index
-        syms = pkt.symbols()
-        if len(syms) != width:
+            cs.append(base.element(int(c)).index)
+        wires.append(pkt.symbols())
+        if len(wires[-1]) != width:
             raise LengthMismatch("packet width does not match the parameters")
-        if c:
-            for i, v in enumerate(syms):
-                if v:
-                    acc[i] = add(acc[i], mul(c, v))
-    return TaggedPacket.from_symbols(pp, acc)
+    return TaggedPacket.from_symbols(pp, base.combine(cs, wires, width))
 
 
 def random_payload_basis(

@@ -23,7 +23,7 @@ from subtag.errors import (
     TooLargeToEnumerate,
 )
 from subtag.codes import rs_code
-from subtag.fields import BaseField, ExtField, FieldElement
+from subtag.fields import BaseField, ExtField, Field, FieldElement
 from subtag.linalg import Matrix
 from subtag.scheme import (
     PublicParams,
@@ -215,6 +215,38 @@ def test_packet_for_label_divides_by_the_first_nonzero_slot(rs_pp):
                 want = [pp.ext.zero] * pp.kdim
                 want[t_star] = lab / g[t_star]
                 assert pkt.tag == tuple(want)
+
+
+def test_forged_payloads_are_checked_on_indices(rs_pp, monkeypatch):
+    mk = keygen(rs_pp, 3)
+    vks = distribute(rs_pp, mk)
+    packets = tag_basis(rs_pp, mk, ((1, 0, 0), (0, 1, 0)))
+    view = CoalitionView.build(rs_pp, {1: vks[0], 2: vks[1], 3: vks[2]}, {1: packets})
+    lab = rs_pp.ext.one
+    # a short payload is refused, not packed into a malformed packet
+    with pytest.raises(InvalidParams, match="payload needs 3 coordinates"):
+        packet_for_label(rs_pp, 4, (1, 0), lab)
+    for bad in ((1, 0), (9, 0, 0), (0, -1, 1)):
+        with pytest.raises(InvalidParams):
+            packet_for_label(rs_pp, 4, bad, lab)
+        with pytest.raises(InvalidParams):
+            deterministic_forge(view, 4, bad)
+        with pytest.raises(InvalidParams):
+            guess_forge(view, 4, bad, seed=0)
+    with pytest.raises(InvalidParams):
+        label_distribution(view, 4, (9, 0, 0))
+    # a guess builds no element to normalize its payload or tracker
+    calls = []
+    original = Field.element
+
+    def counting(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(Field, "element", counting)
+    pkt = guess_forge(view, 4, (0, 0, 1), seed=7)
+    assert pkt.payload == (0, 0, 1) and pkt.tracker == 1
+    assert calls == []
 
 
 def test_guesses_on_one_view_reduce_its_payloads_once(rs_pp, monkeypatch):

@@ -109,6 +109,24 @@ def test_index_ops_match_reference(name):
             assert ref.mul(x, inv) == 1
             if k < 25:
                 assert inv == ref.inv(x)
+    # combine and dot against sums of reference products, with zeros and
+    # ones drawn often among coefficients and entries; count 0 is the empty list
+    draw = lambda: r.choice((0, 1, r.randrange(f.order)))
+    for _ in range(20):
+        width, count = r.randrange(1, 6), r.randrange(4)
+        coeffs = [draw() for _ in range(count)]
+        vectors = [[draw() for _ in range(width)] for _ in range(count)]
+        want = [0] * width
+        for c, vec in zip(coeffs, vectors):
+            want = [ref.add(acc, ref.mul(c, v)) for acc, v in zip(want, vec)]
+        assert f.combine(coeffs, vectors, width) == tuple(want)
+        xs, ys = [draw() for _ in range(width)], [draw() for _ in range(width)]
+        want_dot = 0
+        for x, y in zip(xs, ys):
+            want_dot = ref.add(want_dot, ref.mul(x, y))
+        assert f.dot(xs, ys) == want_dot
+    assert f.combine([], [], 4) == (0, 0, 0, 0)
+    assert f.dot([], []) == 0
 
 
 # (x, y, x*y, x^-1, -x) on the two untabulated fields, recorded from the

@@ -188,6 +188,11 @@ def test_combine_packets_is_symbolwise(rs_pp, f5):
         combine_packets(rs_pp, pkts, [1])
     with pytest.raises(FieldMismatch):
         combine_packets(rs_pp, pkts, [rs_pp.ext.one, rs_pp.ext.one])
+    # an equal base field built separately is accepted, another field is not
+    twin = combine_packets(rs_pp, pkts, [FieldElement(BaseField(5), 2), 3])
+    assert twin == mixed
+    with pytest.raises(FieldMismatch):
+        combine_packets(rs_pp, pkts, [FieldElement(BaseField(7), 2), 3])
 
 
 @settings(max_examples=60, deadline=None)
