@@ -48,6 +48,7 @@ from .errors import (
     TargetInCoalition,
     TooLargeToEnumerate,
 )
+from .codes import ENUM_GUARD
 from .fields import FieldElement
 from .linalg import Matrix, solve_all, span_witness
 from .scheme import (
@@ -75,8 +76,6 @@ __all__ = [
     "guess_forge",
     "label_distribution",
 ]
-
-ENUM_GUARD = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -139,6 +138,18 @@ class CoalitionView:
             self.pp.base, payloads, ncols=self.pp.l
         ).rref()
         return reduced.to_index_rows()[:rank], pivots
+
+    def spans(self, payload: Sequence[int]) -> bool:
+        """Does the payload lie in the observed payloads' span?  Reduces it
+        against ``payload_span``; zero means inside."""
+        base = self.pp.base
+        mul, sub = base.mul_idx, base.sub_idx
+        v = payload
+        for row, col in zip(*self.payload_span):
+            c = v[col]
+            if c:
+                v = [sub(x, mul(c, y)) for x, y in zip(v, row)]
+        return not any(v)
 
 
 @dataclass(frozen=True)
@@ -250,22 +261,14 @@ def consistent_keys(
         )
     # particular solution plus every combination of the null basis
     part = tuple(r[0] for r in sol.particular.to_index_rows())
-    vectors = [part] + [[e.index for e in vec] for vec in sol.null_basis]
+    vectors = [part, *sol.null_basis]
     combine, width = pp.ext.combine, len(part)
     for combo in itertools.product(range(pp.ext.order), repeat=sol.nullity):
         yield _unflatten(pp, combine((1,) + combo, vectors, width))
 
 
 def _payload_outside_view(view: CoalitionView, payload: tuple[int, ...]) -> None:
-    """Reduce the payload against the view's observed span; zero means inside."""
-    base = view.pp.base
-    mul, sub = base.mul_idx, base.sub_idx
-    v = payload
-    for row, col in zip(*view.payload_span):
-        c = v[col]
-        if c:
-            v = [sub(x, mul(c, y)) for x, y in zip(v, row)]
-    if not any(v):
+    if view.spans(payload):
         raise PayloadInSubspace(
             "substituted payload lies inside the observed message space"
         )

@@ -76,21 +76,13 @@ def _load_topology(spec: str) -> network.Topology:
     return network.parse_topology(text)
 
 
-def _payload_outside(pp: scheme.PublicParams, rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """First payload (by extension index order) outside the span of rows."""
-    from .linalg import Matrix
-
-    base_rows = [list(r) for r in rows]
-    rank0 = (
-        Matrix.from_indices(pp.base, base_rows, ncols=pp.l).rank() if base_rows else 0
-    )
-    for idx in range(pp.ext.order):
-        cand = list(pp.ext.coords_of(idx))
-        rank1 = Matrix.from_indices(
-            pp.base, base_rows + [cand], ncols=pp.l
-        ).rank()
-        if rank1 > rank0:
-            return tuple(cand)
+def _payload_outside(view: adversary.CoalitionView) -> tuple[int, ...]:
+    """First payload (by extension index order) outside the view's observed span."""
+    coords = view.pp.ext.coords_of
+    for idx in range(view.pp.ext.order):
+        cand = coords(idx)
+        if not view.spans(cand):
+            return cand
     raise InvalidParams("the observed payloads already span the whole space")
 
 
@@ -241,7 +233,7 @@ def build_attack_report(
     system = adversary.assemble_system(view)
     counts = adversary.count_consistent_keys(system)
     if payload is None:
-        payload = _payload_outside(pp, basis)
+        payload = _payload_outside(view)
     payload = tuple(int(v) for v in payload)
 
     report = {
@@ -347,9 +339,9 @@ def build_analyze_report(
     dual = code.dual()
     dual_distance = dual.min_distance()
     mds = code.min_distance() == pp.V - pp.kdim + 1
+    coords = pp.ext.coords_of
     minimal = [
-        [list(e.coords) for e in word]
-        for word in dual.minimal_codewords_wrt(target)
+        [list(coords(v)) for v in word] for word in dual.minimal_codewords_wrt(target)
     ]
     report = {
         "format": "subtag-report/analyze/1",

@@ -6,7 +6,9 @@ verifiers.  Which coalitions of verifiers can cheat which targets is a
 question about column spans of the generator, or equivalently about
 supports of dual codewords.  ``forgeable`` decides the question with the
 cheap span test; ``access_structure`` reads the same answer off the
-minimal dual codewords.
+minimal dual codewords.  Codewords, minimal codewords and forgeability
+witnesses are all index tuples over the code's field; FieldElement
+appears only in ``rs_code``'s evaluation points.
 
 Enumeration-based routines (minimum distance, minimal codewords) are the
 exact oracles the rest of the package leans on, so they refuse instead of
@@ -100,8 +102,7 @@ class LinearCode:
     def dual(self) -> "LinearCode":
         if self._dual is None:
             basis = self.generator.null_space()
-            gen = Matrix(self.field, basis, ncols=self.length)
-            self._dual = LinearCode(gen)
+            self._dual = LinearCode(Matrix.from_indices(self.field, basis, ncols=self.length))
         return self._dual
 
     def _check_enumerable(self, guard: int) -> None:
@@ -168,8 +169,9 @@ class LinearCode:
 
     def minimal_codewords_wrt(
         self, i: int, guard: int = ENUM_GUARD
-    ) -> tuple[tuple[FieldElement, ...], ...]:
-        """Codewords with component 1 at coordinate i and minimal support.
+    ) -> tuple[tuple[int, ...], ...]:
+        """Codewords with component 1 at coordinate i and minimal support,
+        as sorted index tuples.
 
         Minimal means no other codeword that also has component 1 at i has
         its support strictly contained in this one's.  Scalar multiples are
@@ -197,10 +199,7 @@ class LinearCode:
                     break
             if minimal:
                 out.append(word)
-        out.sort()
-        f = self.field
-        found = tuple(tuple(FieldElement(f, v) for v in w) for w in out)
-        self._minimal[i] = found
+        found = self._minimal[i] = tuple(sorted(out))
         return found
 
     def _index_ok(self, i: int) -> None:
@@ -209,12 +208,12 @@ class LinearCode:
 
     # -- coalition analysis ------------------------------------------------
 
-    def forgeable(self, spec: CoalitionSpec) -> tuple[bool, tuple[FieldElement, ...] | None]:
+    def forgeable(self, spec: CoalitionSpec) -> tuple[bool, tuple[int, ...] | None]:
         """Can the coalition determine the target's key column?
 
         True exactly when the target's generator column lies in the span of
-        the members' columns; the witness gives the combination, aligned
-        with ``spec.sorted_members``.
+        the members' columns; the witness gives the combination as indices,
+        aligned with ``spec.sorted_members``.
         """
         self._index_ok(spec.target)
         for j in spec.members:
@@ -222,9 +221,7 @@ class LinearCode:
         rows = self.generator.to_index_rows()
         gens = [tuple(r[j - 1] for r in rows) for j in spec.sorted_members]
         witness = span_witness(self.field, gens, tuple(r[spec.target - 1] for r in rows))
-        if witness is None:
-            return False, None
-        return True, tuple(FieldElement(self.field, x) for x in witness)
+        return witness is not None, witness
 
     def access_structure(
         self, i: int, guard: int = ENUM_GUARD
@@ -238,7 +235,7 @@ class LinearCode:
         seen = set()
         for word in self.dual().minimal_codewords_wrt(i, guard):
             support = tuple(
-                sorted(c + 1 for c, e in enumerate(word) if e.index and c + 1 != i)
+                sorted(c + 1 for c, v in enumerate(word) if v and c + 1 != i)
             )
             seen.add(support)
         return tuple(sorted(seen))

@@ -5,9 +5,11 @@ rows and attack systems a few dozen, so plain Gaussian elimination with
 first-nonzero pivoting is both fast enough and, importantly for
 reproducibility, deterministic.
 
-A Matrix stores rows of field indices, and products, augmentation and
-elimination never build FieldElement; only the ``rows``, ``row`` and
-``column`` accessors return elements.  Each question is answered by one
+A Matrix stores rows of field indices.  Products, augmentation and
+elimination never build FieldElement, and every vector this module hands
+back (null bases, span witnesses) is a tuple of indices; only the
+``Matrix(...)`` constructor and the ``rows``, ``row`` and ``column``
+accessors speak FieldElement.  Each question is answered by one
 elimination: ``solve_all`` reads the particular solution and the null
 basis off the same reduced [A | b].
 """
@@ -24,7 +26,6 @@ __all__ = [
     "Matrix",
     "LinearSolution",
     "solve_all",
-    "span_contains",
     "span_witness",
 ]
 
@@ -169,8 +170,8 @@ class Matrix:
     def rank(self) -> int:
         return self.rref()[1]
 
-    def null_space(self) -> tuple[Vector, ...]:
-        """Basis of {x : self @ x = 0}, one vector per free column."""
+    def null_space(self) -> IndexRows:
+        """Basis of {x : self @ x = 0} as index tuples, one per free column."""
         reduced, _, pivots = self.rref()
         return _null_basis(self.field, reduced.to_index_rows(), pivots, self.ncols)
 
@@ -196,11 +197,11 @@ class LinearSolution:
 
     Every solution of column j is ``particular.column(j)`` plus a linear
     combination of ``null_basis``; the set has size order**nullity per
-    column.
+    column.  The null basis vectors are index tuples.
     """
 
     particular: Matrix
-    null_basis: tuple[Vector, ...]
+    null_basis: IndexRows
 
     @property
     def nullity(self) -> int:
@@ -209,7 +210,7 @@ class LinearSolution:
 
 def _null_basis(
     field: AnyField, red: IndexRows, pivots: Sequence[int], width: int
-) -> tuple[Vector, ...]:
+) -> IndexRows:
     """Null basis of a matrix whose rref (first ``width`` columns) is ``red``."""
     neg = field.neg_idx
     pivot_set = set(pivots)
@@ -221,7 +222,7 @@ def _null_basis(
         vec[fc] = 1
         for r, pc in enumerate(pivots):
             vec[pc] = neg(red[r][fc])
-        basis.append(tuple(FieldElement(field, v) for v in vec))
+        basis.append(tuple(vec))
     return tuple(basis)
 
 
@@ -266,32 +267,17 @@ def solve_all(a: Matrix, b: Matrix) -> LinearSolution | None:
 def span_witness(
     field: AnyField, generators: Sequence[Sequence[int]], v: Sequence[int]
 ) -> tuple[int, ...] | None:
-    """``span_contains`` on index vectors: the witness, or None when v lies
-    outside the span."""
+    """Coefficients writing v as an F-linear combination of the generators,
+    or None when v lies outside their span.
+
+    All vectors are index tuples.  The witness lambda satisfies
+    sum(lambda_j * generators[j]) == v and is aligned with the generator
+    order; the zero vector is witnessed by all-zero coefficients even when
+    there are no generators.  Only a particular solution is computed,
+    never the null space.
+    """
     if not generators:
         return None if any(v) else ()
     a = Matrix.from_indices(field, tuple(zip(*generators)), ncols=len(generators))
     part, _, _ = _particular(a, Matrix.from_indices(field, ((x,) for x in v), ncols=1))
     return None if part is None else tuple(x for (x,) in part)
-
-
-def span_contains(
-    generators: Sequence[Vector], v: Vector
-) -> tuple[bool, tuple[FieldElement, ...] | None]:
-    """Is v an F-linear combination of the generators?  Returns a witness.
-
-    The witness lambda satisfies sum(lambda_j * generators[j]) == v and is
-    aligned with the generator order; the zero vector is witnessed by
-    all-zero coefficients even when there are no generators.  Only a
-    particular solution is computed, never the null space.
-    """
-    if not generators:
-        if any(e.index for e in v):
-            return False, None
-        return True, ()
-    field = generators[0][0].field
-    a = Matrix(field, tuple(zip(*generators)), ncols=len(generators))
-    part, _, _ = _particular(a, Matrix(field, tuple((e,) for e in v), ncols=1))
-    if part is None:
-        return False, None
-    return True, tuple(FieldElement(field, x) for (x,) in part)

@@ -34,6 +34,9 @@ __all__ = [
 
 PARAMS_FORMAT = "subtag-params/1"
 PACKETS_FORMAT = "subtag-packets/1"
+# how an element of F_{q^l} is spelled as l coordinates: little-endian in
+# the polynomial basis of the extension modulus, the only convention
+ISO_CONVENTION = "poly-basis-le"
 
 
 def dump_json(obj) -> str:
@@ -58,7 +61,7 @@ def params_to_dict(pp: PublicParams, curve_spec: Optional[AGCodeSpec] = None) ->
         "format": PARAMS_FORMAT,
         "base": {"p": pp.base.p, "m": pp.base.m, "modulus": list(pp.base.modulus)},
         "ext": {"l": pp.ext.l, "modulus": list(pp.ext.modulus)},
-        "scheme": {"n": pp.n, "M": pp.M, "iso": pp.iso},
+        "scheme": {"n": pp.n, "M": pp.M, "iso": ISO_CONVENTION},
         "code": {"length": pp.V, "kdim": pp.kdim, "generator": gen},
     }
     if curve_spec is not None:
@@ -105,6 +108,9 @@ def params_from_dict(doc: dict) -> tuple[PublicParams, Optional[AGCodeSpec]]:
             raise InvalidParams(f"unknown params format {doc.get('format')!r}")
         base_doc, ext_doc = _object(doc, "base"), _object(doc, "ext")
         scheme_doc, code_doc = _object(doc, "scheme"), _object(doc, "code")
+        iso = scheme_doc.get("iso", ISO_CONVENTION)
+        if iso != ISO_CONVENTION:
+            raise InvalidParams(f"unknown coordinate convention {iso!r}")
         base = BaseField(
             _int(base_doc, "p"),
             _int(base_doc, "m"),
@@ -128,7 +134,6 @@ def params_from_dict(doc: dict) -> tuple[PublicParams, Optional[AGCodeSpec]]:
             n=_int(scheme_doc, "n"),
             M=_int(scheme_doc, "M"),
             code=code,
-            iso=scheme_doc.get("iso", "poly-basis-le"),
         )
         curve_spec = None
         if "curve" in doc:
@@ -202,19 +207,24 @@ def write_packets(
 
 def read_packets(path: str, pp: PublicParams, binary: bool = False) -> tuple[TaggedPacket, ...]:
     expect = _packet_header(pp)
+    mismatch = f"{path}: packet file header does not match the parameters"
     if not binary:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+            try:
+                lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+            except UnicodeDecodeError:
+                raise InvalidParams(f"{path} is not UTF-8 text") from None
         if not lines or lines[0] != expect:
-            raise InvalidParams("packet file header does not match the parameters")
-        return tuple(
-            TaggedPacket.from_symbols(pp, [int(v) for v in ln.split()])
-            for ln in lines[1:]
-        )
+            raise InvalidParams(mismatch)
+        try:
+            rows = [[int(v) for v in ln.split()] for ln in lines[1:]]
+        except ValueError:
+            raise InvalidParams(f"{path}: packet symbols must be decimal integers") from None
+        return tuple(TaggedPacket.from_symbols(pp, syms) for syms in rows)
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").rstrip("\n")
-        if header != expect:
-            raise InvalidParams("packet file header does not match the parameters")
+        # compared as bytes: a header that is not ASCII cannot match
+        if fh.readline().rstrip(b"\n") != expect.encode("ascii"):
+            raise InvalidParams(mismatch)
         body = fh.read()
     width = max(1, ((pp.base.order - 1).bit_length() + 7) // 8)
     per_packet = pp.packet_symbols * width

@@ -23,7 +23,10 @@ and M + kdim + 1 extension multiplications.  The optional OpCounter
 records these schedule counts so tests can pin them down.  verify(),
 tag_payload() and TaggedPacket.from_symbols() run on raw field indices:
 the label row, the label, the weighted tag sum and the unpacked tag
-chunks never build intermediate FieldElements.
+chunks never build intermediate FieldElements.  Generator columns are
+read as index tuples (``PublicParams.generator_indices``); FieldElement
+appears only in the keys, tags and labels handed to callers, where it
+also guards against elements of another field.
 """
 
 from __future__ import annotations
@@ -63,8 +66,6 @@ __all__ = [
     "random_payload_basis",
 ]
 
-ISO_CONVENTION = "poly-basis-le"
-
 
 @dataclass
 class OpCounter:
@@ -93,15 +94,12 @@ class PublicParams:
     n: int
     M: int
     code: LinearCode
-    iso: str = ISO_CONVENTION
 
     def __post_init__(self):
         if self.ext.base != self.base:
             raise InvalidParams("extension field does not sit over the base field")
         if self.code.field != self.ext:
             raise InvalidParams("code must be defined over the extension field")
-        if self.iso != ISO_CONVENTION:
-            raise InvalidParams(f"unknown coordinate convention {self.iso!r}")
         if not 1 <= self.n <= self.ext.l:
             raise InvalidParams(f"need 1 <= n <= l, got n={self.n}, l={self.ext.l}")
         if self.M < self.n:
@@ -160,11 +158,6 @@ class PublicParams:
         if not 1 <= i <= self.V:
             raise InvalidParams(f"verifier index {i} outside 1..{self.V}")
         return self._columns[i - 1]
-
-    def generator_column(self, i: int) -> tuple[FieldElement, ...]:
-        """Column of G for verifier i (1-based)."""
-        ext = self.ext
-        return tuple(FieldElement(ext, g) for g in self.generator_indices(i))
 
     def tag_slot(self, i: int) -> tuple[int, int]:
         """(t*, index of 1/g[t*]) for verifier i: t* is the first tag slot

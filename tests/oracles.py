@@ -261,7 +261,7 @@ def brute_consistent_keys(
     product order; all arithmetic is on field indices.
     """
     ext = pp.ext
-    gens = [[e.index for e in pp.generator_column(i)] for i in members]
+    gens = [list(pp.generator_indices(i)) for i in members]
     cols = [[e.index for e in col] for col in columns]
     row_options = [
         [
@@ -296,7 +296,7 @@ def brute_label(
 ) -> FieldElement:
     """The label verifier ``target`` derives, all by direct arithmetic."""
     ext = pp.ext
-    g = pp.generator_column(target)
+    g = [ext.element(x) for x in pp.generator_indices(target)]
     d = packet_powers(pp, tracker, payload)
     acc = ext.zero
     for r in range(pp.M + 1):

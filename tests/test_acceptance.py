@@ -153,7 +153,7 @@ def test_criterion_2_key_count_grid():
                     for p in pkts
                 ]
                 r0 = _brute_rank(ext, d_rows, pp.M + 1)
-                cols = [[e.index for e in pp.generator_column(i)] for i in members]
+                cols = [list(pp.generator_indices(i)) for i in members]
                 k0 = _brute_rank(ext, cols, pp.kdim)
                 closed = ext.order ** ((pp.M + 1 - r0) * (pp.kdim - k0))
                 if not (closed == brute == counts.predicted == counts.measured):

@@ -191,7 +191,7 @@ def test_packet_for_label_hits_requested_label(rs_pp):
     want = rs_pp.ext.element(77)
     pkt = packet_for_label(rs_pp, 4, (0, 0, 1), want)
     got = rs_pp.ext.zero
-    g = rs_pp.generator_column(4)
+    g = [rs_pp.ext.element(x) for x in rs_pp.generator_indices(4)]
     for t in range(rs_pp.kdim):
         got = got + pkt.tag[t] * g[t]
     assert got == want
@@ -208,7 +208,7 @@ def test_packet_for_label_divides_by_the_first_nonzero_slot(rs_pp):
     for pp in (rs_pp, gf256_pp):
         labels = [pp.ext.element(i) for i in (1, 77, pp.ext.order - 1)]
         for target in range(1, pp.V + 1):
-            g = pp.generator_column(target)
+            g = [pp.ext.element(x) for x in pp.generator_indices(target)]
             t_star = next(t for t in range(pp.kdim) if g[t])
             for lab in labels:
                 pkt = packet_for_label(pp, target, (0, 0, 1), lab)

@@ -16,8 +16,8 @@ from subtag.errors import (
     TooLargeToEnumerate,
     TooLong,
 )
-from subtag.fields import BaseField, ExtField
-from subtag.linalg import Matrix
+from subtag.fields import BaseField, ExtField, FieldElement
+from subtag.linalg import Matrix, solve_all
 from subtag.scheme import PublicParams
 
 from oracles import (
@@ -64,10 +64,10 @@ def test_even_weight_code_frozen(even_weight):
 
 def test_minimal_codewords_frozen(even_weight):
     words = even_weight.minimal_codewords_wrt(1)
-    assert [[e.index for e in w] for w in words] == [[1, 0, 1], [1, 1, 0]]
+    assert words == ((1, 0, 1), (1, 1, 0))
     # every codeword through coordinate 2 is minimal too
     words2 = even_weight.minimal_codewords_wrt(2)
-    assert [[e.index for e in w] for w in words2] == [[0, 1, 1], [1, 1, 0]]
+    assert words2 == ((0, 1, 1), (1, 1, 0))
 
 
 def test_access_structure_frozen(even_weight):
@@ -83,7 +83,7 @@ def test_forgeable_follows_column_span(even_weight):
     # columns of the even-weight generator: g1=(1,1), g2=(1,0), g3=(0,1)
     ok, witness = even_weight.forgeable(CoalitionSpec(frozenset({2, 3}), 1))
     assert ok
-    assert [e.index for e in witness] == [1, 1]
+    assert witness == (1, 1)
     ok2, w2 = even_weight.forgeable(CoalitionSpec(frozenset({2}), 1))
     assert not ok2 and w2 is None
     # empty coalition never forges in a code with nonzero columns
@@ -199,7 +199,7 @@ def test_forgeability_both_routes_and_monotone(seed):
                 for lam, j in zip(witness, spec.sorted_members):
                     col = [rows[r][j - 1] for r in range(k)]
                     for r in range(k):
-                        recon[r] = f.add_idx(recon[r], f.mul_idx(lam.index, col[r]))
+                        recon[r] = f.add_idx(recon[r], f.mul_idx(lam, col[r]))
                 assert recon == [rows[r][target - 1] for r in range(k)]
     # forging power only grows with the coalition
     for a, ok_a in verdicts.items():
@@ -338,3 +338,25 @@ def test_minimal_codewords_memo_keeps_the_checks(f5):
     with pytest.raises(InvalidParams):
         code.minimal_codewords_wrt(5)
     assert code.minimal_codewords_wrt(2) != first
+
+
+def test_index_results_build_no_elements(monkeypatch, f5):
+    # duals, solutions, witnesses and minimal words are index tuples
+    code = rs_code(f5, range(5), 2)
+    a = Matrix.from_indices(f5, [[1, 2, 0, 3], [0, 1, 1, 2], [1, 3, 1, 0]], ncols=4)
+    b = Matrix.from_indices(f5, [[1], [2], [3]], ncols=1)
+    created = []
+    original = FieldElement.__init__
+
+    def counting(self, field, index):
+        created.append(index)
+        original(self, field, index)
+
+    monkeypatch.setattr(FieldElement, "__init__", counting)
+    dual = code.dual()
+    sol = solve_all(a, b)
+    ok, witness = code.forgeable(CoalitionSpec(frozenset({1, 2}), 3))
+    words = dual.minimal_codewords_wrt(1)
+    assert created == []
+    assert (dual.length, dual.kdim, sol.nullity, ok) == (5, 3, 2, True)
+    assert all(type(v) is int for vec in (*sol.null_basis, witness, *words) for v in vec)

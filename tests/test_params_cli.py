@@ -72,6 +72,18 @@ def test_params_from_dict_rejects_tampering(rs_pp):
         params_from_dict(short)
 
 
+def test_params_from_dict_checks_the_coordinate_convention(rs_pp):
+    doc = json.loads(dump_json(params_to_dict(rs_pp)))
+    assert doc["scheme"]["iso"] == "poly-basis-le"
+    doc["scheme"]["iso"] = "normal-basis"
+    with pytest.raises(InvalidParams, match="unknown coordinate convention 'normal-basis'"):
+        params_from_dict(doc)
+    # files without the field read with the one convention
+    del doc["scheme"]["iso"]
+    pp, _ = params_from_dict(doc)
+    assert params_to_dict(pp) == params_to_dict(rs_pp)
+
+
 def test_params_curve_generator_cross_check(tmp_path):
     pp, spec = _f25_curve_params()
     doc = params_to_dict(pp, spec)
@@ -115,6 +127,25 @@ def test_packets_binary_truncation(rs_pp, tmp_path):
     path.write_bytes(blob[:-1])
     with pytest.raises(LengthMismatch):
         read_packets(str(path), rs_pp, binary=True)
+
+
+def test_packets_malformed_files_are_invalid_params(rs_pp, tmp_path):
+    mk = keygen(rs_pp, 9)
+    packets = tag_basis(rs_pp, mk, ((1, 0, 0), (0, 1, 0)))
+    text = tmp_path / "pkts.txt"
+    write_packets(str(text), rs_pp, packets)
+    header, first, rest = text.read_text().split("\n", 2)
+    text.write_text("\n".join((header, "x" + first[1:], rest)))
+    with pytest.raises(InvalidParams, match="pkts.txt"):
+        read_packets(str(text), rs_pp)
+    text.write_bytes(b"\xff" + header.encode())
+    with pytest.raises(InvalidParams, match="pkts.txt"):
+        read_packets(str(text), rs_pp)
+    binary = tmp_path / "pkts.bin"
+    write_packets(str(binary), rs_pp, packets, binary=True)
+    binary.write_bytes(b"\xff" + binary.read_bytes()[1:])
+    with pytest.raises(InvalidParams, match="pkts.bin"):
+        read_packets(str(binary), rs_pp, binary=True)
 
 
 def test_dump_json_is_canonical():

@@ -1,0 +1,91 @@
+"""CLI reports stay byte-identical: every command below is run in-process
+with relative paths, and the sha256 of its stdout and of each file it
+writes is compared with a recorded digest.
+
+A library change that alters any report, params file or rendering fails
+here, and the assertion diff names the command.  A change that alters a
+report on purpose records the new digests (``run_commands`` returns them)
+and says why in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+
+from subtag.cli import main
+
+# (name, argv, files the command writes); later commands read earlier files
+COMMANDS = (
+    ("setup-rs", ["setup", "--q", "5", "--l", "3", "--n", "2", "--M", "2",
+                  "--V", "6", "--kdim", "3", "--out", "rs.json"], ("rs.json",)),
+    ("setup-tiny", ["setup", "--q", "2", "--l", "2", "--n", "1", "--M", "1",
+                    "--V", "3", "--kdim", "2", "--out", "tiny.json",
+                    "--report", "tiny-report.json"], ("tiny.json", "tiny-report.json")),
+    ("setup-rs52", ["setup", "--q", "5", "--l", "2", "--n", "1", "--M", "1",
+                    "--V", "5", "--kdim", "2", "--out", "rs52.json"], ("rs52.json",)),
+    ("ec-code", ["ec-code", "--q", "5", "--l", "2", "--a", "1", "--b", "1",
+                 "--degree", "2", "--num-points", "5", "--n", "1", "--M", "1",
+                 "--out", "ec.json"], ("ec.json",)),
+    ("simulate", ["simulate", "--params", "rs.json", "--seed", "7"], ()),
+    ("simulate-inject", ["simulate", "--params", "rs.json", "--seed", "7",
+                         "--inject-at", "b"], ()),
+    ("attack-deterministic", ["attack", "--params", "rs.json", "--seed", "3",
+                              "--coalition", "1,2,3", "--target", "4"], ()),
+    ("attack-not-qualified", ["attack", "--params", "rs.json", "--seed", "3",
+                              "--coalition", "1,2", "--target", "4",
+                              "--out", "attack.json"], ("attack.json",)),
+    ("attack-guess", ["attack", "--params", "tiny.json", "--seed", "11",
+                      "--coalition", "1", "--target", "3", "--mode", "guess",
+                      "--trials", "64"], ()),
+    ("attack-histogram", ["attack", "--params", "tiny.json", "--seed", "11",
+                          "--coalition", "1", "--target", "3",
+                          "--mode", "histogram"], ()),
+    ("attack-ec", ["attack", "--params", "ec.json", "--seed", "5",
+                   "--coalition", "1,2,3", "--target", "5"], ()),
+    ("analyze-rs", ["analyze", "--params", "rs52.json", "--target", "1"], ()),
+    ("analyze-ec", ["analyze", "--params", "ec.json", "--target", "2"], ()),
+)
+
+# recorded when this test was added
+DIGESTS = {
+    'setup-rs': '1f1490e7899c2a6099dc3edc39f0715eec7b43ff34fce58fb3a33360fedd8c0f',
+    'setup-rs:rs.json': 'dc251f026bba56bca6c6dac7d97e662fb73e162bd462011bc02c740a03af27b5',
+    'setup-tiny': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'setup-tiny:tiny.json': 'ef905205bd61f270b2e5d8a68477226e9e1d34ec80899378a4ae485a2c7e965f',
+    'setup-tiny:tiny-report.json': 'be673c6af074f8f281f889c9c7e4259d1e60a95fc06c31647c878d2573a7da37',
+    'setup-rs52': '4367a3e7e1b165c0c05fca82e0896e4b28d7ecab7f1fba8c9c9a4f9fa9c3ecf5',
+    'setup-rs52:rs52.json': 'c05d89596f95dcb6d4aba966a5cf27fddd3844be9a9f6ecfc39fb6814ae4b402',
+    'ec-code': 'b14f9c7af91a6d351cd029922c539b24761ec612e22231c2a4f60fcd4b40b90f',
+    'ec-code:ec.json': '25fbe46c2669ecd6d4526ca97652e1fac562f4338d88942a98887624d6a363cd',
+    'simulate': 'ca90619bf8f6ede76844510421506034000532f33cc8975b521c5b6e099e4293',
+    'simulate-inject': '7ebe595c8c1aa2a64a1c7894be29523ef63dac19db9286b7a3744301c9cf7a59',
+    'attack-deterministic': 'bdacbef68ff9ff21ab5d1c305940c3dbbab5d087d53c1b24c985e46b681b9c4d',
+    'attack-not-qualified': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'attack-not-qualified:attack.json': '0b6f39bfcf4d0ddfb23196aedc470cfa74644226a248104e0ccf040c40271fa6',
+    'attack-guess': 'e6b22ad2cde00910b627ff651cbe42f1357dde36de0e7e77c3e24f68728b2560',
+    'attack-histogram': '99d0cea11c2cabcd195afbc39799b3e926adb15b4773320b0c3fd3252f4dee8f',
+    'attack-ec': 'f807912378819c7baa526f31f71158558f7582b991d03c7de93a9816d6e8e1af',
+    'analyze-rs': '2a7c0eb9966e448b262002aa04cc98a8f34c27f8ba8eea15de4f67e7ca394ea2',
+    'analyze-ec': '10125874d5559c0f31143a06b889a4b4817b434c1ec1d008787a4c12a8df25ef',
+}
+
+
+def run_commands(workdir) -> dict[str, str]:
+    """Run COMMANDS in ``workdir`` (the current directory); sha256 digests
+    of each command's stdout and of every file it writes."""
+    got = {}
+    for name, argv, written in COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main(argv)
+        assert rc == 0, name
+        got[name] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        for path in written:
+            data = (workdir / path).read_bytes()
+            got[f"{name}:{path}"] = hashlib.sha256(data).hexdigest()
+    return got
+
+
+def test_reports_are_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_commands(tmp_path) == DIGESTS

@@ -65,12 +65,12 @@ def test_shape_properties(rs_pp, tiny_pp):
     assert (rs_pp.l, rs_pp.V, rs_pp.kdim) == (3, 6, 3)
     assert rs_pp.packet_symbols == 1 + 3 + 3 * 3
     assert tiny_pp.packet_symbols == 1 + 2 + 2 * 2
-    col = rs_pp.generator_column(1)
+    col = rs_pp.generator_indices(1)
     assert len(col) == rs_pp.kdim
     with pytest.raises(InvalidParams):
-        rs_pp.generator_column(0)
+        rs_pp.generator_indices(0)
     with pytest.raises(InvalidParams):
-        rs_pp.generator_column(7)
+        rs_pp.generator_indices(7)
 
 
 def test_keygen_deterministic(rs_pp):
@@ -247,8 +247,8 @@ def _reference_accepts(pp, ref, vk, wire):
     for x, b_t in zip(powers, b[1:]):
         lhs = ref.add(lhs, ref.mul(x, b_t))
     rhs = 0
-    for tag, g in zip(tags, pp.generator_column(vk.index)):
-        rhs = ref.add(rhs, ref.mul(tag, g.index))
+    for tag, g in zip(tags, pp.generator_indices(vk.index)):
+        rhs = ref.add(rhs, ref.mul(tag, g))
     return lhs == rhs
 
 
