@@ -9,12 +9,11 @@ starts failing downstream.
 """
 
 import argparse
-import random
 
 from subtag.codes import rs_code
 from subtag.fields import BaseField, ExtField
 from subtag.network import butterfly, same_span, transmit
-from subtag.rng import derive_seed
+from subtag.rng import stream
 from subtag.scheme import (
     PublicParams,
     TaggedPacket,
@@ -44,7 +43,7 @@ def run(pp: PublicParams, seed: int, inject_at: str | None) -> None:
 
     fake = None
     if inject_at is not None:
-        adv = random.Random(derive_seed(seed, "adversary/inject"))
+        adv = stream(seed, "adversary/inject")
         fake = tuple(adv.randrange(pp.base.order) for _ in range(pp.packet_symbols))
     tx = transmit(topo, pp.base, wire, seed, inject_at=inject_at, fake=fake)
 

@@ -20,7 +20,13 @@ Forgery follows the same linearity: when the target's generator column
 lies in the coalition's column span, the witness combination rebuilds the
 target's key column exactly, after which any payload outside the observed
 subspace can be tagged at will.  Otherwise the best available move is to
-guess the one label the target would accept.
+guess the one label the target would accept.  Forged packets carry tracker
+1, as source packets do, and the label histogram is taken for that tracker.
+
+A view is built from the members' keys, by verifier index, and the flat
+sequence of packets the coalition saw.  Enumerating consistent keys is
+exact and bounded by ``codes.ENUM_GUARD``, the same bound the code
+enumerations read.
 
 Everything here works on field indices; FieldElement appears only in the
 keys, packets and histograms handed back.  Each question costs one
@@ -48,7 +54,6 @@ from .errors import (
     TargetInCoalition,
     TooLargeToEnumerate,
 )
-from .codes import ENUM_GUARD
 from .fields import FieldElement
 from .linalg import Matrix, solve_all, span_witness
 from .scheme import (
@@ -61,7 +66,7 @@ from .scheme import (
     label as scheme_label,
     label_row,
 )
-from . import rng as _rng
+from . import codes, rng as _rng
 
 __all__ = [
     "CoalitionView",
@@ -95,33 +100,21 @@ class CoalitionView:
     def build(
         cls,
         pp: PublicParams,
-        keys: Mapping[int, VerifierKey] | Sequence[VerifierKey],
-        packets: Mapping[int, Sequence[TaggedPacket]]
-        | Sequence[TaggedPacket]
-        | None = None,
+        keys: Mapping[int, VerifierKey],
+        packets: Sequence[TaggedPacket] = (),
     ) -> "CoalitionView":
-        if not isinstance(keys, Mapping):
-            keys = {vk.index: vk for vk in keys}
+        """A view from member keys by index and the packets the coalition saw."""
         members = tuple(sorted(keys))
         for i in members:
             if not 1 <= i <= pp.V:
                 raise InvalidParams(f"member index {i} outside 1..{pp.V}")
             if keys[i].index != i:
                 raise InvalidParams(f"key for member {i} carries index {keys[i].index}")
-        if packets is None:
-            observed: tuple[TaggedPacket, ...] = ()
-        elif isinstance(packets, Mapping):
-            for i in packets:
-                if not 1 <= i <= pp.V:
-                    raise InvalidParams(f"observation point {i} outside 1..{pp.V}")
-            observed = tuple(p for i in sorted(packets) for p in packets[i])
-        else:
-            observed = tuple(packets)
         return cls(
             pp=pp,
             members=members,
             keys=tuple(keys[i] for i in members),
-            observed=observed,
+            observed=tuple(packets),
         )
 
     def observed_payloads(self) -> tuple[tuple[int, ...], ...]:
@@ -247,14 +240,14 @@ def _unflatten(pp: PublicParams, flat: Sequence[int]) -> MasterKey:
     return MasterKey(Matrix.from_indices(pp.ext, rows, ncols=pp.kdim))
 
 
-def consistent_keys(
-    system: AttackSystem, guard: int = ENUM_GUARD
-) -> Iterator[MasterKey]:
-    """Every master key the view allows, via the affine solution set."""
+def consistent_keys(system: AttackSystem) -> Iterator[MasterKey]:
+    """Every master key the view allows, via the affine solution set;
+    refuses when there are more than ``codes.ENUM_GUARD`` of them."""
     pp = system.pp
     sol = solve_all(system.coefficients, system.constants)
     if sol is None:
         raise InconsistentSystem("the view admits no master key at all")
+    guard = codes.ENUM_GUARD
     if pp.ext.order**sol.nullity > guard:
         raise TooLargeToEnumerate(
             f"{pp.ext.order}^{sol.nullity} solutions exceed the guard {guard}"
@@ -305,11 +298,10 @@ def packet_for_label(
     target: int,
     payload: Sequence[int],
     lab: FieldElement,
-    tracker: int = 1,
 ) -> TaggedPacket:
     """The unique-per-(t*,label) tag vector making verifier ``target`` compute
-    ``lab`` against it: all tag slots zero except the first one where the
-    target's generator column is nonzero."""
+    ``lab`` against a tracker-1 packet: all tag slots zero except the first
+    one where the target's generator column is nonzero."""
     ext = pp.ext
     t_star, g_inv = pp.tag_slot(target)
     if not isinstance(lab, FieldElement) or lab.field != ext:
@@ -317,15 +309,11 @@ def packet_for_label(
     payload = _forge_payload(pp, payload)
     tag = [ext.zero] * pp.kdim
     tag[t_star] = FieldElement(ext, ext.mul_idx(lab.index, g_inv))
-    (tracker,) = _symbols(pp, (tracker,))
-    return TaggedPacket(tracker=tracker, payload=payload, tag=tuple(tag))
+    return TaggedPacket(tracker=1, payload=payload, tag=tuple(tag))
 
 
 def deterministic_forge(
-    view: CoalitionView,
-    target: int,
-    payload: Sequence[int],
-    tracker: int = 1,
+    view: CoalitionView, target: int, payload: Sequence[int]
 ) -> TaggedPacket:
     """A packet the target is guaranteed to accept, from a qualified view.
 
@@ -338,8 +326,8 @@ def deterministic_forge(
     payload = _forge_payload(pp, payload)
     _payload_outside_view(view, payload)
     vk = recover_verifier_key(view, target)
-    lab = scheme_label(pp, vk, tracker, payload)
-    return packet_for_label(pp, target, payload, lab, tracker)
+    lab = scheme_label(pp, vk, 1, payload)
+    return packet_for_label(pp, target, payload, lab)
 
 
 def guess_forge(
@@ -347,7 +335,6 @@ def guess_forge(
     target: int,
     payload: Sequence[int],
     seed: int,
-    tracker: int = 1,
 ) -> TaggedPacket:
     """Same packet shape, but the label is a uniform guess."""
     pp = view.pp
@@ -357,30 +344,27 @@ def guess_forge(
     _payload_outside_view(view, payload)
     r = _rng.stream(seed, "adversary/guess")
     lab = FieldElement(pp.ext, r.randrange(pp.ext.order))
-    return packet_for_label(pp, target, payload, lab, tracker)
+    return packet_for_label(pp, target, payload, lab)
 
 
 def label_distribution(
-    view: CoalitionView,
-    target: int,
-    payload: Sequence[int],
-    tracker: int = 1,
-    guard: int = ENUM_GUARD,
+    view: CoalitionView, target: int, payload: Sequence[int]
 ) -> dict[FieldElement, int]:
-    """Histogram of the target's label over all view-consistent master keys.
+    """Histogram of the target's label for a tracker-1 packet over all
+    view-consistent master keys.
 
-    Exhaustive and exact; refuses when the consistent-key set is above the
-    guard.
+    Exhaustive and exact; refuses, as ``consistent_keys`` does, when the
+    consistent-key set is above ``codes.ENUM_GUARD``.
     """
     pp = view.pp
     if target in view.members:
         raise TargetInCoalition(f"target {target} is a coalition member")
     ext = pp.ext
-    d = label_row(pp, tracker, _symbols(pp, payload))
+    d = label_row(pp, 1, payload)
     g = Matrix.from_indices(ext, ((x,) for x in pp.generator_indices(target)), ncols=1)
     system = assemble_system(view)
     hist: Counter[int] = Counter()
-    for mk in consistent_keys(system, guard):
+    for mk in consistent_keys(system):
         # the target's key column is A g; its label is d weighting that column
         hist[ext.dot(d, (b for (b,) in (mk.matrix @ g).to_index_rows()))] += 1
     return {FieldElement(ext, idx): cnt for idx, cnt in hist.items()}

@@ -22,7 +22,7 @@ from .codes import CoalitionSpec, rs_code
 from .ec import AGCodeSpec, EllipticCurve, classify_coalition, ec_points, residue_code
 from .errors import InvalidParams, NotQualified, SubtagError
 from .fields import MAX_BASE_ORDER, BaseField, ExtField, _prime_factors
-from .rng import derive_seed
+from .rng import derive_seed, stream
 from .schemas import validate_report
 
 log = logging.getLogger("subtag")
@@ -138,7 +138,7 @@ def build_simulate_report(
 
     fake = None
     if inject_at is not None:
-        adv = __import__("random").Random(derive_seed(seed, "adversary/inject"))
+        adv = stream(seed, "adversary/inject")
         fake = tuple(adv.randrange(pp.base.order) for _ in range(pp.packet_symbols))
     tx = network.transmit(topo, pp.base, wire, seed, inject_at=inject_at, fake=fake)
 

@@ -12,7 +12,9 @@ appears only in ``rs_code``'s evaluation points.
 
 Enumeration-based routines (minimum distance, minimal codewords) are the
 exact oracles the rest of the package leans on, so they refuse instead of
-approximating when the codeword count exceeds their guard bound.
+approximating when the count exceeds ``ENUM_GUARD``.  That one bound also
+guards ``adversary``'s key enumeration; every check reads it when it runs,
+so no routine takes a bound of its own.
 
 ``codewords`` is the one enumeration.  It yields words in
 ``itertools.product`` order over the message digits and never multiplies
@@ -105,19 +107,20 @@ class LinearCode:
             self._dual = LinearCode(Matrix.from_indices(self.field, basis, ncols=self.length))
         return self._dual
 
-    def _check_enumerable(self, guard: int) -> None:
-        if self.field.order**self.kdim > guard:
+    def _check_enumerable(self) -> None:
+        if self.field.order**self.kdim > ENUM_GUARD:
             raise TooLargeToEnumerate(
-                f"{self.field.order}^{self.kdim} codewords exceed the guard {guard}"
+                f"{self.field.order}^{self.kdim} codewords "
+                f"exceed the guard {ENUM_GUARD}"
             )
 
-    def codewords(self, guard: int = ENUM_GUARD) -> Iterator[tuple[int, ...]]:
+    def codewords(self) -> Iterator[tuple[int, ...]]:
         """All codewords as index tuples (exact, guarded enumeration).
 
         The order is that of ``itertools.product(range(order), repeat=kdim)``
         over the message digits.
         """
-        self._check_enumerable(guard)
+        self._check_enumerable()
         f = self.field
         zero = (0,) * self.length
         if self.is_zero:
@@ -146,14 +149,14 @@ class LinearCode:
             for mult in last:
                 yield tuple(map(add, prefix, mult))
 
-    def min_distance(self, guard: int = ENUM_GUARD) -> int:
+    def min_distance(self) -> int:
         """Minimum Hamming weight over all nonzero codewords."""
         if self.is_zero:
             raise InvalidParams("minimum distance of the zero code is undefined")
-        self._check_enumerable(guard)
+        self._check_enumerable()
         if self._dmin is None:
             best = self.length + 1
-            for word in self.codewords(guard):
+            for word in self.codewords():
                 w = 0
                 for v in word:
                     if v:
@@ -167,9 +170,7 @@ class LinearCode:
             self._dmin = best
         return self._dmin
 
-    def minimal_codewords_wrt(
-        self, i: int, guard: int = ENUM_GUARD
-    ) -> tuple[tuple[int, ...], ...]:
+    def minimal_codewords_wrt(self, i: int) -> tuple[tuple[int, ...], ...]:
         """Codewords with component 1 at coordinate i and minimal support,
         as sorted index tuples.
 
@@ -178,11 +179,11 @@ class LinearCode:
         collapsed by the normalization at i.
         """
         self._index_ok(i)
-        self._check_enumerable(guard)
+        self._check_enumerable()
         if i in self._minimal:
             return self._minimal[i]
         candidates = []
-        for word in self.codewords(guard):
+        for word in self.codewords():
             if word[i - 1] != 1:  # index 1 is the field's one
                 continue
             mask = 0
@@ -223,9 +224,7 @@ class LinearCode:
         witness = span_witness(self.field, gens, tuple(r[spec.target - 1] for r in rows))
         return witness is not None, witness
 
-    def access_structure(
-        self, i: int, guard: int = ENUM_GUARD
-    ) -> tuple[tuple[int, ...], ...]:
+    def access_structure(self, i: int) -> tuple[tuple[int, ...], ...]:
         """Minimal coalitions able to forge against verifier i.
 
         Read off the supports of the dual code's minimal codewords at i,
@@ -233,7 +232,7 @@ class LinearCode:
         """
         self._index_ok(i)
         seen = set()
-        for word in self.dual().minimal_codewords_wrt(i, guard):
+        for word in self.dual().minimal_codewords_wrt(i):
             support = tuple(
                 sorted(c + 1 for c, v in enumerate(word) if v and c + 1 != i)
             )

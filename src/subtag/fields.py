@@ -67,21 +67,6 @@ _MUL_TABLE_MAX = 1 << 16
 _ADD_TABLE_MAX = 1 << 10
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors by trial division (n fits in a few bytes here)."""
     out = []
@@ -545,7 +530,7 @@ class BaseField(Field):
     __slots__ = ("p", "m")
 
     def __init__(self, p: int, m: int = 1, modulus: Sequence[int] | None = None):
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise InvalidParams(f"characteristic {p} is not prime")
         if m < 1:
             raise InvalidParams("extension degree must be at least 1")

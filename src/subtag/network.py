@@ -13,7 +13,9 @@ InvariantViolated if it fails.
 A Topology is immutable.  Its per-node in- and out-edge indices and its
 topological order are built once, in one pass over the edges, when it is
 constructed; transmit() and every per-node query read those indices
-instead of scanning the edge list.
+instead of scanning the edge list.  It keeps its own read-only copy of
+the kernels it is given, so later edits to the caller's dict reach
+neither the topology nor a transmission.
 
 Topology files are plain text: ``node <name> <role>``, ``edge <from>
 <to>``, ``kernel <node> <row-major entries>``, with blank lines and #
@@ -25,6 +27,7 @@ together with a seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
@@ -67,12 +70,13 @@ class Topology:
     """Nodes, directed edges, and optional per-node kernels.
 
     The structure helpers are lookups into indices built once in
-    ``__post_init__``.  ``kernels`` stays a plain dict.
+    ``__post_init__``.  ``kernels`` becomes a read-only mapping of
+    normalized rows, copied from the mapping passed in.
     """
 
     nodes: tuple[Node, ...]
     edges: tuple[tuple[str, str], ...]
-    kernels: dict[str, tuple[tuple[int, ...], ...]] = dc_field(default_factory=dict)
+    kernels: Mapping[str, tuple[tuple[int, ...], ...]] = dc_field(default_factory=dict)
     _source: str = dc_field(init=False, repr=False, compare=False)
     _in: dict[str, tuple[int, ...]] = dc_field(init=False, repr=False, compare=False)
     _out: dict[str, tuple[int, ...]] = dc_field(init=False, repr=False, compare=False)
@@ -107,11 +111,11 @@ class Topology:
         object.__setattr__(self, "_in", {k: tuple(v) for k, v in ins.items()})
         object.__setattr__(self, "_out", {k: tuple(v) for k, v in outs.items()})
         object.__setattr__(self, "_order", self._kahn_order())
-        for name, rows in self.kernels.items():
+        kernels = {}
+        for name, given in self.kernels.items():
             if name not in ins:
                 raise UnknownNode(f"kernel for unknown node {name}")
-            rows = tuple(tuple(int(v) for v in r) for r in rows)
-            self.kernels[name] = rows
+            rows = kernels[name] = tuple(tuple(int(v) for v in r) for r in given)
             out_deg = len(self._out[name])
             if any(len(r) != out_deg for r in rows):
                 raise DimensionMismatch(
@@ -121,6 +125,7 @@ class Topology:
                 raise DimensionMismatch(
                     f"kernel at {name} must have one row per incoming edge"
                 )
+        object.__setattr__(self, "kernels", MappingProxyType(kernels))
 
     def _kahn_order(self) -> tuple[str, ...]:
         indeg = {name: len(e) for name, e in self._in.items()}
@@ -251,13 +256,14 @@ def butterfly() -> Topology:
 
 
 def random_topology(
-    num_nodes: int, seed: int, min_source_out: int = 2, extra_edge_prob: float = 0.3
+    num_nodes: int, seed: int, extra_edge_prob: float = 0.3
 ) -> Topology:
     """A random connected DAG on n0..n{k-1}; n0 is the source.
 
     Every later node picks at least one earlier parent, extra forward
-    edges appear independently, nodes without outgoing edges become
-    sinks and the rest verifiers.
+    edges appear independently, and the source gets random extra
+    out-edges until it has at least two.  Nodes without outgoing edges
+    become sinks and the rest verifiers.
     """
     if num_nodes < 3:
         raise InvalidParams("need at least source, one relay, one sink")
@@ -273,7 +279,7 @@ def random_topology(
     out_count = {nm: 0 for nm in names}
     for a, _ in edges:
         out_count[a] += 1
-    while out_count[names[0]] < min_source_out:
+    while out_count[names[0]] < 2:
         j = r.randrange(1, num_nodes)
         edges.append((names[0], names[j]))
         out_count[names[0]] += 1
@@ -378,6 +384,15 @@ def compute_global_kernels(
     return kernels, tuple(v for v in f)
 
 
+def _symbols(base: BaseField, values: Sequence[int]) -> tuple[int, ...]:
+    """Symbol indices of ``base``, each checked to be in range."""
+    out = tuple(map(int, values))
+    for v in out:
+        if not 0 <= v < base.order:
+            raise InvalidParams(f"index {v} out of range for {base.name}")
+    return out
+
+
 def transmit(
     t: Topology,
     base: BaseField,
@@ -400,12 +415,12 @@ def transmit(
     for p in packets:
         if len(p) != width:
             raise LengthMismatch("packets must share one width")
-        pkts.append(tuple(base.element(int(v)).index for v in p))
+        pkts.append(_symbols(base, p))
     if inject_at is not None:
         t.node(inject_at)  # raises UnknownNode
         if fake is None or len(fake) != width:
             raise LengthMismatch("injected packet must match the packet width")
-        fake = tuple(base.element(int(v)).index for v in fake)
+        fake = _symbols(base, fake)
 
     kernels, f = compute_global_kernels(t, base, n, seed)
     y: list[Optional[tuple[int, ...]]] = [None] * len(t.edges)

@@ -26,12 +26,13 @@ the label row, the label, the weighted tag sum and the unpacked tag
 chunks never build intermediate FieldElements.  Generator columns are
 read as index tuples (``PublicParams.generator_indices``); FieldElement
 appears only in the keys, tags and labels handed to callers, where it
-also guards against elements of another field.
+also guards against elements of another field.  Trackers and payloads
+come in as base-field symbol indices, range-checked by ``_symbols``, and
+seeds are integers naming the labelled streams of ``subtag.rng``.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -65,6 +66,11 @@ __all__ = [
     "combine_packets",
     "random_payload_basis",
 ]
+
+# Rejection-sampling budget for random_payload_basis.  A uniform n x l
+# matrix over F_q with n <= l has full rank with probability above 0.28,
+# so exhausting it is out of reach for any seed.
+_BASIS_ATTEMPTS = 1000
 
 
 @dataclass
@@ -204,9 +210,9 @@ class TaggedPacket:
                 f"expected {pp.packet_symbols} symbols, got {len(syms)}"
             )
         syms = _symbols(pp, syms)
-        l, q, ext = pp.l, pp.base.order, pp.ext
+        l, ext = pp.l, pp.ext
         tag = tuple(
-            FieldElement(ext, _fold(q, syms[start : start + l]))
+            FieldElement(ext, ext._from_digits(syms[start : start + l]))
             for start in range(1 + l, len(syms), l)
         )
         return cls(tracker=syms[0], payload=syms[1 : 1 + l], tag=tag)
@@ -220,14 +226,6 @@ def _symbols(pp: PublicParams, values: Sequence[int]) -> tuple[int, ...]:
         if not 0 <= v < q:
             raise InvalidParams(f"symbol {v} out of range for {pp.base.name}")
     return out
-
-
-def _fold(q: int, digits: Sequence[int]) -> int:
-    """Extension index of a coordinate vector (little-endian base-q digits)."""
-    idx = 0
-    for d in reversed(digits):
-        idx = idx * q + d
-    return idx
 
 
 def _indices(field: ExtField, elements: Sequence[FieldElement]) -> list[int]:
@@ -246,9 +244,9 @@ def _check_payload(pp: PublicParams, payload: Sequence[int]) -> tuple[int, ...]:
     return _symbols(pp, payload)
 
 
-def keygen(pp: PublicParams, seed: Union[int, random.Random]) -> MasterKey:
+def keygen(pp: PublicParams, seed: int) -> MasterKey:
     """Uniform master key from the authority's labelled stream."""
-    r = seed if isinstance(seed, random.Random) else _rng.stream(seed, "ta")
+    r = _rng.stream(seed, "ta")
     rows = [
         [r.randrange(pp.ext.order) for _ in range(pp.kdim)] for _ in range(pp.M + 1)
     ]
@@ -265,17 +263,15 @@ def distribute(
     return tuple(VerifierKey(i + 1, b.column(i)) for i in range(pp.V))
 
 
-def label_row(
-    pp: PublicParams, tracker: Union[int, FieldElement], payload: Sequence[int]
-) -> tuple[int, ...]:
+def label_row(pp: PublicParams, tracker: int, payload: Sequence[int]) -> tuple[int, ...]:
     """(tracker, s, s^q, ..., s^(q^(M-1))) as extension-field indices.
 
     Tags, labels and every attack constraint are this row weighted by a
     column of the master key or of a verifier key.
     """
-    s = _fold(pp.base.order, _check_payload(pp, payload))
+    s = pp.ext._from_digits(_check_payload(pp, payload))
     # the constant embedding of F_q is the identity on indices
-    return (pp.base.element(tracker).index,) + pp.ext.frobenius_chain(s, pp.M)
+    return _symbols(pp, (tracker,)) + pp.ext.frobenius_chain(s, pp.M)
 
 
 def tag_payload(
@@ -318,7 +314,7 @@ def tag_basis(
 def label(
     pp: PublicParams,
     vk: VerifierKey,
-    tracker: Union[int, FieldElement],
+    tracker: int,
     payload: Sequence[int],
     counter: Optional[OpCounter] = None,
 ) -> FieldElement:
@@ -329,7 +325,7 @@ def label(
 def _label_idx(
     pp: PublicParams,
     vk: VerifierKey,
-    tracker: Union[int, FieldElement],
+    tracker: int,
     payload: Sequence[int],
     counter: Optional[OpCounter],
 ) -> int:
@@ -382,16 +378,14 @@ def combine_packets(
     return TaggedPacket.from_symbols(pp, base.combine(cs, wires, width))
 
 
-def random_payload_basis(
-    pp: PublicParams, seed: Union[int, random.Random], max_attempts: int = 1000
-) -> tuple[tuple[int, ...], ...]:
+def random_payload_basis(pp: PublicParams, seed: int) -> tuple[tuple[int, ...], ...]:
     """A uniform n-dimensional payload basis (rejection sampled)."""
-    r = seed if isinstance(seed, random.Random) else _rng.stream(seed, "source")
-    for _ in range(max_attempts):
+    r = _rng.stream(seed, "source")
+    for _ in range(_BASIS_ATTEMPTS):
         rows = [
             tuple(r.randrange(pp.base.order) for _ in range(pp.l))
             for _ in range(pp.n)
         ]
         if Matrix.from_indices(pp.base, rows, ncols=pp.l).rank() == pp.n:
             return tuple(rows)
-    raise RankDeficient(f"no independent basis found in {max_attempts} attempts")
+    raise RankDeficient(f"no independent basis found in {_BASIS_ATTEMPTS} attempts")

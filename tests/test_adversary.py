@@ -53,9 +53,7 @@ def test_view_build_validation(tiny):
         CoalitionView.build(pp, {4: vks[0]})
     with pytest.raises(InvalidParams):
         CoalitionView.build(pp, {2: vks[0]})  # key carries index 1
-    with pytest.raises(InvalidParams):
-        CoalitionView.build(pp, {1: vks[0]}, {9: packets})
-    view = CoalitionView.build(pp, [vks[0], vks[2]], {1: packets})
+    view = CoalitionView.build(pp, {3: vks[2], 1: vks[0]}, packets)
     assert view.members == (1, 3)
     assert view.observed == packets
     # an eavesdropper holds traffic but no keys
@@ -72,11 +70,11 @@ def test_r0_k0_frozen(tiny):
     assert (s.r0, s.k0) == (0, 0)
     assert s.unknowns == pp.kdim * (pp.M + 1)
     # one member, one packet
-    view = CoalitionView.build(pp, {1: vks[0]}, {1: packets})
+    view = CoalitionView.build(pp, {1: vks[0]}, packets)
     s = assemble_system(view)
     assert (s.r0, s.k0) == (1, 1)
     # two members of the MDS [3,2] code span everything
-    view2 = CoalitionView.build(pp, {1: vks[0], 2: vks[1]}, {1: packets})
+    view2 = CoalitionView.build(pp, {1: vks[0], 2: vks[1]}, packets)
     s2 = assemble_system(view2)
     assert (s2.r0, s2.k0) == (1, 2)
 
@@ -115,9 +113,7 @@ def test_second_session_pins_the_key(tiny_pp):
     mk = keygen(pp, 21)
     p1 = tag_payload(pp, mk, (1, 0))
     p2 = tag_payload(pp, mk, (0, 1))
-    view = CoalitionView.build(
-        pp, {1: distribute(pp, mk)[0]}, {1: (p1, p2)}
-    )
+    view = CoalitionView.build(pp, {1: distribute(pp, mk)[0]}, (p1, p2))
     system = assemble_system(view)
     assert system.r0 == pp.M + 1
     counts = count_consistent_keys(system)
@@ -130,14 +126,14 @@ def test_inconsistent_view_rejected(tiny):
     pp, mk, vks, packets = tiny
     # swap in a wrong key column for member 1
     wrong = VerifierKey(1, vks[1].column)
-    view = CoalitionView.build(pp, {1: wrong}, {1: packets})
+    view = CoalitionView.build(pp, {1: wrong}, packets)
     with pytest.raises(InconsistentSystem):
         count_consistent_keys(assemble_system(view))
 
 
-def test_consistent_keys_enumeration_matches_brute(tiny):
+def test_consistent_keys_enumeration_matches_brute(tiny, monkeypatch):
     pp, mk, vks, packets = tiny
-    view = CoalitionView.build(pp, {1: vks[0]}, {1: packets})
+    view = CoalitionView.build(pp, {1: vks[0]}, packets)
     system = assemble_system(view)
     got = {mk2.matrix.to_index_rows() for mk2 in consistent_keys(system)}
     want = {
@@ -146,19 +142,20 @@ def test_consistent_keys_enumeration_matches_brute(tiny):
     }
     assert got == want
     assert mk.matrix.to_index_rows() in got
+    monkeypatch.setattr("subtag.codes.ENUM_GUARD", 2)
     with pytest.raises(TooLargeToEnumerate):
-        list(consistent_keys(system, guard=2))
+        list(consistent_keys(system))
 
 
 def test_recover_verifier_key(rs_pp):
     mk = keygen(rs_pp, 3)
     vks = distribute(rs_pp, mk)
     packets = tag_basis(rs_pp, mk, ((1, 0, 0), (0, 1, 0)))
-    view = CoalitionView.build(rs_pp, {1: vks[0], 2: vks[1], 3: vks[2]}, {1: packets})
+    view = CoalitionView.build(rs_pp, {1: vks[0], 2: vks[1], 3: vks[2]}, packets)
     rec = recover_verifier_key(view, 5)
     assert rec.index == 5
     assert rec.column == vks[4].column
-    small = CoalitionView.build(rs_pp, {1: vks[0], 2: vks[1]}, {1: packets})
+    small = CoalitionView.build(rs_pp, {1: vks[0], 2: vks[1]}, packets)
     with pytest.raises(NotQualified):
         recover_verifier_key(small, 5)
 
@@ -168,7 +165,7 @@ def test_deterministic_forge_end_to_end(rs_pp):
     vks = distribute(rs_pp, mk)
     basis = ((1, 0, 0), (0, 1, 0))
     packets = tag_basis(rs_pp, mk, basis)
-    view = CoalitionView.build(rs_pp, {1: vks[0], 2: vks[1], 3: vks[2]}, {1: packets})
+    view = CoalitionView.build(rs_pp, {1: vks[0], 2: vks[1], 3: vks[2]}, packets)
     payload = (0, 0, 1)  # outside span{e1, e2}
     pkt = deterministic_forge(view, 4, payload)
     assert pkt.payload == payload
@@ -179,7 +176,7 @@ def test_deterministic_forge_end_to_end(rs_pp):
         deterministic_forge(view, 2, payload)
     with pytest.raises(NotQualified):
         deterministic_forge(
-            CoalitionView.build(rs_pp, {1: vks[0]}, {1: packets}), 4, payload
+            CoalitionView.build(rs_pp, {1: vks[0]}, packets), 4, payload
         )
 
 
@@ -221,7 +218,7 @@ def test_forged_payloads_are_checked_on_indices(rs_pp, monkeypatch):
     mk = keygen(rs_pp, 3)
     vks = distribute(rs_pp, mk)
     packets = tag_basis(rs_pp, mk, ((1, 0, 0), (0, 1, 0)))
-    view = CoalitionView.build(rs_pp, {1: vks[0], 2: vks[1], 3: vks[2]}, {1: packets})
+    view = CoalitionView.build(rs_pp, {1: vks[0], 2: vks[1], 3: vks[2]}, packets)
     lab = rs_pp.ext.one
     # a short payload is refused, not packed into a malformed packet
     with pytest.raises(InvalidParams, match="payload needs 3 coordinates"):
@@ -253,7 +250,7 @@ def test_guesses_on_one_view_reduce_its_payloads_once(rs_pp, monkeypatch):
     mk = keygen(rs_pp, 3)
     vks = distribute(rs_pp, mk)
     packets = tag_basis(rs_pp, mk, ((1, 0, 0), (0, 1, 0)))
-    view = CoalitionView.build(rs_pp, {1: vks[0]}, {1: packets})
+    view = CoalitionView.build(rs_pp, {1: vks[0]}, packets)
     calls = []
     original = Matrix.rref
 
@@ -274,7 +271,7 @@ def test_guess_forge_deterministic_per_seed(rs_pp):
     mk = keygen(rs_pp, 3)
     vks = distribute(rs_pp, mk)
     packets = tag_basis(rs_pp, mk, ((1, 0, 0), (0, 1, 0)))
-    view = CoalitionView.build(rs_pp, {1: vks[0]}, {1: packets})
+    view = CoalitionView.build(rs_pp, {1: vks[0]}, packets)
     a = guess_forge(view, 4, (0, 0, 1), seed=55)
     b = guess_forge(view, 4, (0, 0, 1), seed=55)
     c = guess_forge(view, 4, (0, 0, 1), seed=56)
@@ -286,12 +283,23 @@ def test_guess_forge_deterministic_per_seed(rs_pp):
 
 def test_label_distribution_matches_brute(tiny):
     pp, mk, vks, packets = tiny
-    view = CoalitionView.build(pp, {1: vks[0]}, {1: packets})
+    view = CoalitionView.build(pp, {1: vks[0]}, packets)
     hist = label_distribution(view, 3, (0, 1))
     brute = brute_label_histogram(
         pp, (1,), [vks[0].column], list(packets), 3, 1, (0, 1)
     )
     assert {e.index: c for e, c in hist.items()} == brute
+
+
+def test_label_distribution_refuses_above_the_guard(tiny, monkeypatch):
+    pp, mk, vks, packets = tiny
+    view = CoalitionView.build(pp, {1: vks[0]}, packets)
+    assert count_consistent_keys(assemble_system(view)).measured == 4
+    monkeypatch.setattr("subtag.codes.ENUM_GUARD", 3)
+    with pytest.raises(TooLargeToEnumerate, match=r"^4\^1 solutions exceed the guard 3$"):
+        label_distribution(view, 3, (0, 1))
+    monkeypatch.setattr("subtag.codes.ENUM_GUARD", 4)
+    assert sum(label_distribution(view, 3, (0, 1)).values()) == 4
 
 
 def test_label_distribution_uniform_for_unqualified(tiny):
@@ -310,7 +318,7 @@ def test_label_distribution_uniform_for_unqualified(tiny):
 
 def test_label_distribution_rejects_member_target(tiny):
     pp, mk, vks, packets = tiny
-    view = CoalitionView.build(pp, {1: vks[0], 3: vks[2]}, {1: packets})
+    view = CoalitionView.build(pp, {1: vks[0], 3: vks[2]}, packets)
     with pytest.raises(TargetInCoalition):
         label_distribution(view, 3, (0, 1))
 
@@ -319,7 +327,7 @@ def test_label_point_mass_when_coalition_qualified(tiny):
     from subtag.scheme import label as scheme_label
 
     pp, mk, vks, packets = tiny
-    view = CoalitionView.build(pp, {1: vks[0], 2: vks[1]}, {1: packets})
+    view = CoalitionView.build(pp, {1: vks[0], 2: vks[1]}, packets)
     hist = label_distribution(view, 3, (0, 1))
     true_label = scheme_label(pp, vks[2], 1, (0, 1))
     assert hist == {true_label: sum(hist.values())}

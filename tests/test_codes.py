@@ -133,18 +133,19 @@ def test_enumeration_guard(e125):
         list(code.codewords())
     with pytest.raises(TooLargeToEnumerate):
         code.min_distance()
-    # explicit generous guard overrides are honored for the small dual
-    assert code.dual().min_distance(guard=1 << 10) == 5
+    # the 125-word dual stays under the bound
+    assert code.dual().min_distance() == 5
 
 
-def test_min_distance_memo_still_honors_the_guard(f5):
+def test_min_distance_memo_still_honors_the_guard(f5, monkeypatch):
     code = rs_code(f5, range(4), 2)
     assert code.min_distance() == 3
     # a memoized answer must not bypass a guard that a fresh code enforces
+    monkeypatch.setattr("subtag.codes.ENUM_GUARD", 1)
     with pytest.raises(TooLargeToEnumerate):
-        code.min_distance(guard=1)
+        code.min_distance()
     with pytest.raises(TooLargeToEnumerate):
-        rs_code(f5, range(4), 2).min_distance(guard=1)
+        rs_code(f5, range(4), 2).min_distance()
 
 
 def test_zero_dual_of_full_code(f3):
@@ -259,7 +260,7 @@ def _product_order_words(field, rows, ncols):
     return words
 
 
-def test_codewords_order_matches_reference(f5, e25, f4):
+def test_codewords_order_matches_reference(f5, e25, f4, monkeypatch):
     e16 = ExtField(f4, 2)
     codes = [
         rs_code(f5, range(4), 1),  # kdim 1; its dual has kdim 3
@@ -278,9 +279,11 @@ def test_codewords_order_matches_reference(f5, e25, f4):
     assert zero.kdim == 0
     assert list(zero.codewords()) == [(0, 0)] == _product_order_words(f5, [], 2)
     small = rs_code(e25, range(4), 2)
+    monkeypatch.setattr("subtag.codes.ENUM_GUARD", 624)
     with pytest.raises(TooLargeToEnumerate):
-        list(small.codewords(guard=624))
-    assert len(list(small.codewords(guard=625))) == 625
+        list(small.codewords())
+    monkeypatch.setattr("subtag.codes.ENUM_GUARD", 625)
+    assert len(list(small.codewords())) == 625
 
 
 def test_analyze_enumerates_the_dual_twice(monkeypatch, f5):
@@ -329,12 +332,14 @@ def test_forgeable_computes_no_null_space(monkeypatch, f5):
     assert calls == []
 
 
-def test_minimal_codewords_memo_keeps_the_checks(f5):
+def test_minimal_codewords_memo_keeps_the_checks(f5, monkeypatch):
     code = rs_code(f5, range(4), 2)  # 25 words
     first = code.minimal_codewords_wrt(1)
     assert code.minimal_codewords_wrt(1) is first
-    with pytest.raises(TooLargeToEnumerate):
-        code.minimal_codewords_wrt(1, guard=24)
+    with monkeypatch.context() as m:
+        m.setattr("subtag.codes.ENUM_GUARD", 24)
+        with pytest.raises(TooLargeToEnumerate):
+            code.minimal_codewords_wrt(1)
     with pytest.raises(InvalidParams):
         code.minimal_codewords_wrt(5)
     assert code.minimal_codewords_wrt(2) != first

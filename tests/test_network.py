@@ -9,7 +9,7 @@ from subtag.errors import (
     LengthMismatch,
     UnknownNode,
 )
-from subtag.fields import BaseField
+from subtag.fields import BaseField, Field
 from subtag.network import (
     Node,
     Topology,
@@ -154,7 +154,7 @@ def test_transmit_respects_global_rows():
             assert tuple(expect) == pkt
 
 
-def test_transmit_validation():
+def test_transmit_validation(monkeypatch):
     t = butterfly()
     base = BaseField(5)
     with pytest.raises(InvalidParams):
@@ -168,6 +168,38 @@ def test_transmit_validation():
         transmit(t, base, [(1, 0), (0, 1)], seed=0, inject_at="zz", fake=(1, 1))
     with pytest.raises(LengthMismatch):
         transmit(t, base, [(1, 0), (0, 1)], seed=0, inject_at="b", fake=(1,))
+    with pytest.raises(InvalidParams, match=r"^index 5 out of range for GF\(5\)$"):
+        transmit(t, base, [(1, 0), (0, 5)], seed=0)
+    with pytest.raises(InvalidParams, match=r"^index -1 out of range for GF\(5\)$"):
+        transmit(t, base, [(1, 0), (0, 1)], seed=0, inject_at="b", fake=(1, -1))
+    # an honest run checks symbol ranges on indices, building no element
+    calls = []
+    original = Field.element
+
+    def counting(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(Field, "element", counting)
+    tx = transmit(t, base, [(1, 0), (0, 1)], seed=0)
+    assert tx.packets_at("t1") == ((1, 0), (1, 1))
+    assert calls == []
+
+
+def test_topology_keeps_its_own_kernels():
+    nodes = (Node("s", "source"), Node("a", "verifier"), Node("t", "sink"))
+    kernels = {"a": [[1]]}
+    t = Topology(nodes, (("s", "a"), ("a", "t")), kernels)
+    assert kernels == {"a": [[1]]}
+    before = transmit(t, BaseField(5), [(1, 2)], seed=0)
+    # editing the caller's dict afterwards reaches neither the topology nor
+    # a transmission
+    kernels["a"] = ((),)
+    assert dict(t.kernels) == {"a": ((1,),)}
+    after = transmit(t, BaseField(5), [(1, 2)], seed=0)
+    assert after.edge_packets == before.edge_packets == ((1, 2), (1, 2))
+    with pytest.raises(TypeError):
+        t.kernels["a"] = ((2,),)
 
 
 def test_kernel_shape_checking():

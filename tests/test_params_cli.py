@@ -318,6 +318,27 @@ def test_cli_attack_histogram(capsys, tmp_path):
     assert sum(int(c) for c in hist["counts"].values()) == 4
 
 
+def test_cli_attack_histogram_refuses_above_the_guard(capsys, tmp_path):
+    # an outsider's view of a q=2, l=9 instance leaves 512^3 master keys,
+    # above the one enumeration bound of 2^24
+    path = tmp_path / "wide.json"
+    rc, _, err = _run(
+        capsys,
+        [
+            "setup", "--q", "2", "--l", "9", "--n", "2", "--M", "2",
+            "--V", "6", "--kdim", "3", "--out", str(path),
+        ],
+    )
+    assert rc == 0, err
+    rc, out, err = _run(
+        capsys,
+        ["attack", "--params", str(path), "--target", "1", "--mode", "histogram"],
+    )
+    assert rc == 1
+    assert out == ""
+    assert err == "subtag: 512^3 solutions exceed the guard 16777216\n"
+
+
 def test_cli_analyze(capsys, tmp_path):
     # RS[5,2] keeps the codeword enumerations inside min_distance cheap
     path = tmp_path / "rs52.json"
