@@ -29,11 +29,11 @@ exact and bounded by ``codes.ENUM_GUARD``, the same bound the code
 enumerations read.
 
 Everything here works on field indices; FieldElement appears only in the
-keys, packets and histograms handed back.  Each question costs one
-elimination: the key count reads its nullity off the same reduced system
-as the particular solution, a view reduces its observed payloads once for
-all the forgeries made from it, and the params cache each verifier's
-first nonzero generator slot and its inverse for packet_for_label.
+keys, packets and histograms handed back.  No question is asked twice: a
+view assembles its system once and reduces its observed payloads once; a
+system is solved once, for both the key count and the key enumeration;
+and the params cache each verifier's first nonzero generator slot and
+its inverse for packet_for_label.
 """
 
 from __future__ import annotations
@@ -55,14 +55,13 @@ from .errors import (
     TooLargeToEnumerate,
 )
 from .fields import FieldElement
-from .linalg import Matrix, solve_all, span_witness
+from .linalg import LinearSolution, Matrix, solve_all, span_witness
 from .scheme import (
     MasterKey,
     PublicParams,
     TaggedPacket,
     VerifierKey,
-    _indices,
-    _symbols,
+    _indices_in,
     label as scheme_label,
     label_row,
 )
@@ -144,6 +143,10 @@ class CoalitionView:
                 v = [sub(x, mul(c, y)) for x, y in zip(v, row)]
         return not any(v)
 
+    @cached_property
+    def _system(self) -> "AttackSystem":
+        return _assemble(self)
+
 
 @dataclass(frozen=True)
 class AttackSystem:
@@ -159,8 +162,21 @@ class AttackSystem:
     def unknowns(self) -> int:
         return self.pp.kdim * (self.pp.M + 1)
 
+    @cached_property
+    def _solution(self) -> LinearSolution:
+        """The one elimination the key count and the key enumeration read."""
+        sol = solve_all(self.coefficients, self.constants)
+        if sol is None:
+            raise InconsistentSystem("the view admits no master key at all")
+        return sol
+
 
 def assemble_system(view: CoalitionView) -> AttackSystem:
+    """The view's linear system on the master key, assembled once per view."""
+    return view._system
+
+
+def _assemble(view: CoalitionView) -> AttackSystem:
     pp = view.pp
     ext = pp.ext
     height = pp.M + 1
@@ -174,7 +190,7 @@ def assemble_system(view: CoalitionView) -> AttackSystem:
         packet_rows.append(d)
         if len(pkt.tag) != pp.kdim:
             raise InvalidParams("packet tag width does not match the code")
-        for t, tag in enumerate(_indices(ext, pkt.tag)):
+        for t, tag in enumerate(_indices_in(ext, pkt)):
             row = [0] * width
             row[t * height : (t + 1) * height] = d
             rows.append(row)
@@ -186,7 +202,7 @@ def assemble_system(view: CoalitionView) -> AttackSystem:
         cols.append(g)
         if len(vk.column) != height:
             raise InvalidParams(f"key column for member {member} has wrong height")
-        for r, b in enumerate(_indices(ext, vk.column)):
+        for r, b in enumerate(_indices_in(ext, vk)):
             row = [0] * width
             row[r::height] = g
             rows.append(row)
@@ -215,9 +231,7 @@ class KeyCount:
 def count_consistent_keys(system: AttackSystem) -> KeyCount:
     """Closed-form and solver-side counts of master keys matching the view."""
     pp = system.pp
-    sol = solve_all(system.coefficients, system.constants)
-    if sol is None:
-        raise InconsistentSystem("the view admits no master key at all")
+    sol = system._solution
     measured = pp.ext.order**sol.nullity
     predicted = pp.ext.order ** ((pp.M + 1 - system.r0) * (pp.kdim - system.k0))
     if predicted != measured:
@@ -244,9 +258,7 @@ def consistent_keys(system: AttackSystem) -> Iterator[MasterKey]:
     """Every master key the view allows, via the affine solution set;
     refuses when there are more than ``codes.ENUM_GUARD`` of them."""
     pp = system.pp
-    sol = solve_all(system.coefficients, system.constants)
-    if sol is None:
-        raise InconsistentSystem("the view admits no master key at all")
+    sol = system._solution
     guard = codes.ENUM_GUARD
     if pp.ext.order**sol.nullity > guard:
         raise TooLargeToEnumerate(
@@ -280,14 +292,14 @@ def recover_verifier_key(view: CoalitionView, target: int) -> VerifierKey:
         raise NotQualified(
             f"coalition {view.members} does not determine verifier {target}'s key"
         )
-    columns = [_indices(ext, vk.column) for vk in view.keys]
+    columns = [_indices_in(ext, vk) for vk in view.keys]
     column = ext.combine(witness, columns, pp.M + 1)
     return VerifierKey(index=target, column=tuple(FieldElement(ext, c) for c in column))
 
 
 def _forge_payload(pp: PublicParams, payload: Sequence[int]) -> tuple[int, ...]:
     """Range-checked symbol indices of a payload with exactly l coordinates."""
-    payload = _symbols(pp, payload)
+    payload = pp.base._symbols(payload)
     if len(payload) != pp.l:
         raise InvalidParams(f"payload needs {pp.l} coordinates")
     return payload
@@ -321,11 +333,9 @@ def deterministic_forge(
     otherwise the "forgery" would just be an honest combination.
     """
     pp = view.pp
-    if target in view.members:
-        raise TargetInCoalition(f"target {target} is a coalition member")
     payload = _forge_payload(pp, payload)
     _payload_outside_view(view, payload)
-    vk = recover_verifier_key(view, target)
+    vk = recover_verifier_key(view, target)  # refuses a member target
     lab = scheme_label(pp, vk, 1, payload)
     return packet_for_label(pp, target, payload, lab)
 

@@ -214,7 +214,6 @@ def build_attack_report(
 ) -> dict:
     if len(set(coalition)) != len(coalition):
         raise InvalidParams(f"coalition {list(coalition)} repeats a member")
-    CoalitionSpec(frozenset(coalition), target)  # index sanity
     for i in (*coalition, target):
         if not 1 <= i <= pp.V:
             raise InvalidParams(f"verifier index {i} outside 1..{pp.V}")

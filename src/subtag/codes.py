@@ -88,6 +88,9 @@ class LinearCode:
             raise InvalidParams("code length must be at least 1")
         if generator.nrows and generator.rank() != generator.nrows:
             raise RankDeficient("generator rows are linearly dependent")
+        self._hold(generator)
+
+    def _hold(self, generator: Matrix) -> None:
         self.field = generator.field
         self.generator = generator
         self.length = generator.ncols
@@ -103,8 +106,10 @@ class LinearCode:
 
     def dual(self) -> "LinearCode":
         if self._dual is None:
+            # a null basis is independent by construction: no rank check
             basis = self.generator.null_space()
-            self._dual = LinearCode(Matrix.from_indices(self.field, basis, ncols=self.length))
+            self._dual = LinearCode.__new__(LinearCode)
+            self._dual._hold(Matrix.from_indices(self.field, basis, ncols=self.length))
         return self._dual
 
     def _check_enumerable(self) -> None:
@@ -230,7 +235,6 @@ class LinearCode:
         Read off the supports of the dual code's minimal codewords at i,
         with i itself removed.
         """
-        self._index_ok(i)
         seen = set()
         for word in self.dual().minimal_codewords_wrt(i):
             support = tuple(

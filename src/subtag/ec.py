@@ -239,14 +239,8 @@ def eval_code(spec: AGCodeSpec) -> LinearCode:
     rows = []
     for mono in rr_basis(spec.curve, spec.degree):
         rows.append(tuple(mono.evaluate(p) for p in spec.points))
-    gen = Matrix(spec.curve.field, tuple(rows), ncols=spec.n)
-    code = LinearCode(gen)
-    # degree < n makes the evaluation map injective on L(degree * O).
-    if code.kdim != spec.degree:
-        raise InvariantViolated(
-            f"evaluation code has dimension {code.kdim}, not the degree {spec.degree}"
-        )
-    return code
+    # degree < n makes the evaluation map injective on L(degree * O)
+    return LinearCode(Matrix(spec.curve.field, tuple(rows), ncols=spec.n))
 
 
 def residue_code(spec: AGCodeSpec) -> LinearCode:

@@ -503,6 +503,16 @@ class Field:
         """Constant embedding of the subfield; on indices this is the identity."""
         return FieldElement(self, self.subfield.element(sym).index)
 
+    def _symbols(self, values: Iterable[int]) -> tuple[int, ...]:
+        """``values`` as indices of this field, each an int in range."""
+        out = tuple(values)
+        for v in out:
+            if not isinstance(v, int):
+                raise FieldMismatch(f"{v!r} is not an index of {self.name}")
+            if not 0 <= v < self.order:
+                raise InvalidParams(f"index {v} out of range for {self.name}")
+        return out
+
     def element(self, x) -> FieldElement:
         if isinstance(x, FieldElement):
             if x.field != self:
@@ -510,9 +520,7 @@ class Field:
             return x
         if isinstance(x, (list, tuple)):
             return self.from_coords(x)
-        if not 0 <= x < self.order:
-            raise InvalidParams(f"index {x} out of range for {self.name}")
-        return FieldElement(self, x)
+        return FieldElement(self, self._symbols((x,))[0])
 
     def __eq__(self, other) -> bool:
         return other is self or (isinstance(other, Field) and other._key == self._key)

@@ -384,15 +384,6 @@ def compute_global_kernels(
     return kernels, tuple(v for v in f)
 
 
-def _symbols(base: BaseField, values: Sequence[int]) -> tuple[int, ...]:
-    """Symbol indices of ``base``, each checked to be in range."""
-    out = tuple(map(int, values))
-    for v in out:
-        if not 0 <= v < base.order:
-            raise InvalidParams(f"index {v} out of range for {base.name}")
-    return out
-
-
 def transmit(
     t: Topology,
     base: BaseField,
@@ -415,12 +406,12 @@ def transmit(
     for p in packets:
         if len(p) != width:
             raise LengthMismatch("packets must share one width")
-        pkts.append(_symbols(base, p))
+        pkts.append(base._symbols(p))
     if inject_at is not None:
         t.node(inject_at)  # raises UnknownNode
         if fake is None or len(fake) != width:
             raise LengthMismatch("injected packet must match the packet width")
-        fake = _symbols(base, fake)
+        fake = base._symbols(fake)
 
     kernels, f = compute_global_kernels(t, base, n, seed)
     y: list[Optional[tuple[int, ...]]] = [None] * len(t.edges)

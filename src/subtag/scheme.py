@@ -24,25 +24,26 @@ records these schedule counts so tests can pin them down.  verify(),
 tag_payload() and TaggedPacket.from_symbols() run on raw field indices:
 the label row, the label, the weighted tag sum and the unpacked tag
 chunks never build intermediate FieldElements.  Generator columns are
-read as index tuples (``PublicParams.generator_indices``); FieldElement
-appears only in the keys, tags and labels handed to callers, where it
-also guards against elements of another field.  Trackers and payloads
-come in as base-field symbol indices, range-checked by ``_symbols``, and
-seeds are integers naming the labelled streams of ``subtag.rng``.
+read as index tuples (``PublicParams.generator_indices``).  Each input is
+checked once, where it is made: a VerifierKey or TaggedPacket checks that
+its column or tag holds FieldElements of one field when it is built, and
+keeps that field and their indices for verify() and the attacks to read
+after one field test.  Trackers, payloads and coefficients are base-field
+symbol indices (``Field._symbols``), checked by each public entry.  Seeds
+are integers naming the labelled streams of ``subtag.rng``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .codes import LinearCode
 from .errors import (
     DependentBasis,
     FieldMismatch,
     InvalidParams,
-    InvariantViolated,
     LengthMismatch,
     RankDeficient,
 )
@@ -149,14 +150,14 @@ class PublicParams:
         return tuple(zip(*self.code.generator.to_index_rows()))
 
     @cached_property
-    def _tag_slots(self) -> tuple[tuple[int, int] | None, ...]:
-        """Per verifier: the first t with g_t != 0 and the index of 1/g_t,
-        or None for a zero column."""
+    def _tag_slots(self) -> tuple[tuple[int, int], ...]:
+        """Per verifier: the first t with g_t != 0 (``__post_init__`` refused
+        zero columns) and the index of 1/g_t."""
         inv = self.ext.inv_idx
         slots = []
         for col in self._columns:
-            t = next((t for t, g in enumerate(col) if g), None)
-            slots.append(None if t is None else (t, inv(col[t])))
+            t = next(t for t, g in enumerate(col) if g)
+            slots.append((t, inv(col[t])))
         return tuple(slots)
 
     def generator_indices(self, i: int) -> tuple[int, ...]:
@@ -169,12 +170,7 @@ class PublicParams:
         """(t*, index of 1/g[t*]) for verifier i: t* is the first tag slot
         where i's generator column is nonzero."""
         self.generator_indices(i)  # the range check
-        slot = self._tag_slots[i - 1]
-        if slot is None:
-            raise InvariantViolated(
-                f"generator column {i} is zero; params validation forbids that"
-            )
-        return slot
+        return self._tag_slots[i - 1]
 
 
 @dataclass(frozen=True)
@@ -182,10 +178,31 @@ class MasterKey:
     matrix: Matrix  # (M+1) x kdim over the extension field
 
 
+def _one_field(elements: Sequence[FieldElement]) -> tuple[object, tuple[int, ...]]:
+    """The one field that ``elements`` share, and their indices."""
+    field = getattr(elements[0], "field", None) if elements else None
+    for e in elements:
+        if not isinstance(e, FieldElement) or (e.field is not field and e.field != field):
+            raise FieldMismatch(f"{elements!r} are not elements of one field")
+    return field, tuple(e.index for e in elements)
+
+
+def _indices_in(ext: ExtField, held: "VerifierKey | TaggedPacket") -> tuple[int, ...]:
+    """The indices a key or packet kept when built, once its field is ext."""
+    field, idx = held._indexed
+    if field is not ext and field != ext:
+        raise FieldMismatch(f"{type(held).__name__} elements do not belong to {ext.name}")
+    return idx
+
+
 @dataclass(frozen=True)
 class VerifierKey:
     index: int
     column: tuple[FieldElement, ...]  # M+1 extension elements
+    _indexed: tuple = dc_field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_indexed", _one_field(self.column))
 
 
 @dataclass(frozen=True)
@@ -195,6 +212,10 @@ class TaggedPacket:
     tracker: int
     payload: tuple[int, ...]
     tag: tuple[FieldElement, ...]
+    _indexed: tuple = dc_field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_indexed", _one_field(self.tag))
 
     def symbols(self) -> tuple[int, ...]:
         """Flat wire image over F_q: tracker, payload, tag coordinates."""
@@ -209,7 +230,7 @@ class TaggedPacket:
             raise LengthMismatch(
                 f"expected {pp.packet_symbols} symbols, got {len(syms)}"
             )
-        syms = _symbols(pp, syms)
+        syms = pp.base._symbols(syms)
         l, ext = pp.l, pp.ext
         tag = tuple(
             FieldElement(ext, ext._from_digits(syms[start : start + l]))
@@ -218,30 +239,10 @@ class TaggedPacket:
         return cls(tracker=syms[0], payload=syms[1 : 1 + l], tag=tag)
 
 
-def _symbols(pp: PublicParams, values: Sequence[int]) -> tuple[int, ...]:
-    """Base-field symbol indices, each checked to be in range."""
-    out = tuple(map(int, values))
-    q = pp.base.order
-    for v in out:
-        if not 0 <= v < q:
-            raise InvalidParams(f"symbol {v} out of range for {pp.base.name}")
-    return out
-
-
-def _indices(field: ExtField, elements: Sequence[FieldElement]) -> list[int]:
-    """Indices of elements that must belong to ``field``."""
-    out = []
-    for e in elements:
-        if not isinstance(e, FieldElement) or (e.field is not field and e.field != field):
-            raise FieldMismatch(f"{e!r} does not belong to {field.name}")
-        out.append(e.index)
-    return out
-
-
 def _check_payload(pp: PublicParams, payload: Sequence[int]) -> tuple[int, ...]:
     if len(payload) != pp.l:
         raise LengthMismatch(f"payload needs {pp.l} coordinates, got {len(payload)}")
-    return _symbols(pp, payload)
+    return pp.base._symbols(payload)
 
 
 def keygen(pp: PublicParams, seed: int) -> MasterKey:
@@ -271,7 +272,7 @@ def label_row(pp: PublicParams, tracker: int, payload: Sequence[int]) -> tuple[i
     """
     s = pp.ext._from_digits(_check_payload(pp, payload))
     # the constant embedding of F_q is the identity on indices
-    return _symbols(pp, (tracker,)) + pp.ext.frobenius_chain(s, pp.M)
+    return pp.base._symbols((tracker,)) + pp.ext.frobenius_chain(s, pp.M)
 
 
 def tag_payload(
@@ -281,8 +282,7 @@ def tag_payload(
     counter: Optional[OpCounter] = None,
 ) -> TaggedPacket:
     """One source packet: tracker 1, the payload, and its kdim tags."""
-    payload = _check_payload(pp, payload)
-    row = label_row(pp, 1, payload)
+    row = label_row(pp, 1, payload)  # the one check of the payload
     ext = pp.ext
     if mk.matrix.field != ext:
         raise FieldMismatch("master key must live in the extension field")
@@ -291,7 +291,7 @@ def tag_payload(
     if counter is not None:
         counter.add(mults=pp.kdim * pp.M, frobs=pp.M - 1)
     return TaggedPacket(
-        tracker=1, payload=payload, tag=tuple(FieldElement(ext, t) for t in tags)
+        tracker=1, payload=tuple(payload), tag=tuple(FieldElement(ext, t) for t in tags)
     )
 
 
@@ -301,14 +301,14 @@ def tag_basis(
     basis: Sequence[Sequence[int]],
     counter: Optional[OpCounter] = None,
 ) -> tuple[TaggedPacket, ...]:
-    """Tag an n-vector payload basis; rejects dependent bases."""
+    """Tag an n-vector payload basis; a dependent one is refused after tagging."""
     if len(basis) != pp.n:
         raise InvalidParams(f"expected {pp.n} basis vectors, got {len(basis)}")
-    rows = [_check_payload(pp, v) for v in basis]
-    mat = Matrix.from_indices(pp.base, rows, ncols=pp.l)
+    packets = tuple(tag_payload(pp, mk, v, counter) for v in basis)
+    mat = Matrix.from_indices(pp.base, [p.payload for p in packets], ncols=pp.l)
     if mat.rank() != pp.n:
         raise DependentBasis("payload vectors are linearly dependent over F_q")
-    return tuple(tag_payload(pp, mk, v, counter) for v in rows)
+    return packets
 
 
 def label(
@@ -335,7 +335,7 @@ def _label_idx(
         raise LengthMismatch("verifier key column has the wrong height")
     if counter is not None:
         counter.add(mults=pp.M + 1, frobs=pp.M - 1)
-    return pp.ext.dot(row, _indices(pp.ext, vk.column))
+    return pp.ext.dot(row, _indices_in(pp.ext, vk))
 
 
 def verify(
@@ -349,7 +349,7 @@ def verify(
     if len(pkt.tag) != pp.kdim:
         raise LengthMismatch("tag has the wrong number of components")
     ext = pp.ext
-    rhs = ext.dot(_indices(ext, pkt.tag), pp.generator_indices(vk.index))
+    rhs = ext.dot(_indices_in(ext, pkt), pp.generator_indices(vk.index))
     if counter is not None:
         counter.add(mults=pp.kdim)
     return lhs == rhs
@@ -358,24 +358,16 @@ def verify(
 def combine_packets(
     pp: PublicParams,
     packets: Sequence[TaggedPacket],
-    coeffs: Sequence[Union[int, FieldElement]],
+    coeffs: Sequence[int],
 ) -> TaggedPacket:
-    """F_q-linear combination applied symbol-wise across the wire image."""
+    """F_q-linear combination, by base-field symbols, of the wire images."""
     if len(packets) != len(coeffs) or not packets:
         raise LengthMismatch("need one coefficient per packet")
-    base, width = pp.base, pp.packet_symbols
-    cs, wires = [], []
-    for pkt, c in zip(packets, coeffs):
-        if isinstance(c, FieldElement):
-            if c.field is not base and c.field != base:
-                raise FieldMismatch("combination coefficients live in the base field")
-            cs.append(c.index)
-        else:
-            cs.append(base.element(int(c)).index)
-        wires.append(pkt.symbols())
-        if len(wires[-1]) != width:
-            raise LengthMismatch("packet width does not match the parameters")
-    return TaggedPacket.from_symbols(pp, base.combine(cs, wires, width))
+    width = pp.packet_symbols
+    wires = [pkt.symbols() for pkt in packets]
+    if any(len(w) != width for w in wires):
+        raise LengthMismatch("packet width does not match the parameters")
+    return TaggedPacket.from_symbols(pp, pp.base.combine(pp.base._symbols(coeffs), wires, width))
 
 
 def random_payload_basis(pp: PublicParams, seed: int) -> tuple[tuple[int, ...], ...]:

@@ -332,6 +332,25 @@ def test_forgeable_computes_no_null_space(monkeypatch, f5):
     assert calls == []
 
 
+def test_dual_runs_one_elimination(monkeypatch):
+    code = rs_code(ExtField(BaseField(5), 3), range(6), 3)
+    calls = []
+    original = Matrix.rref
+
+    def counting(self, pivot_limit=None):
+        calls.append((self.nrows, self.ncols))
+        return original(self, pivot_limit)
+
+    monkeypatch.setattr(Matrix, "rref", counting)
+    dual = code.dual()
+    # the null basis is independent by construction: no rank check
+    assert calls == [(3, 6)]
+    assert (dual.length, dual.kdim, dual.generator.rank()) == (6, 3, 3)
+    f = code.field
+    rows = code.generator.to_index_rows()
+    assert all(f.dot(g, h) == 0 for g in rows for h in dual.generator.to_index_rows())
+
+
 def test_minimal_codewords_memo_keeps_the_checks(f5, monkeypatch):
     code = rs_code(f5, range(4), 2)  # 25 words
     first = code.minimal_codewords_wrt(1)

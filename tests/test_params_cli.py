@@ -3,6 +3,7 @@ import json
 import jsonschema
 import pytest
 
+from subtag import adversary
 from subtag.cli import main
 from subtag.ec import AGCodeSpec, EllipticCurve, ec_points, residue_code
 from subtag.errors import InvalidParams, LengthMismatch
@@ -300,8 +301,18 @@ def test_cli_attack_guess(capsys, tmp_path):
     assert rc2 == 0 and out2 == out
 
 
-def test_cli_attack_histogram(capsys, tmp_path):
+def test_cli_attack_histogram(capsys, tmp_path, monkeypatch):
     path = _setup_tiny(capsys, tmp_path)
+    # the key count and the histogram share one assembly and one solve
+    calls = []
+    for name in ("AttackSystem", "solve_all"):
+        original = getattr(adversary, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(adversary, name, counting)
     rc, out, err = _run(
         capsys,
         [
@@ -316,6 +327,7 @@ def test_cli_attack_histogram(capsys, tmp_path):
     assert hist["uniform"] is True
     assert hist["min_count"] == hist["max_count"] == 1
     assert sum(int(c) for c in hist["counts"].values()) == 4
+    assert sorted(calls) == ["AttackSystem", "solve_all"]
 
 
 def test_cli_attack_histogram_refuses_above_the_guard(capsys, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import linearized_eval, reference_field
 
+from subtag import scheme
 from subtag.codes import LinearCode, rs_code
 from subtag.errors import (
     DependentBasis,
@@ -13,7 +14,7 @@ from subtag.errors import (
     InvalidParams,
     LengthMismatch,
 )
-from subtag.fields import BaseField, ExtField, FieldElement
+from subtag.fields import BaseField, ExtField, Field, FieldElement
 from subtag.linalg import Matrix
 from subtag.scheme import (
     OpCounter,
@@ -154,6 +155,25 @@ def test_tampering_is_caught(rs_pp):
         assert accepted < len(vks), pos
 
 
+def test_tag_basis_checks_each_payload_once(rs_pp, monkeypatch):
+    mk = keygen(rs_pp, 5)
+    calls = []
+    original = scheme._check_payload
+
+    def counting(pp, payload):
+        calls.append(payload)
+        return original(pp, payload)
+
+    monkeypatch.setattr(scheme, "_check_payload", counting)
+    ctr = OpCounter()
+    pkts = tag_basis(rs_pp, mk, random_payload_basis(rs_pp, 5), ctr)
+    assert len(calls) == rs_pp.n
+    # the cost schedule is per packet, as for tag_payload
+    assert ctr.ext_mults == rs_pp.n * rs_pp.kdim * rs_pp.M
+    assert ctr.frobenius_steps == rs_pp.n * (rs_pp.M - 1)
+    assert pkts == tuple(tag_payload(rs_pp, mk, p.payload) for p in pkts)
+
+
 def test_tag_basis_validation(rs_pp):
     mk = keygen(rs_pp, 5)
     with pytest.raises(InvalidParams):
@@ -175,7 +195,7 @@ def test_from_symbols_round_trip(rs_pp):
         TaggedPacket.from_symbols(rs_pp, bad)
 
 
-def test_combine_packets_is_symbolwise(rs_pp, f5):
+def test_combine_packets_is_symbolwise(rs_pp, f5, monkeypatch):
     mk = keygen(rs_pp, 5)
     basis = random_payload_basis(rs_pp, 5)
     pkts = tag_basis(rs_pp, mk, basis)
@@ -188,11 +208,24 @@ def test_combine_packets_is_symbolwise(rs_pp, f5):
         combine_packets(rs_pp, pkts, [1])
     with pytest.raises(FieldMismatch):
         combine_packets(rs_pp, pkts, [rs_pp.ext.one, rs_pp.ext.one])
-    # an equal base field built separately is accepted, another field is not
-    twin = combine_packets(rs_pp, pkts, [FieldElement(BaseField(5), 2), 3])
-    assert twin == mixed
     with pytest.raises(FieldMismatch):
         combine_packets(rs_pp, pkts, [FieldElement(BaseField(7), 2), 3])
+    # coefficients are ints, range-checked as symbols without building elements
+    with pytest.raises(FieldMismatch):
+        combine_packets(rs_pp, pkts, [2.0, 3])
+    for bad in ([5, 3], [2, -1]):
+        with pytest.raises(InvalidParams):
+            combine_packets(rs_pp, pkts, bad)
+    calls = []
+    original = Field.element
+
+    def counting(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(Field, "element", counting)
+    assert combine_packets(rs_pp, pkts, [2, 3]) == mixed
+    assert calls == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -311,3 +344,40 @@ def test_verify_input_checks(rs_pp, e25):
         verify(rs_pp, vk, TaggedPacket(pkt.tracker, (1, 9, 3), pkt.tag))
     with pytest.raises(InvalidParams):
         verify(rs_pp, VerifierKey(rs_pp.V + 1, vk.column), pkt)
+
+
+def test_keys_and_packets_check_their_elements_when_built(rs_pp, e25):
+    mk = keygen(rs_pp, 5)
+    vk = distribute(rs_pp, mk)[0]
+    pkt = tag_payload(rs_pp, mk, (1, 2, 3))
+    col, tag = vk.column, pkt.tag
+    for bad in (
+        (1,) + col[1:],  # an int
+        col[:-1] + (FieldElement(e25, 1),),  # an element of another field
+        (rs_pp.base.one,) + col[1:],  # base and extension elements mixed
+    ):
+        with pytest.raises(FieldMismatch):
+            VerifierKey(vk.index, bad)
+        with pytest.raises(FieldMismatch):
+            TaggedPacket(pkt.tracker, pkt.payload, bad[: len(tag)])
+    # an equal field built separately is accepted
+    twin = ExtField(BaseField(5), 3)
+    twin_vk = VerifierKey(vk.index, tuple(FieldElement(twin, e.index) for e in col))
+    twin_pkt = TaggedPacket(1, pkt.payload, (FieldElement(twin, tag[0].index),) + tag[1:])
+    assert verify(rs_pp, twin_vk, twin_pkt)
+    # one field throughout, but not the extension field: verify refuses
+    with pytest.raises(FieldMismatch):
+        verify(rs_pp, VerifierKey(vk.index, (FieldElement(e25, 1),) * len(col)), pkt)
+    with pytest.raises(FieldMismatch):
+        verify(rs_pp, vk, TaggedPacket(1, pkt.payload, (FieldElement(e25, 1),) * len(tag)))
+
+
+def test_verify_reads_the_indices_kept_at_construction(rs_pp, e25):
+    mk = keygen(rs_pp, 5)
+    vk = distribute(rs_pp, mk)[0]
+    pkt = tag_payload(rs_pp, mk, (1, 2, 3))
+    # verify tests one field per key and per packet and reads the indices
+    # kept when they were built: it does not look at the elements again
+    for e in vk.column + pkt.tag:
+        e.field = e25
+    assert verify(rs_pp, vk, pkt)
