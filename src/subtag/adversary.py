@@ -32,8 +32,8 @@ Everything here works on field indices; FieldElement appears only in the
 keys, packets and histograms handed back.  No question is asked twice: a
 view assembles its system once and reduces its observed payloads once; a
 system is solved once, for both the key count and the key enumeration;
-and the params cache each verifier's first nonzero generator slot and
-its inverse for packet_for_label.
+a forgery checks its payload once; and the params cache each verifier's
+first nonzero generator slot and its inverse for the forged tag.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ from .scheme import (
     TaggedPacket,
     VerifierKey,
     _indices_in,
-    label as scheme_label,
+    _label_row,
+    label as scheme_label,  # noqa: F401  bench/spans.py patches this name
     label_row,
 )
 from . import codes, rng as _rng
@@ -314,13 +315,20 @@ def packet_for_label(
     """The unique-per-(t*,label) tag vector making verifier ``target`` compute
     ``lab`` against a tracker-1 packet: all tag slots zero except the first
     one where the target's generator column is nonzero."""
+    slot = pp.tag_slot(target)
+    if not isinstance(lab, FieldElement) or lab.field != pp.ext:
+        raise FieldMismatch(f"label {lab!r} does not belong to {pp.ext.name}")
+    return _packet(pp, slot, _forge_payload(pp, payload), lab.index)
+
+
+def _packet(
+    pp: PublicParams, slot: tuple[int, int], payload: tuple[int, ...], lab: int
+) -> TaggedPacket:
+    """``packet_for_label`` on a checked payload, a label index and a tag slot."""
     ext = pp.ext
-    t_star, g_inv = pp.tag_slot(target)
-    if not isinstance(lab, FieldElement) or lab.field != ext:
-        raise FieldMismatch(f"label {lab!r} does not belong to {ext.name}")
-    payload = _forge_payload(pp, payload)
+    t_star, g_inv = slot
     tag = [ext.zero] * pp.kdim
-    tag[t_star] = FieldElement(ext, ext.mul_idx(lab.index, g_inv))
+    tag[t_star] = FieldElement(ext, ext.mul_idx(lab, g_inv))
     return TaggedPacket(tracker=1, payload=payload, tag=tuple(tag))
 
 
@@ -336,8 +344,8 @@ def deterministic_forge(
     payload = _forge_payload(pp, payload)
     _payload_outside_view(view, payload)
     vk = recover_verifier_key(view, target)  # refuses a member target
-    lab = scheme_label(pp, vk, 1, payload)
-    return packet_for_label(pp, target, payload, lab)
+    lab = pp.ext.dot(_label_row(pp, 1, payload), _indices_in(pp.ext, vk))
+    return _packet(pp, pp.tag_slot(target), payload, lab)
 
 
 def guess_forge(
@@ -353,8 +361,7 @@ def guess_forge(
     payload = _forge_payload(pp, payload)
     _payload_outside_view(view, payload)
     r = _rng.stream(seed, "adversary/guess")
-    lab = FieldElement(pp.ext, r.randrange(pp.ext.order))
-    return packet_for_label(pp, target, payload, lab)
+    return _packet(pp, pp.tag_slot(target), payload, r.randrange(pp.ext.order))
 
 
 def label_distribution(

@@ -337,7 +337,7 @@ def build_analyze_report(
     code = pp.code
     dual = code.dual()
     dual_distance = dual.min_distance()
-    mds = code.min_distance() == pp.V - pp.kdim + 1
+    mds = dual_distance == pp.kdim + 1  # C is MDS exactly when its dual is
     coords = pp.ext.coords_of
     minimal = [
         [list(coords(v)) for v in word] for word in dual.minimal_codewords_wrt(target)

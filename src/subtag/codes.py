@@ -4,32 +4,31 @@ A code of length V and dimension kdim over F_{q^l} fixes, through its
 public generator matrix, how the authority's master key is spread over V
 verifiers.  Which coalitions of verifiers can cheat which targets is a
 question about column spans of the generator, or equivalently about
-supports of dual codewords.  ``forgeable`` decides the question with the
-cheap span test; ``access_structure`` reads the same answer off the
-minimal dual codewords.  Codewords, minimal codewords and forgeability
-witnesses are all index tuples over the code's field; FieldElement
-appears only in ``rs_code``'s evaluation points.
+supports of dual codewords.  Vectors here are index tuples over the
+code's field; FieldElement appears only in ``rs_code``'s evaluation points.
 
-Enumeration-based routines (minimum distance, minimal codewords) are the
-exact oracles the rest of the package leans on, so they refuse instead of
-approximating when the count exceeds ``ENUM_GUARD``.  That one bound also
-guards ``adversary``'s key enumeration; every check reads it when it runs,
-so no routine takes a bound of its own.
+Every answer is a column span test.  ``forgeable`` makes one.  By
+Massey's theorem the minimal dual codewords through coordinate i are the
+circuits of the column matroid through i: minimal sets S of other
+coordinates whose columns span column i, found by testing subsets in
+increasing size up to kdim and skipping supersets of sets found.  S is
+an access set for i, and its span witness lambda gives the dual word
+with 1 at i and -lambda_j at each j in S.  A minimum distance is the size
+of the smallest dependent set of parity-check columns.  Only
+``codewords`` enumerates words.
 
-``codewords`` is the one enumeration.  It yields words in
-``itertools.product`` order over the message digits and never multiplies
-inside the loop: each call tabulates every scalar multiple m * (row r) of
-the generator once, keeps the running sum of the rows before the last
-(recomputing only the rows whose digit changed), and forms each word as
-that sum plus a multiple of the last row.  Word lists are not cached.  A
-code memoizes only small answers: its dual, its minimum distance and, per
-coordinate, its minimal codewords, so an ``analyze`` report enumerates the
-dual once for the distance and once for the minimal words.
+``ENUM_GUARD`` bounds the work up front, so routines refuse instead of
+approximating: ``codewords`` counts words, the searches count the column
+subsets they may test, and ``adversary`` counts consistent keys.  Each
+check reads the name when it runs.  A code memoizes its dual, which links
+back to it, its minimum distance and its circuits per coordinate; a
+memoized answer still passes the guard.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
@@ -53,6 +52,14 @@ __all__ = [
 ENUM_GUARD = 1 << 24
 
 AnyField = Union[BaseField, ExtField]
+
+
+def _check_subsets(n: int, sizes: range) -> None:
+    """Refuse a search over the subsets of n columns with the given sizes
+    when there are more than ``ENUM_GUARD`` of them."""
+    count = sum(math.comb(n, s) for s in sizes)
+    if count > ENUM_GUARD:
+        raise TooLargeToEnumerate(f"{count} column subsets exceed the guard {ENUM_GUARD}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +88,7 @@ class CoalitionSpec:
 class LinearCode:
     """A linear code held as its generator matrix, stored verbatim."""
 
-    __slots__ = ("field", "generator", "length", "kdim", "_dual", "_dmin", "_minimal")
+    __slots__ = ("field", "generator", "length", "kdim", "_dual", "_dmin", "_circuit_memo")
 
     def __init__(self, generator: Matrix):
         if generator.ncols < 1:
@@ -90,14 +97,14 @@ class LinearCode:
             raise RankDeficient("generator rows are linearly dependent")
         self._hold(generator)
 
-    def _hold(self, generator: Matrix) -> None:
+    def _hold(self, generator: Matrix, dual: "LinearCode | None" = None) -> None:
         self.field = generator.field
         self.generator = generator
         self.length = generator.ncols
         self.kdim = generator.nrows
-        self._dual = None
+        self._dual = dual
         self._dmin = None
-        self._minimal = {}
+        self._circuit_memo = {}
 
     @property
     def is_zero(self) -> bool:
@@ -109,15 +116,8 @@ class LinearCode:
             # a null basis is independent by construction: no rank check
             basis = self.generator.null_space()
             self._dual = LinearCode.__new__(LinearCode)
-            self._dual._hold(Matrix.from_indices(self.field, basis, ncols=self.length))
+            self._dual._hold(Matrix.from_indices(self.field, basis, ncols=self.length), self)
         return self._dual
-
-    def _check_enumerable(self) -> None:
-        if self.field.order**self.kdim > ENUM_GUARD:
-            raise TooLargeToEnumerate(
-                f"{self.field.order}^{self.kdim} codewords "
-                f"exceed the guard {ENUM_GUARD}"
-            )
 
     def codewords(self) -> Iterator[tuple[int, ...]]:
         """All codewords as index tuples (exact, guarded enumeration).
@@ -125,55 +125,65 @@ class LinearCode:
         The order is that of ``itertools.product(range(order), repeat=kdim)``
         over the message digits.
         """
-        self._check_enumerable()
-        f = self.field
-        zero = (0,) * self.length
-        if self.is_zero:
-            yield zero
-            return
-        add, mul = f.add_idx, f.mul_idx
+        order = self.field.order
+        if order**self.kdim > ENUM_GUARD:
+            raise TooLargeToEnumerate(
+                f"{order}^{self.kdim} codewords exceed the guard {ENUM_GUARD}"
+            )
         rows = self.generator.to_index_rows()
-        # head[r][m] = m * (row r); the last row's multiples are tabulated
-        # only when more than one prefix reuses them
-        head = [
-            [tuple(mul(m, g) for g in row) for m in range(f.order)] for row in rows[:-1]
-        ]
-        last = (tuple(mul(m, g) for g in rows[-1]) for m in range(f.order))
-        if head:
-            last = tuple(last)
-        sums = [zero] * self.kdim  # sums[r]: rows 0..r-1 of the current prefix
-        prev = ()
-        for msg in itertools.product(range(f.order), repeat=self.kdim - 1):
-            start = 0
-            while start < len(prev) and msg[start] == prev[start]:
-                start += 1
-            for r in range(start, self.kdim - 1):
-                sums[r + 1] = tuple(map(add, sums[r], head[r][msg[r]]))
-            prev = msg
-            prefix = sums[-1]
-            for mult in last:
-                yield tuple(map(add, prefix, mult))
+        combine, width = self.field.combine, self.length
+        for msg in itertools.product(range(order), repeat=self.kdim):
+            yield combine(msg, rows, width)
+
+    def _column(self, j: int) -> tuple[int, ...]:
+        """Generator column j (1-based) as indices."""
+        return tuple(r[j - 1] for r in self.generator.to_index_rows())
 
     def min_distance(self) -> int:
-        """Minimum Hamming weight over all nonzero codewords."""
+        """Minimum Hamming weight over all nonzero codewords.
+
+        The smallest number of dependent parity-check columns (the columns
+        of the dual's generator).  These have rank V - kdim, so any
+        V - kdim + 1 of them are dependent and that size needs no test.
+        """
         if self.is_zero:
             raise InvalidParams("minimum distance of the zero code is undefined")
-        self._check_enumerable()
+        top = self.length - self.kdim
+        _check_subsets(self.length, range(1, top + 1))
         if self._dmin is None:
-            best = self.length + 1
-            for word in self.codewords():
-                w = 0
-                for v in word:
-                    if v:
-                        w += 1
-                        if w >= best:
-                            break
-                if 0 < w < best:
-                    best = w
-                    if best == 1:
-                        break
-            self._dmin = best
+            cols = [self.dual()._column(j) for j in range(1, self.length + 1)]
+            dependent = (
+                len(combo)
+                for size in range(1, top + 1)
+                for combo in itertools.combinations(cols, size)
+                if span_witness(self.field, combo[:-1], combo[-1]) is not None
+            )
+            self._dmin = next(dependent, top + 1)
         return self._dmin
+
+    def _circuits(self, i: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Circuits through coordinate i, smallest first: each minimal set S
+        of other coordinates (a sorted tuple) whose columns span column i,
+        with its span witness aligned with S."""
+        self._index_ok(i)
+        others = [j for j in range(1, self.length + 1) if j != i]
+        _check_subsets(len(others), range(self.kdim + 1))
+        found = self._circuit_memo.get(i)
+        if found is None:
+            field, target = self.field, self._column(i)
+            cols = {j: self._column(j) for j in others}
+            found, masks = [], []
+            for size in range(self.kdim + 1):
+                for members in itertools.combinations(others, size):
+                    mask = sum(1 << j for j in members)
+                    if any(m & mask == m for m in masks):
+                        continue
+                    witness = span_witness(field, [cols[j] for j in members], target)
+                    if witness is not None:
+                        found.append((members, witness))
+                        masks.append(mask)
+            found = self._circuit_memo[i] = tuple(found)
+        return found
 
     def minimal_codewords_wrt(self, i: int) -> tuple[tuple[int, ...], ...]:
         """Codewords with component 1 at coordinate i and minimal support,
@@ -183,30 +193,15 @@ class LinearCode:
         its support strictly contained in this one's.  Scalar multiples are
         collapsed by the normalization at i.
         """
-        self._index_ok(i)
-        self._check_enumerable()
-        if i in self._minimal:
-            return self._minimal[i]
-        candidates = []
-        for word in self.codewords():
-            if word[i - 1] != 1:  # index 1 is the field's one
-                continue
-            mask = 0
-            for c, v in enumerate(word):
-                if v:
-                    mask |= 1 << c
-            candidates.append((word, mask))
-        out = []
-        for word, mask in candidates:
-            minimal = True
-            for _, other in candidates:
-                if other != mask and other & mask == other:
-                    minimal = False
-                    break
-            if minimal:
-                out.append(word)
-        found = self._minimal[i] = tuple(sorted(out))
-        return found
+        neg = self.field.neg_idx
+        words = []
+        for members, witness in self.dual()._circuits(i):
+            word = [0] * self.length
+            word[i - 1] = 1  # index 1 is the field's one
+            for j, lam in zip(members, witness):
+                word[j - 1] = neg(lam)
+            words.append(tuple(word))
+        return tuple(sorted(words))
 
     def _index_ok(self, i: int) -> None:
         if not 1 <= i <= self.length:
@@ -224,24 +219,14 @@ class LinearCode:
         self._index_ok(spec.target)
         for j in spec.members:
             self._index_ok(j)
-        rows = self.generator.to_index_rows()
-        gens = [tuple(r[j - 1] for r in rows) for j in spec.sorted_members]
-        witness = span_witness(self.field, gens, tuple(r[spec.target - 1] for r in rows))
+        gens = [self._column(j) for j in spec.sorted_members]
+        witness = span_witness(self.field, gens, self._column(spec.target))
         return witness is not None, witness
 
     def access_structure(self, i: int) -> tuple[tuple[int, ...], ...]:
-        """Minimal coalitions able to forge against verifier i.
-
-        Read off the supports of the dual code's minimal codewords at i,
-        with i itself removed.
-        """
-        seen = set()
-        for word in self.dual().minimal_codewords_wrt(i):
-            support = tuple(
-                sorted(c + 1 for c, v in enumerate(word) if v and c + 1 != i)
-            )
-            seen.add(support)
-        return tuple(sorted(seen))
+        """Minimal coalitions able to forge against verifier i: the sets S
+        of the circuits S + {i} of the generator's column matroid."""
+        return tuple(sorted(members for members, _ in self._circuits(i)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinearCode) and other.generator == self.generator

@@ -270,9 +270,15 @@ def label_row(pp: PublicParams, tracker: int, payload: Sequence[int]) -> tuple[i
     Tags, labels and every attack constraint are this row weighted by a
     column of the master key or of a verifier key.
     """
-    s = pp.ext._from_digits(_check_payload(pp, payload))
+    payload = _check_payload(pp, payload)
+    return _label_row(pp, pp.base._symbols((tracker,))[0], payload)
+
+
+def _label_row(pp: PublicParams, tracker: int, payload: tuple[int, ...]) -> tuple[int, ...]:
+    """``label_row`` of a tracker and payload the caller already checked."""
+    s = pp.ext._from_digits(payload)
     # the constant embedding of F_q is the identity on indices
-    return pp.base._symbols((tracker,)) + pp.ext.frobenius_chain(s, pp.M)
+    return (tracker,) + pp.ext.frobenius_chain(s, pp.M)
 
 
 def tag_payload(

@@ -174,10 +174,14 @@ def brute_forgeable(field, gen_rows, ncols: int, members: Iterable[int], target:
     return dual_support_forges(brute_dual_words(field, gen_rows, ncols), members, target)
 
 
-def brute_minimal_qualified(field, gen_rows, ncols: int, target: int) -> list[frozenset[int]]:
-    """Inclusion-minimal coalitions that can forge against ``target``."""
+def brute_minimal_qualified(
+    field, gen_rows, ncols: int, target: int, words=None
+) -> list[frozenset[int]]:
+    """Inclusion-minimal coalitions that can forge against ``target``;
+    ``words`` may pass in the brute-force dual words already computed."""
     others = [i for i in range(1, ncols + 1) if i != target]
-    words = brute_dual_words(field, gen_rows, ncols)
+    if words is None:
+        words = brute_dual_words(field, gen_rows, ncols)
     qualified = []
     for size in range(0, len(others) + 1):
         for combo in itertools.combinations(others, size):
@@ -187,6 +191,13 @@ def brute_minimal_qualified(field, gen_rows, ncols: int, target: int) -> list[fr
             if dual_support_forges(words, s, target):
                 qualified.append(s)
     return sorted(qualified, key=lambda s: (len(s), sorted(s)))
+
+
+def brute_minimal_words(words, target: int) -> list[tuple[int, ...]]:
+    """The words with 1 (index 1) at ``target`` whose support strictly
+    contains no other such word's support, sorted."""
+    ones = [(w, frozenset(j for j, x in enumerate(w) if x)) for w in words if w[target - 1] == 1]
+    return sorted(w for w, s in ones if not any(t < s for _, t in ones))
 
 
 def brute_solutions(field, a_rows, b_col) -> list[tuple[int, ...]]:

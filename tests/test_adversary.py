@@ -246,6 +246,32 @@ def test_forged_payloads_are_checked_on_indices(rs_pp, monkeypatch):
     assert calls == []
 
 
+def test_each_forgery_checks_its_payload_once(rs_pp, monkeypatch):
+    mk = keygen(rs_pp, 3)
+    vks = distribute(rs_pp, mk)
+    packets = tag_basis(rs_pp, mk, ((1, 0, 0), (0, 1, 0)))
+    view = CoalitionView.build(rs_pp, {1: vks[0], 2: vks[1], 3: vks[2]}, packets)
+    checks = []
+    original = Field._symbols
+
+    def counting(self, values):
+        out = original(self, values)
+        checks.append(out)
+        return out
+
+    monkeypatch.setattr(Field, "_symbols", counting)
+    forged = deterministic_forge(view, 4, [0, 0, 1])
+    assert checks == [(0, 0, 1)]
+    assert verify(rs_pp, vks[3], forged)
+    checks.clear()
+    guess_forge(view, 4, [0, 0, 1], seed=7)
+    assert checks == [(0, 0, 1)]
+    checks.clear()
+    # the public entry point keeps its own check
+    packet_for_label(rs_pp, 4, [0, 0, 1], rs_pp.ext.one)
+    assert checks == [(0, 0, 1)]
+
+
 def test_guesses_on_one_view_reduce_its_payloads_once(rs_pp, monkeypatch):
     mk = keygen(rs_pp, 3)
     vks = distribute(rs_pp, mk)

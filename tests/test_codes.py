@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subtag import codes
 from subtag.cli import build_analyze_report
 from subtag.codes import CoalitionSpec, LinearCode, rs_code
 from subtag.ec import AGCodeSpec, EllipticCurve, ec_points, residue_code
@@ -20,11 +21,14 @@ from subtag.fields import BaseField, ExtField, FieldElement
 from subtag.linalg import Matrix, solve_all
 from subtag.scheme import PublicParams
 
+from conftest import random_full_rank
 from oracles import (
+    brute_codewords,
     brute_dual_words,
     brute_forgeable,
     brute_min_distance,
     brute_minimal_qualified,
+    brute_minimal_words,
     reference_field,
 )
 
@@ -127,25 +131,38 @@ def test_mds_access_structure_is_threshold(e25):
     assert code.access_structure(1) == expect
 
 
-def test_enumeration_guard(e125):
+def test_enumeration_guard(e125, monkeypatch):
     code = rs_code(e125, list(range(5)), 4)  # 125^4 codewords
     with pytest.raises(TooLargeToEnumerate):
         list(code.codewords())
-    with pytest.raises(TooLargeToEnumerate):
-        code.min_distance()
-    # the 125-word dual stays under the bound
+    # distances come from column subsets, not words: 5 singletons suffice
+    assert code.min_distance() == 2
     assert code.dual().min_distance() == 5
+    # RS[60,30] over F_61: the distance search could visit about 2^59
+    # column subsets, so it refuses before testing any of them
+    big = rs_code(BaseField(61), range(60), 30)
+    with pytest.raises(TooLargeToEnumerate, match=r"column subsets exceed the guard 16777216$"):
+        big.min_distance()
+    with pytest.raises(TooLargeToEnumerate):
+        big.access_structure(1)
+    monkeypatch.setattr("subtag.codes.ENUM_GUARD", 14)
+    # access at 1 on the dual of RS[5,4]: subsets of size <= 1 of the 4 others
+    assert len(code.dual().access_structure(1)) == 4
+    with pytest.raises(TooLargeToEnumerate, match=r"^16 column subsets exceed the guard 14$"):
+        code.access_structure(1)  # sizes 0..4 of the 4 others
 
 
 def test_min_distance_memo_still_honors_the_guard(f5, monkeypatch):
-    code = rs_code(f5, range(4), 2)
+    code = rs_code(f5, range(4), 2)  # sizes 1..2 of 4 parity-check columns
     assert code.min_distance() == 3
     # a memoized answer must not bypass a guard that a fresh code enforces
-    monkeypatch.setattr("subtag.codes.ENUM_GUARD", 1)
-    with pytest.raises(TooLargeToEnumerate):
+    monkeypatch.setattr("subtag.codes.ENUM_GUARD", 9)
+    with pytest.raises(TooLargeToEnumerate, match=r"^10 column subsets"):
         code.min_distance()
     with pytest.raises(TooLargeToEnumerate):
         rs_code(f5, range(4), 2).min_distance()
+    monkeypatch.setattr("subtag.codes.ENUM_GUARD", 10)
+    assert code.min_distance() == 3
 
 
 def test_zero_dual_of_full_code(f3):
@@ -225,6 +242,55 @@ def test_access_structure_matches_enumeration():
             assert got == want, (q, V, k, target, rows)
 
 
+def _weight(words) -> int:
+    return min(sum(1 for x in w if x) for w in words if any(w))
+
+
+def test_circuits_match_brute_force_on_random_codes():
+    # (field, longest code): each brute-force dual has at most ~6561 words
+    fields = [
+        (BaseField(2), 7),
+        (BaseField(3), 5),
+        (BaseField(5), 4),
+        (BaseField(2, 2), 5),
+        (BaseField(3, 2), 4),
+    ]
+    rng = random.Random(1201)
+    pairs = 0
+    while pairs < 1000:
+        f, longest = fields[rng.randrange(len(fields))]
+        V = rng.randint(2, longest)
+        rows = random_full_rank(rng.randint(1, V), V, f, rng).to_index_rows()
+        code = make_code(f, rows)
+        # a second copy whose dual is found by elimination, not by the link
+        fresh = make_code(f, rows)
+        dual_words = brute_dual_words(f, rows, V)
+        words = brute_codewords(f, rows, V)
+        assert code.min_distance() == _weight(words)
+        if len(rows) < V:
+            assert code.dual().min_distance() == _weight(dual_words)
+        for i in range(1, V + 1):
+            qualified = brute_minimal_qualified(f, rows, V, i, dual_words)
+            want = tuple(sorted(tuple(sorted(s)) for s in qualified))
+            assert code.access_structure(i) == want, (f, rows, i)
+            assert list(code.dual().minimal_codewords_wrt(i)) == brute_minimal_words(dual_words, i)
+            assert list(fresh.minimal_codewords_wrt(i)) == brute_minimal_words(words, i)
+            pairs += 1
+
+
+def test_analyze_reports_past_the_codeword_guard():
+    # RS[12,4] over GF(2^8)^3 has 2^192 codewords; its report needs only
+    # column subsets of size at most 4
+    base = BaseField(2, 8)
+    ext = ExtField(base, 3)
+    pp = PublicParams(base=base, ext=ext, n=2, M=3, code=rs_code(ext, range(12), 4))
+    report = build_analyze_report(pp, None, 1)
+    assert (report["dual_distance"], report["mds"]) == (5, True)
+    # any 4 of the 11 other columns, C(11, 4) = 330 sets
+    assert report["access_structure"] == [list(s) for s in itertools.combinations(range(2, 13), 4)]
+    assert len(report["minimal_dual_codewords"]) == 330
+
+
 def test_forgeable_enumerates_no_codewords(monkeypatch, f5):
     # RS[4,2] over F_5: a 25-word dual, small enough that a dual-support
     # cross-check could afford to enumerate it on every call
@@ -286,27 +352,30 @@ def test_codewords_order_matches_reference(f5, e25, f4, monkeypatch):
     assert len(list(small.codewords())) == 625
 
 
-def test_analyze_enumerates_the_dual_twice(monkeypatch, f5):
+def test_analyze_enumerates_no_codewords(monkeypatch, f5):
     ext = ExtField(f5, 1)
     curve = EllipticCurve(ext, ext.one, ext.one)
     affine = [p for p in ec_points(curve) if not p.is_infinity]
     spec = AGCodeSpec(curve, tuple(affine[:8]), 2)
     pp = PublicParams(base=f5, ext=ext, n=1, M=1, code=residue_code(spec))
-    dual = pp.code.dual()
-    calls = []
+    words, searches = [], []
     original = LinearCode.codewords
+    circuits = LinearCode._circuits
 
     def counting(self, *args, **kwargs):
-        calls.append(self)
+        words.append(self)
         return original(self, *args, **kwargs)
 
+    def searching(self, i):
+        searches.append((self is pp.code, i, i not in self._circuit_memo))
+        return circuits(self, i)
+
     monkeypatch.setattr(LinearCode, "codewords", counting)
+    monkeypatch.setattr(LinearCode, "_circuits", searching)
     report = build_analyze_report(pp, spec, 1)
-    # once for the dual distance, once for the minimal words, which the
-    # access structure reuses
-    assert sum(c is dual for c in calls) == 2
-    assert sum(c is pp.code for c in calls) == 1
-    assert len(calls) == 3
+    assert words == []
+    # one circuit search for the target, which the access structure reuses
+    assert searches == [(True, 1, True), (True, 1, False)]
     supports = {
         tuple(c + 1 for c, v in enumerate(w) if any(v) and c != 0)
         for w in report["minimal_dual_codewords"]
@@ -352,16 +421,28 @@ def test_dual_runs_one_elimination(monkeypatch):
 
 
 def test_minimal_codewords_memo_keeps_the_checks(f5, monkeypatch):
-    code = rs_code(f5, range(4), 2)  # 25 words
+    code = rs_code(f5, range(4), 2)
     first = code.minimal_codewords_wrt(1)
-    assert code.minimal_codewords_wrt(1) is first
+    spans = []
+    original = codes.span_witness
+
+    def counting(*args):
+        spans.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(codes, "span_witness", counting)
+    # the circuits through 1 are memoized: no span test runs again
+    assert code.minimal_codewords_wrt(1) == first
+    assert spans == []
     with monkeypatch.context() as m:
-        m.setattr("subtag.codes.ENUM_GUARD", 24)
+        # circuits of the [4,2] dual: sizes 0..2 of 3 other columns, 7 subsets
+        m.setattr("subtag.codes.ENUM_GUARD", 6)
         with pytest.raises(TooLargeToEnumerate):
             code.minimal_codewords_wrt(1)
     with pytest.raises(InvalidParams):
         code.minimal_codewords_wrt(5)
     assert code.minimal_codewords_wrt(2) != first
+    assert spans
 
 
 def test_index_results_build_no_elements(monkeypatch, f5):

@@ -352,7 +352,7 @@ def test_cli_attack_histogram_refuses_above_the_guard(capsys, tmp_path):
 
 
 def test_cli_analyze(capsys, tmp_path):
-    # RS[5,2] keeps the codeword enumerations inside min_distance cheap
+    # RS[5,2]: an MDS code whose report is small enough to check in full
     path = tmp_path / "rs52.json"
     rc, out, err = _run(
         capsys,
