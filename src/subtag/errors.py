@@ -77,6 +77,16 @@ class InconsistentSystem(SubtagError, ValueError):
     """Constraint rows admit no master key at all (corrupted view)."""
 
 
+class InvalidReport(SubtagError, ValueError):
+    """A report does not match its published schema; the message names the
+    JSON path of the failing value."""
+
+
+class UnsupportedSchema(SubtagError, ValueError):
+    """A report schema uses a keyword or form the report checker does not
+    implement."""
+
+
 class InvariantViolated(SubtagError):
     """An identity the scheme's guarantees rest on failed to hold.
 

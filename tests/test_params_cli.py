@@ -1,12 +1,11 @@
 import json
 
-import jsonschema
 import pytest
 
-from subtag import adversary
+from subtag import adversary, cli
 from subtag.cli import main
 from subtag.ec import AGCodeSpec, EllipticCurve, ec_points, residue_code
-from subtag.errors import InvalidParams, LengthMismatch
+from subtag.errors import InvalidParams, InvalidReport, LengthMismatch
 from subtag.params import (
     dump_json,
     params_from_dict,
@@ -169,10 +168,20 @@ def test_validate_report_rejects_malformed():
     validate_report("setup", good)
     bad = dict(good)
     del bad["packet_symbols"]
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(InvalidReport, match=r"^\$\.packet_symbols: required key"):
         validate_report("setup", bad)
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(InvalidReport, match=r"^\$\.format: expected 'subtag-report/setup/1'"):
         validate_report("setup", dict(good, format="subtag-report/setup/2"))
+    # a nested failure names its path
+    row = {"coalition": [2, 3], "target": 1, "kind": "none",
+           "against_target": False, "span_agrees": True}
+    report = {"format": "subtag-report/analyze/1", "length": 4, "kdim": 2,
+              "dual_distance": 3, "mds": True, "target": 1,
+              "access_structure": [[2, 3]], "ec_table": [row] * 4}
+    validate_report("analyze", report)
+    report["ec_table"] = [row, row, row, dict(row, span_agrees="yes")]
+    with pytest.raises(InvalidReport, match=r"^\$\.ec_table\[3\]\.span_agrees: expected boolean"):
+        validate_report("analyze", report)
 
 
 # -- the command line ---------------------------------------------------------
@@ -455,6 +464,18 @@ def test_cli_errors_exit_one(capsys, tmp_path):
     )
     assert rc == 1
     assert "prime power" in err
+
+
+def test_cli_report_failing_its_schema_exits_one(capsys, tmp_path, monkeypatch):
+    path, _ = _setup_rs(capsys, tmp_path)
+    build = cli.build_analyze_report
+    monkeypatch.setattr(
+        cli, "build_analyze_report", lambda *args: dict(build(*args), dual_distance="x")
+    )
+    rc, out, err = _run(capsys, ["analyze", "--params", str(path), "--target", "1"])
+    assert rc == 1
+    assert out == ""
+    assert err == "subtag: $.dual_distance: expected integer, got 'x' (analyze report)\n"
 
 
 def test_cli_rejects_unknown_mode(capsys, tmp_path):
