@@ -53,18 +53,15 @@ def main() -> None:
             disagreements = 0
             examples = {}
             for combo in itertools.combinations(range(1, n + 1), size):
-                # classification is a property of the coalition alone
-                cls = classify_coalition(spec, combo, next(
-                    t for t in range(1, n + 1) if t not in combo
-                ))
+                # classification is a property of the coalition alone: the
+                # target only needs to lie outside it
+                outside = [t for t in range(1, n + 1) if t not in combo]
+                cls = classify_coalition(spec, combo, outside[0])
                 kinds[cls.kind.value] += 1
                 examples.setdefault(cls.kind.value, (combo, cls))
-                for tgt in range(1, n + 1):
-                    if tgt in combo:
-                        continue
-                    cls_t = classify_coalition(spec, combo, tgt)
+                for tgt in outside:
                     span = code.forgeable(CoalitionSpec(frozenset(combo), tgt))[0]
-                    if cls_t.against(tgt) != span:
+                    if cls.against(tgt) != span:
                         disagreements += 1
             total = sum(kinds.values())
             print(f"  size {size}: {total} coalitions -> {dict(kinds)}")

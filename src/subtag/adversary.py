@@ -33,7 +33,9 @@ keys, packets and histograms handed back.  No question is asked twice: a
 view assembles its system once and reduces its observed payloads once; a
 system is solved once, for both the key count and the key enumeration;
 a forgery checks its payload once; and the params cache each verifier's
-first nonzero generator slot and its inverse for the forged tag.
+first nonzero generator slot and its inverse for the forged tag.  The
+observed payloads' span is a ``linalg._echelon`` basis, and a payload is
+tested against it by ``linalg._in_span``.
 """
 
 from __future__ import annotations
@@ -49,13 +51,14 @@ from .errors import (
     InconsistentSystem,
     InvalidParams,
     InvariantViolated,
+    LengthMismatch,
     NotQualified,
     PayloadInSubspace,
     TargetInCoalition,
     TooLargeToEnumerate,
 )
 from .fields import FieldElement
-from .linalg import LinearSolution, Matrix, solve_all, span_witness
+from .linalg import LinearSolution, Matrix, _echelon, _in_span, solve_all, span_witness
 from .scheme import (
     MasterKey,
     PublicParams,
@@ -122,27 +125,17 @@ class CoalitionView:
 
     @cached_property
     def payload_span(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """Reduced basis rows and their pivot columns for the observed
-        payloads' span over F_q; one elimination per view."""
-        payloads = self.observed_payloads()
-        if not payloads:
-            return (), ()
-        reduced, rank, pivots = Matrix.from_indices(
-            self.pp.base, payloads, ncols=self.pp.l
-        ).rref()
-        return reduced.to_index_rows()[:rank], pivots
+        """Echelon basis of the observed payloads' span over F_q; one
+        elimination per view."""
+        return _echelon(self.pp.base, self.observed_payloads(), self.pp.l)
 
     def spans(self, payload: Sequence[int]) -> bool:
-        """Does the payload lie in the observed payloads' span?  Reduces it
-        against ``payload_span``; zero means inside."""
-        base = self.pp.base
-        mul, sub = base.mul_idx, base.sub_idx
-        v = payload
-        for row, col in zip(*self.payload_span):
-            c = v[col]
-            if c:
-                v = [sub(x, mul(c, y)) for x, y in zip(v, row)]
-        return not any(v)
+        """Is the payload, l symbols of F_q, in the observed payloads' span?"""
+        pp = self.pp
+        payload = pp.base._symbols(payload)
+        if len(payload) != pp.l:
+            raise LengthMismatch(f"payload needs {pp.l} coordinates, got {len(payload)}")
+        return _in_span(pp.base, self.payload_span, payload)
 
     @cached_property
     def _system(self) -> "AttackSystem":
@@ -209,11 +202,9 @@ def _assemble(view: CoalitionView) -> AttackSystem:
             rows.append(row)
             consts.append(b)
 
-    r0 = Matrix.from_indices(ext, packet_rows, ncols=height).rank() if packet_rows else 0
-    if cols:
-        k0 = Matrix.from_indices(ext, tuple(zip(*cols)), ncols=len(cols)).rank()
-    else:
-        k0 = 0
+    # ranks of the packet rows and of the member columns, as pivot counts
+    r0 = len(_echelon(ext, packet_rows, height)[1])
+    k0 = len(_echelon(ext, cols, pp.kdim)[1])
 
     coeff = Matrix.from_indices(ext, rows, ncols=width)
     const = Matrix.from_indices(ext, ((c,) for c in consts), ncols=1)
@@ -274,7 +265,7 @@ def consistent_keys(system: AttackSystem) -> Iterator[MasterKey]:
 
 
 def _payload_outside_view(view: CoalitionView, payload: tuple[int, ...]) -> None:
-    if view.spans(payload):
+    if _in_span(view.pp.base, view.payload_span, payload):
         raise PayloadInSubspace(
             "substituted payload lies inside the observed message space"
         )

@@ -18,10 +18,11 @@ import sys
 from typing import Optional, Sequence
 
 from . import adversary, network, params as paramsio, scheme
-from .codes import CoalitionSpec, rs_code
+from .codes import rs_code
 from .ec import AGCodeSpec, EllipticCurve, classify_coalition, ec_points, residue_code
 from .errors import InvalidParams, NotQualified, SubtagError
 from .fields import MAX_BASE_ORDER, BaseField, ExtField, _prime_factors
+from .linalg import _echelon, _in_span
 from .rng import derive_seed, stream
 from .schemas import validate_report
 
@@ -353,27 +354,24 @@ def build_analyze_report(
         "access_structure": [list(s) for s in code.access_structure(target)],
     }
     if curve_spec is not None:
+        # a coalition's class and column span do not depend on the target
         n, k = curve_spec.n, curve_spec.degree
+        ext, column = pp.ext, pp.generator_indices
         rows = []
         for size in (n - k - 1, n - k):
-            if size < 0:
-                continue
             for combo in itertools.combinations(range(1, n + 1), size):
-                for tgt in range(1, n + 1):
-                    if tgt in combo:
-                        continue
-                    cls = classify_coalition(curve_spec, combo, tgt)
+                outside = [t for t in range(1, n + 1) if t not in combo]
+                cls = classify_coalition(curve_spec, combo, outside[0])
+                basis = _echelon(ext, [column(i) for i in combo], pp.kdim)
+                for tgt in outside:
                     against = cls.against(tgt)
-                    span = code.forgeable(CoalitionSpec(frozenset(combo), tgt))[0]
-                    rows.append(
-                        {
-                            "coalition": list(combo),
-                            "target": tgt,
-                            "kind": cls.kind.value,
-                            "against_target": against,
-                            "span_agrees": against == span,
-                        }
-                    )
+                    rows.append({
+                        "coalition": list(combo),
+                        "target": tgt,
+                        "kind": cls.kind.value,
+                        "against_target": against,
+                        "span_agrees": against == _in_span(ext, basis, column(tgt)),
+                    })
         report["ec_table"] = rows
     return report
 
@@ -521,11 +519,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         args.func(args)
-    except SubtagError as exc:
-        print(f"subtag: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, UnicodeDecodeError) as exc:
-        # unreadable input or output files: missing, a directory, not text
+    except (SubtagError, OSError, UnicodeDecodeError) as exc:
+        # OSError and UnicodeDecodeError: unreadable input or output files
+        # (missing, a directory, not text)
         print(f"subtag: {exc}", file=sys.stderr)
         return 1
     return 0

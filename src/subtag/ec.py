@@ -62,19 +62,11 @@ class EllipticCurve:
         b = self.field.element(self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        # discriminant 4a^3 + 27b^2 (up to the usual -16 factor)
-        four = self._small(4)
-        twenty_seven = self._small(27)
+        # discriminant 4a^3 + 27b^2, up to -16; c < p is index c in any field
+        four, twenty_seven = (self.field.element(c % self.field.char) for c in (4, 27))
         disc = four * a**3 + twenty_seven * b * b
         if not disc:
             raise SingularCurve(f"4a^3 + 27b^2 = 0 over {self.field.name}")
-
-    def _small(self, n: int) -> FieldElement:
-        acc = self.field.zero
-        one = self.field.one
-        for _ in range(n % self.field.char):
-            acc = acc + one
-        return acc
 
     def contains(self, x: FieldElement, y: FieldElement) -> bool:
         return y * y == x**3 + self.a * x + self.b
@@ -306,8 +298,6 @@ def classify_coalition(
             if spec.points[i - 1] == comp_sum:
                 return CoalitionClass(Forgeability.SINGLE_TARGET, comp_sum, i)
         return CoalitionClass(Forgeability.NOT_FORGEABLE, comp_sum, None)
-    if size == n - k:
-        if comp_sum.is_infinity:
-            return CoalitionClass(Forgeability.NOT_FORGEABLE, comp_sum, None)
-        return CoalitionClass(Forgeability.ALL_TARGETS, comp_sum, None)
+    if size == n - k and comp_sum.is_infinity:
+        return CoalitionClass(Forgeability.NOT_FORGEABLE, comp_sum, None)
     return CoalitionClass(Forgeability.ALL_TARGETS, comp_sum, None)

@@ -251,7 +251,6 @@ class Field:
         "order",
         "modulus",
         "name",
-        "frobenius_matrix",
         "_frobenius_cols",
         "add_idx",
         "neg_idx",
@@ -297,7 +296,7 @@ class Field:
             self._fold = _fold_terms(modulus, subfield.neg_idx)
         self._key = (type(self), char, subfield, degree, self.modulus)
         self._hash = hash(self._key)
-        self.frobenius_matrix = self._frobenius_cols = None
+        self._frobenius_cols = None
         self._exp = self._log = self._neg = self._add_table = None
         self._bind_index_ops()
 
@@ -456,7 +455,6 @@ class Field:
         q, l = self._radix, self.degree
         cols = tuple(self.coords_of(self.pow_idx(q**j, q)) for j in range(l))  # images of e_{j+1}
         self._frobenius_cols = cols
-        self.frobenius_matrix = tuple(zip(*cols))
         # The q-power map is an F_q-automorphism of order dividing l: l steps
         # must return every basis vector, which also makes it invertible.
         for j in range(l):

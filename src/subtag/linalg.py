@@ -12,6 +12,10 @@ back (null bases, span witnesses) is a tuple of indices; only the
 accessors speak FieldElement.  Each question is answered by one
 elimination: ``solve_all`` reads the particular solution and the null
 basis off the same reduced [A | b].
+
+A span asked about many times is reduced once, by ``_echelon``, and
+``_in_span`` tests vectors against that basis: views, sinks and
+``analyze`` reduce against a stored basis only through these two.
 """
 
 from __future__ import annotations
@@ -262,6 +266,30 @@ def solve_all(a: Matrix, b: Matrix) -> LinearSolution | None:
         particular=Matrix.from_indices(a.field, part, ncols=b.ncols),
         null_basis=_null_basis(a.field, red, pivots, a.ncols),
     )
+
+
+def _echelon(
+    field: AnyField, rows: Sequence[Sequence[int]], width: int
+) -> tuple[IndexRows, tuple[int, ...]]:
+    """The nonzero rref rows of ``rows`` (vectors of ``width`` indices) and
+    their pivot columns, from one elimination; no rows give an empty basis."""
+    if not rows:
+        return (), ()
+    reduced, rank, pivots = Matrix.from_indices(field, rows, ncols=width).rref()
+    return reduced.to_index_rows()[:rank], pivots
+
+
+def _in_span(
+    field: AnyField, basis: tuple[IndexRows, tuple[int, ...]], v: Sequence[int]
+) -> bool:
+    """Does v lie in the span of an ``_echelon`` basis?  Reduces v against
+    it; zero means inside.  v must have the basis's width."""
+    mul, sub = field.mul_idx, field.sub_idx
+    for row, col in zip(*basis):
+        c = v[col]
+        if c:
+            v = [sub(x, mul(c, y)) for x, y in zip(v, row)]
+    return not any(v)
 
 
 def span_witness(

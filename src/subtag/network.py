@@ -8,7 +8,8 @@ out-edges carry the unit combinations e_1..e_n.  Propagating kernels
 through the graph yields one global vector f_e per edge with the defining
 property that the packet on e equals f_e applied to the stacked source
 packets; transmit() checks exactly that on honest runs and raises
-InvariantViolated if it fails.
+InvariantViolated if it fails.  A sink decodes the span of the payloads
+it received to its canonical basis, the ``linalg._echelon`` basis.
 
 A Topology is immutable.  Its per-node in- and out-edge indices and its
 topological order are built once, in one pass over the edges, when it is
@@ -39,7 +40,7 @@ from .errors import (
     UnknownNode,
 )
 from .fields import BaseField
-from .linalg import Matrix
+from .linalg import _echelon
 from . import rng as _rng
 
 __all__ = [
@@ -308,10 +309,7 @@ class Transmission:
         return tuple(self.global_vectors[i] for i in self.topology.in_edges(name))
 
     def kernel_rank_at(self, name: str) -> int:
-        rows = self.global_rows_at(name)
-        if not rows:
-            return 0
-        return Matrix.from_indices(self.base, rows, ncols=self.n).rank()
+        return len(_echelon(self.base, self.global_rows_at(name), self.n)[1])
 
 
 def _resolve_kernels(
@@ -453,10 +451,8 @@ def decode_subspace(
     base: BaseField, payload_rows: Sequence[Sequence[int]], width: int
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Canonical basis (rref rows) and dimension of the received span."""
-    mat = Matrix.from_indices(base, payload_rows, ncols=width)
-    reduced, rank, _ = mat.rref()
-    rows = reduced.to_index_rows()[:rank]
-    return tuple(rows), rank
+    rows, pivots = _echelon(base, payload_rows, width)
+    return rows, len(pivots)
 
 
 def same_span(

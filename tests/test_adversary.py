@@ -15,8 +15,10 @@ from subtag.adversary import (
     recover_verifier_key,
 )
 from subtag.errors import (
+    FieldMismatch,
     InconsistentSystem,
     InvalidParams,
+    LengthMismatch,
     NotQualified,
     PayloadInSubspace,
     TargetInCoalition,
@@ -291,6 +293,24 @@ def test_guesses_on_one_view_reduce_its_payloads_once(rs_pp, monkeypatch):
     with pytest.raises(PayloadInSubspace):
         guess_forge(view, 4, (2, 3, 0), seed=0)
     assert len(calls) <= 1
+
+
+def test_spans_checks_its_payload(rs_pp):
+    # the README's view: three members who saw the basis (1,0,2), (0,1,4)
+    mk = keygen(rs_pp, 7)
+    vks = distribute(rs_pp, mk)
+    packets = tag_basis(rs_pp, mk, [(1, 0, 2), (0, 1, 4)])
+    view = CoalitionView.build(rs_pp, {i: vks[i - 1] for i in (1, 2, 3)}, packets)
+    assert view.spans((1, 0, 2)) and view.spans([3, 1, 0])
+    assert not view.spans((0, 0, 1))
+    # a fourth coordinate used to be dropped, a missing one an IndexError
+    for wrong_length in ((1, 0, 2, 3), (1,), ()):
+        with pytest.raises(LengthMismatch):
+            view.spans(wrong_length)
+    with pytest.raises(InvalidParams):
+        view.spans((1, 0, 5))
+    with pytest.raises(FieldMismatch):
+        view.spans((1, 0, "2"))
 
 
 def test_guess_forge_deterministic_per_seed(rs_pp):

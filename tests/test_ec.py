@@ -1,10 +1,12 @@
 import itertools
 
 import pytest
+
+from subtag import cli
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subtag.codes import CoalitionSpec
+from subtag.codes import CoalitionSpec, LinearCode
 from subtag.ec import (
     AGCodeSpec,
     CoalitionClass,
@@ -29,6 +31,7 @@ from subtag.errors import (
     TargetInCoalition,
 )
 from subtag.fields import BaseField, ExtField
+from subtag.scheme import PublicParams
 
 from oracles import brute_dual_words, dual_support_forges
 
@@ -57,6 +60,15 @@ def test_curve_validation(e5, e4, f3):
     e3 = ExtField(f3, 1)
     with pytest.raises(InvalidParams):
         EllipticCurve(e3, e3.one, e3.one)  # char 3
+
+
+@pytest.mark.parametrize("p, l", [(5, 1), (5, 2), (7, 2), (5, 3)])
+def test_discriminant_over_the_tower(p, l):
+    # 4a^3 + 27b^2 vanishes for a = -3, b = 2 in every characteristic
+    ext = ExtField(BaseField(p), l)
+    with pytest.raises(SingularCurve):
+        EllipticCurve(ext, ext.element(p - 3), ext.element(2))
+    EllipticCurve(ext, ext.element(p - 3), ext.element(1))
 
 
 def test_point_membership(curve):
@@ -264,3 +276,73 @@ def test_residue_code_with_smaller_support(curve):
                     continue
                 verdict = classify_coalition(spec, combo, tgt).against(tgt)
                 assert verdict == dual_support_forges(words, combo, tgt)
+
+
+# -- the analyze report's ec_table ----------------------------------------------
+
+# (extension degree over GF(5), support size, degree) of y^2 = x^3 + x + 1 on
+# its first affine points: the three codes of the access benchmark, then the
+# six-point codes of scripts/ec_access_table.py
+EC_TABLE_CODES = ((1, 8, 2), (1, 8, 3), (2, 6, 3), (1, 6, 2), (1, 6, 3))
+
+
+def _curve_code(l, size, degree):
+    base = BaseField(5)
+    ext = ExtField(base, l)
+    curve = EllipticCurve(ext, ext.one, ext.one)
+    affine = [p for p in ec_points(curve) if not p.is_infinity]
+    spec = AGCodeSpec(curve, tuple(affine[:size]), degree)
+    return PublicParams(base=base, ext=ext, n=l, M=l, code=residue_code(spec)), spec
+
+
+def _reference_ec_table(pp, spec):
+    """The table pair by pair: one classification and one span test each."""
+    n, k = spec.n, spec.degree
+    rows = []
+    for size in (n - k - 1, n - k):
+        for combo in itertools.combinations(range(1, n + 1), size):
+            for tgt in range(1, n + 1):
+                if tgt in combo:
+                    continue
+                cls = classify_coalition(spec, combo, tgt)
+                span = pp.code.forgeable(CoalitionSpec(frozenset(combo), tgt))[0]
+                rows.append({
+                    "coalition": list(combo),
+                    "target": tgt,
+                    "kind": cls.kind.value,
+                    "against_target": cls.against(tgt),
+                    "span_agrees": cls.against(tgt) == span,
+                })
+    return rows
+
+
+@pytest.mark.parametrize("shape", EC_TABLE_CODES)
+def test_ec_table_matches_the_per_pair_reference(shape):
+    pp, spec = _curve_code(*shape)
+    table = cli.build_analyze_report(pp, spec, 1)["ec_table"]
+    assert table == _reference_ec_table(pp, spec)
+    assert all(row["span_agrees"] for row in table)
+
+
+def test_ec_table_asks_each_coalition_once(monkeypatch):
+    pp, spec = _curve_code(2, 6, 3)
+    classified, reduced, forgeable = [], [], []
+    classify, echelon = cli.classify_coalition, cli._echelon
+
+    def counting_classify(spec, coalition, target):
+        classified.append(tuple(coalition))
+        return classify(spec, coalition, target)
+
+    def counting_echelon(field, rows, width):
+        reduced.append(tuple(rows))
+        return echelon(field, rows, width)
+
+    monkeypatch.setattr(cli, "classify_coalition", counting_classify)
+    monkeypatch.setattr(cli, "_echelon", counting_echelon)
+    monkeypatch.setattr(LinearCode, "forgeable", lambda *args: forgeable.append(args))
+    table = cli.build_analyze_report(pp, spec, 1)["ec_table"]
+    coalitions = [c for size in (2, 3) for c in itertools.combinations(range(1, 7), size)]
+    assert classified == coalitions
+    assert reduced == [tuple(pp.generator_indices(i) for i in c) for c in coalitions]
+    assert forgeable == []
+    assert len(table) == 120

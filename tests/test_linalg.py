@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from subtag.errors import DimensionMismatch, FieldMismatch
 from subtag.fields import BaseField, FieldElement
-from subtag.linalg import Matrix, solve_all, span_witness
+from subtag.linalg import Matrix, _echelon, _in_span, solve_all, span_witness
 
 from conftest import random_full_rank
 from oracles import brute_dual_words, brute_solutions, spanned_vectors
@@ -220,6 +220,44 @@ def test_span_witness_matches_enumeration(rows):
                 for i in range(3):
                     recon[i] = f.add_idx(recon[i], f.mul_idx(c, g[i]))
             assert tuple(recon) == vec
+
+
+ECHELON_FIELDS = (BaseField(5), BaseField(2, 2), BaseField(3, 2))
+
+
+@st.composite
+def rows_and_vectors(draw):
+    """A field, a width, 0..4 rows (zero rows and zero entries likely) and
+    three vectors: a random one, the zero vector, and a combination of the
+    rows."""
+    f = draw(st.sampled_from(ECHELON_FIELDS))
+    width = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0), st.integers(0, f.order - 1))
+    vector = st.lists(entry, min_size=width, max_size=width).map(tuple)
+    rows = draw(st.lists(vector, max_size=4))
+    coeffs = draw(st.lists(st.integers(0, f.order - 1), min_size=len(rows), max_size=len(rows)))
+    combo = f.combine(coeffs, rows, width) if rows else (0,) * width
+    return f, width, rows, (draw(vector), (0,) * width, combo)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows_and_vectors())
+def test_echelon_is_rref_and_in_span_is_span_witness(case):
+    f, width, rows, vectors = case
+    reduced, _, pivots = Matrix.from_indices(f, rows, ncols=width).rref()
+    basis = _echelon(f, rows, width)
+    assert basis == (tuple(r for r in reduced.to_index_rows() if any(r)), pivots)
+    for v in vectors:
+        assert _in_span(f, basis, v) == (span_witness(f, rows, v) is not None)
+    assert _in_span(f, basis, (0,) * width)
+    assert _in_span(f, basis, vectors[2])
+
+
+def test_echelon_of_no_rows_spans_only_zero():
+    f = BaseField(5)
+    assert _echelon(f, (), 3) == ((), ())
+    assert _in_span(f, ((), ()), (0, 0, 0))
+    assert not _in_span(f, ((), ()), (0, 1, 0))
 
 
 def test_augment():

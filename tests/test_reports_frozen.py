@@ -44,6 +44,11 @@ COMMANDS = (
                    "--coalition", "1,2,3", "--target", "5"], ()),
     ("analyze-rs", ["analyze", "--params", "rs52.json", "--target", "1"], ()),
     ("analyze-ec", ["analyze", "--params", "ec.json", "--target", "2"], ()),
+    # the (2, 6, 3) code of the access benchmark: 35 coalitions, 120 ec_table rows
+    ("ec-code-d3", ["ec-code", "--q", "5", "--l", "2", "--a", "1", "--b", "1",
+                    "--degree", "3", "--num-points", "6", "--n", "2", "--M", "2",
+                    "--out", "ec3.json"], ("ec3.json",)),
+    ("analyze-ec-d3", ["analyze", "--params", "ec3.json", "--target", "1"], ()),
 )
 
 # recorded when this test was added
@@ -67,6 +72,10 @@ DIGESTS = {
     'attack-ec': 'f807912378819c7baa526f31f71158558f7582b991d03c7de93a9816d6e8e1af',
     'analyze-rs': '2a7c0eb9966e448b262002aa04cc98a8f34c27f8ba8eea15de4f67e7ca394ea2',
     'analyze-ec': '10125874d5559c0f31143a06b889a4b4817b434c1ec1d008787a4c12a8df25ef',
+    # recorded before the ec_table was built one coalition at a time
+    'ec-code-d3': '2ab1fbd7dadfa8df118d5422f2414f400aabdb728fd7673f24784e0241ba49fb',
+    'ec-code-d3:ec3.json': '4f8b24a3ee89c99d4f3adccd55011a92f7320bb7cd48552d49198fcaa7133b04',
+    'analyze-ec-d3': '8c65e7b8f21872beb7bb3fc5e1489801a497e8cf72c8316c6732401b86f95f9e',
 }
 
 
