@@ -17,16 +17,17 @@ that closed form next to the solver's nullity-based count and raises
 InvariantViolated unless they agree.
 
 Forgery follows the same linearity: when the target's generator column
-lies in the coalition's column span, the witness combination rebuilds the
-target's key column exactly, after which any payload outside the observed
-subspace can be tagged at will.  Otherwise the best available move is to
-guess the one label the target would accept.  Forged packets carry tracker
-1, as source packets do, and the label histogram is taken for that tracker.
+lies in the coalition's column span (``LinearCode.forgeable``, the one
+qualification test), the witness combination rebuilds the target's key
+column exactly, after which any payload outside the observed subspace
+can be tagged at will.  Otherwise the best available move is to guess
+the one label the target would accept.  Forged packets carry tracker 1,
+as source packets do, and the label histogram is taken for that tracker.
 
 A view is built from the members' keys, by verifier index, and the flat
-sequence of packets the coalition saw.  Enumerating consistent keys is
-exact and bounded by ``codes.ENUM_GUARD``, the same bound the code
-enumerations read.
+sequence of packets the coalition saw; it checks each observed packet
+once, when it is made.  Enumerating consistent keys is exact and bounded
+by ``codes.ENUM_GUARD``, the same bound the code enumerations read.
 
 Everything here works on field indices; FieldElement appears only in the
 keys, packets and histograms handed back.  No question is asked twice: a
@@ -58,12 +59,13 @@ from .errors import (
     TooLargeToEnumerate,
 )
 from .fields import FieldElement
-from .linalg import LinearSolution, Matrix, _echelon, _in_span, solve_all, span_witness
+from .linalg import LinearSolution, Matrix, _echelon, _in_span, solve_all
 from .scheme import (
     MasterKey,
     PublicParams,
     TaggedPacket,
     VerifierKey,
+    _check_payload,
     _indices_in,
     _label_row,
     label as scheme_label,  # noqa: F401  bench/spans.py patches this name
@@ -99,6 +101,16 @@ class CoalitionView:
     keys: tuple[VerifierKey, ...]
     observed: tuple[TaggedPacket, ...]
 
+    def __post_init__(self):
+        pp, members = self.pp, self.members
+        if members != tuple(sorted(set(members))) or len(self.keys) != len(members):
+            raise InvalidParams("members must be sorted and distinct, with one key each")
+        for pkt in self.observed:
+            if len(_indices_in(pp.ext, pkt)) != pp.kdim:
+                raise LengthMismatch("packet tag width does not match the code")
+            pp.base._symbols((pkt.tracker,))
+            _check_payload(pp, pkt.payload)
+
     @classmethod
     def build(
         cls,
@@ -131,11 +143,7 @@ class CoalitionView:
 
     def spans(self, payload: Sequence[int]) -> bool:
         """Is the payload, l symbols of F_q, in the observed payloads' span?"""
-        pp = self.pp
-        payload = pp.base._symbols(payload)
-        if len(payload) != pp.l:
-            raise LengthMismatch(f"payload needs {pp.l} coordinates, got {len(payload)}")
-        return _in_span(pp.base, self.payload_span, payload)
+        return _in_span(self.pp.base, self.payload_span, _check_payload(self.pp, payload))
 
     @cached_property
     def _system(self) -> "AttackSystem":
@@ -180,10 +188,8 @@ def _assemble(view: CoalitionView) -> AttackSystem:
 
     packet_rows: list[tuple[int, ...]] = []
     for pkt in view.observed:
-        d = label_row(pp, pkt.tracker, pkt.payload)
+        d = _label_row(pp, pkt.tracker, pkt.payload)
         packet_rows.append(d)
-        if len(pkt.tag) != pp.kdim:
-            raise InvalidParams("packet tag width does not match the code")
         for t, tag in enumerate(_indices_in(ext, pkt)):
             row = [0] * width
             row[t * height : (t + 1) * height] = d
@@ -274,13 +280,11 @@ def _payload_outside_view(view: CoalitionView, payload: tuple[int, ...]) -> None
 def recover_verifier_key(view: CoalitionView, target: int) -> VerifierKey:
     """Rebuild the target's key column from a qualified coalition's columns."""
     pp = view.pp
-    if target in view.members:
-        raise TargetInCoalition(f"target {target} is a coalition member")
     ext = pp.ext
-    g_target = pp.generator_indices(target)
-    gens = [pp.generator_indices(i) for i in view.members]
-    witness = span_witness(ext, gens, g_target)
-    if witness is None:
+    # refuses a member target; the witness is aligned with view.members
+    spec = codes.CoalitionSpec(frozenset(view.members), target)
+    qualified, witness = pp.code.forgeable(spec)
+    if not qualified:
         raise NotQualified(
             f"coalition {view.members} does not determine verifier {target}'s key"
         )

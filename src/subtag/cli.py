@@ -78,12 +78,14 @@ def _load_topology(spec: str) -> network.Topology:
 
 
 def _payload_outside(view: adversary.CoalitionView) -> tuple[int, ...]:
-    """First payload (by extension index order) outside the view's observed span."""
-    coords = view.pp.ext.coords_of
-    for idx in range(view.pp.ext.order):
-        cand = coords(idx)
-        if not view.spans(cand):
-            return cand
+    """First payload (by extension index order) outside the view's observed
+    span: the first unit vector e_k outside it, since every index below q^k
+    lies in the span of e_0 .. e_(k-1)."""
+    pp = view.pp
+    for k in range(pp.l):
+        unit = pp.ext.coords_of(pp.base.order**k)
+        if not view.spans(unit):
+            return unit
     raise InvalidParams("the observed payloads already span the whole space")
 
 
@@ -303,11 +305,7 @@ def build_attack_report(
         report["ec_classification"] = {
             "kind": cls.kind.value,
             "against_target": cls.against(target),
-            "complement_sum": (
-                "O"
-                if cls.complement_sum.is_infinity
-                else [list(cls.complement_sum.x.coords), list(cls.complement_sum.y.coords)]
-            ),
+            "complement_sum": paramsio._point_to_json(cls.complement_sum),
         }
     return report
 

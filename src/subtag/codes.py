@@ -7,15 +7,18 @@ question about column spans of the generator, or equivalently about
 supports of dual codewords.  Vectors here are index tuples over the
 code's field; FieldElement appears only in ``rs_code``'s evaluation points.
 
-Every answer is a column span test.  ``forgeable`` makes one.  By
-Massey's theorem the minimal dual codewords through coordinate i are the
-circuits of the column matroid through i: minimal sets S of other
-coordinates whose columns span column i, found by testing subsets in
-increasing size up to kdim and skipping supersets of sets found.  S is
-an access set for i, and its span witness lambda gives the dual word
-with 1 at i and -lambda_j at each j in S.  A minimum distance is the size
-of the smallest dependent set of parity-check columns.  Only
-``codewords`` enumerates words.
+Every answer is a span test on ``columns``, the generator's columns as
+index tuples, read once when a code is built.  ``forgeable`` makes one.
+By Massey's theorem the minimal dual codewords through coordinate i are
+the circuits of the column matroid through i: minimal sets S of other
+coordinates whose columns span column i.  Subsets are tested in
+increasing size up to kdim, and S is kept when its span witness lambda
+has no zero entry: a dependent set's witness is 0 at its free unknowns,
+and an independent set's is unique, 0 at j exactly when S - {j} spans.
+S is an access set for i, and lambda gives the dual word with 1 at i and
+-lambda_j at each j in S.  A minimum distance is the size of the smallest
+dependent set of parity-check columns.  Only ``codewords`` enumerates
+words.
 
 ``ENUM_GUARD`` bounds the work up front, so routines refuse instead of
 approximating: ``codewords`` counts words, the searches count the column
@@ -86,9 +89,11 @@ class CoalitionSpec:
 
 
 class LinearCode:
-    """A linear code held as its generator matrix, stored verbatim."""
+    """A linear code held as its generator matrix, stored verbatim, and
+    that matrix's columns as index tuples (``columns``)."""
 
-    __slots__ = ("field", "generator", "length", "kdim", "_dual", "_dmin", "_circuit_memo")
+    __slots__ = ("field", "generator", "length", "kdim", "columns",
+                 "_dual", "_dmin", "_circuit_memo")
 
     def __init__(self, generator: Matrix):
         if generator.ncols < 1:
@@ -102,6 +107,9 @@ class LinearCode:
         self.generator = generator
         self.length = generator.ncols
         self.kdim = generator.nrows
+        rows = generator.to_index_rows()
+        # a zero-dimensional code still has `length` (empty) columns
+        self.columns = tuple(zip(*rows)) if rows else ((),) * self.length
         self._dual = dual
         self._dmin = None
         self._circuit_memo = {}
@@ -135,10 +143,6 @@ class LinearCode:
         for msg in itertools.product(range(order), repeat=self.kdim):
             yield combine(msg, rows, width)
 
-    def _column(self, j: int) -> tuple[int, ...]:
-        """Generator column j (1-based) as indices."""
-        return tuple(r[j - 1] for r in self.generator.to_index_rows())
-
     def min_distance(self) -> int:
         """Minimum Hamming weight over all nonzero codewords.
 
@@ -151,11 +155,10 @@ class LinearCode:
         top = self.length - self.kdim
         _check_subsets(self.length, range(1, top + 1))
         if self._dmin is None:
-            cols = [self.dual()._column(j) for j in range(1, self.length + 1)]
             dependent = (
                 len(combo)
                 for size in range(1, top + 1)
-                for combo in itertools.combinations(cols, size)
+                for combo in itertools.combinations(self.dual().columns, size)
                 if span_witness(self.field, combo[:-1], combo[-1]) is not None
             )
             self._dmin = next(dependent, top + 1)
@@ -170,18 +173,14 @@ class LinearCode:
         _check_subsets(len(others), range(self.kdim + 1))
         found = self._circuit_memo.get(i)
         if found is None:
-            field, target = self.field, self._column(i)
-            cols = {j: self._column(j) for j in others}
-            found, masks = [], []
+            field, cols, target = self.field, self.columns, self.columns[i - 1]
+            found = []
             for size in range(self.kdim + 1):
                 for members in itertools.combinations(others, size):
-                    mask = sum(1 << j for j in members)
-                    if any(m & mask == m for m in masks):
-                        continue
-                    witness = span_witness(field, [cols[j] for j in members], target)
-                    if witness is not None:
+                    witness = span_witness(field, [cols[j - 1] for j in members], target)
+                    # no zero entry: independent, and no proper subset spans
+                    if witness is not None and all(witness):
                         found.append((members, witness))
-                        masks.append(mask)
             found = self._circuit_memo[i] = tuple(found)
         return found
 
@@ -219,8 +218,9 @@ class LinearCode:
         self._index_ok(spec.target)
         for j in spec.members:
             self._index_ok(j)
-        gens = [self._column(j) for j in spec.sorted_members]
-        witness = span_witness(self.field, gens, self._column(spec.target))
+        cols = self.columns
+        gens = [cols[j - 1] for j in spec.sorted_members]
+        witness = span_witness(self.field, gens, cols[spec.target - 1])
         return witness is not None, witness
 
     def access_structure(self, i: int) -> tuple[tuple[int, ...], ...]:

@@ -24,13 +24,14 @@ records these schedule counts so tests can pin them down.  verify(),
 tag_payload() and TaggedPacket.from_symbols() run on raw field indices:
 the label row, the label, the weighted tag sum and the unpacked tag
 chunks never build intermediate FieldElements.  Generator columns are
-read as index tuples (``PublicParams.generator_indices``).  Each input is
-checked once, where it is made: a VerifierKey or TaggedPacket checks that
-its column or tag holds FieldElements of one field when it is built, and
-keeps that field and their indices for verify() and the attacks to read
-after one field test.  Trackers, payloads and coefficients are base-field
-symbol indices (``Field._symbols``), checked by each public entry.  Seeds
-are integers naming the labelled streams of ``subtag.rng``.
+the code's own index tuples (``LinearCode.columns``, read through
+``PublicParams.generator_indices``).  Each input is checked once, where
+it is made: a VerifierKey or TaggedPacket checks that its column or tag
+holds FieldElements of one field when it is built, and keeps that field
+and their indices for verify() and the attacks to read after one field
+test.  Trackers, payloads and coefficients are base-field symbol
+indices (``Field._symbols``), checked by each public entry.  Seeds are
+integers naming the labelled streams of ``subtag.rng``.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class PublicParams:
             raise InvalidParams(f"need M >= n, got M={self.M}, n={self.n}")
         if self.code.is_zero:
             raise InvalidParams("zero-dimensional codes distribute no keys")
-        for j, col in enumerate(self._columns):
+        for j, col in enumerate(self.code.columns):
             if not any(col):
                 raise InvalidParams(
                     f"generator column {j + 1} is zero (dual distance below 2)"
@@ -121,7 +122,7 @@ class PublicParams:
         dual = self.code.dual()
         if dual.is_zero:
             raise InvalidParams("the full space has minimum distance 1")
-        for j, col in enumerate(zip(*dual.generator.to_index_rows())):
+        for j, col in enumerate(dual.columns):
             if not any(col):
                 raise InvalidParams(
                     f"dual generator column {j + 1} is zero (distance below 2)"
@@ -145,17 +146,12 @@ class PublicParams:
         return 1 + self.l + self.kdim * self.l
 
     @cached_property
-    def _columns(self) -> tuple[tuple[int, ...], ...]:
-        """The columns of G as index tuples, one per verifier."""
-        return tuple(zip(*self.code.generator.to_index_rows()))
-
-    @cached_property
     def _tag_slots(self) -> tuple[tuple[int, int], ...]:
         """Per verifier: the first t with g_t != 0 (``__post_init__`` refused
         zero columns) and the index of 1/g_t."""
         inv = self.ext.inv_idx
         slots = []
-        for col in self._columns:
+        for col in self.code.columns:
             t = next(t for t, g in enumerate(col) if g)
             slots.append((t, inv(col[t])))
         return tuple(slots)
@@ -164,7 +160,7 @@ class PublicParams:
         """Column of G for verifier i (1-based), as field indices."""
         if not 1 <= i <= self.V:
             raise InvalidParams(f"verifier index {i} outside 1..{self.V}")
-        return self._columns[i - 1]
+        return self.code.columns[i - 1]
 
     def tag_slot(self, i: int) -> tuple[int, int]:
         """(t*, index of 1/g[t*]) for verifier i: t* is the first tag slot

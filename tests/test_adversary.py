@@ -24,11 +24,12 @@ from subtag.errors import (
     TargetInCoalition,
     TooLargeToEnumerate,
 )
-from subtag.codes import rs_code
+from subtag.codes import CoalitionSpec, LinearCode, rs_code
 from subtag.fields import BaseField, ExtField, Field, FieldElement
 from subtag.linalg import Matrix
 from subtag.scheme import (
     PublicParams,
+    TaggedPacket,
     VerifierKey,
     distribute,
     keygen,
@@ -160,6 +161,63 @@ def test_recover_verifier_key(rs_pp):
     small = CoalitionView.build(rs_pp, {1: vks[0], 2: vks[1]}, packets)
     with pytest.raises(NotQualified):
         recover_verifier_key(small, 5)
+
+
+def test_recover_verifier_key_asks_forgeable_once(rs_pp, monkeypatch):
+    mk = keygen(rs_pp, 3)
+    vks = distribute(rs_pp, mk)
+    view = CoalitionView.build(rs_pp, {i: vks[i - 1] for i in (1, 3, 6)})
+    calls = []
+    forgeable = LinearCode.forgeable
+
+    def counting(self, spec):
+        calls.append(spec)
+        return forgeable(self, spec)
+
+    monkeypatch.setattr(LinearCode, "forgeable", counting)
+    assert recover_verifier_key(view, 2).column == vks[1].column
+    assert calls == [CoalitionSpec(frozenset((1, 3, 6)), 2)]
+    calls.clear()
+    with pytest.raises(TargetInCoalition):
+        recover_verifier_key(view, 3)
+    with pytest.raises(InvalidParams):
+        recover_verifier_key(view, 0)
+    assert calls == []
+    with pytest.raises(InvalidParams):
+        recover_verifier_key(view, 7)
+    pair = CoalitionView.build(rs_pp, {2: vks[1], 5: vks[4]})
+    with pytest.raises(NotQualified):
+        recover_verifier_key(pair, 1)
+    assert [c.target for c in calls] == [7, 1]
+
+
+def test_view_checks_its_observed_packets(rs_pp, e25):
+    # the README's params and seed; each malformed packet used to pass the
+    # view and fail later, in spans or a forgery, with a bare IndexError or
+    # a DimensionMismatch
+    mk = keygen(rs_pp, 7)
+    vks = distribute(rs_pp, mk)
+    good = tag_basis(rs_pp, mk, [(1, 0, 2), (0, 1, 4)])
+    tag = good[0].tag
+    keys = {i: vks[i - 1] for i in (1, 2, 3)}
+    bad = [
+        (TaggedPacket(1, (1, 9, 3), tag), InvalidParams),
+        (TaggedPacket(1, (1, 0), tag), LengthMismatch),
+        (TaggedPacket(1, (1, 0, 2, 3), tag), LengthMismatch),
+        (TaggedPacket(5, (1, 0, 2), tag), InvalidParams),
+        (TaggedPacket(1, (1, 0, "2"), tag), FieldMismatch),
+        (TaggedPacket(1, (1, 0, 2), tag[:2]), LengthMismatch),
+        (TaggedPacket(1, (1, 0, 2), (e25.one,) * 3), FieldMismatch),
+    ]
+    for pkt, error in bad:
+        with pytest.raises(error):
+            CoalitionView.build(rs_pp, keys, (*good, pkt))
+        with pytest.raises(error):
+            CoalitionView(rs_pp, (1, 2, 3), tuple(keys.values()), (pkt,))
+    # a direct construction keeps the members sorted, one key each
+    for members, held in (((3, 1, 2), vks[:3]), ((1, 2), vks[:3]), ((1, 1, 2), vks[:3])):
+        with pytest.raises(InvalidParams):
+            CoalitionView(rs_pp, members, held, ())
 
 
 def test_deterministic_forge_end_to_end(rs_pp):

@@ -168,6 +168,8 @@ def test_min_distance_memo_still_honors_the_guard(f5, monkeypatch):
 def test_zero_dual_of_full_code(f3):
     full = make_code(f3, [[1, 0], [0, 1]])
     assert full.dual().is_zero
+    assert full.columns == ((1, 0), (0, 1))
+    assert full.dual().columns == ((), ())
     with pytest.raises(InvalidParams):
         full.dual().min_distance()
 

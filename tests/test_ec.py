@@ -31,6 +31,7 @@ from subtag.errors import (
     TargetInCoalition,
 )
 from subtag.fields import BaseField, ExtField
+from subtag.linalg import span_witness
 from subtag.scheme import PublicParams
 
 from oracles import brute_dual_words, dual_support_forges
@@ -293,6 +294,32 @@ def _curve_code(l, size, degree):
     affine = [p for p in ec_points(curve) if not p.is_infinity]
     spec = AGCodeSpec(curve, tuple(affine[:size]), degree)
     return PublicParams(base=base, ext=ext, n=l, M=l, code=residue_code(spec)), spec
+
+
+def _mask_circuits(code, i):
+    """The circuit search that skips every superset of a spanning set
+    already found, with columns read straight from the generator."""
+    column = dict(enumerate(zip(*code.generator.to_index_rows()), start=1))
+    others = [j for j in range(1, code.length + 1) if j != i]
+    found, masks = [], []
+    for size in range(code.kdim + 1):
+        for members in itertools.combinations(others, size):
+            mask = sum(1 << j for j in members)
+            if any(m & mask == m for m in masks):
+                continue
+            witness = span_witness(code.field, [column[j] for j in members], column[i])
+            if witness is not None:
+                found.append((members, witness))
+                masks.append(mask)
+    return tuple(found)
+
+
+@pytest.mark.parametrize("shape", EC_TABLE_CODES[:3])
+def test_circuits_match_the_superset_mask_search(shape):
+    pp, _ = _curve_code(*shape)
+    for code in (pp.code, pp.code.dual()):
+        for i in range(1, code.length + 1):
+            assert code._circuits(i) == _mask_circuits(code, i), (shape, code.kdim, i)
 
 
 def _reference_ec_table(pp, spec):

@@ -4,8 +4,10 @@ import pytest
 
 from subtag import adversary, cli
 from subtag.cli import main
+from subtag.codes import rs_code
 from subtag.ec import AGCodeSpec, EllipticCurve, ec_points, residue_code
 from subtag.errors import InvalidParams, InvalidReport, LengthMismatch
+from subtag.fields import BaseField, ExtField
 from subtag.params import (
     dump_json,
     params_from_dict,
@@ -420,6 +422,45 @@ def test_cli_ec_code_and_attack(capsys, tmp_path):
     assert rc == 0, err
     table = json.loads(out)["ec_table"]
     assert table and all(row["span_agrees"] for row in table)
+
+
+def test_generator_indices_are_the_codes_columns(rs_pp, capsys, tmp_path):
+    path = tmp_path / "ec.json"
+    argv = ["ec-code", "--q", "5", "--l", "2", "--a", "1", "--b", "1", "--degree", "2",
+            "--num-points", "5", "--n", "1", "--M", "1", "--out", str(path)]
+    assert _run(capsys, argv)[0] == 0
+    ec_pp, _ = read_params(str(path))
+    for pp in (rs_pp, ec_pp):
+        rows = pp.code.generator.to_index_rows()
+        assert pp.code.columns == tuple(tuple(r[j] for r in rows) for j in range(pp.V))
+        for i in range(1, pp.V + 1):
+            assert pp.generator_indices(i) is pp.code.columns[i - 1]
+
+
+def test_default_attack_payload_tests_at_most_l_unit_vectors(monkeypatch):
+    # n = l over GF(256)^2: the observed payloads span everything, and the
+    # search used to try all 65 536 extension indices before saying so
+    base = BaseField(2, 8)
+    ext = ExtField(base, 2)
+    pp = PublicParams(base=base, ext=ext, n=2, M=2, code=rs_code(ext, range(3), 2))
+    mk = keygen(pp, 1)
+    view = adversary.CoalitionView.build(pp, {}, tag_basis(pp, mk, ((1, 0), (0, 1))))
+    calls = []
+    spans = adversary.CoalitionView.spans
+
+    def counting(self, payload):
+        calls.append(tuple(payload))
+        return spans(self, payload)
+
+    monkeypatch.setattr(adversary.CoalitionView, "spans", counting)
+    with pytest.raises(InvalidParams, match="already span the whole space"):
+        cli._payload_outside(view)
+    assert calls == [(1, 0), (0, 1)]
+    # with one payload observed, the default is the first unit vector outside
+    calls.clear()
+    half = adversary.CoalitionView.build(pp, {}, tag_basis(pp, mk, ((7, 0), (0, 1)))[:1])
+    assert cli._payload_outside(half) == (0, 1)
+    assert calls == [(1, 0), (0, 1)]
 
 
 def test_cli_out_flag_writes_file(capsys, tmp_path):

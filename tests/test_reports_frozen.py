@@ -49,6 +49,9 @@ COMMANDS = (
                     "--degree", "3", "--num-points", "6", "--n", "2", "--M", "2",
                     "--out", "ec3.json"], ("ec3.json",)),
     ("analyze-ec-d3", ["analyze", "--params", "ec3.json", "--target", "1"], ()),
+    # seed 11 observes the payload (3, 0), so the default payload is e_1 = (0, 1)
+    ("attack-default-payload", ["attack", "--params", "rs52.json", "--seed", "11",
+                                "--coalition", "1,2", "--target", "3"], ()),
 )
 
 # recorded when this test was added
@@ -76,6 +79,8 @@ DIGESTS = {
     'ec-code-d3': '2ab1fbd7dadfa8df118d5422f2414f400aabdb728fd7673f24784e0241ba49fb',
     'ec-code-d3:ec3.json': '4f8b24a3ee89c99d4f3adccd55011a92f7320bb7cd48552d49198fcaa7133b04',
     'analyze-ec-d3': '8c65e7b8f21872beb7bb3fc5e1489801a497e8cf72c8316c6732401b86f95f9e',
+    # recorded before the default payload was found among the unit vectors
+    'attack-default-payload': '0e132d56959c118f6e6f0054ee6a9aa8b5961fd127ce7ca908d539779cc54247',
 }
 
 
