@@ -33,7 +33,8 @@ Everything here works on field indices; FieldElement appears only in the
 keys, packets and histograms handed back.  No question is asked twice: a
 view assembles its system once and reduces its observed payloads once; a
 system is solved once, for both the key count and the key enumeration;
-a forgery checks its payload once; and the params cache each verifier's
+a forgery checks its payload once, with ``scheme._check_payload``, the
+check ``spans`` makes; and the params cache each verifier's
 first nonzero generator slot and its inverse for the forged tag.  The
 observed payloads' span is a ``linalg._echelon`` basis, and a payload is
 tested against it by ``linalg._in_span``.
@@ -293,14 +294,6 @@ def recover_verifier_key(view: CoalitionView, target: int) -> VerifierKey:
     return VerifierKey(index=target, column=tuple(FieldElement(ext, c) for c in column))
 
 
-def _forge_payload(pp: PublicParams, payload: Sequence[int]) -> tuple[int, ...]:
-    """Range-checked symbol indices of a payload with exactly l coordinates."""
-    payload = pp.base._symbols(payload)
-    if len(payload) != pp.l:
-        raise InvalidParams(f"payload needs {pp.l} coordinates")
-    return payload
-
-
 def packet_for_label(
     pp: PublicParams,
     target: int,
@@ -313,7 +306,7 @@ def packet_for_label(
     slot = pp.tag_slot(target)
     if not isinstance(lab, FieldElement) or lab.field != pp.ext:
         raise FieldMismatch(f"label {lab!r} does not belong to {pp.ext.name}")
-    return _packet(pp, slot, _forge_payload(pp, payload), lab.index)
+    return _packet(pp, slot, _check_payload(pp, payload), lab.index)
 
 
 def _packet(
@@ -336,7 +329,7 @@ def deterministic_forge(
     otherwise the "forgery" would just be an honest combination.
     """
     pp = view.pp
-    payload = _forge_payload(pp, payload)
+    payload = _check_payload(pp, payload)
     _payload_outside_view(view, payload)
     vk = recover_verifier_key(view, target)  # refuses a member target
     lab = pp.ext.dot(_label_row(pp, 1, payload), _indices_in(pp.ext, vk))
@@ -353,7 +346,7 @@ def guess_forge(
     pp = view.pp
     if target in view.members:
         raise TargetInCoalition(f"target {target} is a coalition member")
-    payload = _forge_payload(pp, payload)
+    payload = _check_payload(pp, payload)
     _payload_outside_view(view, payload)
     r = _rng.stream(seed, "adversary/guess")
     return _packet(pp, pp.tag_slot(target), payload, r.randrange(pp.ext.order))

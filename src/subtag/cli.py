@@ -11,7 +11,6 @@ progress chatter on stderr.
 from __future__ import annotations
 
 import argparse
-import itertools
 import logging
 import os
 import sys
@@ -22,7 +21,7 @@ from .codes import rs_code
 from .ec import AGCodeSpec, EllipticCurve, classify_coalition, ec_points, residue_code
 from .errors import InvalidParams, NotQualified, SubtagError
 from .fields import MAX_BASE_ORDER, BaseField, ExtField, _prime_factors
-from .linalg import _echelon, _in_span
+from .linalg import _in_span, _walk
 from .rng import derive_seed, stream
 from .schemas import validate_report
 
@@ -354,22 +353,32 @@ def build_analyze_report(
     if curve_spec is not None:
         # a coalition's class and column span do not depend on the target
         n, k = curve_spec.n, curve_spec.degree
-        ext, column = pp.ext, pp.generator_indices
+        ext, columns = pp.ext, pp.code.columns
+        spans = ([], [])  # coalitions of size n-k-1, then n-k, each with its targets
+
+        def visit(members, basis, _):
+            size = len(members)
+            if size >= n - k - 1:
+                combo = tuple(j + 1 for j in members)
+                spans[size - (n - k - 1)].append((combo, [
+                    (t, _in_span(ext, basis, columns[t - 1]))
+                    for t in range(1, n + 1) if t not in combo
+                ]))
+            return True
+
+        _walk(ext, columns, n - k, visit)
         rows = []
-        for size in (n - k - 1, n - k):
-            for combo in itertools.combinations(range(1, n + 1), size):
-                outside = [t for t in range(1, n + 1) if t not in combo]
-                cls = classify_coalition(curve_spec, combo, outside[0])
-                basis = _echelon(ext, [column(i) for i in combo], pp.kdim)
-                for tgt in outside:
-                    against = cls.against(tgt)
-                    rows.append({
-                        "coalition": list(combo),
-                        "target": tgt,
-                        "kind": cls.kind.value,
-                        "against_target": against,
-                        "span_agrees": against == _in_span(ext, basis, column(tgt)),
-                    })
+        for combo, targets in spans[0] + spans[1]:
+            cls = classify_coalition(curve_spec, combo, targets[0][0])
+            for tgt, spanned in targets:
+                against = cls.against(tgt)
+                rows.append({
+                    "coalition": list(combo),
+                    "target": tgt,
+                    "kind": cls.kind.value,
+                    "against_target": against,
+                    "span_agrees": against == spanned,
+                })
         report["ec_table"] = rows
     return report
 

@@ -11,14 +11,17 @@ Every answer is a span test on ``columns``, the generator's columns as
 index tuples, read once when a code is built.  ``forgeable`` makes one.
 By Massey's theorem the minimal dual codewords through coordinate i are
 the circuits of the column matroid through i: minimal sets S of other
-coordinates whose columns span column i.  Subsets are tested in
-increasing size up to kdim, and S is kept when its span witness lambda
-has no zero entry: a dependent set's witness is 0 at its free unknowns,
-and an independent set's is unique, 0 at j exactly when S - {j} spans.
-S is an access set for i, and lambda gives the dual word with 1 at i and
--lambda_j at each j in S.  A minimum distance is the size of the smallest
-dependent set of parity-check columns.  Only ``codewords`` enumerates
-words.
+coordinates whose columns span column i.  The searches walk column
+subsets depth first with ``linalg._walk``, so a subset extends its
+prefix's reduction by one column instead of being eliminated afresh.
+The circuit search goes up to size kdim, extends only independent sets
+that do not span column i, and keeps S when its span witness lambda has
+no zero entry: that witness is unique, and 0 at j exactly when S - {j}
+spans.  S is an access set for i, and lambda gives the dual word with 1
+at i and -lambda_j at each j in S.  A minimum distance is the size of the
+smallest dependent set of parity-check columns; that search stops
+descending at the smallest size found so far.  Only ``codewords``
+enumerates words.
 
 ``ENUM_GUARD`` bounds the work up front, so routines refuse instead of
 approximating: ``codewords`` counts words, the searches count the column
@@ -44,7 +47,7 @@ from .errors import (
     TooLong,
 )
 from .fields import BaseField, ExtField, FieldElement
-from .linalg import Matrix, span_witness
+from .linalg import Matrix, _walk, span_witness
 
 __all__ = [
     "CoalitionSpec",
@@ -155,13 +158,18 @@ class LinearCode:
         top = self.length - self.kdim
         _check_subsets(self.length, range(1, top + 1))
         if self._dmin is None:
-            dependent = (
-                len(combo)
-                for size in range(1, top + 1)
-                for combo in itertools.combinations(self.dual().columns, size)
-                if span_witness(self.field, combo[:-1], combo[-1]) is not None
-            )
-            self._dmin = next(dependent, top + 1)
+            best = top + 1
+
+            def visit(members, basis, _):
+                nonlocal best
+                if len(basis[1]) < len(members):
+                    best = min(best, len(members))
+                    return False
+                # a superset is worth testing only while it would be smaller
+                return len(members) + 1 < best
+
+            _walk(self.field, self.dual().columns, top, visit)
+            self._dmin = best
         return self._dmin
 
     def _circuits(self, i: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -173,14 +181,20 @@ class LinearCode:
         _check_subsets(len(others), range(self.kdim + 1))
         found = self._circuit_memo.get(i)
         if found is None:
-            field, cols, target = self.field, self.columns, self.columns[i - 1]
             found = []
-            for size in range(self.kdim + 1):
-                for members in itertools.combinations(others, size):
-                    witness = span_witness(field, [cols[j - 1] for j in members], target)
-                    # no zero entry: independent, and no proper subset spans
-                    if witness is not None and all(witness):
-                        found.append((members, witness))
+
+            def visit(members, basis, witness):
+                if witness is not None:
+                    # no zero entry: no proper subset spans
+                    if all(witness):
+                        found.append((tuple(others[t] for t in members), witness))
+                    return False
+                # a dependent set's supersets are never minimal
+                return len(basis[1]) == len(members)
+
+            cols = self.columns
+            _walk(self.field, [cols[j - 1] for j in others], self.kdim, visit, cols[i - 1])
+            found.sort(key=lambda circuit: (len(circuit[0]), circuit[0]))
             found = self._circuit_memo[i] = tuple(found)
         return found
 

@@ -36,9 +36,7 @@ __all__ = [
     "CoalitionClass",
     "ec_points",
     "ec_add",
-    "ec_neg",
     "ec_sum",
-    "ec_mul",
     "rr_basis",
     "Monomial",
     "eval_code",
@@ -115,12 +113,6 @@ def ec_points(curve: EllipticCurve) -> tuple[ECPoint, ...]:
     return tuple(pts)
 
 
-def ec_neg(p: ECPoint) -> ECPoint:
-    if p.is_infinity:
-        return p
-    return ECPoint(p.curve, p.x, -p.y)
-
-
 def ec_add(p: ECPoint, q: ECPoint) -> ECPoint:
     """Chord-tangent addition."""
     if p.curve != q.curve:
@@ -146,19 +138,6 @@ def ec_sum(points: Iterable[ECPoint], curve: EllipticCurve) -> ECPoint:
     acc = ECPoint.infinity(curve)
     for p in points:
         acc = ec_add(acc, p)
-    return acc
-
-
-def ec_mul(n: int, p: ECPoint) -> ECPoint:
-    if n < 0:
-        return ec_mul(-n, ec_neg(p))
-    acc = ECPoint.infinity(p.curve)
-    add = p
-    while n:
-        if n & 1:
-            acc = ec_add(acc, add)
-        add = ec_add(add, add)
-        n >>= 1
     return acc
 
 

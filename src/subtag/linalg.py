@@ -14,14 +14,17 @@ elimination: ``solve_all`` reads the particular solution and the null
 basis off the same reduced [A | b].
 
 A span asked about many times is reduced once, by ``_echelon``, and
-``_in_span`` tests vectors against that basis: views, sinks and
-``analyze`` reduce against a stored basis only through these two.
+``_in_span`` tests vectors against that basis: views and sinks reduce
+against a stored basis only through these two.  Searches over column
+subsets (distances, circuits, the ``analyze`` table) use ``_walk``: a
+depth-first walk in which each subset's semi-echelon basis extends its
+prefix's by one reduced column, which ``_in_span`` also reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .errors import DimensionMismatch, FieldMismatch
 from .fields import BaseField, ExtField, FieldElement
@@ -282,14 +285,97 @@ def _echelon(
 def _in_span(
     field: AnyField, basis: tuple[IndexRows, tuple[int, ...]], v: Sequence[int]
 ) -> bool:
-    """Does v lie in the span of an ``_echelon`` basis?  Reduces v against
-    it; zero means inside.  v must have the basis's width."""
-    mul, sub = field.mul_idx, field.sub_idx
+    """Does v lie in the span of a semi-echelon basis (rows and their pivot
+    columns, each row zero at the earlier rows' pivots), such as an
+    ``_echelon`` or ``_walk`` basis?  Reduces v against it; zero means
+    inside.  v must have the basis's width."""
+    mul, sub, div = field.mul_idx, field.sub_idx, field.div_idx
     for row, col in zip(*basis):
         c = v[col]
         if c:
+            if row[col] != 1:
+                c = div(c, row[col])
             v = [sub(x, mul(c, y)) for x, y in zip(v, row)]
     return not any(v)
+
+
+def _walk(
+    field: AnyField,
+    columns: Sequence[Sequence[int]],
+    depth: int,
+    visit: Callable[..., bool],
+    target: Sequence[int] | None = None,
+) -> None:
+    """Visit the subsets of ``columns`` with at most ``depth`` members depth
+    first: each subset before its supersets, and the subsets of one size in
+    ``itertools.combinations`` order.  A subset's supersets are visited only
+    when ``visit(members, basis, witness)`` returns true for it.
+
+    ``members`` are positions in ``columns``.  ``basis`` is an ``_in_span``
+    basis of the members' columns: each member's column reduced against the
+    earlier members' rows, one row per pivot (rows are not normalized).  A
+    member whose column reduces to zero adds no row, so the members are
+    independent exactly when there are as many rows as members.
+
+    A subset reduces the columns after its last member against its newest
+    row once, when its supersets are entered; each child then takes its
+    column's reduction as its row, so a subset costs one reduction step per
+    later column instead of an elimination.
+
+    With a ``target``, every later column also carries the combination of
+    members' columns it was reduced by, as a list aligned with ``members``,
+    and so does the target's residual.  ``witness`` is then a combination
+    of the members' columns equal to the target (the unique one for
+    independent members), or None while the target lies outside their span.
+    """
+    add, sub, mul, inv = field.add_idx, field.sub_idx, field.mul_idx, field.inv_idx
+    track = target is not None
+
+    def enter(members, rows, pivots, later, row, residual, witness):
+        # ``later``: (j, v, w) for each column j after the last member, v its
+        # reduction against every row but ``row``, the one this subset added
+        # (None when it added none), and w the members' coefficients in
+        # v = column j + sum_t w_t * column members[t]
+        if not visit(members, (rows, pivots), witness if track and not any(residual) else None):
+            return
+        if len(members) == depth:
+            return
+        if row is not None:
+            v_row, p, w_row = row
+            s = inv(v_row[p])
+            reduced = []
+            for j, v, w in later:
+                c = mul(v[p], s)
+                if c:
+                    v = [sub(x, mul(c, y)) for x, y in zip(v, v_row)]
+                    if track:
+                        w = [sub(x, mul(c, y)) for x, y in zip(w, w_row)]
+                        w.append(field.neg_idx(c))
+                elif track:
+                    w = [*w, 0]
+                reduced.append((j, v, w))
+            later = reduced
+        elif track and members:
+            # the last member added no row: its coefficient is 0 throughout
+            later = [(j, v, [*w, 0]) for j, v, w in later]
+        for k, (j, v, w) in enumerate(later):
+            child = members + (j,)
+            p = next((t for t, x in enumerate(v) if x), None)
+            if p is None:
+                # dependent: no row, and the target's residual is unchanged
+                enter(child, rows, pivots, later[k + 1:], None, residual,
+                      witness + (0,) if track else None)
+                continue
+            res, lam = residual, witness
+            if track:
+                c = mul(residual[p], inv(v[p]))
+                lam = (*(add(x, mul(c, y)) for x, y in zip(witness, w)), c)
+                if c:
+                    res = [sub(x, mul(c, y)) for x, y in zip(residual, v)]
+            enter(child, rows + (v,), pivots + (p,), later[k + 1:], (v, p, w), res, lam)
+
+    start = [(j, col, []) for j, col in enumerate(columns)]
+    enter((), (), (), start, None, target if track else None, () if track else None)
 
 
 def span_witness(

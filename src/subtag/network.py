@@ -48,7 +48,6 @@ __all__ = [
     "Topology",
     "Transmission",
     "parse_topology",
-    "format_topology",
     "butterfly",
     "random_topology",
     "compute_global_kernels",
@@ -214,15 +213,6 @@ def parse_topology(text: str) -> Topology:
         )
     # re-run shape validation with kernels attached
     return Topology(topo.nodes, topo.edges, kernels)
-
-
-def format_topology(t: Topology) -> str:
-    lines = [f"node {nd.name} {nd.role}" for nd in t.nodes]
-    lines += [f"edge {a} {b}" for a, b in t.edges]
-    for name in sorted(t.kernels):
-        flat = " ".join(str(v) for row in t.kernels[name] for v in row)
-        lines.append(f"kernel {name} {flat}")
-    return "\n".join(lines) + "\n"
 
 
 def butterfly() -> Topology:

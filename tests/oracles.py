@@ -4,9 +4,11 @@ Everything here recomputes library answers from first principles: field
 arithmetic from the stored moduli alone, dual codewords by direct
 enumeration of G v = 0, forgeability by dual-support search, consistent
 master keys by trying every matrix, labels and linearized evaluations by
-direct powering.  None of it routes through the library's rref/null-space
-code, so agreement between the two sides actually means something.  The
-code and key oracles are exponential and meant for tiny parameters only.
+direct powering, and point multiples by double-and-add over the
+library's chord-tangent ``ec_add``.  None of it routes through the
+library's rref/null-space code, so agreement between the two sides
+actually means something.  The code and key oracles are exponential and
+meant for tiny parameters only.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Sequence, Union
 
+from subtag.ec import ECPoint, ec_add
 from subtag.errors import FieldMismatch, LengthMismatch
 from subtag.fields import ExtField, FieldElement
 from subtag.scheme import PublicParams, TaggedPacket
@@ -348,3 +351,26 @@ def spanned_vectors(field, rows: Sequence[Sequence[int]], width: int) -> set[tup
     if not rows:
         out.add(tuple([0] * width))
     return out
+
+
+# -- elliptic-curve group law --------------------------------------------------
+
+
+def ec_neg(p: ECPoint) -> ECPoint:
+    if p.is_infinity:
+        return p
+    return ECPoint(p.curve, p.x, -p.y)
+
+
+def ec_mul(n: int, p: ECPoint) -> ECPoint:
+    """n * p by double-and-add over the library's ``ec_add``."""
+    if n < 0:
+        return ec_mul(-n, ec_neg(p))
+    acc = ECPoint.infinity(p.curve)
+    add = p
+    while n:
+        if n & 1:
+            acc = ec_add(acc, add)
+        add = ec_add(add, add)
+        n >>= 1
+    return acc

@@ -280,16 +280,20 @@ def test_forged_payloads_are_checked_on_indices(rs_pp, monkeypatch):
     packets = tag_basis(rs_pp, mk, ((1, 0, 0), (0, 1, 0)))
     view = CoalitionView.build(rs_pp, {1: vks[0], 2: vks[1], 3: vks[2]}, packets)
     lab = rs_pp.ext.one
-    # a short payload is refused, not packed into a malformed packet
-    with pytest.raises(InvalidParams, match="payload needs 3 coordinates"):
+    # a short payload is refused, not packed into a malformed packet, with
+    # the error view.spans raises for it
+    with pytest.raises(LengthMismatch, match="payload needs 3 coordinates, got 2"):
         packet_for_label(rs_pp, 4, (1, 0), lab)
-    for bad in ((1, 0), (9, 0, 0), (0, -1, 1)):
-        with pytest.raises(InvalidParams):
+    for bad, error in (((1, 0), LengthMismatch), ((9, 0, 0), InvalidParams),
+                       ((0, -1, 1), InvalidParams)):
+        with pytest.raises(error):
             packet_for_label(rs_pp, 4, bad, lab)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(error):
             deterministic_forge(view, 4, bad)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(error):
             guess_forge(view, 4, bad, seed=0)
+        with pytest.raises(error):
+            view.spans(bad)
     with pytest.raises(InvalidParams):
         label_distribution(view, 4, (9, 0, 0))
     # a guess builds no element to normalize its payload or tracker

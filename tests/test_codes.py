@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subtag import codes
@@ -18,7 +18,7 @@ from subtag.errors import (
     TooLong,
 )
 from subtag.fields import BaseField, ExtField, FieldElement
-from subtag.linalg import Matrix, solve_all
+from subtag.linalg import Matrix, solve_all, span_witness
 from subtag.scheme import PublicParams
 
 from conftest import random_full_rank
@@ -280,6 +280,86 @@ def test_circuits_match_brute_force_on_random_codes():
             pairs += 1
 
 
+# -- the depth-first subset walk against one elimination per subset ---------------
+
+
+def _per_subset_min_distance(code):
+    """Smallest dependent set of parity-check columns, one span test per
+    subset in increasing size."""
+    top = code.length - code.kdim
+    dependent = (
+        len(combo)
+        for size in range(1, top + 1)
+        for combo in itertools.combinations(code.dual().columns, size)
+        if span_witness(code.field, combo[:-1], combo[-1]) is not None
+    )
+    return next(dependent, top + 1)
+
+
+def _per_subset_circuits(code, i):
+    """Circuits through i, one span witness per subset of the other
+    coordinates in increasing size: a set is kept when its witness has no
+    zero entry."""
+    cols = code.columns
+    others = [j for j in range(1, code.length + 1) if j != i]
+    found = []
+    for size in range(code.kdim + 1):
+        for members in itertools.combinations(others, size):
+            witness = span_witness(code.field, [cols[j - 1] for j in members], cols[i - 1])
+            if witness is not None and all(witness):
+                found.append((members, witness))
+    return tuple(found)
+
+
+def _assert_walk_matches_per_subset(code):
+    for c in (code, code.dual()):
+        if not c.is_zero:
+            assert c.min_distance() == _per_subset_min_distance(c), c
+        for i in range(1, c.length + 1):
+            assert c._circuits(i) == _per_subset_circuits(c, i), (c, i)
+
+
+SMALL_FIELDS = (BaseField(2), BaseField(3), BaseField(5), BaseField(2, 2), BaseField(3, 2))
+
+
+@st.composite
+def small_codes(draw):
+    """Full-rank codes whose columns are often zero or repeat an earlier
+    column up to a scalar, so dependent and rank-deficient subsets abound."""
+    f = draw(st.sampled_from(SMALL_FIELDS))
+    kdim = draw(st.integers(1, 3))
+    length = draw(st.integers(kdim, 7))
+    entry = st.integers(0, f.order - 1)
+    columns = []
+    for _ in range(length):
+        kind = draw(st.sampled_from(("zero", "copy", "fresh")))
+        if kind == "zero":
+            columns.append((0,) * kdim)
+        elif kind == "copy" and columns:
+            c = draw(st.integers(1, f.order - 1))
+            columns.append(tuple(f.mul_idx(c, x) for x in draw(st.sampled_from(columns))))
+        else:
+            columns.append(tuple(draw(entry) for _ in range(kdim)))
+    rows = tuple(zip(*columns))
+    assume(Matrix.from_indices(f, rows, ncols=length).rank() == kdim)
+    return make_code(f, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_codes())
+def test_walk_matches_the_per_subset_searches(code):
+    _assert_walk_matches_per_subset(code)
+
+
+@pytest.mark.parametrize("shape", ((1, 8, 2), (1, 8, 3), (2, 6, 3)))
+def test_walk_matches_the_per_subset_searches_on_the_access_codes(shape):
+    l, size, degree = shape
+    ext = ExtField(BaseField(5), l)
+    curve = EllipticCurve(ext, ext.one, ext.one)
+    affine = [p for p in ec_points(curve) if not p.is_infinity]
+    _assert_walk_matches_per_subset(residue_code(AGCodeSpec(curve, tuple(affine[:size]), degree)))
+
+
 def test_analyze_reports_past_the_codeword_guard():
     # RS[12,4] over GF(2^8)^3 has 2^192 codewords; its report needs only
     # column subsets of size at most 4
@@ -426,14 +506,14 @@ def test_minimal_codewords_memo_keeps_the_checks(f5, monkeypatch):
     code = rs_code(f5, range(4), 2)
     first = code.minimal_codewords_wrt(1)
     spans = []
-    original = codes.span_witness
+    original = codes._walk
 
     def counting(*args):
         spans.append(args)
         return original(*args)
 
-    monkeypatch.setattr(codes, "span_witness", counting)
-    # the circuits through 1 are memoized: no span test runs again
+    monkeypatch.setattr(codes, "_walk", counting)
+    # the circuits through 1 are memoized: no subset search runs again
     assert code.minimal_codewords_wrt(1) == first
     assert spans == []
     with monkeypatch.context() as m:

@@ -16,8 +16,6 @@ from subtag.ec import (
     Monomial,
     classify_coalition,
     ec_add,
-    ec_mul,
-    ec_neg,
     ec_points,
     ec_sum,
     eval_code,
@@ -31,10 +29,11 @@ from subtag.errors import (
     TargetInCoalition,
 )
 from subtag.fields import BaseField, ExtField
-from subtag.linalg import span_witness
+from subtag.linalg import Matrix, span_witness
+from subtag.params import params_from_dict, params_to_dict
 from subtag.scheme import PublicParams
 
-from oracles import brute_dual_words, dual_support_forges
+from oracles import brute_dual_words, dual_support_forges, ec_mul, ec_neg
 
 
 @pytest.fixture(scope="module")
@@ -351,25 +350,45 @@ def test_ec_table_matches_the_per_pair_reference(shape):
     assert all(row["span_agrees"] for row in table)
 
 
+def _counting_rref(monkeypatch):
+    calls = []
+    original = Matrix.rref
+
+    def counting(self, pivot_limit=None):
+        calls.append((self.nrows, self.ncols))
+        return original(self, pivot_limit)
+
+    monkeypatch.setattr(Matrix, "rref", counting)
+    return calls
+
+
 def test_ec_table_asks_each_coalition_once(monkeypatch):
     pp, spec = _curve_code(2, 6, 3)
-    classified, reduced, forgeable = [], [], []
-    classify, echelon = cli.classify_coalition, cli._echelon
+    classified, forgeable = [], []
+    classify = cli.classify_coalition
 
     def counting_classify(spec, coalition, target):
         classified.append(tuple(coalition))
         return classify(spec, coalition, target)
 
-    def counting_echelon(field, rows, width):
-        reduced.append(tuple(rows))
-        return echelon(field, rows, width)
-
     monkeypatch.setattr(cli, "classify_coalition", counting_classify)
-    monkeypatch.setattr(cli, "_echelon", counting_echelon)
     monkeypatch.setattr(LinearCode, "forgeable", lambda *args: forgeable.append(args))
+    # a residue code is built as a dual, so it already holds its own dual
+    eliminations = _counting_rref(monkeypatch)
     table = cli.build_analyze_report(pp, spec, 1)["ec_table"]
     coalitions = [c for size in (2, 3) for c in itertools.combinations(range(1, 7), size)]
     assert classified == coalitions
-    assert reduced == [tuple(pp.generator_indices(i) for i in c) for c in coalitions]
+    # the walk shares each prefix's reduction: no coalition is eliminated afresh
+    assert eliminations == []
     assert forgeable == []
     assert len(table) == 120
+
+
+def test_analyze_eliminates_only_for_the_dual(monkeypatch):
+    # the [8,5] access code as the access benchmark reads it, from a params
+    # document; building PublicParams already eliminated once for the dual
+    pp, spec = params_from_dict(params_to_dict(*_curve_code(1, 8, 3)))
+    eliminations = _counting_rref(monkeypatch)
+    report = cli.build_analyze_report(pp, spec, 1)
+    assert eliminations == []
+    assert (report["dual_distance"], len(report["ec_table"])) == (5, 448)

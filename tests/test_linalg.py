@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from subtag.errors import DimensionMismatch, FieldMismatch
 from subtag.fields import BaseField, FieldElement
-from subtag.linalg import Matrix, _echelon, _in_span, solve_all, span_witness
+from subtag.linalg import Matrix, _echelon, _in_span, _walk, solve_all, span_witness
 
 from conftest import random_full_rank
 from oracles import brute_dual_words, brute_solutions, spanned_vectors
@@ -251,6 +251,46 @@ def test_echelon_is_rref_and_in_span_is_span_witness(case):
         assert _in_span(f, basis, v) == (span_witness(f, rows, v) is not None)
     assert _in_span(f, basis, (0,) * width)
     assert _in_span(f, basis, vectors[2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows_and_vectors(), st.integers(0, 2))
+def test_walk_visits_each_subset_with_its_span(case, which):
+    f, width, columns, vectors = case
+    target = vectors[which]
+    seen = []
+
+    def visit(members, basis, witness):
+        seen.append(members)
+        cols = [columns[j] for j in members]
+        rank = Matrix.from_indices(f, cols, ncols=width).rank() if cols else 0
+        assert len(basis[1]) == rank
+        for v in (*columns, *vectors):
+            assert _in_span(f, basis, v) == (span_witness(f, cols, v) is not None)
+        assert (witness is None) == (span_witness(f, cols, target) is None)
+        if witness is not None:
+            assert f.combine(witness, cols, width) == tuple(target)
+        return True
+
+    _walk(f, columns, len(columns), visit, target)
+    # every subset once, supersets after subsets, each size in combinations order
+    by_size = [c for size in range(len(columns) + 1)
+               for c in itertools.combinations(range(len(columns)), size)]
+    assert sorted(seen, key=lambda c: (len(c), c)) == by_size
+    assert seen == sorted(seen)
+
+
+def test_walk_skips_the_supersets_visit_refuses():
+    f = BaseField(5)
+    columns = ((1, 0), (0, 1), (1, 1), (2, 3))
+    seen = []
+
+    def visit(members, basis, witness):
+        seen.append(members)
+        return 1 not in members
+
+    _walk(f, columns, 3, visit)
+    assert seen == [(), (0,), (0, 1), (0, 2), (0, 2, 3), (0, 3), (1,), (2,), (2, 3), (3,)]
 
 
 def test_echelon_of_no_rows_spans_only_zero():

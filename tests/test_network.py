@@ -16,7 +16,6 @@ from subtag.network import (
     butterfly,
     compute_global_kernels,
     decode_subspace,
-    format_topology,
     parse_topology,
     random_topology,
     same_span,
@@ -69,6 +68,16 @@ def test_butterfly_shape():
     pos = {name: i for i, name in enumerate(order)}
     for a, b in t.edges:
         assert pos[a] < pos[b]
+
+
+def format_topology(t: Topology) -> str:
+    """The text ``parse_topology`` reads, for round trips."""
+    lines = [f"node {nd.name} {nd.role}" for nd in t.nodes]
+    lines += [f"edge {a} {b}" for a, b in t.edges]
+    for name in sorted(t.kernels):
+        flat = " ".join(str(v) for row in t.kernels[name] for v in row)
+        lines.append(f"kernel {name} {flat}")
+    return "\n".join(lines) + "\n"
 
 
 def test_parse_format_round_trip():

@@ -52,6 +52,15 @@ COMMANDS = (
     # seed 11 observes the payload (3, 0), so the default payload is e_1 = (0, 1)
     ("attack-default-payload", ["attack", "--params", "rs52.json", "--seed", "11",
                                 "--coalition", "1,2", "--target", "3"], ()),
+    # the (1, 8, 2) = [8,6] and (1, 8, 3) = [8,5] codes of the access benchmark
+    ("ec-code-8d2", ["ec-code", "--q", "5", "--l", "1", "--a", "1", "--b", "1",
+                     "--degree", "2", "--num-points", "8", "--n", "1", "--M", "1",
+                     "--out", "ec8d2.json"], ("ec8d2.json",)),
+    ("analyze-ec-8d2", ["analyze", "--params", "ec8d2.json", "--target", "1"], ()),
+    ("ec-code-8d3", ["ec-code", "--q", "5", "--l", "1", "--a", "1", "--b", "1",
+                     "--degree", "3", "--num-points", "8", "--n", "1", "--M", "1",
+                     "--out", "ec8d3.json"], ("ec8d3.json",)),
+    ("analyze-ec-8d3", ["analyze", "--params", "ec8d3.json", "--target", "1"], ()),
 )
 
 # recorded when this test was added
@@ -81,6 +90,13 @@ DIGESTS = {
     'analyze-ec-d3': '8c65e7b8f21872beb7bb3fc5e1489801a497e8cf72c8316c6732401b86f95f9e',
     # recorded before the default payload was found among the unit vectors
     'attack-default-payload': '0e132d56959c118f6e6f0054ee6a9aa8b5961fd127ce7ca908d539779cc54247',
+    # recorded before the column-subset searches shared their prefixes
+    'ec-code-8d2': 'ba057f235fb577ae2792a4464d2e75df6efa82b36df14f6fda1392351bb43ac3',
+    'ec-code-8d2:ec8d2.json': 'f5b59c8f1223e2e1f0c31614562f7224951ef39110838f9b2ce5193d0b42bb8a',
+    'analyze-ec-8d2': 'e2f59943afefccc3d4ac2e10ea687a6a80ab7057c247a8f80e80c071d434bd79',
+    'ec-code-8d3': '8fa17ad3d7ac693958ab5e41dab169112092f8952b384b0fde2664f638b160de',
+    'ec-code-8d3:ec8d3.json': '04e5ba1f102d84c5e0b8a54e798e44d3bede6260df070f048844b6d44f2f14e9',
+    'analyze-ec-8d3': 'bd879acb71be7948426bd69e48f81654aa3b9043f9d75c228fdd9a211c83b4aa',
 }
 
 
