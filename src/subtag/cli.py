@@ -353,31 +353,38 @@ def build_analyze_report(
     if curve_spec is not None:
         # a coalition's class and column span do not depend on the target
         n, k = curve_spec.n, curve_spec.degree
-        ext, columns = pp.ext, pp.code.columns
-        spans = ([], [])  # coalitions of size n-k-1, then n-k, each with its targets
+        ext, columns, kdim = pp.ext, pp.code.columns, pp.kdim
+        ranks = {}  # the rank of each walked subset of n-k-1 or n-k columns
+        coalitions = []  # those subsets with their bases, in walk order
 
         def visit(members, basis, _):
-            size = len(members)
-            if size >= n - k - 1:
-                combo = tuple(j + 1 for j in members)
-                spans[size - (n - k - 1)].append((combo, [
-                    (t, _in_span(ext, basis, columns[t - 1]))
-                    for t in range(1, n + 1) if t not in combo
-                ]))
+            if len(members) >= n - k - 1:
+                ranks[members] = len(basis[0])
+                coalitions.append((members, basis))
             return True
 
+        def spanned(members, basis, t):
+            if len(members) < n - k:
+                # column t lies in the span exactly when adding it, a subset
+                # the walk also visited, leaves the rank unchanged
+                return ranks[tuple(sorted(members + (t,)))] == ranks[members]
+            return ranks[members] == kdim or _in_span(ext, basis, columns[t])
+
         _walk(ext, columns, n - k, visit)
+        coalitions.sort(key=lambda c: len(c[0]))  # stable: combinations order per size
         rows = []
-        for combo, targets in spans[0] + spans[1]:
-            cls = classify_coalition(curve_spec, combo, targets[0][0])
-            for tgt, spanned in targets:
+        for members, basis in coalitions:
+            combo = tuple(j + 1 for j in members)
+            outside = [t for t in range(1, n + 1) if t not in combo]
+            cls = classify_coalition(curve_spec, combo, outside[0])
+            for tgt in outside:
                 against = cls.against(tgt)
                 rows.append({
                     "coalition": list(combo),
                     "target": tgt,
                     "kind": cls.kind.value,
                     "against_target": against,
-                    "span_agrees": against == spanned,
+                    "span_agrees": against == spanned(members, basis, tgt - 1),
                 })
         report["ec_table"] = rows
     return report

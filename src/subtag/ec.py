@@ -12,9 +12,9 @@ checked coordinate-free against the generic span criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from .codes import LinearCode
 from .errors import (
@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 AnyField = Union[BaseField, ExtField]
+# a point as the indices of its coordinates; None is the point at infinity O
+Pair = Optional[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -61,13 +63,22 @@ class EllipticCurve:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         # discriminant 4a^3 + 27b^2, up to -16; c < p is index c in any field
-        four, twenty_seven = (self.field.element(c % self.field.char) for c in (4, 27))
-        disc = four * a**3 + twenty_seven * b * b
-        if not disc:
+        mul, p = self.field.mul_idx, self.field.char
+        cube, square = mul(a.index, mul(a.index, a.index)), mul(b.index, b.index)
+        if not self.field.add_idx(mul(4 % p, cube), mul(27 % p, square)):
             raise SingularCurve(f"4a^3 + 27b^2 = 0 over {self.field.name}")
 
     def contains(self, x: FieldElement, y: FieldElement) -> bool:
-        return y * y == x**3 + self.a * x + self.b
+        field = self.field
+        for c in (x, y):
+            if not isinstance(c, FieldElement) or c.field != field:
+                raise FieldMismatch(f"{c!r} is not an element of {field.name}")
+        return field.mul_idx(y.index, y.index) == self._rhs(x.index)
+
+    def _rhs(self, x: int) -> int:
+        """The index of x^3 + ax + b at the x-coordinate of index x."""
+        add, mul = self.field.add_idx, self.field.mul_idx
+        return add(mul(add(mul(x, x), self.a.index), x), self.b.index)
 
 
 @dataclass(frozen=True)
@@ -98,47 +109,70 @@ class ECPoint:
         return f"({self.x.index},{self.y.index})"
 
 
+def _pair(p: ECPoint) -> Pair:
+    return None if p.is_infinity else (p.x.index, p.y.index)
+
+
+def _point(curve: EllipticCurve, pair: Pair) -> ECPoint:
+    """The point with these coordinate indices, checked to be on the curve."""
+    if pair is None:
+        return ECPoint.infinity(curve)
+    field = curve.field
+    return ECPoint(curve, FieldElement(field, pair[0]), FieldElement(field, pair[1]))
+
+
 def ec_points(curve: EllipticCurve) -> tuple[ECPoint, ...]:
     """All rational points, O first, affine points sorted by (x, y) index."""
     field = curve.field
-    # y^2 = c has solutions read off a square table, exact and exhaustive.
-    roots: dict[int, list[FieldElement]] = {}
-    for y in field.elements():
-        roots.setdefault((y * y).index, []).append(y)
+    # y^2 = c has solutions read off a square table, exact and exhaustive;
+    # each list of roots is in ascending index order
+    roots: dict[int, list[int]] = {}
+    for y in range(field.order):
+        roots.setdefault(field.mul_idx(y, y), []).append(y)
     pts = [ECPoint.infinity(curve)]
-    for x in field.elements():
-        rhs = x**3 + curve.a * x + curve.b
-        for y in sorted(roots.get(rhs.index, []), key=lambda e: e.index):
-            pts.append(ECPoint(curve, x, y))
+    for x in range(field.order):
+        pts.extend(_point(curve, (x, y)) for y in roots.get(curve._rhs(x), ()))
     return tuple(pts)
+
+
+def _sum_pairs(curve: EllipticCurve, pairs: Iterable[Pair]) -> Pair:
+    """Chord-tangent sum of points given as index pairs: the one group law."""
+    field, a = curve.field, curve.a.index
+    add, sub, mul, inv = field.add_idx, field.sub_idx, field.mul_idx, field.inv_idx
+    acc = None
+    for q in pairs:
+        if q is None:
+            continue
+        if acc is None:
+            acc = q
+            continue
+        (x1, y1), (x2, y2) = acc, q
+        if x1 == x2:
+            if y1 == field.neg_idx(y2):
+                acc = None
+                continue
+            # tangent: lambda = (3x^2 + a) / 2y
+            xx = mul(x1, x1)
+            lam = mul(add(add(add(xx, xx), xx), a), inv(add(y1, y1)))
+        else:
+            lam = mul(sub(y2, y1), inv(sub(x2, x1)))
+        x3 = sub(sub(mul(lam, lam), x1), x2)
+        acc = (x3, sub(mul(lam, sub(x1, x3)), y1))
+    return acc
 
 
 def ec_add(p: ECPoint, q: ECPoint) -> ECPoint:
     """Chord-tangent addition."""
-    if p.curve != q.curve:
-        raise FieldMismatch("points on different curves")
-    if p.is_infinity:
-        return q
-    if q.is_infinity:
-        return p
-    if p.x == q.x and p.y == -q.y:
-        return ECPoint.infinity(p.curve)
-    if p.x == q.x:
-        # tangent: lambda = (3x^2 + a) / 2y
-        three_x2 = p.x * p.x + p.x * p.x + p.x * p.x
-        lam = (three_x2 + p.curve.a) / (p.y + p.y)
-    else:
-        lam = (q.y - p.y) / (q.x - p.x)
-    x3 = lam * lam - p.x - q.x
-    y3 = lam * (p.x - x3) - p.y
-    return ECPoint(p.curve, x3, y3)
+    return ec_sum((p, q), p.curve)
 
 
 def ec_sum(points: Iterable[ECPoint], curve: EllipticCurve) -> ECPoint:
-    acc = ECPoint.infinity(curve)
+    pairs = []
     for p in points:
-        acc = ec_add(acc, p)
-    return acc
+        if p.curve != curve:
+            raise FieldMismatch("points on different curves")
+        pairs.append(_pair(p))
+    return _point(curve, _sum_pairs(curve, pairs))
 
 
 @dataclass(frozen=True)
@@ -155,7 +189,12 @@ class Monomial:
     def evaluate(self, p: ECPoint) -> FieldElement:
         if p.is_infinity:
             raise InvalidParams("cannot evaluate at the pole")
-        return p.x**self.xexp * p.y**self.yexp
+        field = p.curve.field
+        return FieldElement(field, self._at(field, p.x.index, p.y.index))
+
+    def _at(self, field: AnyField, x: int, y: int) -> int:
+        """The value's index at the point with coordinate indices (x, y)."""
+        return field.mul_idx(field.pow_idx(x, self.xexp), field.pow_idx(y, self.yexp))
 
 
 def rr_basis(curve: EllipticCurve, m: int) -> tuple[Monomial, ...]:
@@ -187,6 +226,8 @@ class AGCodeSpec:
     curve: EllipticCurve
     points: tuple[ECPoint, ...]
     degree: int
+    # the points' coordinate indices, in support order
+    _pairs: tuple[tuple[int, int], ...] = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
@@ -199,6 +240,7 @@ class AGCodeSpec:
             raise DuplicatePoint("support points must be pairwise distinct")
         if not 0 < self.degree < len(self.points):
             raise InvalidParams("need 0 < degree < number of support points")
+        object.__setattr__(self, "_pairs", tuple(_pair(p) for p in self.points))
 
     @property
     def n(self) -> int:
@@ -207,11 +249,13 @@ class AGCodeSpec:
 
 def eval_code(spec: AGCodeSpec) -> LinearCode:
     """Evaluation code: rows are the basis monomials evaluated at the support."""
-    rows = []
-    for mono in rr_basis(spec.curve, spec.degree):
-        rows.append(tuple(mono.evaluate(p) for p in spec.points))
+    field = spec.curve.field
+    rows = [
+        [mono._at(field, x, y) for x, y in spec._pairs]
+        for mono in rr_basis(spec.curve, spec.degree)
+    ]
     # degree < n makes the evaluation map injective on L(degree * O)
-    return LinearCode(Matrix(spec.curve.field, tuple(rows), ncols=spec.n))
+    return LinearCode(Matrix.from_indices(field, rows, ncols=spec.n))
 
 
 def residue_code(spec: AGCodeSpec) -> LinearCode:
@@ -258,7 +302,7 @@ def classify_coalition(
     complement); at n-k it forges against everybody unless the complement
     sums to O; and beyond n-k it always forges against everybody.
     """
-    members = sorted(set(int(i) for i in coalition))
+    members = sorted(set(map(int, coalition)))
     n, k = spec.n, spec.degree
     for i in members + [target]:
         if not 1 <= i <= n:
@@ -266,17 +310,20 @@ def classify_coalition(
     if target in members:
         raise TargetInCoalition(f"target {target} is a coalition member")
 
-    complement = [i for i in range(1, n + 1) if i not in members]
-    comp_sum = ec_sum((spec.points[i - 1] for i in complement), spec.curve)
+    # summed directly: the ec_table's coalitions leave at most k+1 points out
+    pairs, inside = spec._pairs, set(members)
+    complement = [i for i in range(1, n + 1) if i not in inside]
+    total = _sum_pairs(spec.curve, [pairs[i - 1] for i in complement])
+    comp_sum = _point(spec.curve, total)
     size = len(members)
 
     if size <= n - k - 2:
         return CoalitionClass(Forgeability.NOT_FORGEABLE, comp_sum, None)
     if size == n - k - 1:
         for i in complement:
-            if spec.points[i - 1] == comp_sum:
+            if pairs[i - 1] == total:
                 return CoalitionClass(Forgeability.SINGLE_TARGET, comp_sum, i)
         return CoalitionClass(Forgeability.NOT_FORGEABLE, comp_sum, None)
-    if size == n - k and comp_sum.is_infinity:
+    if size == n - k and total is None:
         return CoalitionClass(Forgeability.NOT_FORGEABLE, comp_sum, None)
     return CoalitionClass(Forgeability.ALL_TARGETS, comp_sum, None)

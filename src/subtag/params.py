@@ -1,39 +1,32 @@
-"""Reading and writing parameter and packet files.
+"""Reading and writing parameter files.
 
 Parameter files are JSON with every field element spelled out as a
 little-endian coordinate list of decimal integers, so a set of published
-parameters can be audited with nothing but a text editor.  Packet files
-carry a one-line header ``subtag-packets/1 q l kdim M V`` followed by the
-packets either as decimal symbol lines or, in binary mode, as fixed-width
-big-endian symbols.
+parameters can be audited with nothing but a text editor.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
+from typing import Optional
 
 from .codes import LinearCode
 from .ec import AGCodeSpec, ECPoint, EllipticCurve, residue_code
-from .errors import InvalidParams, LengthMismatch
+from .errors import InvalidParams
 from .fields import BaseField, ExtField, FieldElement
 from .linalg import Matrix
-from .scheme import PublicParams, TaggedPacket
+from .scheme import PublicParams
 
 __all__ = [
     "PARAMS_FORMAT",
-    "PACKETS_FORMAT",
     "params_to_dict",
     "params_from_dict",
     "write_params",
     "read_params",
-    "write_packets",
-    "read_packets",
     "dump_json",
 ]
 
 PARAMS_FORMAT = "subtag-params/1"
-PACKETS_FORMAT = "subtag-packets/1"
 # how an element of F_{q^l} is spelled as l coordinates: little-endian in
 # the polynomial basis of the extension modulus, the only convention
 ISO_CONVENTION = "poly-basis-le"
@@ -176,66 +169,3 @@ def read_params(path: str) -> tuple[PublicParams, Optional[AGCodeSpec]]:
             raise InvalidParams(f"{path} is not UTF-8 text") from None
     return params_from_dict(doc)
 
-
-def _packet_header(pp: PublicParams) -> str:
-    return (
-        f"{PACKETS_FORMAT} {pp.base.order} {pp.l} {pp.kdim} {pp.M} {pp.V}"
-    )
-
-
-def write_packets(
-    path: str,
-    pp: PublicParams,
-    packets: Sequence[TaggedPacket],
-    binary: bool = False,
-) -> None:
-    header = _packet_header(pp)
-    if not binary:
-        lines = [header]
-        for pkt in packets:
-            lines.append(" ".join(str(v) for v in pkt.symbols()))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        return
-    width = max(1, ((pp.base.order - 1).bit_length() + 7) // 8)
-    with open(path, "wb") as fh:
-        fh.write((header + "\n").encode("ascii"))
-        for pkt in packets:
-            for v in pkt.symbols():
-                fh.write(v.to_bytes(width, "big"))
-
-
-def read_packets(path: str, pp: PublicParams, binary: bool = False) -> tuple[TaggedPacket, ...]:
-    expect = _packet_header(pp)
-    mismatch = f"{path}: packet file header does not match the parameters"
-    if not binary:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-            except UnicodeDecodeError:
-                raise InvalidParams(f"{path} is not UTF-8 text") from None
-        if not lines or lines[0] != expect:
-            raise InvalidParams(mismatch)
-        try:
-            rows = [[int(v) for v in ln.split()] for ln in lines[1:]]
-        except ValueError:
-            raise InvalidParams(f"{path}: packet symbols must be decimal integers") from None
-        return tuple(TaggedPacket.from_symbols(pp, syms) for syms in rows)
-    with open(path, "rb") as fh:
-        # compared as bytes: a header that is not ASCII cannot match
-        if fh.readline().rstrip(b"\n") != expect.encode("ascii"):
-            raise InvalidParams(mismatch)
-        body = fh.read()
-    width = max(1, ((pp.base.order - 1).bit_length() + 7) // 8)
-    per_packet = pp.packet_symbols * width
-    if len(body) % per_packet:
-        raise LengthMismatch("binary packet body is not a whole number of packets")
-    out = []
-    for off in range(0, len(body), per_packet):
-        chunk = body[off : off + per_packet]
-        syms = [
-            int.from_bytes(chunk[i : i + width], "big")
-            for i in range(0, per_packet, width)
-        ]
-        out.append(TaggedPacket.from_symbols(pp, syms))
-    return tuple(out)

@@ -4,8 +4,8 @@ Everything here recomputes library answers from first principles: field
 arithmetic from the stored moduli alone, dual codewords by direct
 enumeration of G v = 0, forgeability by dual-support search, consistent
 master keys by trying every matrix, labels and linearized evaluations by
-direct powering, and point multiples by double-and-add over the
-library's chord-tangent ``ec_add``.  None of it routes through the
+direct powering, and the elliptic-curve group law and coalition
+classifier in ``FieldElement`` arithmetic.  None of it routes through the
 library's rref/null-space code, so agreement between the two sides
 actually means something.  The code and key oracles are exponential and
 meant for tiny parameters only.
@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Sequence, Union
 
-from subtag.ec import ECPoint, ec_add
+from subtag.ec import CoalitionClass, ECPoint, Forgeability
 from subtag.errors import FieldMismatch, LengthMismatch
 from subtag.fields import ExtField, FieldElement
 from subtag.scheme import PublicParams, TaggedPacket
@@ -356,6 +356,49 @@ def spanned_vectors(field, rows: Sequence[Sequence[int]], width: int) -> set[tup
 # -- elliptic-curve group law --------------------------------------------------
 
 
+def reference_ec_add(p: ECPoint, q: ECPoint) -> ECPoint:
+    """Chord-tangent addition in ``FieldElement`` arithmetic."""
+    if p.curve != q.curve:
+        raise FieldMismatch("points on different curves")
+    if p.is_infinity:
+        return q
+    if q.is_infinity:
+        return p
+    if p.x == q.x and p.y == -q.y:
+        return ECPoint.infinity(p.curve)
+    if p.x == q.x:
+        # tangent: lambda = (3x^2 + a) / 2y
+        three_x2 = p.x * p.x + p.x * p.x + p.x * p.x
+        lam = (three_x2 + p.curve.a) / (p.y + p.y)
+    else:
+        lam = (q.y - p.y) / (q.x - p.x)
+    x3 = lam * lam - p.x - q.x
+    y3 = lam * (p.x - x3) - p.y
+    return ECPoint(p.curve, x3, y3)
+
+
+def reference_classify(spec, coalition: Iterable[int], target: int) -> CoalitionClass:
+    """The point-sum verdict, summing the whole complement with
+    ``reference_ec_add``; coalition and target are 1-based and valid."""
+    members = sorted(set(coalition))
+    n, k = spec.n, spec.degree
+    complement = [i for i in range(1, n + 1) if i not in members]
+    comp_sum = ECPoint.infinity(spec.curve)
+    for i in complement:
+        comp_sum = reference_ec_add(comp_sum, spec.points[i - 1])
+    size = len(members)
+    if size <= n - k - 2:
+        return CoalitionClass(Forgeability.NOT_FORGEABLE, comp_sum, None)
+    if size == n - k - 1:
+        for i in complement:
+            if spec.points[i - 1] == comp_sum:
+                return CoalitionClass(Forgeability.SINGLE_TARGET, comp_sum, i)
+        return CoalitionClass(Forgeability.NOT_FORGEABLE, comp_sum, None)
+    if size == n - k and comp_sum.is_infinity:
+        return CoalitionClass(Forgeability.NOT_FORGEABLE, comp_sum, None)
+    return CoalitionClass(Forgeability.ALL_TARGETS, comp_sum, None)
+
+
 def ec_neg(p: ECPoint) -> ECPoint:
     if p.is_infinity:
         return p
@@ -363,14 +406,14 @@ def ec_neg(p: ECPoint) -> ECPoint:
 
 
 def ec_mul(n: int, p: ECPoint) -> ECPoint:
-    """n * p by double-and-add over the library's ``ec_add``."""
+    """n * p by double-and-add over ``reference_ec_add``."""
     if n < 0:
         return ec_mul(-n, ec_neg(p))
     acc = ECPoint.infinity(p.curve)
     add = p
     while n:
         if n & 1:
-            acc = ec_add(acc, add)
-        add = ec_add(add, add)
+            acc = reference_ec_add(acc, add)
+        add = reference_ec_add(add, add)
         n >>= 1
     return acc

@@ -1,9 +1,10 @@
+import functools
 import itertools
 
 import pytest
 
 from subtag import cli
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subtag.codes import CoalitionSpec, LinearCode
@@ -28,12 +29,19 @@ from subtag.errors import (
     SingularCurve,
     TargetInCoalition,
 )
-from subtag.fields import BaseField, ExtField
+from subtag.fields import BaseField, ExtField, FieldElement
 from subtag.linalg import Matrix, span_witness
 from subtag.params import params_from_dict, params_to_dict
 from subtag.scheme import PublicParams
 
-from oracles import brute_dual_words, dual_support_forges, ec_mul, ec_neg
+from oracles import (
+    brute_dual_words,
+    dual_support_forges,
+    ec_mul,
+    ec_neg,
+    reference_classify,
+    reference_ec_add,
+)
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +132,49 @@ def test_group_is_cyclic_of_order_nine(curve):
 
     orders = sorted(order(p) for p in pts)
     assert orders == [1, 3, 3, 9, 9, 9, 9, 9, 9]
+
+
+@functools.lru_cache(maxsize=None)
+def _law_field(p, l):
+    return BaseField(p) if l == 1 else ExtField(BaseField(p), l)
+
+
+@functools.lru_cache(maxsize=None)
+def _law_curve(p, l, a, b):
+    field = _law_field(p, l)
+    curve = EllipticCurve(field, field.element(a), field.element(b))
+    return curve, ec_points(curve)
+
+
+@st.composite
+def curve_points(draw):
+    """A nonsingular curve over GF(5), GF(7), GF(11), GF(13), GF(5^2) or
+    GF(7^2), with all its points."""
+    p, l = draw(st.sampled_from(((5, 1), (7, 1), (11, 1), (13, 1), (5, 2), (7, 2))))
+    a, b = (draw(st.integers(0, p**l - 1)) for _ in range(2))
+    try:
+        return _law_curve(p, l, a, b)
+    except SingularCurve:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_index_group_law_matches_the_reference(data):
+    curve, pts = data.draw(curve_points())
+    p, q = data.draw(st.sampled_from(pts)), data.draw(st.sampled_from(pts))
+    o = ECPoint.infinity(curve)
+    for u, v in ((p, q), (p, p), (p, ec_neg(p)), (o, p), (p, o), (o, o)):
+        assert ec_add(u, v) == reference_ec_add(u, v), (curve, u, v)
+    assert ec_sum((p, q, p), curve) == reference_ec_add(reference_ec_add(p, q), p)
+
+
+def _script_spec(degree):
+    # the six-point codes of scripts/ec_access_table.py
+    base = BaseField(5)
+    curve = EllipticCurve(base, base.element(1), base.element(1))
+    affine = [p for p in ec_points(curve) if not p.is_infinity]
+    return AGCodeSpec(curve, tuple(affine[:6]), degree)
 
 
 def test_rr_basis_sizes_and_pole_orders(curve):
@@ -347,6 +398,54 @@ def test_ec_table_matches_the_per_pair_reference(shape):
     pp, spec = _curve_code(*shape)
     table = cli.build_analyze_report(pp, spec, 1)["ec_table"]
     assert table == _reference_ec_table(pp, spec)
+    assert all(row["span_agrees"] for row in table)
+
+
+@pytest.mark.parametrize("code", ["script-2", "script-3", *EC_TABLE_CODES[:3]], ids=str)
+def test_classifier_matches_the_reference(code):
+    if isinstance(code, str):
+        spec = _script_spec(int(code[-1]))
+    else:
+        spec = _curve_code(*code)[1]
+    n = spec.n
+    for size in range(n):
+        for combo in itertools.combinations(range(1, n + 1), size):
+            for tgt in range(1, n + 1):
+                if tgt not in combo:
+                    assert classify_coalition(spec, combo, tgt) == reference_classify(
+                        spec, combo, tgt
+                    ), (code, combo, tgt)
+
+
+def test_ec_table_makes_no_element_arithmetic(monkeypatch):
+    pp, spec = _curve_code(1, 8, 3)
+
+    def refuse(*args):
+        raise AssertionError("FieldElement arithmetic below the API edge")
+
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__pow__"):
+        monkeypatch.setattr(FieldElement, name, refuse)
+    table = cli.build_analyze_report(pp, spec, 1)["ec_table"]
+    assert len(table) == 448
+    assert all(row["span_agrees"] for row in table)
+
+
+@pytest.mark.parametrize("shape, zero_sum", [((2, 6, 3), False), ((1, 6, 3), True)])
+def test_ec_table_tests_spans_only_for_dependent_coalitions(monkeypatch, shape, zero_sum):
+    """A coalition of n-k columns is dependent exactly when its complement
+    sums to O; every other verdict is read off the walk's ranks."""
+    pp, spec = _curve_code(*shape)
+    n, k = spec.n, spec.degree
+    assert zero_sum == any(
+        classify_coalition(spec, combo, min(set(range(1, n + 1)) - set(combo)))
+        .complement_sum.is_infinity
+        for combo in itertools.combinations(range(1, n + 1), n - k)
+    )
+    calls = []
+    in_span = cli._in_span
+    monkeypatch.setattr(cli, "_in_span", lambda *args: calls.append(args) or in_span(*args))
+    table = cli.build_analyze_report(pp, spec, 1)["ec_table"]
+    assert bool(calls) == zero_sum
     assert all(row["span_agrees"] for row in table)
 
 

@@ -6,15 +6,13 @@ from subtag import adversary, cli
 from subtag.cli import main
 from subtag.codes import rs_code
 from subtag.ec import AGCodeSpec, EllipticCurve, ec_points, residue_code
-from subtag.errors import InvalidParams, InvalidReport, LengthMismatch
+from subtag.errors import InvalidParams, InvalidReport
 from subtag.fields import BaseField, ExtField
 from subtag.params import (
     dump_json,
     params_from_dict,
     params_to_dict,
-    read_packets,
     read_params,
-    write_packets,
     write_params,
 )
 from subtag.scheme import PublicParams, keygen, tag_basis
@@ -99,55 +97,6 @@ def test_params_curve_generator_cross_check(tmp_path):
     doc2["curve"]["points"][0] = "O"
     with pytest.raises(InvalidParams):
         params_from_dict(doc2)
-
-
-@pytest.mark.parametrize("binary", [False, True])
-def test_packets_round_trip(rs_pp, binary, tmp_path):
-    mk = keygen(rs_pp, 9)
-    packets = tag_basis(rs_pp, mk, ((1, 0, 0), (0, 1, 0)))
-    path = tmp_path / ("pkts.bin" if binary else "pkts.txt")
-    write_packets(str(path), rs_pp, packets, binary=binary)
-    back = read_packets(str(path), rs_pp, binary=binary)
-    assert back == packets
-
-
-def test_packets_header_guard(rs_pp, tiny_pp, tmp_path):
-    mk = keygen(rs_pp, 9)
-    packets = tag_basis(rs_pp, mk, ((1, 0, 0), (0, 1, 0)))
-    path = tmp_path / "pkts.txt"
-    write_packets(str(path), rs_pp, packets)
-    with pytest.raises(InvalidParams):
-        read_packets(str(path), tiny_pp)
-
-
-def test_packets_binary_truncation(rs_pp, tmp_path):
-    mk = keygen(rs_pp, 9)
-    packets = tag_basis(rs_pp, mk, ((1, 0, 0), (0, 1, 0)))
-    path = tmp_path / "pkts.bin"
-    write_packets(str(path), rs_pp, packets, binary=True)
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-1])
-    with pytest.raises(LengthMismatch):
-        read_packets(str(path), rs_pp, binary=True)
-
-
-def test_packets_malformed_files_are_invalid_params(rs_pp, tmp_path):
-    mk = keygen(rs_pp, 9)
-    packets = tag_basis(rs_pp, mk, ((1, 0, 0), (0, 1, 0)))
-    text = tmp_path / "pkts.txt"
-    write_packets(str(text), rs_pp, packets)
-    header, first, rest = text.read_text().split("\n", 2)
-    text.write_text("\n".join((header, "x" + first[1:], rest)))
-    with pytest.raises(InvalidParams, match="pkts.txt"):
-        read_packets(str(text), rs_pp)
-    text.write_bytes(b"\xff" + header.encode())
-    with pytest.raises(InvalidParams, match="pkts.txt"):
-        read_packets(str(text), rs_pp)
-    binary = tmp_path / "pkts.bin"
-    write_packets(str(binary), rs_pp, packets, binary=True)
-    binary.write_bytes(b"\xff" + binary.read_bytes()[1:])
-    with pytest.raises(InvalidParams, match="pkts.bin"):
-        read_packets(str(binary), rs_pp, binary=True)
 
 
 def test_dump_json_is_canonical():
