@@ -114,11 +114,17 @@ def _pair(p: ECPoint) -> Pair:
 
 
 def _point(curve: EllipticCurve, pair: Pair) -> ECPoint:
-    """The point with these coordinate indices, checked to be on the curve."""
+    """The point with these coordinate indices, built without the on-curve
+    check: every caller takes the pair from the curve equation or the group
+    law.  Points from outside input go through ``ECPoint(...)``."""
+    point = object.__new__(ECPoint)
     if pair is None:
-        return ECPoint.infinity(curve)
-    field = curve.field
-    return ECPoint(curve, FieldElement(field, pair[0]), FieldElement(field, pair[1]))
+        x = y = None
+    else:
+        x, y = FieldElement(curve.field, pair[0]), FieldElement(curve.field, pair[1])
+    for name, value in (("curve", curve), ("x", x), ("y", y)):
+        object.__setattr__(point, name, value)
+    return point
 
 
 def ec_points(curve: EllipticCurve) -> tuple[ECPoint, ...]:

@@ -16,12 +16,14 @@ Addition and negation go by kind:
 
 * characteristic 2: the base-2 digits of an index are its coefficients at
   every level, so addition and subtraction are XOR and negation is the
-  identity; no add table is built;
+  identity;
 * odd prime field: addition and subtraction mod p, negation by lookup in
   a length-p table;
-* odd p, order at most ``_MUL_TABLE_MAX``: negation by lookup in a
-  length-order table; addition by lookup in an order x order table when
-  the order is at most ``_ADD_TABLE_MAX``, digit by digit otherwise;
+* odd p, order at most ``_MUL_TABLE_MAX``: Zech logarithms on the
+  discrete-log tables.  With g the generator and 1 + g^k = g^Z(k),
+  g^a + g^b = g^(a + Z(b - a)); Z is one length-(order - 1) table, with
+  a sentinel at the one k where 1 + g^k = 0.  Negation is multiplication
+  by g^((order - 1)/2) = -1, read from a length-order table;
 * odd p, larger (extensions only): digit by digit over the subfield.
 
 Multiplication and inversion use discrete-log tables whenever the order is
@@ -64,7 +66,6 @@ __all__ = [
 # oracles elsewhere in the package remain exact.
 MAX_BASE_ORDER = 1 << 16
 _MUL_TABLE_MAX = 1 << 16
-_ADD_TABLE_MAX = 1 << 10
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -261,8 +262,6 @@ class Field:
         "_fold",
         "_exp",
         "_log",
-        "_neg",
-        "_add_table",
         "_key",
         "_hash",
     )
@@ -297,7 +296,7 @@ class Field:
         self._key = (type(self), char, subfield, degree, self.modulus)
         self._hash = hash(self._key)
         self._frobenius_cols = None
-        self._exp = self._log = self._neg = self._add_table = None
+        self._exp = self._log = None
         self._bind_index_ops()
 
     def _bind_index_ops(self) -> None:
@@ -315,25 +314,56 @@ class Field:
             return
         if self.subfield is None:
             p = self.char
-            self._neg = [(-i) % p for i in range(p)]
-            self.neg_idx = self._neg.__getitem__
+            self.neg_idx = [(-i) % p for i in range(p)].__getitem__
             self.add_idx = lambda i, j: (i + j) % p
             self.sub_idx = lambda i, j: (i - j) % p
             return
-        if self._exp is not None:
-            self._neg = [self._neg_digits(i) for i in range(self.order)]
-            neg = self.neg_idx = self._neg.__getitem__
-        else:
+        if self._exp is None:
             neg = self.neg_idx = self._neg_digits
-        if self.order <= _ADD_TABLE_MAX:
-            table = self._add_table = [
-                [self._add_digits(i, j) for j in range(self.order)] for i in range(self.order)
-            ]
-            self.add_idx = lambda i, j: table[i][j]
-            self.sub_idx = lambda i, j: table[i][neg(j)]
-        else:
             add = self.add_idx = self._add_digits
             self.sub_idx = lambda i, j: add(i, neg(j))
+            return
+        self._bind_zech()
+
+    def _bind_zech(self) -> None:
+        """Zech-logarithm add_idx, sub_idx and neg_idx on the exp/log tables.
+
+        i + j = g^(a + Z(b - a)) for a = log i and b = log j, and
+        i - j = g^(a + Z(b + h - a)), since -1 = g^h with h = n/2 and
+        n = order - 1.  The difference of two logs indexes Z from either
+        end, which is the reduction mod n.  Z is 2n where 1 + g^k = 0, and
+        exp repeated twice and then padded with n zeros maps that sentinel
+        to 0.
+        """
+        exp, log, r = self._exp, self._log, self._radix
+        n = len(exp)
+        h = n // 2
+        one_plus = self.subfield.add_idx
+        zech = []
+        for e in exp:
+            # adding 1 changes only the constant digit
+            s = e - e % r + one_plus(e % r, 1)
+            zech.append(log[s] if s else 2 * n)
+        minus = zech[h:] + zech[:h]
+        sums = exp + exp + [0] * n
+        neg = [0] * self.order
+        for k, e in enumerate(exp):
+            neg[e] = exp[k - h]
+        self.neg_idx = neg.__getitem__
+
+        def add_idx(i: int, j: int) -> int:
+            if i and j:
+                a = log[i]
+                return sums[a + zech[log[j] - a]]
+            return i or j
+
+        def sub_idx(i: int, j: int) -> int:
+            if i and j:
+                a = log[i]
+                return sums[a + minus[log[j] - a]]
+            return i or neg[j]
+
+        self.add_idx, self.sub_idx = add_idx, sub_idx
 
     # -- digits over the subfield -----------------------------------------
 

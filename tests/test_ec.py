@@ -491,3 +491,24 @@ def test_analyze_eliminates_only_for_the_dual(monkeypatch):
     report = cli.build_analyze_report(pp, spec, 1)
     assert eliminations == []
     assert (report["dual_distance"], len(report["ec_table"])) == (5, 448)
+
+
+def test_group_law_points_skip_the_curve_check(monkeypatch):
+    # points from the curve equation or the group law are on the curve by
+    # construction; only ECPoint(...) on outside input checks membership
+    calls = []
+    contains = EllipticCurve.contains
+    monkeypatch.setattr(
+        EllipticCurve, "contains", lambda *args: calls.append(args) or contains(*args)
+    )
+    _, spec = _curve_code(1, 8, 3)
+    n, k = spec.n, spec.degree
+    affine = [p for p in ec_points(spec.curve) if not p.is_infinity]
+    assert ec_sum(affine, spec.curve) == ec_sum(affine[::-1], spec.curve)
+    for size in (n - k - 1, n - k):
+        for combo in itertools.combinations(range(1, n + 1), size):
+            target = min(set(range(1, n + 1)) - set(combo))
+            classify_coalition(spec, combo, target)
+    assert calls == []
+    pt(spec.curve, *spec._pairs[0])
+    assert len(calls) == 1

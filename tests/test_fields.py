@@ -11,7 +11,7 @@ from subtag.errors import (
     InvalidParams,
     LengthMismatch,
 )
-from subtag.fields import BaseField, ExtField, FieldElement, frobenius
+from subtag.fields import BaseField, ExtField, Field, FieldElement, frobenius
 from subtag.linalg import Matrix
 
 from oracles import linearized_eval, reference_field
@@ -83,6 +83,8 @@ DIFFERENTIAL_FIELDS = {
     "GF(5)^3": lambda: ExtField(BaseField(5), 3),
     "GF(7^2)^2": lambda: ExtField(BaseField(7, 2), 2),
     "GF(3)^11": lambda: ExtField(BaseField(3), 11),  # untabulated, odd p
+    "GF(31^2)": lambda: BaseField(31, 2),
+    "GF(5)^4": lambda: ExtField(BaseField(5), 4),
 }
 
 
@@ -91,9 +93,6 @@ def test_index_ops_match_reference(name):
     f = DIFFERENTIAL_FIELDS[name]()
     ref = reference_field(f)
     assert ref.order == f.order
-    if f.char == 2:
-        # characteristic 2 adds by XOR; the O(order^2) table must stay gone
-        assert f._add_table is None
     r = random.Random(name)
     for k in range(200):
         x, y = r.randrange(f.order), r.randrange(f.order)
@@ -127,6 +126,40 @@ def test_index_ops_match_reference(name):
         assert f.dot(xs, ys) == want_dot
     assert f.combine([], [], 4) == (0, 0, 0, 0)
     assert f.dot([], []) == 0
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [
+        lambda: BaseField(3, 2),
+        lambda: ExtField(BaseField(5), 1),
+        lambda: ExtField(BaseField(5), 2),
+        lambda: ExtField(BaseField(3, 2), 2),
+    ],
+    ids=["GF(3^2)", "GF(5)^1", "GF(5)^2", "GF(3^2)^2"],
+)
+def test_zech_addition_exhaustive(maker):
+    # every pair, so zero operands, x + (-x) and x - x are all covered
+    f = maker()
+    ref = reference_field(f)
+    for x in range(f.order):
+        assert f.neg_idx(x) == ref.neg(x)
+        for y in range(f.order):
+            assert (f.add_idx(x, y), f.sub_idx(x, y)) == (ref.add(x, y), ref.sub(x, y))
+
+
+def test_tabulated_fields_build_without_digit_arithmetic(monkeypatch):
+    calls = []
+    for name in ("_add_digits", "_neg_digits"):
+        digits = getattr(Field, name)
+        monkeypatch.setattr(
+            Field, name, lambda self, *args, digits=digits: calls.append(self) or digits(self, *args)
+        )
+    # each build also builds its subfields: GF(5)^3 builds the prime field GF(5)
+    for name, maker in DIFFERENTIAL_FIELDS.items():
+        calls.clear()
+        if maker()._exp is not None:
+            assert calls == [], name
 
 
 # (x, y, x*y, x^-1, -x) on the two untabulated fields, recorded from the

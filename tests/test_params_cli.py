@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,8 @@ from subtag.params import (
 )
 from subtag.scheme import PublicParams, keygen, tag_basis
 from subtag.schemas import validate_report
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_params_round_trip(rs_pp, tmp_path):
@@ -563,6 +569,32 @@ def test_cli_bad_input_is_a_subtag_error(capsys, tmp_path, argv, params_text):
     named += [r for a, r in zip(argv[1:], rest) if a is _binary_file]
     for name in named:
         assert f"{name} is not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_off_curve_params_point_is_a_subtag_error(capsys, tmp_path, flags):
+    path = tmp_path / "ec.json"
+    rc, _, _ = _run(capsys, ["ec-code", "--out", str(path), "--a", "1", "--b", "1",
+                             "--num-points", "5", *EC_ARGS])
+    assert rc == 0
+    doc = json.loads(path.read_text())
+    # (x, 2y) lies on the curve only if 2y = y or 2y = -y, that is y = 0
+    x, y = next(point for point in doc["curve"]["points"] if any(point[1]))
+    y[:] = [2 * c % 5 for c in y]
+    path.write_text(json.dumps(doc))
+    script = (
+        "import sys\n"
+        "from subtag.cli import main\n"
+        f"sys.exit(main(['analyze', '--params', {str(path)!r}, '--target', '2']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("subtag:")
+    assert "is not on the curve" in proc.stderr
 
 
 def test_cli_unknown_inject_node_is_named(capsys, tmp_path):

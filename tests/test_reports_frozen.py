@@ -61,6 +61,14 @@ COMMANDS = (
                      "--degree", "3", "--num-points", "8", "--n", "1", "--M", "1",
                      "--out", "ec8d3.json"], ("ec8d3.json",)),
     ("analyze-ec-8d3", ["analyze", "--params", "ec8d3.json", "--target", "1"], ()),
+    # GF(7^2) of order 49 and GF(7^2)^2 of order 2401, either side of the
+    # order 1024 where odd-p addition once switched from a table to digits
+    ("setup-rs49", ["setup", "--q", "49", "--l", "2", "--n", "1", "--M", "1",
+                    "--V", "4", "--kdim", "2", "--out", "rs49.json"], ("rs49.json",)),
+    ("simulate-rs49", ["simulate", "--params", "rs49.json", "--seed", "7"], ()),
+    ("attack-rs49", ["attack", "--params", "rs49.json", "--seed", "3",
+                     "--coalition", "1,2", "--target", "3"], ()),
+    ("analyze-rs49", ["analyze", "--params", "rs49.json", "--target", "1"], ()),
 )
 
 # recorded when this test was added
@@ -97,6 +105,12 @@ DIGESTS = {
     'ec-code-8d3': '8fa17ad3d7ac693958ab5e41dab169112092f8952b384b0fde2664f638b160de',
     'ec-code-8d3:ec8d3.json': '04e5ba1f102d84c5e0b8a54e798e44d3bede6260df070f048844b6d44f2f14e9',
     'analyze-ec-8d3': 'bd879acb71be7948426bd69e48f81654aa3b9043f9d75c228fdd9a211c83b4aa',
+    # recorded before tabulated odd-p fields added by Zech logarithms
+    'setup-rs49': '80e46a535e706201605728ca635830ba07e956f553effdd7cc71173c6ec9b36d',
+    'setup-rs49:rs49.json': 'fe804b5f8e505d42986443df863b3be011a5b3a7897424155bf89926793814cc',
+    'simulate-rs49': '1c33f9e6944f923ef825f626617463bf901baaf5547c305cebe510acf18ffd91',
+    'attack-rs49': 'bc01e023a9909f6d39953892a0dfb9cd21f2578bf5a2b6886e109ab5f3744bfb',
+    'analyze-rs49': '40b1b033280dc5fbde837a4c500a653074eedda0741ac1b6c39ccb639bacc813',
 }
 
 
