@@ -10,8 +10,9 @@ arguments and name the field.  The public identification of F_q^l with
 F_{q^l} is therefore literally digit decomposition in the polynomial basis
 1, a, ..., a^{l-1}, with the first unit vector mapping to 1.
 
-A field binds its index operations ``mul_idx``, ``add_idx``, ``neg_idx``
-and ``sub_idx`` once, when it is built, so no call branches on the kind.
+A field binds its index operations ``coords_of``, ``mul_idx``,
+``add_idx``, ``neg_idx`` and ``sub_idx`` once, when it is built, so no
+call branches on the kind.
 Addition and negation go by kind:
 
 * characteristic 2: the base-2 digits of an index are its coefficients at
@@ -27,13 +28,21 @@ Addition and negation go by kind:
 * odd p, larger (extensions only): digit by digit over the subfield.
 
 Multiplication and inversion use discrete-log tables whenever the order is
-at most ``_MUL_TABLE_MAX``: every base field and the small extensions.
-Otherwise a product is the schoolbook product of the two coordinate
-vectors, folded back with the monic modulus (x^l = -sum m_k x^k), and an
-inverse comes from the norm: x^-1 = (x^q x^(q^2) ... x^(q^(l-1))) N(x)^-1,
-where N(x) = x x^q ... x^(q^(l-1)) lies in F_q.  Only an extension
-precomputes the q-power Frobenius map, once, as an l x l matrix over F_q,
-since tag verification and the norm apply it in a chain.
+at most ``_MUL_TABLE_MAX``: every base field and the small extensions.  A
+generic schoolbook product, ``_mul_raw``, builds those tables and nothing
+else.  A larger field multiplies with one straight-line function that
+``_compile_ops`` generates and compiles when the field is built: the
+schoolbook product of the two coordinate vectors, unrolled for the
+field's degree, with digit products read off the subfield's log/exp
+tables, folded back with the monic modulus (x^l = -sum m_k x^k) from the
+top degree down.  Its coordinates come by shift and mask when the
+subfield order is a power of two.  Compiling costs more than building
+the tables of a small field such as GF(5)^2, so tabulated fields keep
+their table product.  An inverse there comes from the norm:
+x^-1 = (x^q x^(q^2) ... x^(q^(l-1))) N(x)^-1, where
+N(x) = x x^q ... x^(q^(l-1)) lies in F_q.  Only an extension precomputes
+the q-power Frobenius map, once, as an l x l matrix over F_q, since tag
+verification and the norm apply it in a chain.
 
 Every F-linear combination in the package goes through two methods:
 ``combine`` (sum_k c_k v_k over index vectors) and ``dot`` (sum_k x_k y_k).
@@ -44,6 +53,7 @@ and the attacks' key reconstructions call them.
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -142,6 +152,84 @@ def _index_digits(value: int, radix: int, width: int) -> tuple[int, ...]:
         value, d = divmod(value, radix)
         out.append(d)
     return tuple(out)
+
+
+def _power(mul, i: int, e: int) -> int:
+    """i^e by square-and-multiply with the product ``mul``, for i != 0."""
+    acc, base = 1, i
+    while e:
+        if e & 1:
+            acc = mul(acc, base)
+        base = mul(base, base)
+        e >>= 1
+    return acc
+
+
+def _compile_ops(radix: int, degree: int, fold, sub: "Field"):
+    """``coords_of`` and ``mul_idx`` of sub[x]/(modulus), unrolled for the degree.
+
+    The source spells out the schoolbook product of two digit vectors term
+    by term and folds it with ``fold`` (from _fold_terms) from the top
+    degree down; it is compiled once per field.  Digits are read by shift
+    and mask when the radix is a power of two, by // and % otherwise.  Two
+    digits multiply as e[la + lb] on the subfield's exp/log tables: the log
+    of 0 is the sentinel 2n (n = sub.order - 1), and e is exp twice and
+    then 2n + 1 zeros, so any sum with a sentinel reads 0.  Fold terms
+    enter as logs of -m_k.  Digit sums are ^ in characteristic 2 and the
+    subfield's add_idx otherwise.  Besides the names lg, e and add, the
+    source holds only integer literals derived from the radix and the
+    validated modulus.
+    """
+    n = sub.order - 1
+    lg = list(sub._log)
+    lg[0] = 2 * n
+    e = sub._exp * 2 + [0] * (2 * n + 1)
+    d = degree
+    shift = radix.bit_length() - 1
+    if radix == 1 << shift:
+        down, mod, up, join = " >> {}", f" & {radix - 1}", " << {}", " | "
+        place = [shift * k for k in range(d)]
+    else:
+        down, mod, up, join = " // {}", f" % {radix}", " * {}", " + "
+        place = [radix**k for k in range(d)]
+
+    def digits(v: str) -> list[str]:
+        # the top digit needs no reduction, since v < radix**d
+        return [
+            v + (down.format(place[k]) if k else "") + (mod if k < d - 1 else "")
+            for k in range(d)
+        ]
+
+    if sub.char == 2:
+        total = lambda terms: " ^ ".join(terms)
+        acc = lambda c, term: f"{c} ^= {term}"
+    else:
+        total = lambda terms: functools.reduce(lambda x, y: f"add({x}, {y})", terms)
+        acc = lambda c, term: f"{c} = add({c}, {term})"
+    body = ["if not (i and j):", "    return 0"]
+    body += [f"a{k} = lg[{x}]" for k, x in enumerate(digits("i"))]
+    body += [f"b{k} = lg[{x}]" for k, x in enumerate(digits("j"))]
+    for s in range(2 * d - 1):
+        terms = [f"e[a{u} + b{s - u}]" for u in range(max(0, s - d + 1), min(s, d - 1) + 1)]
+        body.append(f"c{s} = {total(terms)}")
+    for top in range(2 * d - 2, d - 1, -1):
+        body.append(f"t = lg[c{top}]")
+        body += [acc(f"c{top - d + k}", f"e[t + {lg[m]}]") for k, m in fold]
+    value = join.join(f"c{k}" + (up.format(place[k]) if k else "") for k in range(d))
+    body.append(f"return {value}")
+    src = "\n".join(
+        [
+            "def make(lg, e, add):",
+            "    def coords_of(i):",
+            f"        return ({', '.join(digits('i'))},)",
+            "    def mul_idx(i, j):",
+            *(f"        {line}" for line in body),
+            "    return coords_of, mul_idx",
+        ]
+    )
+    namespace: dict = {}
+    exec(src, namespace)
+    return namespace["make"](lg, e, sub.add_idx)
 
 
 def _monic_from_value(value: int, radix: int, degree: int) -> tuple[int, ...]:
@@ -253,6 +341,7 @@ class Field:
         "modulus",
         "name",
         "_frobenius_cols",
+        "coords_of",
         "add_idx",
         "neg_idx",
         "sub_idx",
@@ -300,14 +389,17 @@ class Field:
         self._bind_index_ops()
 
     def _bind_index_ops(self) -> None:
-        """Pick mul_idx, add_idx, neg_idx and sub_idx once, by the kind of field."""
+        """Pick coords_of, mul_idx, add_idx, neg_idx and sub_idx once, by the kind of field."""
         if self.order <= _MUL_TABLE_MAX:
+            r, d = self._radix, self.degree
+            self.coords_of = lambda i: _index_digits(i, r, d)
             self._build_log_tables()
             exp, log, n = self._exp, self._log, self.order - 1
             self.mul_idx = lambda i, j: exp[(log[i] + log[j]) % n] if i and j else 0
         else:
-            raw = self._mul_raw
-            self.mul_idx = lambda i, j: raw(i, j) if i and j else 0
+            self.coords_of, self.mul_idx = _compile_ops(
+                self._radix, self.degree, self._fold, self.subfield
+            )
         if self.char == 2:
             self.add_idx = self.sub_idx = operator.xor
             self.neg_idx = operator.pos
@@ -367,9 +459,6 @@ class Field:
 
     # -- digits over the subfield -----------------------------------------
 
-    def coords_of(self, index: int) -> tuple[int, ...]:
-        return _index_digits(index, self._radix, self.degree)
-
     def _from_digits(self, digits: Iterable[int]) -> int:
         idx = 0
         for d in reversed(list(digits)):
@@ -396,22 +485,13 @@ class Field:
         prod = _mul_mod(self.coords_of(i), self.coords_of(j), self._fold, sub.add_idx, sub.mul_idx)
         return self._from_digits(prod)
 
-    def _pow_raw(self, i: int, e: int) -> int:
-        acc, base = 1, i
-        while e:
-            if e & 1:
-                acc = self._mul_raw(acc, base)
-            base = self._mul_raw(base, base)
-            e >>= 1
-        return acc
-
     def _build_log_tables(self) -> None:
         n = self.order - 1
         gen = 1
         if n > 1:
             factors = _prime_factors(n)
             for cand in range(2, self.order):
-                if all(self._pow_raw(cand, n // f) != 1 for f in factors):
+                if all(_power(self._mul_raw, cand, n // f) != 1 for f in factors):
                     gen = cand
                     break
         exp = [1] * n
@@ -437,12 +517,12 @@ class Field:
         # Norm inverse.  An untabulated field is an extension of degree
         # l >= 2, because every base field is tabulated; the norm
         # x * rest lies in F_q, so its index is a base symbol.
+        mul = self.mul_idx
         chain = self.frobenius_chain(i, self.degree)
         rest = chain[1]
         for c in chain[2:]:
-            rest = self._mul_raw(rest, c)
-        norm = self._mul_raw(i, rest)
-        return self._mul_raw(rest, self.subfield.inv_idx(norm))
+            rest = mul(rest, c)
+        return mul(rest, self.subfield.inv_idx(mul(i, rest)))
 
     def combine(
         self, coeffs: Iterable[int], vectors: Iterable[Sequence[int]], width: int
@@ -476,7 +556,7 @@ class Field:
         if self._exp is not None:
             n = self.order - 1
             return self._exp[(self._log[i] * e) % n]
-        return self._pow_raw(i, e)
+        return _power(self.mul_idx, i, e)
 
     # -- Frobenius (extensions only) ---------------------------------------
 

@@ -24,6 +24,7 @@ from subtag.errors import (
     TargetInCoalition,
     TooLargeToEnumerate,
 )
+from subtag import fields
 from subtag.codes import CoalitionSpec, LinearCode, rs_code
 from subtag.fields import BaseField, ExtField, Field, FieldElement
 from subtag.linalg import Matrix
@@ -334,6 +335,31 @@ def test_each_forgery_checks_its_payload_once(rs_pp, monkeypatch):
     # the public entry point keeps its own check
     packet_for_label(rs_pp, 4, [0, 0, 1], rs_pp.ext.one)
     assert checks == [(0, 0, 1)]
+
+
+def test_untabulated_field_multiplies_without_digit_loops(monkeypatch):
+    # GF(2^8)^3 multiplies by its compiled product and reads coordinates by
+    # shift and mask: neither the schoolbook product that builds tables nor
+    # the divmod digit loop runs in its arithmetic or in an attack on it
+    base = BaseField(2, 8)
+    ext = ExtField(base, 3)
+    pp = PublicParams(base=base, ext=ext, n=2, M=2, code=rs_code(ext, range(8), 3))
+    mk = keygen(pp, 5)
+    vks = distribute(pp, mk)
+    packets = tag_basis(pp, mk, ((1, 0, 0), (0, 1, 0)))
+    calls = []
+    for name in ("_mul_mod", "_index_digits"):
+        real = getattr(fields, name)
+        monkeypatch.setattr(fields, name, lambda *a, real=real: calls.append(a) or real(*a))
+    x, y = 13587199, 14087828
+    assert (ext.mul_idx(x, y), ext.inv_idx(x)) == (220805, 7092954)
+    assert ext.pow_idx(x, ext.order - 1) == 1
+    view = CoalitionView.build(pp, {2: vks[1], 3: vks[2], 4: vks[3]}, packets)
+    count = count_consistent_keys(assemble_system(view))
+    forged = deterministic_forge(view, 1, (0, 0, 1))
+    assert count.predicted == count.measured
+    assert verify(pp, vks[0], forged)
+    assert calls == []
 
 
 def test_guesses_on_one_view_reduce_its_payloads_once(rs_pp, monkeypatch):

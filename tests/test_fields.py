@@ -85,7 +85,28 @@ DIFFERENTIAL_FIELDS = {
     "GF(3)^11": lambda: ExtField(BaseField(3), 11),  # untabulated, odd p
     "GF(31^2)": lambda: BaseField(31, 2),
     "GF(5)^4": lambda: ExtField(BaseField(5), 4),
+    # untabulated: Zech-added sums of base digits; a power-of-two radix
+    # other than 256; division digits and a two-term fold over GF(5)
+    "GF(7^2)^3": lambda: ExtField(BaseField(7, 2), 3),
+    "GF(2^4)^5": lambda: ExtField(BaseField(2, 4), 5),
+    "GF(5)^7": lambda: ExtField(BaseField(5), 7),
+    # x^3 + 3x^2 + x + 1: every lower coefficient is nonzero, so the fold
+    # of x^4 lands on the x^3 digit that is folded next
+    "GF(2^8)^3 dense": lambda: ExtField(BaseField(2, 8), 3, modulus=(1, 1, 3, 1)),
 }
+
+
+def draw_operand(r: random.Random, f: Field) -> int:
+    """A uniform index, a subfield element, or an index with a zero digit."""
+    x = r.randrange(f.order)
+    kind = r.randrange(3)
+    if kind == 1:
+        return x % f._radix
+    if kind == 2:
+        coords = list(f.coords_of(x))
+        coords[r.randrange(f.degree)] = 0
+        return f.from_coords(coords).index
+    return x
 
 
 @pytest.mark.parametrize("name", list(DIFFERENTIAL_FIELDS))
@@ -95,7 +116,7 @@ def test_index_ops_match_reference(name):
     assert ref.order == f.order
     r = random.Random(name)
     for k in range(200):
-        x, y = r.randrange(f.order), r.randrange(f.order)
+        x, y = draw_operand(r, f), draw_operand(r, f)
         assert f.add_idx(x, y) == ref.add(x, y)
         assert f.neg_idx(x) == ref.neg(x)
         assert f.sub_idx(x, y) == ref.sub(x, y)

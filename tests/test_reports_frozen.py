@@ -69,6 +69,14 @@ COMMANDS = (
     ("attack-rs49", ["attack", "--params", "rs49.json", "--seed", "3",
                      "--coalition", "1,2", "--target", "3"], ()),
     ("analyze-rs49", ["analyze", "--params", "rs49.json", "--target", "1"], ()),
+    # untabulated extensions GF(2^8)^3 and GF(7^2)^3: their params files and
+    # analyze reports carry field values, so they pin the arithmetic
+    ("setup-rs256", ["setup", "--q", "256", "--l", "3", "--n", "2", "--M", "2",
+                     "--V", "6", "--kdim", "3", "--out", "rs256.json"], ("rs256.json",)),
+    ("analyze-rs256", ["analyze", "--params", "rs256.json", "--target", "1"], ()),
+    ("setup-rs49x3", ["setup", "--q", "49", "--l", "3", "--n", "1", "--M", "1",
+                      "--V", "4", "--kdim", "2", "--out", "rs49x3.json"], ("rs49x3.json",)),
+    ("analyze-rs49x3", ["analyze", "--params", "rs49x3.json", "--target", "1"], ()),
 )
 
 # recorded when this test was added
@@ -111,6 +119,13 @@ DIGESTS = {
     'simulate-rs49': '1c33f9e6944f923ef825f626617463bf901baaf5547c305cebe510acf18ffd91',
     'attack-rs49': 'bc01e023a9909f6d39953892a0dfb9cd21f2578bf5a2b6886e109ab5f3744bfb',
     'analyze-rs49': '40b1b033280dc5fbde837a4c500a653074eedda0741ac1b6c39ccb639bacc813',
+    # recorded before untabulated fields multiplied by a compiled product
+    'setup-rs256': '0acafd702b561b36e0cc6d2ae766435329cfdfa6193ce8c3bd8de2a0e8997846',
+    'setup-rs256:rs256.json': 'af88421ef3449132c2b68c63c9e65804bcb1882f7cc9725be8fd68adda0dad0d',
+    'analyze-rs256': '1f08013ba0d328340ec49f7cde3817a5267f898034e7edf2a44c2825cd30e2dc',
+    'setup-rs49x3': '6d875e92a32212540f92940718097d9446efd0ed9bdea6c0b61259112f56c4fa',
+    'setup-rs49x3:rs49x3.json': '706d82ef06eedf78ee981cef154fa15e4084c4d2769151b4d43fd4c90bc0a8fd',
+    'analyze-rs49x3': '2a2665f2c736f57e732ee50a134ded97cbe8d3816793a96ff69b068b47027411',
 }
 
 
