@@ -28,18 +28,18 @@ Addition and negation go by kind:
 * odd p, larger (extensions only): digit by digit over the subfield.
 
 Multiplication and inversion use discrete-log tables whenever the order is
-at most ``_MUL_TABLE_MAX``: every base field and the small extensions.  A
-generic schoolbook product, ``_mul_raw``, builds those tables and nothing
-else.  A larger field multiplies with one straight-line function that
-``_compile_ops`` generates and compiles when the field is built: the
-schoolbook product of the two coordinate vectors, unrolled for the
-field's degree, with digit products read off the subfield's log/exp
-tables, folded back with the monic modulus (x^l = -sum m_k x^k) from the
-top degree down.  Its coordinates come by shift and mask when the
-subfield order is a power of two.  Compiling costs more than building
-the tables of a small field such as GF(5)^2, so tabulated fields keep
-their table product.  An inverse there comes from the norm:
-x^-1 = (x^q x^(q^2) ... x^(q^(l-1))) N(x)^-1, where
+at most ``_MUL_TABLE_MAX``: every base field and the small extensions.
+Every field but a prime field also has one straight-line product, which
+``_compile_ops`` generates when the field is built: the schoolbook
+product of the two coordinate vectors, unrolled for the field's degree,
+with digit products read off the subfield's log/exp tables, folded back
+with the monic modulus (x^l = -sum m_k x^k) from the top degree down.
+Its coordinates come by shift and mask when the subfield order is a power
+of two.  A tabulated field builds its tables with that product (a prime
+field with i*j mod p) and then multiplies by table lookup; a larger field
+multiplies with the compiled product itself.  A field built again with
+the same modulus reuses the compiled code.  An untabulated field inverts
+by the norm: x^-1 = (x^q x^(q^2) ... x^(q^(l-1))) N(x)^-1, where
 N(x) = x x^q ... x^(q^(l-1)) lies in F_q.  Only an extension precomputes
 the q-power Frobenius map, once, as an l x l matrix over F_q, since tag
 verification and the norm apply it in a chain.
@@ -124,28 +124,6 @@ def _fold_terms(modulus: Sequence[int], neg) -> tuple[tuple[int, int], ...]:
     return tuple((k, neg(c)) for k, c in enumerate(modulus[:-1]) if c)
 
 
-def _mul_mod(a: Sequence[int], b: Sequence[int], fold, add, mul) -> list[int]:
-    """Coefficients of a*b modulo a monic degree-d modulus.
-
-    a and b hold d coefficients each; ``fold`` comes from _fold_terms and
-    rewrites x^d as -sum m_k x^k, from the top degree down.
-    """
-    d = len(a)
-    prod = [0] * (2 * d - 1)
-    for s, x in enumerate(a):
-        if x:
-            for t, y in enumerate(b):
-                if y:
-                    prod[s + t] = add(prod[s + t], mul(x, y))
-    for top in range(2 * d - 2, d - 1, -1):
-        c = prod[top]
-        if c:
-            low = top - d
-            for k, m in fold:
-                prod[low + k] = add(prod[low + k], mul(c, m))
-    return prod[:d]
-
-
 def _index_digits(value: int, radix: int, width: int) -> tuple[int, ...]:
     out = []
     for _ in range(width):
@@ -165,12 +143,19 @@ def _power(mul, i: int, e: int) -> int:
     return acc
 
 
+@functools.lru_cache(maxsize=64)
+def _compiled(src: str):
+    """Code object of generated source, so a field built again reuses it."""
+    return compile(src, "<field ops>", "exec")
+
+
 def _compile_ops(radix: int, degree: int, fold, sub: "Field"):
     """``coords_of`` and ``mul_idx`` of sub[x]/(modulus), unrolled for the degree.
 
     The source spells out the schoolbook product of two digit vectors term
     by term and folds it with ``fold`` (from _fold_terms) from the top
-    degree down; it is compiled once per field.  Digits are read by shift
+    degree down; ``_compiled`` keeps the code of recent sources, so a
+    field built again skips the compiler.  Digits are read by shift
     and mask when the radix is a power of two, by // and % otherwise.  Two
     digits multiply as e[la + lb] on the subfield's exp/log tables: the log
     of 0 is the sentinel 2n (n = sub.order - 1), and e is exp twice and
@@ -228,7 +213,7 @@ def _compile_ops(radix: int, degree: int, fold, sub: "Field"):
         ]
     )
     namespace: dict = {}
-    exec(src, namespace)
+    exec(_compiled(src), namespace)
     return namespace["make"](lg, e, sub.add_idx)
 
 
@@ -390,16 +375,18 @@ class Field:
 
     def _bind_index_ops(self) -> None:
         """Pick coords_of, mul_idx, add_idx, neg_idx and sub_idx once, by the kind of field."""
+        if self.subfield is None:
+            p = self.char
+            self.coords_of = lambda i: (i,)
+            mul = lambda i, j: i * j % p
+        else:
+            self.coords_of, mul = _compile_ops(self._radix, self.degree, self._fold, self.subfield)
         if self.order <= _MUL_TABLE_MAX:
-            r, d = self._radix, self.degree
-            self.coords_of = lambda i: _index_digits(i, r, d)
-            self._build_log_tables()
+            self._build_log_tables(mul)
             exp, log, n = self._exp, self._log, self.order - 1
             self.mul_idx = lambda i, j: exp[(log[i] + log[j]) % n] if i and j else 0
         else:
-            self.coords_of, self.mul_idx = _compile_ops(
-                self._radix, self.degree, self._fold, self.subfield
-            )
+            self.mul_idx = mul
         if self.char == 2:
             self.add_idx = self.sub_idx = operator.xor
             self.neg_idx = operator.pos
@@ -478,25 +465,19 @@ class Field:
     def _neg_digits(self, i: int) -> int:
         return self._from_digits(map(self.subfield.neg_idx, self.coords_of(i)))
 
-    def _mul_raw(self, i: int, j: int) -> int:
-        sub = self.subfield
-        if sub is None:
-            return i * j % self.char
-        prod = _mul_mod(self.coords_of(i), self.coords_of(j), self._fold, sub.add_idx, sub.mul_idx)
-        return self._from_digits(prod)
-
-    def _build_log_tables(self) -> None:
+    def _build_log_tables(self, mul) -> None:
+        """exp and log tables of a generator, found and powered with the product ``mul``."""
         n = self.order - 1
         gen = 1
         if n > 1:
             factors = _prime_factors(n)
             for cand in range(2, self.order):
-                if all(_power(self._mul_raw, cand, n // f) != 1 for f in factors):
+                if all(_power(mul, cand, n // f) != 1 for f in factors):
                     gen = cand
                     break
         exp = [1] * n
         for i in range(1, n):
-            exp[i] = self._mul_raw(exp[i - 1], gen)
+            exp[i] = mul(exp[i - 1], gen)
         log = [0] * self.order
         for i, v in enumerate(exp):
             log[v] = i

@@ -183,6 +183,14 @@ def test_tabulated_fields_build_without_digit_arithmetic(monkeypatch):
             assert calls == [], name
 
 
+def test_field_built_again_reuses_its_compiled_code():
+    # params files rebuild their fields on every load; a second build of the
+    # same field binds functions made from the code of the first
+    a, b = ExtField(BaseField(5), 2), ExtField(BaseField(5), 2)
+    assert a.coords_of is not b.coords_of
+    assert a.coords_of.__code__ is b.coords_of.__code__
+
+
 # (x, y, x*y, x^-1, -x) on the two untabulated fields, recorded from the
 # polynomial-remainder product and the Fermat inverse x^(order-2).
 FROZEN_UNTABULATED = {
