@@ -49,7 +49,6 @@ from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
-    FieldMismatch,
     InconsistentSystem,
     InvalidParams,
     InvariantViolated,
@@ -82,7 +81,6 @@ __all__ = [
     "count_consistent_keys",
     "consistent_keys",
     "recover_verifier_key",
-    "packet_for_label",
     "deterministic_forge",
     "guess_forge",
     "label_distribution",
@@ -133,14 +131,11 @@ class CoalitionView:
             observed=tuple(packets),
         )
 
-    def observed_payloads(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(p.payload for p in self.observed)
-
     @cached_property
     def payload_span(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """Echelon basis of the observed payloads' span over F_q; one
         elimination per view."""
-        return _echelon(self.pp.base, self.observed_payloads(), self.pp.l)
+        return _echelon(self.pp.base, [p.payload for p in self.observed], self.pp.l)
 
     def spans(self, payload: Sequence[int]) -> bool:
         """Is the payload, l symbols of F_q, in the observed payloads' span?"""
@@ -294,25 +289,11 @@ def recover_verifier_key(view: CoalitionView, target: int) -> VerifierKey:
     return VerifierKey(index=target, column=tuple(FieldElement(ext, c) for c in column))
 
 
-def packet_for_label(
-    pp: PublicParams,
-    target: int,
-    payload: Sequence[int],
-    lab: FieldElement,
-) -> TaggedPacket:
-    """The unique-per-(t*,label) tag vector making verifier ``target`` compute
-    ``lab`` against a tracker-1 packet: all tag slots zero except the first
-    one where the target's generator column is nonzero."""
-    slot = pp.tag_slot(target)
-    if not isinstance(lab, FieldElement) or lab.field != pp.ext:
-        raise FieldMismatch(f"label {lab!r} does not belong to {pp.ext.name}")
-    return _packet(pp, slot, _check_payload(pp, payload), lab.index)
-
-
 def _packet(
     pp: PublicParams, slot: tuple[int, int], payload: tuple[int, ...], lab: int
 ) -> TaggedPacket:
-    """``packet_for_label`` on a checked payload, a label index and a tag slot."""
+    """The tracker-1 packet on a checked payload that the verifier with tag
+    slot (t*, 1/g[t*]) labels ``lab``: tag lab / g[t*] at t*, zero elsewhere."""
     ext = pp.ext
     t_star, g_inv = slot
     tag = [ext.zero] * pp.kdim

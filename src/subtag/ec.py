@@ -192,12 +192,6 @@ class Monomial:
     def pole_order(self) -> int:
         return 2 * self.xexp + 3 * self.yexp
 
-    def evaluate(self, p: ECPoint) -> FieldElement:
-        if p.is_infinity:
-            raise InvalidParams("cannot evaluate at the pole")
-        field = p.curve.field
-        return FieldElement(field, self._at(field, p.x.index, p.y.index))
-
     def _at(self, field: AnyField, x: int, y: int) -> int:
         """The value's index at the point with coordinate indices (x, y)."""
         return field.mul_idx(field.pow_idx(x, self.xexp), field.pow_idx(y, self.yexp))

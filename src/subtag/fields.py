@@ -6,9 +6,10 @@ modulus, whose index 0..order-1 encodes the coefficient vector over the
 subfield in base (subfield order), constant term least significant.
 ``BaseField(p, m)`` builds F_q = F_p[x]/(f) (F_p itself when m = 1) and
 ``ExtField(base, l)`` builds F_{q^l} = F_q[x]/(g); both only check their
-arguments and name the field.  The public identification of F_q^l with
-F_{q^l} is therefore literally digit decomposition in the polynomial basis
-1, a, ..., a^{l-1}, with the first unit vector mapping to 1.
+degrees and name the field, and ``Field`` checks a given modulus as is.
+The public identification of F_q^l with F_{q^l} is therefore literally
+digit decomposition in the polynomial basis 1, a, ..., a^{l-1}, with the
+first unit vector mapping to 1.
 
 A field binds its index operations ``coords_of``, ``mul_idx``,
 ``add_idx``, ``neg_idx`` and ``sub_idx`` once, when it is built, so no
@@ -287,9 +288,6 @@ class FieldElement:
     def __neg__(self) -> "FieldElement":
         return FieldElement(self.field, self.field.neg_idx(self.index))
 
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv_idx(self.index))
-
     def __bool__(self) -> bool:
         return self.index != 0
 
@@ -355,6 +353,14 @@ class Field:
         self.name = name
         self._label = label
         self._radix = char if subfield is None else subfield.order
+        if modulus is not None:
+            modulus = tuple(modulus)
+            if len(modulus) != degree + 1 or modulus[-1] != 1 or any(
+                not isinstance(c, int) or not 0 <= c < self._radix for c in modulus
+            ):
+                raise InvalidParams(
+                    f"modulus must be monic of degree {degree} over 0..{self._radix - 1}"
+                )
         self.order = self._radix**degree
         if subfield is None:
             # degree 1: every monic linear polynomial is irreducible
@@ -627,16 +633,16 @@ class BaseField(Field):
     __slots__ = ("p", "m")
 
     def __init__(self, p: int, m: int = 1, modulus: Sequence[int] | None = None):
+        # bounded before factoring p and powering p^m; p >= 2, so any m past
+        # log2 of the bound overflows it
+        if p > MAX_BASE_ORDER:
+            raise InvalidParams(f"characteristic {p} exceeds {MAX_BASE_ORDER}")
         if _prime_factors(p) != [p]:
             raise InvalidParams(f"characteristic {p} is not prime")
         if m < 1:
             raise InvalidParams("extension degree must be at least 1")
-        if p**m > MAX_BASE_ORDER:
-            raise InvalidParams(f"base field order {p**m} exceeds {MAX_BASE_ORDER}")
-        if modulus is not None:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != m + 1 or modulus[-1] != 1:
-                raise InvalidParams("modulus must be monic of degree m")
+        if m >= MAX_BASE_ORDER.bit_length() or p**m > MAX_BASE_ORDER:
+            raise InvalidParams(f"base field order {p}^{m} exceeds {MAX_BASE_ORDER}")
         self.p = p
         self.m = m
         name = f"GF({p})" if m == 1 else f"GF({p}^{m})"
@@ -651,12 +657,6 @@ class ExtField(Field):
     def __init__(self, base: BaseField, l: int, modulus: Sequence[int] | None = None):
         if l < 1:
             raise InvalidParams("extension degree must be at least 1")
-        if modulus is not None:
-            modulus = tuple(int(c) for c in modulus)
-            if len(modulus) != l + 1 or modulus[-1] != 1:
-                raise InvalidParams("modulus must be monic of degree l")
-            if any(not 0 <= c < base.order for c in modulus):
-                raise InvalidParams("modulus coefficients out of range")
         self.base = base
         self.l = l
         if base.m == 1:

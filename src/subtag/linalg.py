@@ -5,13 +5,14 @@ rows and attack systems a few dozen, so plain Gaussian elimination with
 first-nonzero pivoting is both fast enough and, importantly for
 reproducibility, deterministic.
 
-A Matrix stores rows of field indices.  Products, augmentation and
-elimination never build FieldElement, and every vector this module hands
-back (null bases, span witnesses) is a tuple of indices; only the
-``Matrix(...)`` constructor and the ``rows``, ``row`` and ``column``
-accessors speak FieldElement.  Each question is answered by one
-elimination: ``solve_all`` reads the particular solution and the null
-basis off the same reduced [A | b].
+A Matrix stores rows of field indices.  Products and elimination never
+build FieldElement, and every vector this module hands back (null bases,
+span witnesses) is a tuple of indices; only the ``Matrix(...)``
+constructor and the ``rows``, ``row`` and ``column`` accessors speak
+FieldElement.  Each question is answered by one elimination: a system
+a @ X = b is solved by reducing the rows of a joined to the rows of b,
+and ``solve_all`` reads the particular solution and the null basis off
+that one reduced [A | b].
 
 A span asked about many times is reduced once, by ``_echelon``, and
 ``_in_span`` tests vectors against that basis: views and sinks reduce
@@ -44,9 +45,9 @@ IndexRows = tuple[tuple[int, ...], ...]
 class Matrix:
     """Immutable dense matrix over one field, stored as rows of indices.
 
-    Products, augmentation and elimination read and write index rows
-    only.  ``rows``, ``row`` and ``column`` build FieldElement tuples for
-    callers at the API edge; library loops use ``to_index_rows``.
+    Products and elimination read and write index rows only.  ``rows``,
+    ``row`` and ``column`` build FieldElement tuples for callers at the API
+    edge; library loops use ``to_index_rows``.
     """
 
     __slots__ = ("field", "_rows", "nrows", "ncols")
@@ -113,15 +114,6 @@ class Matrix:
     def to_index_rows(self) -> IndexRows:
         return self._rows
 
-    def augment(self, other: "Matrix") -> "Matrix":
-        if other.nrows != self.nrows or other.field != self.field:
-            raise DimensionMismatch("augment needs matching row counts and field")
-        return Matrix._of(
-            self.field,
-            tuple(a + b for a, b in zip(self._rows, other._rows)),
-            self.ncols + other.ncols,
-        )
-
     # -- arithmetic --------------------------------------------------------
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -138,22 +130,20 @@ class Matrix:
 
     # -- elimination -------------------------------------------------------
 
-    def rref(self, pivot_limit: int | None = None) -> tuple["Matrix", int, tuple[int, ...]]:
+    def rref(self) -> tuple["Matrix", int, tuple[int, ...]]:
         """Reduced row echelon form.
 
         Pivoting is "first nonzero": in each column the topmost unused row
         with a nonzero entry becomes the pivot, which makes the output a
-        canonical form for the row space.  ``pivot_limit`` restricts pivot
-        search to the leftmost columns (used for augmented systems).
+        canonical form for the row space.
         """
         f = self.field
         mul, sub, inv = f.mul_idx, f.sub_idx, f.inv_idx
         work = [list(row) for row in self._rows]
         ncols = self.ncols
-        limit = ncols if pivot_limit is None else pivot_limit
         pivots = []
         rank = 0
-        for col in range(limit):
+        for col in range(ncols):
             piv = next((r for r in range(rank, self.nrows) if work[r][col]), None)
             if piv is None:
                 continue
@@ -236,18 +226,20 @@ def _null_basis(
 def _particular(
     a: Matrix, b: Matrix
 ) -> tuple[list[tuple[int, ...]] | None, IndexRows, tuple[int, ...]]:
-    """One elimination of [a | b] with pivots confined to a.
+    """One elimination of [a | b].
 
     Returns a solution of a @ X = b with free unknowns 0 (None when the
     system is inconsistent), the reduced rows and the pivot columns.
     """
-    if b.nrows != a.nrows:
-        raise DimensionMismatch("right-hand side has wrong row count")
-    reduced, rank, pivots = a.augment(b).rref(pivot_limit=a.ncols)
-    red = reduced.to_index_rows()
+    if b.nrows != a.nrows or b.field != a.field:
+        raise DimensionMismatch("right-hand side needs the same row count and field")
     width = a.ncols
-    # a zero row of a against a nonzero right-hand side means 0 = nonzero
-    if any(any(row[width:]) for row in red[rank:]):
+    joined = tuple(x + y for x, y in zip(a._rows, b._rows))
+    reduced, _, pivots = Matrix._of(a.field, joined, width + b.ncols).rref()
+    red = reduced.to_index_rows()
+    # a pivot in b's columns is a zero row of a against a nonzero right-hand
+    # side, 0 = nonzero; otherwise the left block is the rref of a
+    if pivots and pivots[-1] >= width:
         return None, red, pivots
     part = [(0,) * b.ncols] * width
     for r, pc in enumerate(pivots):
@@ -259,7 +251,7 @@ def solve_all(a: Matrix, b: Matrix) -> LinearSolution | None:
     """Solve a @ X = b exactly; None when the system is inconsistent.
 
     One elimination of [a | b] gives both the particular solution and the
-    null basis: with pivots confined to a's columns, its left block is the
+    null basis: when no pivot falls in b's columns, its left block is the
     rref of a.
     """
     part, red, pivots = _particular(a, b)

@@ -52,7 +52,6 @@ __all__ = [
     "random_topology",
     "compute_global_kernels",
     "transmit",
-    "decode_subspace",
     "same_span",
 ]
 
@@ -295,11 +294,9 @@ class Transmission:
     def packets_at(self, name: str) -> tuple[tuple[int, ...], ...]:
         return tuple(self.edge_packets[i] for i in self.topology.in_edges(name))
 
-    def global_rows_at(self, name: str) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.global_vectors[i] for i in self.topology.in_edges(name))
-
     def kernel_rank_at(self, name: str) -> int:
-        return len(_echelon(self.base, self.global_rows_at(name), self.n)[1])
+        rows = [self.global_vectors[i] for i in self.topology.in_edges(name)]
+        return len(_echelon(self.base, rows, self.n)[1])
 
 
 def _resolve_kernels(
@@ -350,26 +347,36 @@ def _resolve_kernels(
     return out
 
 
-def compute_global_kernels(
-    t: Topology, base: BaseField, n: int, seed: int
-) -> tuple[dict[str, tuple[tuple[int, ...], ...]], tuple[tuple[int, ...], ...]]:
-    """Resolve kernels and propagate the per-edge global vectors f_e."""
-    kernels = _resolve_kernels(t, base, n, seed)
-    f: list[Optional[tuple[int, ...]]] = [None] * len(t.edges)
+def _propagate(
+    t: Topology, base: BaseField, kernels: Mapping[str, tuple[tuple[int, ...], ...]],
+    sent: Sequence[tuple[int, ...]], width: int,
+    inject_at: Optional[str] = None, fake: Optional[tuple[int, ...]] = None,
+) -> tuple[tuple[int, ...], ...]:
+    """The ``width``-symbol vector on every edge when the source sends ``sent``
+    and every node but ``inject_at`` (which sends ``fake``) mixes by its kernel."""
+    y: list[Optional[tuple[int, ...]]] = [None] * len(t.edges)
     for name in t.topo_order():
         outs = t.out_edges(name)
         if not outs:
             continue
+        if name == inject_at:
+            for edge_idx in outs:
+                y[edge_idx] = fake
+            continue
         kern = kernels[name]
-        if name == t.source:
-            in_vectors = [
-                tuple(1 if i == j else 0 for i in range(n)) for j in range(n)
-            ]
-        else:
-            in_vectors = [f[i] for i in t.in_edges(name)]
+        ins = sent if name == t.source else [y[i] for i in t.in_edges(name)]
         for col, edge_idx in enumerate(outs):
-            f[edge_idx] = base.combine([row[col] for row in kern], in_vectors, n)
-    return kernels, tuple(v for v in f)
+            y[edge_idx] = base.combine([row[col] for row in kern], ins, width)
+    return tuple(y)
+
+
+def compute_global_kernels(
+    t: Topology, base: BaseField, n: int, seed: int
+) -> tuple[dict[str, tuple[tuple[int, ...], ...]], tuple[tuple[int, ...], ...]]:
+    """Resolve kernels and propagate the unit vectors to the global vectors f_e."""
+    kernels = _resolve_kernels(t, base, n, seed)
+    units = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+    return kernels, _propagate(t, base, kernels, units, n)
 
 
 def transmit(
@@ -402,21 +409,7 @@ def transmit(
         fake = base._symbols(fake)
 
     kernels, f = compute_global_kernels(t, base, n, seed)
-    y: list[Optional[tuple[int, ...]]] = [None] * len(t.edges)
-    for name in t.topo_order():
-        outs = t.out_edges(name)
-        if not outs:
-            continue
-        if name == inject_at:
-            for edge_idx in outs:
-                y[edge_idx] = fake
-            continue
-        kern = kernels[name]
-        in_packets = (
-            pkts if name == t.source else [y[i] for i in t.in_edges(name)]
-        )
-        for col, edge_idx in enumerate(outs):
-            y[edge_idx] = base.combine([row[col] for row in kern], in_packets, width)
+    y = _propagate(t, base, kernels, pkts, width, inject_at, fake)
 
     if inject_at is None:
         # defining property of the global vectors, checked on honest runs
@@ -432,17 +425,9 @@ def transmit(
         n=n,
         kernels=kernels,
         global_vectors=f,
-        edge_packets=tuple(v for v in y),
+        edge_packets=y,
         injected_at=inject_at,
     )
-
-
-def decode_subspace(
-    base: BaseField, payload_rows: Sequence[Sequence[int]], width: int
-) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Canonical basis (rref rows) and dimension of the received span."""
-    rows, pivots = _echelon(base, payload_rows, width)
-    return rows, len(pivots)
 
 
 def same_span(
@@ -451,4 +436,5 @@ def same_span(
     rows_b: Sequence[Sequence[int]],
     width: int,
 ) -> bool:
-    return decode_subspace(base, rows_a, width) == decode_subspace(base, rows_b, width)
+    """Do the rows span one subspace, that is, have one ``_echelon`` basis?"""
+    return _echelon(base, rows_a, width) == _echelon(base, rows_b, width)

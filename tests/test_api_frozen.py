@@ -10,8 +10,12 @@ re-records it with
     PYTHONPATH=src python tests/test_api_frozen.py > tests/api_signatures.txt
 
 and says why in CHANGES.md.
+
+Every name in the listing must also be read by the package, its scripts
+or its benchmark, not only by tests.
 """
 
+import ast
 import difflib
 import enum
 import importlib
@@ -24,6 +28,8 @@ import pytest
 import subtag
 
 RECORDED = Path(__file__).with_name("api_signatures.txt")
+ROOT = Path(__file__).resolve().parent.parent
+CALLER_DIRS = ("src", "scripts", "bench")
 
 
 def _methods(cls):
@@ -57,6 +63,35 @@ def test_public_signatures_match_the_recorded_listing():
             recorded, current, RECORDED.name, "current", lineterm=""
         )
         pytest.fail("public API changed:\n" + "\n".join(diff), pytrace=False)
+
+
+def _names_read(path: Path) -> set[str]:
+    """Names that the code in ``path`` reads: loaded names, loaded
+    attributes and the names of ``from ... import`` lines.  Strings, so
+    docstrings and ``__all__`` entries, are not names."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """Each listed callable is read somewhere in src/, scripts/ or bench/,
+    test files excluded.  The check goes name by name, not by binding: a
+    method named like a local variable (``row``, ``rank``) always passes."""
+    read = set()
+    for folder in CALLER_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if not path.name.startswith("test_"):
+                read |= _names_read(path)
+    names = (line.split("(", 1)[0] for line in api_listing())
+    unread = [name for name in names if name.rsplit(".", 1)[-1] not in read]
+    assert unread == [], f"public names without a caller outside the tests: {unread}"
 
 
 if __name__ == "__main__":

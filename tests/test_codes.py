@@ -488,9 +488,9 @@ def test_dual_runs_one_elimination(monkeypatch):
     calls = []
     original = Matrix.rref
 
-    def counting(self, pivot_limit=None):
+    def counting(self):
         calls.append((self.nrows, self.ncols))
-        return original(self, pivot_limit)
+        return original(self)
 
     monkeypatch.setattr(Matrix, "rref", counting)
     dual = code.dual()

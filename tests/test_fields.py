@@ -32,6 +32,9 @@ def test_canonical_modulus(p, m):
     base, ext = BaseField(p, m), ExtField(BaseField(p), m)
     assert base.modulus == CANONICAL_MODULI[(p, m)]
     assert ext.modulus == CANONICAL_MODULI[(p, m)]
+    # a saved modulus passes the modulus check and rebuilds the same field
+    assert BaseField(p, m, CANONICAL_MODULI[(p, m)]) == base
+    assert ExtField(BaseField(p), m, CANONICAL_MODULI[(p, m)]) == ext
     # the same quotient ring built at either level of the tower
     for i in range(base.order):
         assert base.neg_idx(i) == ext.neg_idx(i)
@@ -68,7 +71,7 @@ def test_field_axioms_exhaustive(maker):
         assert x * f.one == x
         assert x - x == f.zero
         if x:
-            assert x * x.inverse() == f.one
+            assert x * x**-1 == f.one
     for x, y, z in itertools.product(els[:5], els, els[:5]):
         assert (x + y) + z == x + (y + z)
         assert x * (y + z) == x * y + x * z
@@ -236,6 +239,26 @@ def test_invalid_field_params():
         ExtField(BaseField(2), 2, modulus=(1, 0, 1))
     with pytest.raises(InvalidParams):
         BaseField(2, 17)  # 2^17 above the table ceiling
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BaseField(5, 2, (2.5, 0, 1)),  # not truncated to 2
+        lambda: ExtField(BaseField(5), 2, (2.5, 0, 1)),
+        lambda: BaseField(5, 1, (6, 1)),  # not reduced to (1, 1)
+        lambda: BaseField(5, 1, (0, 6)),  # a leading 6 is not monic
+        lambda: BaseField(5, 1, (-1, 1)),
+        lambda: ExtField(BaseField(5), 2, (2, 0, 1, 0)),
+        lambda: ExtField(BaseField(5), 2, (25, 0, 1)),
+        lambda: BaseField(5, 2, ()),
+    ],
+    ids=["base-float", "ext-float", "base-unreduced", "base-leading-6", "base-negative",
+         "ext-too-long", "ext-unreduced", "base-empty"],
+)
+def test_modulus_coefficients_are_checked_not_reduced(build):
+    with pytest.raises(InvalidParams, match="modulus must be monic"):
+        build()
 
 
 def test_element_coords_round_trip(e9):

@@ -64,10 +64,11 @@ def test_constructor_checks_still_fire():
             build(f5, [])
         assert build(f5, [], ncols=2).ncols == 2
     a = M5([[1, 2]])
-    with pytest.raises(DimensionMismatch):
-        a.augment(M5([[1], [2]]))
+    # the right-hand side must match a's row count and field
     with pytest.raises(DimensionMismatch):
         solve_all(a, M5([[1], [2]]))
+    with pytest.raises(DimensionMismatch):
+        solve_all(a, Matrix.from_indices(BaseField(3), [[1]]))
 
 
 def test_index_rref_builds_no_elements(monkeypatch):
@@ -81,7 +82,7 @@ def test_index_rref_builds_no_elements(monkeypatch):
 
     monkeypatch.setattr(FieldElement, "__init__", counting)
     red, rank, _ = a.rref()
-    (a @ a).augment(a).to_index_rows()
+    solve_all(a @ a, a)
     assert rank == 2 and red.rank() == 2
     assert created == []
     red.rows  # the API-edge accessor is the one place elements appear
@@ -92,9 +93,9 @@ def test_solve_all_runs_one_elimination(monkeypatch):
     calls = []
     original = Matrix.rref
 
-    def counting(self, pivot_limit=None):
+    def counting(self):
         calls.append((self.nrows, self.ncols))
-        return original(self, pivot_limit)
+        return original(self)
 
     monkeypatch.setattr(Matrix, "rref", counting)
     a = M5([[1, 2, 0, 3], [0, 1, 1, 2], [1, 3, 1, 0]])
@@ -298,12 +299,6 @@ def test_echelon_of_no_rows_spans_only_zero():
     assert _echelon(f, (), 3) == ((), ())
     assert _in_span(f, ((), ()), (0, 0, 0))
     assert not _in_span(f, ((), ()), (0, 1, 0))
-
-
-def test_augment():
-    a = M5([[1, 2, 3], [4, 0, 1]])
-    b = M5([[9 % 5], [2]])
-    assert a.augment(b).to_index_rows() == ((1, 2, 3, 4), (4, 0, 1, 2))
 
 
 def test_random_full_rank_deterministic():

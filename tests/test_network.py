@@ -15,7 +15,6 @@ from subtag.network import (
     Topology,
     butterfly,
     compute_global_kernels,
-    decode_subspace,
     parse_topology,
     random_topology,
     same_span,
@@ -137,7 +136,7 @@ def test_butterfly_flow_frozen():
     assert tx.packets_at("t1") == ((1, 0), (1, 1))
     assert tx.packets_at("t2") == ((0, 1), (1, 1))
     assert tx.packets_at("c") == ((1, 0), (0, 1))
-    assert tx.global_rows_at("t1") == ((1, 0), (1, 1))
+    assert tuple(tx.global_vectors[i] for i in t.in_edges("t1")) == ((1, 0), (1, 1))
     assert tx.kernel_rank_at("t1") == 2
     assert tx.kernel_rank_at("t2") == 2
     assert tx.kernel_rank_at("d") == 1
@@ -152,7 +151,7 @@ def test_transmit_respects_global_rows():
     packets = [(1, 0, 2, 1), (0, 1, 1, 1)]
     tx = transmit(t, base, packets, seed=9)
     for node in t.verifier_nodes() + t.sink_nodes():
-        rows = tx.global_rows_at(node)
+        rows = [tx.global_vectors[i] for i in t.in_edges(node)]
         got = tx.packets_at(node)
         for vec, pkt in zip(rows, got):
             expect = [0] * 4
@@ -247,15 +246,17 @@ def test_random_topology_properties():
         ]
 
 
-def test_decode_subspace_and_same_span():
+def test_same_span_compares_echelon_bases():
     base = BaseField(3)
     rows = [(1, 0, 2), (0, 1, 1), (1, 1, 0)]
-    basis, rank = decode_subspace(base, rows, 3)
-    assert rank == 2 and len(basis) == 2
+    span = spanned_vectors(base, rows, 3)
+    assert len(span) == 3**2
     assert same_span(base, rows, [(1, 0, 2), (0, 1, 1)], 3)
     assert not same_span(base, rows, [(1, 0, 0), (0, 1, 0)], 3)
     # cross-check against full enumeration of both spans
-    assert spanned_vectors(base, rows, 3) == spanned_vectors(base, list(basis), 3)
+    for other in ([(2, 2, 0), (1, 0, 2)], [(1, 1, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)], []):
+        assert same_span(base, rows, other, 3) == (span == spanned_vectors(base, other, 3))
+    assert same_span(base, [], [(0, 0, 0)], 3)
 
 
 def _scan_in_edges(t, name):

@@ -488,6 +488,12 @@ def _string_for_int(doc):
     return json.dumps(doc)
 
 
+def _unreduced_modulus(doc):
+    # 6 is not an index of GF(5): refused, not read as 1
+    doc["base"] = {"p": 5, "m": 1, "modulus": [6, 1]}
+    return json.dumps(doc)
+
+
 def _topology_file(tmp_path):
     path = tmp_path / "net.topo"
     path.write_text("node s source\nnode a verifier\nedge s a\nkernel a x\n")
@@ -517,6 +523,7 @@ def _binary_file(tmp_path):
         (["analyze", "--target", "4"], '{"format": "subtag-params/1", '),
         (["analyze", "--target", "4"], "[]"),
         (["analyze", "--target", "4"], _string_for_int),
+        (["analyze", "--target", "4"], _unreduced_modulus),
         (["ec-code", "--a", "1", "--b", "1", "--points", "0,0;1,1", *EC_ARGS], None),
         (["ec-code", "--a", "x", "--b", "1", "--num-points", "6", *EC_ARGS], None),
         (["simulate", "--topology", _topology_file], None),
@@ -539,6 +546,7 @@ def _binary_file(tmp_path):
         "malformed-json",
         "params-not-an-object",
         "params-string-for-int",
+        "params-modulus-not-reduced",
         "ec-point-not-on-curve",
         "ec-non-integer-coefficient",
         "topology-non-integer-kernel",
@@ -582,19 +590,45 @@ def test_off_curve_params_point_is_a_subtag_error(capsys, tmp_path, flags):
     x, y = next(point for point in doc["curve"]["points"] if any(point[1]))
     y[:] = [2 * c % 5 for c in y]
     path.write_text(json.dumps(doc))
-    script = (
-        "import sys\n"
-        "from subtag.cli import main\n"
-        f"sys.exit(main(['analyze', '--params', {str(path)!r}, '--target', '2']))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", script],
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = _analyze_in_subprocess(path, "2", flags, timeout=120)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("subtag:")
     assert "is not on the curve" in proc.stderr
+
+
+def _analyze_in_subprocess(path, target, flags=(), timeout=10):
+    script = (
+        "import sys\n"
+        "from subtag.cli import main\n"
+        f"sys.exit(main(['analyze', '--params', {str(path)!r}, '--target', {target!r}]))\n"
+    )
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=timeout,
+    )
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        {"p": 1000000000000000009, "m": 1, "modulus": [0, 1]},
+        {"p": 5, "m": 100000000, "modulus": [0, 1]},
+        {"p": 5, "m": 1000000, "modulus": [0, 1]},
+    ],
+    ids=["characteristic-past-the-bound", "degree-past-the-bound", "order-too-long-to-print"],
+)
+def test_oversized_base_field_params_fail_fast(capsys, tmp_path, base):
+    # unbounded, these would factor p by trial division up to 10^9, compute
+    # 5^(10^8), or fail to print the 700 000-digit order 5^(10^6)
+    path, _ = _setup_rs(capsys, tmp_path)
+    doc = json.loads(path.read_text())
+    doc["base"] = base
+    path.write_text(json.dumps(doc))
+    proc = _analyze_in_subprocess(path, "4")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("subtag:")
+    assert "exceeds 65536" in proc.stderr
 
 
 def test_cli_unknown_inject_node_is_named(capsys, tmp_path):
