@@ -5,7 +5,8 @@ Every command reads and writes plain files and emits one JSON report
 against the schemas in ``subtag.schemas`` before they leave the process,
 and all randomness flows from ``--seed`` through labelled streams, so a
 command line is reproducible byte for byte.  Set SUBTAG_LOG=debug for
-progress chatter on stderr.
+progress chatter on stderr; a value that names no logging level, such as
+1, falls back to INFO.
 """
 
 from __future__ import annotations

@@ -6,14 +6,16 @@ modulus, whose index 0..order-1 encodes the coefficient vector over the
 subfield in base (subfield order), constant term least significant.
 ``BaseField(p, m)`` builds F_q = F_p[x]/(f) (F_p itself when m = 1) and
 ``ExtField(base, l)`` builds F_{q^l} = F_q[x]/(g); both only check their
-degrees and name the field, and ``Field`` checks a given modulus as is.
+degrees and name the field, and ``Field`` checks a given modulus as is
+(of degree 1 it must be x, so F_p has one name).
 The public identification of F_q^l with F_{q^l} is therefore literally
 digit decomposition in the polynomial basis 1, a, ..., a^{l-1}, with the
 first unit vector mapping to 1.
 
-A field binds its index operations ``coords_of``, ``mul_idx``,
-``add_idx``, ``neg_idx`` and ``sub_idx`` once, when it is built, so no
-call branches on the kind.
+A field binds its index operations once, when it is built, so no call
+branches on the kind: the digit codec ``coords_of`` (index to digits) and
+``from_digits`` (digits to index, sum_k d_k r^k for the subfield order r),
+and ``mul_idx``, ``add_idx``, ``neg_idx`` and ``sub_idx``.
 Addition and negation go by kind:
 
 * characteristic 2: the base-2 digits of an index are its coefficients at
@@ -26,21 +28,25 @@ Addition and negation go by kind:
   g^a + g^b = g^(a + Z(b - a)); Z is one length-(order - 1) table, with
   a sentinel at the one k where 1 + g^k = 0.  Negation is multiplication
   by g^((order - 1)/2) = -1, read from a length-order table;
-* odd p, larger (extensions only): digit by digit over the subfield.
+* odd p, larger (extensions only): digit by digit over the subfield, in
+  the compiled code below.
 
 Multiplication and inversion use discrete-log tables whenever the order is
 at most ``_MUL_TABLE_MAX``: every base field and the small extensions.
-Every field but a prime field also has one straight-line product, which
-``_compile_ops`` generates when the field is built: the schoolbook
-product of the two coordinate vectors, unrolled for the field's degree,
-with digit products read off the subfield's log/exp tables, folded back
-with the monic modulus (x^l = -sum m_k x^k) from the top degree down.
-Its coordinates come by shift and mask when the subfield order is a power
-of two.  A tabulated field builds its tables with that product (a prime
-field with i*j mod p) and then multiplies by table lookup; a larger field
-multiplies with the compiled product itself.  A field built again with
-the same modulus reuses the compiled code.  An untabulated field inverts
-by the norm: x^-1 = (x^q x^(q^2) ... x^(q^(l-1))) N(x)^-1, where
+Every field but a prime field has its digit ops generated as one
+straight-line source by ``_compile_ops`` when it is built: the digit
+codec, the digit-wise sums of large odd-p fields, and the schoolbook
+product of two coordinate vectors, unrolled for the field's degree, with
+digit products read off the subfield's log/exp tables, folded back with
+the monic modulus (x^l = -sum m_k x^k) from the top degree down.  Digits
+come and go by shift and mask when the subfield order is a power of two,
+by division and multiplication otherwise, and no index op loops over
+them; a prime field's codec is the identity on its one digit.  A
+tabulated field builds its tables with the product (a prime field with
+i*j mod p) and then multiplies by table lookup; a larger field multiplies
+with the compiled product itself.  A field built again with the same
+modulus reuses the compiled code.  An untabulated field inverts by the
+norm: x^-1 = (x^q x^(q^2) ... x^(q^(l-1))) N(x)^-1, where
 N(x) = x x^q ... x^(q^(l-1)) lies in F_q.  Only an extension precomputes
 the q-power Frobenius map, once, as an l x l matrix over F_q, since tag
 verification and the norm apply it in a chain.
@@ -56,7 +62,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     DivisionByZero,
@@ -150,21 +156,24 @@ def _compiled(src: str):
     return compile(src, "<field ops>", "exec")
 
 
-def _compile_ops(radix: int, degree: int, fold, sub: "Field"):
-    """``coords_of`` and ``mul_idx`` of sub[x]/(modulus), unrolled for the degree.
+def _compile_ops(radix: int, degree: int, fold, sub: "Field") -> tuple:
+    """The digit ops of sub[x]/(modulus), unrolled for the degree.
 
-    The source spells out the schoolbook product of two digit vectors term
-    by term and folds it with ``fold`` (from _fold_terms) from the top
-    degree down; ``_compiled`` keeps the code of recent sources, so a
-    field built again skips the compiler.  Digits are read by shift
-    and mask when the radix is a power of two, by // and % otherwise.  Two
-    digits multiply as e[la + lb] on the subfield's exp/log tables: the log
-    of 0 is the sentinel 2n (n = sub.order - 1), and e is exp twice and
-    then 2n + 1 zeros, so any sum with a sentinel reads 0.  Fold terms
-    enter as logs of -m_k.  Digit sums are ^ in characteristic 2 and the
-    subfield's add_idx otherwise.  Besides the names lg, e and add, the
-    source holds only integer literals derived from the radix and the
-    validated modulus.
+    Returns ``coords_of``, ``from_digits`` and ``mul_idx``, and for odd p
+    above ``_MUL_TABLE_MAX`` also ``add_idx``, ``sub_idx`` and ``neg_idx``,
+    which work digit by digit through the subfield's ops.  The source
+    spells out the schoolbook product of two digit vectors term by term
+    and folds it with ``fold`` (from _fold_terms) from the top degree
+    down; ``_compiled`` keeps the code of recent sources, so a field built
+    again skips the compiler.  Digits are read by shift and mask when the
+    radix is a power of two, by // and % otherwise, and placed back by
+    shift and | or by * and +.  Two digits multiply as e[la + lb] on the
+    subfield's exp/log tables: the log of 0 is the sentinel 2n
+    (n = sub.order - 1), and e is exp twice and then 2n + 1 zeros, so any
+    sum with a sentinel reads 0.  Fold terms enter as logs of -m_k.  Digit
+    sums are ^ in characteristic 2 and the subfield's add_idx otherwise.
+    Besides the names lg, e, add, sub and neg, the source holds only
+    integer literals derived from the radix and the validated modulus.
     """
     n = sub.order - 1
     lg = list(sub._log)
@@ -186,6 +195,10 @@ def _compile_ops(radix: int, degree: int, fold, sub: "Field"):
             for k in range(d)
         ]
 
+    def placed(terms: list[str]) -> str:
+        # digits below the radix, so | places them as well as + does
+        return join.join(t + (up.format(place[k]) if k else "") for k, t in enumerate(terms))
+
     if sub.char == 2:
         total = lambda terms: " ^ ".join(terms)
         acc = lambda c, term: f"{c} ^= {term}"
@@ -201,21 +214,32 @@ def _compile_ops(radix: int, degree: int, fold, sub: "Field"):
     for top in range(2 * d - 2, d - 1, -1):
         body.append(f"t = lg[c{top}]")
         body += [acc(f"c{top - d + k}", f"e[t + {lg[m]}]") for k, m in fold]
-    value = join.join(f"c{k}" + (up.format(place[k]) if k else "") for k in range(d))
-    body.append(f"return {value}")
-    src = "\n".join(
-        [
-            "def make(lg, e, add):",
-            "    def coords_of(i):",
-            f"        return ({', '.join(digits('i'))},)",
-            "    def mul_idx(i, j):",
-            *(f"        {line}" for line in body),
-            "    return coords_of, mul_idx",
+    body.append(f"return {placed([f'c{k}' for k in range(d)])}")
+    names = ["coords_of", "from_digits", "mul_idx"]
+    lines = [
+        "def make(lg, e, add, sub, neg):",
+        "    def coords_of(i):",
+        f"        return ({', '.join(digits('i'))},)",
+        "    def from_digits(c):",
+        f"        return {placed([f'c[{k}]' for k in range(d)])}",
+        "    def mul_idx(i, j):",
+        *(f"        {line}" for line in body),
+    ]
+    if sub.char != 2 and radix**d > _MUL_TABLE_MAX:
+        ij = list(zip(digits("i"), digits("j")))
+        lines += [
+            "    def add_idx(i, j):",
+            f"        return {placed([f'add({x}, {y})' for x, y in ij])}",
+            "    def sub_idx(i, j):",
+            f"        return {placed([f'sub({x}, {y})' for x, y in ij])}",
+            "    def neg_idx(i):",
+            f"        return {placed([f'neg({x})' for x in digits('i')])}",
         ]
-    )
+        names += ["add_idx", "sub_idx", "neg_idx"]
+    src = "\n".join([*lines, f"    return {', '.join(names)}"])
     namespace: dict = {}
     exec(_compiled(src), namespace)
-    return namespace["make"](lg, e, sub.add_idx)
+    return namespace["make"](lg, e, sub.add_idx, sub.sub_idx, sub.neg_idx)
 
 
 def _monic_from_value(value: int, radix: int, degree: int) -> tuple[int, ...]:
@@ -325,6 +349,7 @@ class Field:
         "name",
         "_frobenius_cols",
         "coords_of",
+        "from_digits",
         "add_idx",
         "neg_idx",
         "sub_idx",
@@ -361,10 +386,12 @@ class Field:
                 raise InvalidParams(
                     f"modulus must be monic of degree {degree} over 0..{self._radix - 1}"
                 )
+            if degree == 1 and modulus != (0, 1):
+                # x + c would name the same field differently
+                raise InvalidParams(f"a degree-1 modulus must be x, not {modulus}")
         self.order = self._radix**degree
         if subfield is None:
-            # degree 1: every monic linear polynomial is irreducible
-            self.modulus = (0, 1) if modulus is None else modulus
+            self.modulus = (0, 1)
             self._fold = ()
         else:
             if modulus is None:
@@ -380,13 +407,15 @@ class Field:
         self._bind_index_ops()
 
     def _bind_index_ops(self) -> None:
-        """Pick coords_of, mul_idx, add_idx, neg_idx and sub_idx once, by the kind of field."""
+        """Pick coords_of, from_digits and the arithmetic once, by the kind of field."""
         if self.subfield is None:
             p = self.char
             self.coords_of = lambda i: (i,)
+            self.from_digits = operator.itemgetter(0)
             mul = lambda i, j: i * j % p
         else:
-            self.coords_of, mul = _compile_ops(self._radix, self.degree, self._fold, self.subfield)
+            ops = _compile_ops(self._radix, self.degree, self._fold, self.subfield)
+            self.coords_of, self.from_digits, mul = ops[:3]
         if self.order <= _MUL_TABLE_MAX:
             self._build_log_tables(mul)
             exp, log, n = self._exp, self._log, self.order - 1
@@ -404,9 +433,7 @@ class Field:
             self.sub_idx = lambda i, j: (i - j) % p
             return
         if self._exp is None:
-            neg = self.neg_idx = self._neg_digits
-            add = self.add_idx = self._add_digits
-            self.sub_idx = lambda i, j: add(i, neg(j))
+            self.add_idx, self.sub_idx, self.neg_idx = ops[3:]
             return
         self._bind_zech()
 
@@ -450,26 +477,11 @@ class Field:
 
         self.add_idx, self.sub_idx = add_idx, sub_idx
 
-    # -- digits over the subfield -----------------------------------------
-
-    def _from_digits(self, digits: Iterable[int]) -> int:
-        idx = 0
-        for d in reversed(list(digits)):
-            idx = idx * self._radix + d
-        return idx
-
     def from_coords(self, coords: Sequence[Union[int, FieldElement]]) -> FieldElement:
         if len(coords) != self.degree:
             raise LengthMismatch(f"expected {self.degree} coordinates, got {len(coords)}")
         coef = self if self.subfield is None else self.subfield
-        return FieldElement(self, self._from_digits(coef.element(c).index for c in coords))
-
-    def _add_digits(self, i: int, j: int) -> int:
-        add = self.subfield.add_idx
-        return self._from_digits(map(add, self.coords_of(i), self.coords_of(j)))
-
-    def _neg_digits(self, i: int) -> int:
-        return self._from_digits(map(self.subfield.neg_idx, self.coords_of(i)))
+        return FieldElement(self, self.from_digits([coef.element(c).index for c in coords]))
 
     def _build_log_tables(self, mul) -> None:
         """exp and log tables of a generator, found and powered with the product ``mul``."""
@@ -572,14 +584,8 @@ class Field:
         coords = self.coords_of(i)
         while len(chain) < count:
             coords = combine(coords, cols, l)
-            chain.append(self._from_digits(coords))
+            chain.append(self.from_digits(coords))
         return tuple(chain)
-
-    def frobenius_idx(self, i: int, t: int = 1) -> int:
-        """Apply the q-power map t times."""
-        if t < 0:
-            raise InvalidParams("frobenius power must be non-negative")
-        return self.frobenius_chain(i, t % self.degree + 1)[-1]
 
     # -- element API -------------------------------------------------------
 
@@ -590,13 +596,6 @@ class Field:
     @property
     def one(self) -> FieldElement:
         return FieldElement(self, 1)
-
-    def elements(self) -> Iterator[FieldElement]:
-        return (FieldElement(self, i) for i in range(self.order))
-
-    def embed(self, sym: Union[int, FieldElement]) -> FieldElement:
-        """Constant embedding of the subfield; on indices this is the identity."""
-        return FieldElement(self, self.subfield.element(sym).index)
 
     def _symbols(self, values: Iterable[int]) -> tuple[int, ...]:
         """``values`` as indices of this field, each an int in range."""
@@ -667,9 +666,9 @@ class ExtField(Field):
         self._build_frobenius()
 
 
-def frobenius(x: FieldElement, t: int = 1) -> FieldElement:
-    """x ** (q**t) for x in an extension field."""
+def frobenius(x: FieldElement) -> FieldElement:
+    """x ** q for x in an extension field."""
     field = x.field
     if not isinstance(field, ExtField):
         raise FieldMismatch("frobenius is defined on extension-field elements")
-    return FieldElement(field, field.frobenius_idx(x.index, t))
+    return FieldElement(field, field.frobenius_chain(x.index, 2)[-1])

@@ -229,7 +229,7 @@ class TaggedPacket:
         syms = pp.base._symbols(syms)
         l, ext = pp.l, pp.ext
         tag = tuple(
-            FieldElement(ext, ext._from_digits(syms[start : start + l]))
+            FieldElement(ext, ext.from_digits(syms[start : start + l]))
             for start in range(1 + l, len(syms), l)
         )
         return cls(tracker=syms[0], payload=syms[1 : 1 + l], tag=tag)
@@ -272,7 +272,7 @@ def label_row(pp: PublicParams, tracker: int, payload: Sequence[int]) -> tuple[i
 
 def _label_row(pp: PublicParams, tracker: int, payload: tuple[int, ...]) -> tuple[int, ...]:
     """``label_row`` of a tracker and payload the caller already checked."""
-    s = pp.ext._from_digits(payload)
+    s = pp.ext.from_digits(payload)
     # the constant embedding of F_q is the identity on indices
     return (tracker,) + pp.ext.frobenius_chain(s, pp.M)
 

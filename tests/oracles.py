@@ -106,6 +106,16 @@ def reference_field(field) -> RefQuotient:
     return RefQuotient(RefPrime(field.p), field.modulus)
 
 
+def elements(field) -> list[FieldElement]:
+    """Every element of a field, in index order."""
+    return [FieldElement(field, i) for i in range(field.order)]
+
+
+def embed(ext: ExtField, sym: Union[int, FieldElement]) -> FieldElement:
+    """The constant embedding of the subfield, which is the identity on indices."""
+    return FieldElement(ext, ext.subfield.element(sym).index)
+
+
 # -- codes ---------------------------------------------------------------------
 
 
@@ -235,7 +245,7 @@ def linearized_eval(
         if c.field != field:
             raise FieldMismatch("coefficients must live in the same field as s")
     q = field.base.order
-    acc = field.embed(tracker) * coeffs[0]
+    acc = embed(field, tracker) * coeffs[0]
     power = s
     for t in range(1, len(coeffs)):
         if t > 1:
@@ -254,7 +264,7 @@ def packet_powers(pp: PublicParams, tracker: int, payload: Sequence[int]) -> lis
     """(tracker, s, s^q, ..., s^(q^(M-1))) computed by plain powering."""
     ext = pp.ext
     s = ext.from_coords(list(payload))
-    out = [ext.embed(tracker)]
+    out = [embed(ext, tracker)]
     for t in range(1, pp.M + 1):
         out.append(_pow_q(s, pp.base.order, t - 1))
     return out

@@ -1,10 +1,10 @@
 """The public API stays as recorded in ``api_signatures.txt``.
 
 The listing has one line per public callable named in a module's
-``__all__``, and one per public method of each such class, as
-``module.qualname(signature)``.  Any added, removed or renamed parameter
-fails here with a unified diff, so a change to the API shows up as an
-edit to the recorded file.  A change that alters the API on purpose
+``__all__``, and one per public method of each such class, its own or
+inherited from a package class, as ``module.qualname(signature)``.  Any
+added, removed or renamed parameter fails here with a unified diff, so a
+change to the API shows up as an edit to the recorded file.  A change that alters the API on purpose
 re-records it with
 
     PYTHONPATH=src python tests/test_api_frozen.py > tests/api_signatures.txt
@@ -33,11 +33,17 @@ CALLER_DIRS = ("src", "scripts", "bench")
 
 
 def _methods(cls):
-    for name, attr in vars(cls).items():
-        if name.startswith("_"):
+    """Public methods of ``cls``, with those it inherits from a package class."""
+    seen = set()
+    for owner in cls.__mro__:
+        if not owner.__module__.startswith("subtag."):
             continue
-        if inspect.isfunction(attr) or isinstance(attr, (classmethod, staticmethod)):
-            yield getattr(cls, name)
+        for name, attr in vars(owner).items():
+            if name.startswith("_") or name in seen:
+                continue
+            seen.add(name)
+            if inspect.isfunction(attr) or isinstance(attr, (classmethod, staticmethod)):
+                yield getattr(cls, name)
 
 
 def api_listing() -> list[str]:

@@ -1,5 +1,7 @@
+import dis
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from subtag.errors import (
 from subtag.fields import BaseField, ExtField, Field, FieldElement, frobenius
 from subtag.linalg import Matrix
 
-from oracles import linearized_eval, reference_field
+from oracles import elements, embed, linearized_eval, reference_field
 
 
 # hand-checked canonical moduli (little-endian, monic)
@@ -65,7 +67,7 @@ def test_prime_field_is_mod_p():
 @pytest.mark.parametrize("maker", [lambda: BaseField(3, 2), lambda: ExtField(BaseField(2), 3)])
 def test_field_axioms_exhaustive(maker):
     f = maker()
-    els = list(f.elements())
+    els = elements(f)
     for x in els:
         assert x + f.zero == x
         assert x * f.one == x
@@ -172,18 +174,35 @@ def test_zech_addition_exhaustive(maker):
             assert (f.add_idx(x, y), f.sub_idx(x, y)) == (ref.add(x, y), ref.sub(x, y))
 
 
-def test_tabulated_fields_build_without_digit_arithmetic(monkeypatch):
-    calls = []
-    for name in ("_add_digits", "_neg_digits"):
-        digits = getattr(Field, name)
-        monkeypatch.setattr(
-            Field, name, lambda self, *args, digits=digits: calls.append(self) or digits(self, *args)
-        )
-    # each build also builds its subfields: GF(5)^3 builds the prime field GF(5)
+def test_index_ops_run_no_python_loop():
+    # every bound index op is straight-line code or a builtin: no code
+    # object that runs while one is called holds a loop
+    ran = set()
+
+    def tracer(frame, event, arg):
+        ran.add((name, frame.f_code))
+
     for name, maker in DIFFERENTIAL_FIELDS.items():
-        calls.clear()
-        if maker()._exp is not None:
-            assert calls == [], name
+        f = maker()
+        r = random.Random(name)
+        operands = [(draw_operand(r, f), draw_operand(r, f)) for _ in range(20)]
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            for x, y in operands:
+                f.from_digits(f.coords_of(x))
+                f.neg_idx(x)
+                f.add_idx(x, y)
+                f.sub_idx(x, y)
+                f.mul_idx(x, y)
+        finally:
+            sys.settrace(previous)
+    loops = sorted(
+        (name, code.co_name)
+        for name, code in ran
+        if {"FOR_ITER", "JUMP_BACKWARD"} & {ins.opname for ins in dis.get_instructions(code)}
+    )
+    assert loops == []
 
 
 def test_field_built_again_reuses_its_compiled_code():
@@ -261,21 +280,34 @@ def test_modulus_coefficients_are_checked_not_reduced(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: BaseField(5, 1, (3, 1)), lambda: ExtField(BaseField(5), 1, (3, 1))],
+    ids=["base", "ext"],
+)
+def test_degree_one_modulus_must_be_x(build):
+    # x + 3 is irreducible, but a second name for F_5 would compare unequal
+    with pytest.raises(InvalidParams, match="degree-1 modulus must be x"):
+        build()
+    assert BaseField(5, 1, (0, 1)) == BaseField(5)
+    assert ExtField(BaseField(5), 1, (0, 1)) == ExtField(BaseField(5), 1)
+
+
 def test_element_coords_round_trip(e9):
-    for x in e9.elements():
+    for x in elements(e9):
         assert e9.from_coords(x.coords) == x
         assert e9.element(list(x.coords)) == x
 
 
 def test_embed_is_identity_on_indices(e25, f5):
-    for c in f5.elements():
-        assert e25.embed(c).index == c.index
-        assert e25.embed(c).coords == (c.index, 0)
+    for c in elements(f5):
+        assert embed(e25, c).index == c.index
+        assert embed(e25, c).coords == (c.index, 0)
     # embedding respects the field operations
-    for a in f5.elements():
-        for b in f5.elements():
-            assert e25.embed(a) + e25.embed(b) == e25.embed(a + b)
-            assert e25.embed(a) * e25.embed(b) == e25.embed(a * b)
+    for a in elements(f5):
+        for b in elements(f5):
+            assert embed(e25, a) + embed(e25, b) == embed(e25, a + b)
+            assert embed(e25, a) * embed(e25, b) == embed(e25, a * b)
 
 
 def test_mismatched_fields_rejected(f2, f3, e4):
@@ -290,7 +322,7 @@ def test_mismatched_fields_rejected(f2, f3, e4):
 
 
 def test_pow_lagrange(e8):
-    for x in e8.elements():
+    for x in elements(e8):
         assert x**0 == e8.one
         if x:
             assert x ** (e8.order - 1) == e8.one
@@ -303,19 +335,21 @@ def test_pow_lagrange(e8):
 def test_frobenius_is_qth_power(fixt, request):
     ext = request.getfixturevalue(fixt)
     q = ext.base.order
-    for x in ext.elements():
+    for x in elements(ext):
         assert frobenius(x) == x**q
 
 
 def test_frobenius_l_fold_identity(e125):
     for idx in range(0, e125.order, 7):
-        x = e125.element(idx)
-        assert frobenius(x, e125.l) == x
-        assert e125.frobenius_idx(idx, e125.l) == idx
+        x = y = e125.element(idx)
+        for _ in range(e125.l):
+            y = frobenius(y)
+        assert y == x
+        assert e125.frobenius_chain(idx, e125.l + 1)[-1] == idx
 
 
 def test_frobenius_fixes_exactly_the_base(e9):
-    fixed = sorted(x.index for x in e9.elements() if frobenius(x) == x)
+    fixed = sorted(x.index for x in elements(e9) if frobenius(x) == x)
     assert fixed == list(range(e9.base.order))
 
 
@@ -335,8 +369,7 @@ def test_frobenius_matrix_vs_powering(e125):
     q = e125.base.order
     for idx in (0, 1, 2, 17, 63, 124):
         x = e125.element(idx)
-        assert e125.frobenius_idx(idx, 1) == (x**q).index
-        assert e125.frobenius_idx(idx, 2) == ((x**q) ** q).index
+        assert e125.frobenius_chain(idx, 3)[1:] == ((x**q).index, ((x**q) ** q).index)
 
 
 # -- linearized evaluation -----------------------------------------------------
@@ -344,7 +377,7 @@ def test_frobenius_matrix_vs_powering(e125):
 
 def test_linearized_eval_degree_one(e9):
     a0, a1 = e9.element(5), e9.element(7)
-    for s in e9.elements():
+    for s in elements(e9):
         assert linearized_eval((a0, a1), 1, s) == a0 + a1 * s
         assert linearized_eval((a0, a1), 0, s) == a1 * s
 
@@ -354,7 +387,7 @@ def test_linearized_eval_matches_direct_powers(e125):
     q = e125.base.order
     for idx in (0, 4, 88, 124):
         s = e125.element(idx)
-        expect = e125.embed(1) * coeffs[0] + coeffs[1] * s + coeffs[2] * s**q
+        expect = embed(e125, 1) * coeffs[0] + coeffs[1] * s + coeffs[2] * s**q
         assert linearized_eval(coeffs, 1, s) == expect
 
 
@@ -364,7 +397,7 @@ def test_linearized_eval_is_fq_linear(is1, is2, c1, c2):
     ext = ExtField(BaseField(3), 2)
     coeffs = tuple(ext.element(i) for i in (4, 2, 7))
     s1, s2 = ext.element(is1), ext.element(is2)
-    cc1, cc2 = ext.embed(c1), ext.embed(c2)
+    cc1, cc2 = embed(ext, c1), embed(ext, c2)
     lhs = linearized_eval(coeffs, c1 + c2 if c1 + c2 < 3 else c1 + c2 - 3, cc1 * s1 + cc2 * s2)
     rhs = cc1 * linearized_eval(coeffs, 1, s1) + cc2 * linearized_eval(coeffs, 1, s2)
     assert lhs == rhs

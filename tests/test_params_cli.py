@@ -494,6 +494,12 @@ def _unreduced_modulus(doc):
     return json.dumps(doc)
 
 
+def _prime_modulus_not_x(doc):
+    # x + 3 is irreducible, but it would give GF(5) a second name
+    doc["base"]["modulus"] = [3, 1]
+    return json.dumps(doc)
+
+
 def _topology_file(tmp_path):
     path = tmp_path / "net.topo"
     path.write_text("node s source\nnode a verifier\nedge s a\nkernel a x\n")
@@ -524,6 +530,7 @@ def _binary_file(tmp_path):
         (["analyze", "--target", "4"], "[]"),
         (["analyze", "--target", "4"], _string_for_int),
         (["analyze", "--target", "4"], _unreduced_modulus),
+        (["analyze", "--target", "4"], _prime_modulus_not_x),
         (["ec-code", "--a", "1", "--b", "1", "--points", "0,0;1,1", *EC_ARGS], None),
         (["ec-code", "--a", "x", "--b", "1", "--num-points", "6", *EC_ARGS], None),
         (["simulate", "--topology", _topology_file], None),
@@ -547,6 +554,7 @@ def _binary_file(tmp_path):
         "params-not-an-object",
         "params-string-for-int",
         "params-modulus-not-reduced",
+        "prime-modulus-not-x",
         "ec-point-not-on-curve",
         "ec-non-integer-coefficient",
         "topology-non-integer-kernel",
