@@ -260,11 +260,14 @@ def _is_irreducible(poly: Sequence[int], coef) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=64)
 def _canonical_irreducible(degree: int, coef) -> tuple[int, ...]:
     """Smallest monic irreducible of the given degree.
 
     Candidates are ordered by the integer whose base-(field order) digits
     are the non-leading coefficients, constant term least significant.
+    Cached, keyed by the coefficient field's identity, so a field built
+    again skips the search.
     """
     for value in range(coef.order**degree):
         cand = _monic_from_value(value, coef.order, degree)

@@ -3,6 +3,15 @@
 Parameter files are JSON with every field element spelled out as a
 little-endian coordinate list of decimal integers, so a set of published
 parameters can be audited with nothing but a text editor.
+
+Params files and CLI reports are written as canonical JSON by
+``dump_json``: the bytes of ``json.dumps(obj, indent=2, sort_keys=True)``
+plus a newline.  With ``indent`` set, ``json.dumps`` drops from the C
+encoder to the stdlib's generator-based one, so ``dump_json`` is a small
+recursive writer of its own: it writes the scalar values of a dict
+inline (strings escaped by the C ``encode_basestring_ascii``), joins a
+list of plain ints in one call and hands every other leaf, floats among
+them, to the C encoder through ``json.dumps(v)``.
 """
 
 from __future__ import annotations
@@ -32,9 +41,68 @@ PARAMS_FORMAT = "subtag-params/1"
 ISO_CONVENTION = "poly-basis-le"
 
 
+_escape = json.encoder.encode_basestring_ascii
+_STR, _INT = frozenset({str}), frozenset({int})
+
+
 def dump_json(obj) -> str:
-    """Canonical JSON rendering: sorted keys, two-space indent, newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON rendering: sorted keys, two-space indent, newline.
+
+    The text is that of ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``,
+    written without the stdlib's pure-Python indent encoder.  Unlike
+    ``json.dumps``, a dict key that is not a str (an int, float, bool or
+    None, which json would turn into a string) raises ``TypeError``.
+    """
+    out: list[str] = []
+    _write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, out: list[str], nl: str) -> None:
+    """Append the pieces of ``value``; ``nl`` is a newline and its line's indent."""
+    inner = nl + "  "
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        if set(map(type, value)) != _STR:
+            for key in value:
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON object keys must be str, not {key!r}")
+        sep = "{" + inner
+        for key in sorted(value):
+            v = value[key]
+            out.append(f"{sep}{_escape(key)}: ")
+            sep = "," + inner
+            kind = type(v)
+            if kind is int:
+                out.append(int.__repr__(v))
+            elif kind is str:
+                out.append(_escape(v))
+            elif kind is bool:
+                out.append("true" if v else "false")
+            elif v is None:
+                out.append("null")
+            else:
+                _write(v, out, inner)
+        out.append(nl + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+        elif set(map(type, value)) == _INT:
+            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{nl}]")
+        else:
+            sep = "[" + inner
+            for item in value:
+                out.append(sep)
+                sep = "," + inner
+                _write(item, out, inner)
+            out.append(nl + "]")
+    else:
+        # a leaf outside a dict, floats (NaN and the infinities too) and
+        # what json refuses all take the C encoder
+        out.append(json.dumps(value))
 
 
 def _coords(e: FieldElement) -> list[int]:
@@ -165,6 +233,8 @@ def read_params(path: str) -> tuple[PublicParams, Optional[AGCodeSpec]]:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidParams(f"{path} is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise InvalidParams(f"{path} nests too deeply") from None
         except UnicodeDecodeError:
             raise InvalidParams(f"{path} is not UTF-8 text") from None
     return params_from_dict(doc)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subtag import fields
 from subtag.errors import (
     DivisionByZero,
     FieldMismatch,
@@ -211,6 +212,20 @@ def test_field_built_again_reuses_its_compiled_code():
     a, b = ExtField(BaseField(5), 2), ExtField(BaseField(5), 2)
     assert a.coords_of is not b.coords_of
     assert a.coords_of.__code__ is b.coords_of.__code__
+
+
+def test_field_built_again_skips_the_modulus_search(monkeypatch):
+    # the canonical modulus is searched for once per (degree, subfield)
+    fields._canonical_irreducible.cache_clear()
+    calls = []
+    real = fields._is_irreducible
+    monkeypatch.setattr(fields, "_is_irreducible", lambda *a: calls.append(a) or real(*a))
+    first = ExtField(BaseField(2, 8), 3)
+    searched = len(calls)
+    assert searched
+    again = ExtField(BaseField(2, 8), 3)
+    assert again == first and again.modulus == first.modulus
+    assert len(calls) == searched
 
 
 # (x, y, x*y, x^-1, -x) on the two untabulated fields, recorded from the

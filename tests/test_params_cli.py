@@ -1,12 +1,15 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subtag import adversary, cli
+from subtag import adversary, cli, network
 from subtag.cli import main
 from subtag.codes import rs_code
 from subtag.ec import AGCodeSpec, EllipticCurve, ec_points, residue_code
@@ -108,6 +111,74 @@ def test_params_curve_generator_cross_check(tmp_path):
 def test_dump_json_is_canonical():
     text = dump_json({"b": 1, "a": [2, 3]})
     assert text == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
+
+
+def _stdlib_canonical(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# keys and strings with quotes, backslashes, control characters, non-ASCII
+# letters, astral characters and lone surrogates
+_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\n\t\x7fé€\u2028\ud800\U0001f600 aZ') | st.characters())
+_LEAVES = (
+    st.integers()
+    | st.integers(-(10**40), 10**40)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+    | st.booleans()
+    | st.none()
+    | _TEXT
+    # lists of plain ints, and of ints mixed with bools, which are not ints here
+    | st.lists(st.integers())
+    | st.lists(st.integers() | st.booleans())
+)
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(_TEXT, inner),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_DOCS)
+def test_dump_json_matches_the_stdlib_encoder(doc):
+    assert dump_json(doc) == _stdlib_canonical(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({1: "a"}, "1"),
+        ({"a": {None: 0}}, "None"),
+        ({"a": [{True: 0}]}, "True"),
+        ({2.5: 0, "b": 1}, "2.5"),
+        ({"b": 1, 3: 0}, "3"),
+    ],
+    ids=["int", "none", "bool", "float", "mixed"],
+)
+def test_dump_json_refuses_keys_that_are_not_str(doc, key):
+    # json.dumps would turn these keys into strings; no report or params key is one
+    with pytest.raises(TypeError, match=f"keys must be str, not {key}$"):
+        dump_json(doc)
+
+
+def test_dump_json_never_reaches_the_python_indent_encoder(tiny_pp, rs_pp, monkeypatch):
+    reports = [
+        cli.build_analyze_report(rs_pp, None, 1),
+        # guess reports hold floats
+        cli.build_attack_report(tiny_pp, None, 11, (1,), 3, "guess", 64),
+        cli.build_simulate_report(rs_pp, network.butterfly(), 7, "butterfly"),
+    ]
+    assert any(isinstance(v, float) for v in reports[1]["acceptance"].values())
+    expected = [_stdlib_canonical(r) for r in reports]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dump_json reached json.encoder._make_iterencode")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    assert [dump_json(r) for r in reports] == expected
 
 
 def test_validate_report_rejects_malformed():
@@ -544,6 +615,7 @@ def _binary_file(tmp_path):
         ),
         (["ec-code", "--a", "1", "--b", "1", "--num-points", "-3", *EC_ARGS], None),
         (["attack", "--coalition", "1,1,2", "--target", "4"], None),
+        (["analyze", "--target", "1"], "[" * 100_000 + "]" * 100_000),
     ],
     ids=[
         "member-out-of-range",
@@ -564,6 +636,7 @@ def _binary_file(tmp_path):
         "base-order-too-large",
         "ec-negative-point-count",
         "repeated-member",
+        "params-too-deep",
     ],
 )
 def test_cli_bad_input_is_a_subtag_error(capsys, tmp_path, argv, params_text):
