@@ -362,14 +362,17 @@ def combine_packets(
     packets: Sequence[TaggedPacket],
     coeffs: Sequence[int],
 ) -> TaggedPacket:
-    """F_q-linear combination, by base-field symbols, of the wire images."""
+    """F_q-linear combination, by base-field symbols, of the wire images.
+
+    Coefficients and every wire symbol must be indices of the base field.
+    """
     if len(packets) != len(coeffs) or not packets:
         raise LengthMismatch("need one coefficient per packet")
-    width = pp.packet_symbols
-    wires = [pkt.symbols() for pkt in packets]
+    width, base = pp.packet_symbols, pp.base
+    wires = [base._symbols(pkt.symbols()) for pkt in packets]
     if any(len(w) != width for w in wires):
         raise LengthMismatch("packet width does not match the parameters")
-    return TaggedPacket.from_symbols(pp, pp.base.combine(pp.base._symbols(coeffs), wires, width))
+    return TaggedPacket.from_symbols(pp, base.combine(base._symbols(coeffs), wires, width))
 
 
 def random_payload_basis(pp: PublicParams, seed: int) -> tuple[tuple[int, ...], ...]:

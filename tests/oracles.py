@@ -99,6 +99,21 @@ class RefQuotient:
         return acc
 
 
+def combine_mod_p(
+    p: int, coeffs: Sequence[int], vectors: Sequence[Sequence[int]], width: int
+) -> tuple[int, ...]:
+    """sum_k coeffs[k] * vectors[k] mod p, one symbol at a time in plain ints;
+    a vector shorter than ``width`` counts as zero beyond its end."""
+    out = []
+    for i in range(width):
+        total = 0
+        for c, vec in zip(coeffs, vectors):
+            if i < len(vec):
+                total += c * vec[i]
+        out.append(total % p)
+    return tuple(out)
+
+
 def reference_field(field) -> RefQuotient:
     """A RefQuotient tower with the same moduli as a BaseField or ExtField."""
     if isinstance(field, ExtField):

@@ -17,7 +17,7 @@ from subtag.errors import (
 from subtag.fields import BaseField, ExtField, Field, FieldElement, frobenius
 from subtag.linalg import Matrix
 
-from oracles import elements, embed, linearized_eval, reference_field
+from oracles import combine_mod_p, elements, embed, linearized_eval, reference_field
 
 
 # hand-checked canonical moduli (little-endian, monic)
@@ -204,6 +204,62 @@ def test_index_ops_run_no_python_loop():
         if {"FOR_ITER", "JUMP_BACKWARD"} & {ins.opname for ins in dis.get_instructions(code)}
     )
     assert loops == []
+
+
+# the primes with p(p - 1) <= 255, which mix whole vectors in byte lanes,
+# and 17, the first prime that loops over symbols
+LANE_PRIMES = (2, 3, 5, 7, 11, 13, 17)
+
+
+@pytest.mark.parametrize("p", LANE_PRIMES)
+def test_prime_combine_matches_symbolwise_sums(p):
+    f = BaseField(p)
+    r = random.Random(p)
+    draw = lambda: r.choice((0, 1, p - 1, r.randrange(p)))
+    for _ in range(300):
+        count, width = r.randrange(46), r.randrange(21)
+        coeffs = [draw() for _ in range(count)]
+        lengths = [r.choice((width, r.randrange(width + 1))) for _ in range(count)]
+        vectors = [r.choice((list, tuple))(draw() for _ in range(n)) for n in lengths]
+        assert f.combine(coeffs, vectors, width) == combine_mod_p(p, coeffs, vectors, width)
+    # the largest lane load: for each run length s, s terms summing to p - 1
+    # mod p, then s + 1 terms at their largest, (p - 1) * (p - 1) per symbol
+    big = (p - 1, (p - 1,) * 20)
+    for s in (*range(1, 46), 254, 255, 256):
+        last = (1, ((p - s) % p,) * 20)
+        coeffs, vectors = zip(*[big] * (s - 1), last, *[big] * (s + 1))
+        assert f.combine(coeffs, vectors, 20) == combine_mod_p(p, coeffs, vectors, 20)
+
+
+def _lines_run(call) -> int:
+    """Python line events while ``call()`` runs."""
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
+@pytest.mark.parametrize("p,grows", [(5, False), (17, True)])
+def test_small_prime_combine_has_no_per_symbol_loop(p, grows):
+    # GF(5) mixes each whole vector in one step, so its line count does not
+    # depend on the width; GF(17) walks the symbols
+    f = BaseField(p)
+    r = random.Random(p)
+    runs = []
+    for width in (13, 1300):
+        vectors = [tuple(r.randrange(1, p) for _ in range(width)) for _ in range(3)]
+        runs.append(_lines_run(lambda: f.combine((1, 2, 3), vectors, width)))
+    assert (runs[1] > runs[0]) == grows, runs
 
 
 def test_field_built_again_reuses_its_compiled_code():

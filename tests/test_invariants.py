@@ -83,7 +83,11 @@ def test_invariants_checked_under_optimize():
         "import sys\n"
         "from subtag.errors import InvariantViolated\n"
         "import test_invariants as ti\n"
-        "for corrupt in (ti.corrupt_key_count_law, ti.corrupt_global_kernel_identity):\n"
+        "for corrupt in (\n"
+        "    ti.corrupt_key_count_law,\n"
+        "    ti.corrupt_global_kernel_identity,\n"
+        "    ti.corrupt_frobenius_order,\n"
+        "):\n"
         "    try:\n"
         "        corrupt(setattr)\n"
         "    except InvariantViolated:\n"
@@ -102,5 +106,7 @@ def test_invariants_checked_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
-        "corrupt_key_count_law", "1", "corrupt_global_kernel_identity", "1"
+        "corrupt_key_count_law", "1",
+        "corrupt_global_kernel_identity", "1",
+        "corrupt_frobenius_order", "1",
     ]

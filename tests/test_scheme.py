@@ -228,6 +228,27 @@ def test_combine_packets_is_symbolwise(rs_pp, f5, monkeypatch):
     assert calls == []
 
 
+def test_combine_packets_refuses_wire_symbols_out_of_range(rs_pp):
+    # a hand-built packet is checked as verify checks it, not mixed mod p
+    mk = keygen(rs_pp, 5)
+    vk = distribute(rs_pp, mk)[0]
+    good = tag_basis(rs_pp, mk, random_payload_basis(rs_pp, 5))[0]
+    for tracker, payload, err in [
+        (9, (7, 300, 2), InvalidParams),
+        (1, (0, 5, 0), InvalidParams),
+        (1, (0, -1, 0), InvalidParams),
+        (1, (0, 2.0, 0), FieldMismatch),
+    ]:
+        bad = TaggedPacket(tracker=tracker, payload=payload, tag=good.tag)
+        with pytest.raises(err):
+            verify(rs_pp, vk, bad)
+        for coeffs in ([1, 1], [1, 0], [0, 1]):
+            with pytest.raises(err):
+                combine_packets(rs_pp, [bad, good], coeffs)
+            with pytest.raises(err):
+                combine_packets(rs_pp, [good, bad], coeffs)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
