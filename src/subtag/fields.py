@@ -551,25 +551,47 @@ class Field:
     ) -> tuple[int, ...]:
         """Indices of sum_k coeffs[k] * vectors[k]; the zero vector of length
         ``width`` when there are no vectors.  Vectors may be shorter than
-        ``width``; their entries must be indices of this field.  A prime
+        ``width``; coefficients and entries must be reduced indices of this
+        field, which ``combine`` does not check symbol by symbol.  A prime
         field with p(p - 1) <= 255 sums whole vectors as ints with a byte
         lane per symbol (see the module docstring); every other field loops
         over the symbols, and a unit coefficient adds its vector without
-        multiplying."""
+        multiplying.  On the byte lanes a vector longer than ``width``
+        raises LengthMismatch, an entry outside 0..255 or a negative sum
+        InvalidParams and a non-int entry FieldMismatch; an unreduced entry
+        in p..255 is mixed as the int it is."""
         lanes = self._lanes
         if lanes is not None:
             residues, room = lanes
             acc = terms = 0
-            for c, vec in zip(coeffs, vectors):
-                if c:
-                    if terms == room:
-                        acc = int.from_bytes(
-                            acc.to_bytes(width, "little").translate(residues), "little"
-                        )
-                        terms = 0
-                    acc += c * int.from_bytes(bytes(vec), "little")
-                    terms += 1
-            return tuple(acc.to_bytes(width, "little").translate(residues))
+            try:
+                for c, vec in zip(coeffs, vectors):
+                    if c:
+                        if terms == room:
+                            acc = int.from_bytes(
+                                acc.to_bytes(width, "little").translate(residues),
+                                "little",
+                            )
+                            terms = 0
+                        acc += c * int.from_bytes(bytes(vec), "little")
+                        terms += 1
+                return tuple(acc.to_bytes(width, "little").translate(residues))
+            except OverflowError:
+                if acc < 0:
+                    raise InvalidParams(
+                        f"negative coefficient in a combination over {self.name}"
+                    ) from None
+                raise LengthMismatch(
+                    f"a vector is longer than width {width} over {self.name}"
+                ) from None
+            except ValueError:
+                raise InvalidParams(
+                    f"a vector entry is not an index of {self.name}"
+                ) from None
+            except (TypeError, AttributeError):
+                raise FieldMismatch(
+                    f"a combination over {self.name} takes int indices"
+                ) from None
         add, mul = self.add_idx, self.mul_idx
         acc = [0] * width
         for c, vec in zip(coeffs, vectors):

@@ -23,11 +23,18 @@ Topology files are plain text: ``node <name> <role>``, ``edge <from>
 comments ignored.  Any kernel not given in the file is drawn uniformly
 from the run's network stream, so a file fully determines a run only
 together with a seed.
+
+Each transmission seeds one stream, ``network/kernels``, and every coding
+node draws from it in declaration order as many entries as its kernel's
+shape asks for.  A kernel the topology gives still consumes its draws, so
+it never shifts what another node draws.  A node with out-edges but no
+in-edges has the empty kernel and sends zero vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -302,13 +309,28 @@ class Transmission:
 def _resolve_kernels(
     t: Topology, base: BaseField, n: int, seed: int
 ) -> dict[str, tuple[tuple[int, ...], ...]]:
+    """Every coding node's local kernel, given or drawn.
+
+    One stream, ``network/kernels``, serves the whole transmission.  Nodes
+    draw from it in declaration order, each as many uniform entries as its
+    shape asks for: in_deg x out_deg, row by row, for a relay; for the
+    source, n entries per out-edge past the first n, column by column.  A
+    node whose kernel the topology gives draws its entries all the same and
+    then uses the given kernel, so giving one kernel never shifts another
+    node's draws.
+    """
     order = base.order
+    draw = _rng.stream(seed, "network/kernels").randrange
     out: dict[str, tuple[tuple[int, ...], ...]] = {}
     for nd in t.nodes:
         out_deg = len(t.out_edges(nd.name))
         if out_deg == 0:
             continue
-        nrows = n if nd.role == "source" else len(t.in_edges(nd.name))
+        source = nd.role == "source"
+        nrows = n if source else len(t.in_edges(nd.name))
+        # the source draws only the columns past its n unit columns
+        ncols = max(out_deg - n, 0) if source else out_deg
+        flat = list(map(draw, repeat(order, nrows * ncols)))
         given = t.kernels.get(nd.name)
         if given is not None:
             if len(given) != nrows:
@@ -322,28 +344,18 @@ def _resolve_kernels(
                             f"kernel entry {v} at {nd.name} outside 0..{order - 1}"
                         )
             out[nd.name] = given
-            continue
-        r = _rng.stream(seed, f"network/kernel/{nd.name}")
-        if nd.role == "source":
-            # convention: first n out-edges carry the unit combinations
-            if out_deg < n:
-                raise InvalidParams(
-                    f"source out-degree {out_deg} below message count {n}"
-                )
-            cols = []
-            for j in range(out_deg):
-                if j < n:
-                    cols.append(tuple(1 if i == j else 0 for i in range(n)))
-                else:
-                    cols.append(tuple(r.randrange(order) for _ in range(n)))
+        elif not source:
             out[nd.name] = tuple(
-                tuple(cols[j][i] for j in range(out_deg)) for i in range(n)
+                tuple(flat[k : k + out_deg]) for k in range(0, len(flat), out_deg)
             )
+        elif out_deg < n:
+            raise InvalidParams(f"source out-degree {out_deg} below message count {n}")
         else:
-            out[nd.name] = tuple(
-                tuple(r.randrange(order) for _ in range(out_deg))
-                for _ in range(nrows)
-            )
+            # convention: first n out-edges carry the unit combinations; the
+            # drawn columns follow, n entries each
+            cols = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+            cols += [flat[k : k + n] for k in range(0, len(flat), n)]
+            out[nd.name] = tuple(zip(*cols))
     return out
 
 
@@ -365,8 +377,10 @@ def _propagate(
             continue
         kern = kernels[name]
         ins = sent if name == t.source else [y[i] for i in t.in_edges(name)]
-        for col, edge_idx in enumerate(outs):
-            y[edge_idx] = base.combine([row[col] for row in kern], ins, width)
+        # a node with no in-edges has the empty kernel () and sends zeros
+        cols = zip(*kern) if kern else repeat(())
+        for col, edge_idx in zip(cols, outs):
+            y[edge_idx] = base.combine(col, ins, width)
     return tuple(y)
 
 

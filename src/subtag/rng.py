@@ -4,6 +4,8 @@ Every party in an experiment (trusted authority, source, network, adversary)
 draws from its own stream so that replacing one party's behaviour never
 shifts another party's samples.  Streams are derived from a 64-bit master
 seed and a string label by hashing; Python's salted ``hash`` is never used.
+The network is one party: each transmission draws every coding node's
+kernel from its one stream, ``network/kernels``, in a fixed order.
 """
 
 from __future__ import annotations

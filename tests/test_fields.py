@@ -262,6 +262,40 @@ def test_small_prime_combine_has_no_per_symbol_loop(p, grows):
     assert (runs[1] > runs[0]) == grows, runs
 
 
+# the byte lanes check no symbol, but a malformed input still ends in a
+# SubtagError; p = 13 reduces its lanes after every term, p = 2 after 254
+@pytest.mark.parametrize("p", (2, 5, 13))
+def test_byte_lane_combine_refuses_a_vector_longer_than_width(p):
+    f = BaseField(p)
+    with pytest.raises(LengthMismatch):
+        f.combine([1], [(1, 1, 1)], 2)
+    with pytest.raises(LengthMismatch):
+        f.combine([1, 1, 1], [(1, 0), (0, 1), (1, 1, 1)], 2)
+
+
+@pytest.mark.parametrize("p", (2, 5, 13))
+@pytest.mark.parametrize("entry", (300, 256, -1))
+def test_byte_lane_combine_refuses_entries_outside_a_byte(p, entry):
+    with pytest.raises(InvalidParams):
+        BaseField(p).combine([1, 1], [(1, 0), (entry, 0)], 2)
+
+
+@pytest.mark.parametrize("p", (2, 5, 13))
+def test_byte_lane_combine_refuses_non_int_entries(p):
+    f = BaseField(p)
+    with pytest.raises(FieldMismatch):
+        f.combine([1], [(1.0, 0)], 2)
+    with pytest.raises(FieldMismatch):
+        f.combine([1], [(None,)], 2)
+    with pytest.raises(FieldMismatch):
+        f.combine([1.0], [(1, 0)], 2)
+
+
+def test_byte_lane_combine_refuses_a_negative_sum():
+    with pytest.raises(InvalidParams):
+        BaseField(5).combine([1, -2], [(0, 1), (1, 1)], 2)
+
+
 def test_field_built_again_reuses_its_compiled_code():
     # params files rebuild their fields on every load; a second build of the
     # same field binds functions made from the code of the first

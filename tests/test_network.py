@@ -1,7 +1,10 @@
 import dataclasses
+import hashlib
+import random
 
 import pytest
 
+from subtag import rng
 from subtag.errors import (
     CyclicGraph,
     DimensionMismatch,
@@ -309,3 +312,82 @@ def test_topology_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         t.nodes = ()
     assert len(t.edges) == 9 and t.out_edges("s") == (0, 1)
+
+
+def test_kernels_come_from_one_stream_per_transmission(monkeypatch):
+    t = random_topology(110, seed=6, extra_edge_prob=0.034)
+    coding = [nd.name for nd in t.nodes if t.out_edges(nd.name)]
+    assert len(coding) > 50
+    labels = []
+    stream = rng.stream
+
+    def counting(seed, label):
+        labels.append(label)
+        return stream(seed, label)
+
+    monkeypatch.setattr(rng, "stream", counting)
+    kernels, _ = compute_global_kernels(t, BaseField(5), 2, seed=11)
+    assert labels == ["network/kernels"]
+    assert sorted(kernels) == sorted(coding)
+
+
+def _internal_with_in_edges(t):
+    return [
+        nd.name
+        for nd in t.nodes
+        if nd.role != "source" and t.in_edges(nd.name) and t.out_edges(nd.name)
+    ]
+
+
+@pytest.mark.parametrize("n", (1, 2))
+@pytest.mark.parametrize("seed", range(6))
+def test_a_given_kernel_shifts_no_other_nodes_draws(n, seed):
+    base = BaseField(5)
+    t = random_topology(14, seed)
+    drawn, _ = compute_global_kernels(t, base, n, seed=seed + 100)
+    r = random.Random(seed)
+    for name in (r.choice(_internal_with_in_edges(t)), t.source):
+        rows = n if name == t.source else len(t.in_edges(name))
+        width = len(t.out_edges(name))
+        given = tuple(tuple(r.randrange(5) for _ in range(width)) for _ in range(rows))
+        t2 = Topology(t.nodes, t.edges, {name: given})
+        kernels, _ = compute_global_kernels(t2, base, n, seed=seed + 100)
+        assert kernels == {**drawn, name: given}
+
+
+def test_resolved_kernels_frozen():
+    # pins the order of the draws: nodes in declaration order, relays row by
+    # row, the source's drawn columns one after another
+    t = random_topology(25, seed=7, extra_edge_prob=0.1)
+    kernels, _ = compute_global_kernels(t, BaseField(5), 2, seed=2013)
+    assert len(t.out_edges(t.source)) > 2
+    text = repr(sorted(kernels.items()))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "e185537f78793ba76d607bd044c33608bbcc3b8c5e289423b7ab74cc5ea46bfa"
+
+
+ORPHAN = """
+node s source
+node x internal
+node a verifier
+node t sink
+edge s a
+edge s t
+edge x a
+edge a t
+"""
+
+
+@pytest.mark.parametrize("inject_at", (None, "a", "s"))
+def test_node_without_in_edges_sends_zeros(inject_at):
+    # x has an out-edge but no in-edge: an empty kernel, so it sends zeros
+    t = parse_topology(ORPHAN)
+    base = BaseField(5)
+    packets = [(1, 2, 3), (4, 0, 1)]
+    fake = (1, 1, 1) if inject_at else None
+    tx = transmit(t, base, packets, seed=3, inject_at=inject_at, fake=fake)
+    (x_out,) = t.out_edges("x")
+    assert tx.kernels["x"] == ()
+    assert tx.edge_packets[x_out] == (0, 0, 0)
+    assert tx.global_vectors[x_out] == (0, 0)
+    assert tx.packets_at("a")[1] == (0, 0, 0)
