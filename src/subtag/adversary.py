@@ -25,19 +25,21 @@ the one label the target would accept.  Forged packets carry tracker 1,
 as source packets do, and the label histogram is taken for that tracker.
 
 A view is built from the members' keys, by verifier index, and the flat
-sequence of packets the coalition saw; it checks each observed packet
-once, when it is made.  Enumerating consistent keys is exact and bounded
-by ``codes.ENUM_GUARD``, the same bound the code enumerations read.
+sequence of packets the coalition saw, which checked their own trackers
+and payloads when built; the view tests only each tag's field and width.
+Enumerating consistent keys is exact and bounded by
+``codes.ENUM_GUARD``, the same bound the code enumerations read.
 
 Everything here works on field indices; FieldElement appears only in the
 keys, packets and histograms handed back.  No question is asked twice: a
 view assembles its system once and reduces its observed payloads once; a
 system is solved once, for both the key count and the key enumeration;
 a forgery checks its payload once, with ``scheme._check_payload``, the
-check ``spans`` makes; and the params cache each verifier's
-first nonzero generator slot and its inverse for the forged tag.  The
-observed payloads' span is a ``linalg._echelon`` basis, and a payload is
-tested against it by ``linalg._in_span``.
+check ``spans`` makes, and ``scheme._made`` builds its packet and key
+unchecked; and the params cache each verifier's first nonzero generator
+slot and its inverse for the forged tag.  The observed payloads' span is
+a ``linalg._echelon`` basis, and a payload is tested against it by
+``linalg._in_span``.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from .scheme import (
     _check_payload,
     _indices_in,
     _label_row,
+    _made,
     label as scheme_label,  # noqa: F401  bench/spans.py patches this name
     label_row,
 )
@@ -107,8 +110,6 @@ class CoalitionView:
         for pkt in self.observed:
             if len(_indices_in(pp.ext, pkt)) != pp.kdim:
                 raise LengthMismatch("packet tag width does not match the code")
-            pp.base._symbols((pkt.tracker,))
-            _check_payload(pp, pkt.payload)
 
     @classmethod
     def build(
@@ -285,8 +286,7 @@ def recover_verifier_key(view: CoalitionView, target: int) -> VerifierKey:
             f"coalition {view.members} does not determine verifier {target}'s key"
         )
     columns = [_indices_in(ext, vk) for vk in view.keys]
-    column = ext.combine(witness, columns, pp.M + 1)
-    return VerifierKey(index=target, column=tuple(FieldElement(ext, c) for c in column))
+    return _made(VerifierKey, ext, ext.combine(witness, columns, pp.M + 1), target)
 
 
 def _packet(
@@ -294,11 +294,10 @@ def _packet(
 ) -> TaggedPacket:
     """The tracker-1 packet on a checked payload that the verifier with tag
     slot (t*, 1/g[t*]) labels ``lab``: tag lab / g[t*] at t*, zero elsewhere."""
-    ext = pp.ext
     t_star, g_inv = slot
-    tag = [ext.zero] * pp.kdim
-    tag[t_star] = FieldElement(ext, ext.mul_idx(lab, g_inv))
-    return TaggedPacket(tracker=1, payload=payload, tag=tuple(tag))
+    tag = [0] * pp.kdim
+    tag[t_star] = pp.ext.mul_idx(lab, g_inv)
+    return _made(TaggedPacket, pp.ext, tuple(tag), 1, payload)
 
 
 def deterministic_forge(

@@ -556,10 +556,14 @@ class Field:
         field with p(p - 1) <= 255 sums whole vectors as ints with a byte
         lane per symbol (see the module docstring); every other field loops
         over the symbols, and a unit coefficient adds its vector without
-        multiplying.  On the byte lanes a vector longer than ``width``
-        raises LengthMismatch, an entry outside 0..255 or a negative sum
-        InvalidParams and a non-int entry FieldMismatch; an unreduced entry
-        in p..255 is mixed as the int it is."""
+        multiplying.  A vector longer than ``width`` raises LengthMismatch.
+        On the byte lanes an entry outside 0..255 or a negative sum raises
+        InvalidParams and a non-int entry FieldMismatch, while an unreduced
+        entry in p..255 is mixed as the int it is.  The symbol loop maps
+        what its arithmetic cannot read the same way, an entry past a table
+        to InvalidParams and a non-int one to FieldMismatch, and passes an
+        entry it can read unchecked (300 XORed over GF(2^8), or 1.0 added
+        mod 17 under a unit coefficient)."""
         lanes = self._lanes
         if lanes is not None:
             residues, room = lanes
@@ -594,11 +598,21 @@ class Field:
                 ) from None
         add, mul = self.add_idx, self.mul_idx
         acc = [0] * width
-        for c, vec in zip(coeffs, vectors):
-            if c:
-                for i, v in enumerate(vec):
-                    if v:
-                        acc[i] = add(acc[i], v if c == 1 else mul(c, v))
+        vec = ()
+        try:
+            for c, vec in zip(coeffs, vectors):
+                if c:
+                    for i, v in enumerate(vec):
+                        if v:
+                            acc[i] = add(acc[i], v if c == 1 else mul(c, v))
+        except IndexError:
+            if len(vec) > width:
+                raise LengthMismatch(
+                    f"a vector is longer than width {width} over {self.name}"
+                ) from None
+            raise InvalidParams(f"a vector entry is not an index of {self.name}") from None
+        except TypeError:
+            raise FieldMismatch(f"a combination over {self.name} takes int indices") from None
         return tuple(acc)
 
     def dot(self, xs: Iterable[int], ys: Iterable[int]) -> int:

@@ -5,14 +5,13 @@ rows and attack systems a few dozen, so plain Gaussian elimination with
 first-nonzero pivoting is both fast enough and, importantly for
 reproducibility, deterministic.
 
-A Matrix stores rows of field indices.  Products and elimination never
-build FieldElement, and every vector this module hands back (null bases,
-span witnesses) is a tuple of indices; only the ``Matrix(...)``
-constructor and the ``rows``, ``row`` and ``column`` accessors speak
-FieldElement.  Each question is answered by one elimination: a system
-a @ X = b is solved by reducing the rows of a joined to the rows of b,
-and ``solve_all`` reads the particular solution and the null basis off
-that one reduced [A | b].
+A Matrix stores rows of field indices, read with ``to_index_rows``.
+Products and elimination never build FieldElement, and every vector this
+module hands back (null bases, span witnesses) is a tuple of indices;
+only the ``Matrix(...)`` constructor takes FieldElement.  Each question
+is answered by one elimination: a system a @ X = b is solved by reducing
+the rows of a joined to the rows of b, and ``solve_all`` reads the
+particular solution and the null basis off that one reduced [A | b].
 
 A span asked about many times is reduced once, by ``_echelon``, and
 ``_in_span`` tests vectors against that basis: views and sinks reduce
@@ -38,17 +37,12 @@ __all__ = [
 ]
 
 AnyField = Union[BaseField, ExtField]
-Vector = tuple[FieldElement, ...]
 IndexRows = tuple[tuple[int, ...], ...]
 
 
 class Matrix:
-    """Immutable dense matrix over one field, stored as rows of indices.
-
-    Products and elimination read and write index rows only.  ``rows``,
-    ``row`` and ``column`` build FieldElement tuples for callers at the API
-    edge; library loops use ``to_index_rows``.
-    """
+    """Immutable dense matrix over one field, stored as rows of indices;
+    products and elimination read and write index rows only."""
 
     __slots__ = ("field", "_rows", "nrows", "ncols")
 
@@ -95,21 +89,6 @@ class Matrix:
         m = cls.__new__(cls)
         m.field, m._rows, m.nrows, m.ncols = field, rows, len(rows), ncols
         return m
-
-    # -- access ----------------------------------------------------------
-
-    @property
-    def rows(self) -> tuple[Vector, ...]:
-        f = self.field
-        return tuple(tuple(FieldElement(f, i) for i in r) for r in self._rows)
-
-    def row(self, i: int) -> Vector:
-        f = self.field
-        return tuple(FieldElement(f, v) for v in self._rows[i])
-
-    def column(self, j: int) -> Vector:
-        f = self.field
-        return tuple(FieldElement(f, r[j]) for r in self._rows)
 
     def to_index_rows(self) -> IndexRows:
         return self._rows
@@ -192,7 +171,7 @@ class Matrix:
 class LinearSolution:
     """Full affine solution set of a @ X = b, described column by column.
 
-    Every solution of column j is ``particular.column(j)`` plus a linear
+    Every solution of column j is column j of ``particular`` plus a linear
     combination of ``null_basis``; the set has size order**nullity per
     column.  The null basis vectors are index tuples.
     """

@@ -33,6 +33,7 @@ in-edges has the empty kernel and sends zero vectors.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from itertools import repeat
 from types import MappingProxyType
@@ -204,21 +205,21 @@ def parse_topology(text: str) -> Topology:
             raw_kernels.append((parts[1], flat))
         else:
             raise InvalidParams(f"cannot parse topology line {lineno}: {line!r}")
-    topo = Topology(tuple(nodes), tuple(edges))
+    names = {nd.name for nd in nodes}
+    out_degree = Counter(a for a, _ in edges)
     kernels = {}
     for name, flat in raw_kernels:
-        topo.node(name)  # raises UnknownNode
-        out_deg = len(topo.out_edges(name))
+        if name not in names:
+            raise UnknownNode(f"unknown node {name!r}")
+        out_deg = out_degree[name]
         if out_deg == 0 or len(flat) % out_deg:
             raise DimensionMismatch(
                 f"kernel at {name}: {len(flat)} entries do not tile {out_deg} columns"
             )
         kernels[name] = tuple(
-            tuple(flat[r * out_deg : (r + 1) * out_deg])
-            for r in range(len(flat) // out_deg)
+            tuple(flat[k : k + out_deg]) for k in range(0, len(flat), out_deg)
         )
-    # re-run shape validation with kernels attached
-    return Topology(topo.nodes, topo.edges, kernels)
+    return Topology(tuple(nodes), tuple(edges), kernels)
 
 
 def butterfly() -> Topology:

@@ -25,13 +25,18 @@ tag_payload() and TaggedPacket.from_symbols() run on raw field indices:
 the label row, the label, the weighted tag sum and the unpacked tag
 chunks never build intermediate FieldElements.  Generator columns are
 the code's own index tuples (``LinearCode.columns``, read through
-``PublicParams.generator_indices``).  Each input is checked once, where
-it is made: a VerifierKey or TaggedPacket checks that its column or tag
-holds FieldElements of one field when it is built, and keeps that field
-and their indices for verify() and the attacks to read after one field
-test.  Trackers, payloads and coefficients are base-field symbol
-indices (``Field._symbols``), checked by each public entry.  Seeds are
-integers naming the labelled streams of ``subtag.rng``.
+``PublicParams.generator_indices``).  Each key and packet is checked
+once, where it is made, and keeps its field and its elements' indices.
+From outside input, a VerifierKey checks that its column holds elements
+of one field; a TaggedPacket, that its tag holds indices of one
+extension field and its tracker and l payload coordinates are symbols
+of that field's base.  Keys and packets the library computes itself go
+through ``_made``, which skips these checks, so verify(),
+combine_packets() and the attacks test only what needs the params: the
+kept field, the tag count, the key height and the verifier index.
+Payloads and coefficients passed in alone are base-field symbol indices
+(``Field._symbols``), checked by each public entry.  Seeds are integers
+naming the labelled streams of ``subtag.rng``.
 """
 
 from __future__ import annotations
@@ -183,6 +188,17 @@ def _one_field(elements: Sequence[FieldElement]) -> tuple[object, tuple[int, ...
     return field, tuple(e.index for e in elements)
 
 
+def _made(cls, field: ExtField, indices: tuple[int, ...], *lead):
+    """A key or packet over ``field`` with these element indices, which its
+    caller has just checked or computed, built without the constructor's
+    checks; ``lead`` is the key's index or the packet's tracker and payload."""
+    held = object.__new__(cls)
+    values = (*lead, tuple(FieldElement(field, i) for i in indices), (field, indices))
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(held, name, value)
+    return held
+
+
 def _indices_in(ext: ExtField, held: "VerifierKey | TaggedPacket") -> tuple[int, ...]:
     """The indices a key or packet kept when built, once its field is ext."""
     field, idx = held._indexed
@@ -211,7 +227,17 @@ class TaggedPacket:
     _indexed: tuple = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_indexed", _one_field(self.tag))
+        field, idx = _one_field(self.tag)
+        if not isinstance(field, ExtField):
+            # an empty tag has the wrong width, any other the wrong field
+            error = FieldMismatch if idx else LengthMismatch
+            raise error(f"a tag holds elements of one extension field, not {self.tag!r}")
+        if len(self.payload) != field.l:
+            raise LengthMismatch(f"payload needs {field.l} coordinates, got {len(self.payload)}")
+        syms = field.base._symbols((self.tracker, *self.payload))
+        field._symbols(idx)  # verify and combine_packets read them unchecked
+        object.__setattr__(self, "payload", syms[1:])
+        object.__setattr__(self, "_indexed", (field, idx))
 
     def symbols(self) -> tuple[int, ...]:
         """Flat wire image over F_q: tracker, payload, tag coordinates."""
@@ -229,10 +255,9 @@ class TaggedPacket:
         syms = pp.base._symbols(syms)
         l, ext = pp.l, pp.ext
         tag = tuple(
-            FieldElement(ext, ext.from_digits(syms[start : start + l]))
-            for start in range(1 + l, len(syms), l)
+            ext.from_digits(syms[start : start + l]) for start in range(1 + l, len(syms), l)
         )
-        return cls(tracker=syms[0], payload=syms[1 : 1 + l], tag=tag)
+        return _made(cls, ext, tag, syms[0], syms[1 : 1 + l])
 
 
 def _check_payload(pp: PublicParams, payload: Sequence[int]) -> tuple[int, ...]:
@@ -257,7 +282,8 @@ def distribute(
     b = mk.matrix @ pp.code.generator
     if counter is not None:
         counter.add(mults=(pp.M + 1) * pp.kdim * pp.V)
-    return tuple(VerifierKey(i + 1, b.column(i)) for i in range(pp.V))
+    columns = zip(*b.to_index_rows())
+    return tuple(_made(VerifierKey, pp.ext, col, i) for i, col in enumerate(columns, 1))
 
 
 def label_row(pp: PublicParams, tracker: int, payload: Sequence[int]) -> tuple[int, ...]:
@@ -284,17 +310,15 @@ def tag_payload(
     counter: Optional[OpCounter] = None,
 ) -> TaggedPacket:
     """One source packet: tracker 1, the payload, and its kdim tags."""
-    row = label_row(pp, 1, payload)  # the one check of the payload
+    payload = _check_payload(pp, payload)  # the one check of the payload
     ext = pp.ext
     if mk.matrix.field != ext:
         raise FieldMismatch("master key must live in the extension field")
     # the tag vector is the label row weighting the rows of A
-    tags = ext.combine(row, mk.matrix.to_index_rows(), pp.kdim)
+    tags = ext.combine(_label_row(pp, 1, payload), mk.matrix.to_index_rows(), pp.kdim)
     if counter is not None:
         counter.add(mults=pp.kdim * pp.M, frobs=pp.M - 1)
-    return TaggedPacket(
-        tracker=1, payload=tuple(payload), tag=tuple(FieldElement(ext, t) for t in tags)
-    )
+    return _made(TaggedPacket, ext, tags, 1, payload)
 
 
 def tag_basis(
@@ -321,18 +345,13 @@ def label(
     counter: Optional[OpCounter] = None,
 ) -> FieldElement:
     """Verifier-side combination of tracker and payload with the key column."""
-    return FieldElement(pp.ext, _label_idx(pp, vk, tracker, payload, counter))
+    return FieldElement(pp.ext, _label_idx(pp, vk, label_row(pp, tracker, payload), counter))
 
 
 def _label_idx(
-    pp: PublicParams,
-    vk: VerifierKey,
-    tracker: int,
-    payload: Sequence[int],
-    counter: Optional[OpCounter],
+    pp: PublicParams, vk: VerifierKey, row: tuple[int, ...], counter: Optional[OpCounter]
 ) -> int:
-    """Index of tracker * b_0 + sum_t s^(q^(t-1)) * b_t for key column b."""
-    row = label_row(pp, tracker, payload)
+    """Index of the label row ``row`` weighting key column b."""
     if len(vk.column) != pp.M + 1:
         raise LengthMismatch("verifier key column has the wrong height")
     if counter is not None:
@@ -347,11 +366,12 @@ def verify(
     counter: Optional[OpCounter] = None,
 ) -> bool:
     """Accept iff the label equals the G-weighted tag combination."""
-    lhs = _label_idx(pp, vk, pkt.tracker, pkt.payload, counter)
-    if len(pkt.tag) != pp.kdim:
-        raise LengthMismatch("tag has the wrong number of components")
     ext = pp.ext
-    rhs = ext.dot(_indices_in(ext, pkt), pp.generator_indices(vk.index))
+    tag = _indices_in(ext, pkt)  # so the tracker and payload are ext's symbols
+    if len(tag) != pp.kdim:
+        raise LengthMismatch("tag has the wrong number of components")
+    lhs = _label_idx(pp, vk, _label_row(pp, pkt.tracker, pkt.payload), counter)
+    rhs = ext.dot(tag, pp.generator_indices(vk.index))
     if counter is not None:
         counter.add(mults=pp.kdim)
     return lhs == rhs
@@ -364,14 +384,15 @@ def combine_packets(
 ) -> TaggedPacket:
     """F_q-linear combination, by base-field symbols, of the wire images.
 
-    Coefficients and every wire symbol must be indices of the base field.
+    Coefficients must be indices of the base field; each packet checked
+    its symbols when it was built, and is tested only for its field and width.
     """
     if len(packets) != len(coeffs) or not packets:
         raise LengthMismatch("need one coefficient per packet")
     width, base = pp.packet_symbols, pp.base
-    wires = [base._symbols(pkt.symbols()) for pkt in packets]
-    if any(len(w) != width for w in wires):
+    if any(len(_indices_in(pp.ext, pkt)) != pp.kdim for pkt in packets):
         raise LengthMismatch("packet width does not match the parameters")
+    wires = [pkt.symbols() for pkt in packets]
     return TaggedPacket.from_symbols(pp, base.combine(base._symbols(coeffs), wires, width))
 
 

@@ -194,26 +194,28 @@ def test_recover_verifier_key_asks_forgeable_once(rs_pp, monkeypatch):
 def test_view_checks_its_observed_packets(rs_pp, e25):
     # the README's params and seed; each malformed packet used to pass the
     # view and fail later, in spans or a forgery, with a bare IndexError or
-    # a DimensionMismatch
+    # a DimensionMismatch.  A packet refuses a bad tracker or payload when it
+    # is built, and the view a tag of the wrong width or field
     mk = keygen(rs_pp, 7)
     vks = distribute(rs_pp, mk)
     good = tag_basis(rs_pp, mk, [(1, 0, 2), (0, 1, 4)])
     tag = good[0].tag
     keys = {i: vks[i - 1] for i in (1, 2, 3)}
     bad = [
-        (TaggedPacket(1, (1, 9, 3), tag), InvalidParams),
-        (TaggedPacket(1, (1, 0), tag), LengthMismatch),
-        (TaggedPacket(1, (1, 0, 2, 3), tag), LengthMismatch),
-        (TaggedPacket(5, (1, 0, 2), tag), InvalidParams),
-        (TaggedPacket(1, (1, 0, "2"), tag), FieldMismatch),
-        (TaggedPacket(1, (1, 0, 2), tag[:2]), LengthMismatch),
-        (TaggedPacket(1, (1, 0, 2), (e25.one,) * 3), FieldMismatch),
+        ((1, (1, 9, 3), tag), InvalidParams),
+        ((1, (1, 0), tag), LengthMismatch),
+        ((1, (1, 0, 2, 3), tag), LengthMismatch),
+        ((5, (1, 0, 2), tag), InvalidParams),
+        ((1, (1, 0, "2"), tag), FieldMismatch),
+        ((1, (1, 0, 2), tag[:2]), LengthMismatch),
+        ((1, (1, 0), (e25.one,) * 3), FieldMismatch),
+        ((1, (1, 0, 2), (e25.one,) * 3), LengthMismatch),
     ]
-    for pkt, error in bad:
+    for fields, error in bad:
         with pytest.raises(error):
-            CoalitionView.build(rs_pp, keys, (*good, pkt))
+            CoalitionView.build(rs_pp, keys, (*good, TaggedPacket(*fields)))
         with pytest.raises(error):
-            CoalitionView(rs_pp, (1, 2, 3), tuple(keys.values()), (pkt,))
+            CoalitionView(rs_pp, (1, 2, 3), tuple(keys.values()), (TaggedPacket(*fields),))
     # a direct construction keeps the members sorted, one key each
     for members, held in (((3, 1, 2), vks[:3]), ((1, 2), vks[:3]), ((1, 1, 2), vks[:3])):
         with pytest.raises(InvalidParams):

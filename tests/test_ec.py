@@ -230,20 +230,20 @@ def test_eval_and_residue_shapes(curve, support):
         assert (res.length, res.kdim) == (6, 6 - deg)
         # residue really is the dual: every pairing vanishes
         f = curve.field
-        for ew in ev.generator.rows:
-            for rw in res.generator.rows:
+        for ew in ev.generator.to_index_rows():
+            for rw in res.generator.to_index_rows():
                 acc = f.zero
                 for a, b in zip(ew, rw):
-                    acc = acc + a * b
+                    acc = acc + FieldElement(f, a) * FieldElement(f, b)
                 assert not acc
 
 
 def test_eval_code_rows_are_point_evaluations(curve, support):
     spec = AGCodeSpec(curve, support, 3)
-    rows = eval_code(spec).generator.rows
+    rows = eval_code(spec).generator.to_index_rows()
     basis = rr_basis(curve, 3)
     for mono, row in zip(basis, rows):
-        assert [e.index for e in row] == [
+        assert list(row) == [
             mono._at(curve.field, p.x.index, p.y.index) for p in support
         ]
 
@@ -298,7 +298,7 @@ def test_classifier_agrees_with_span_oracle(curve, support, deg):
     """Group-law verdicts vs direct dual-support enumeration, all sizes."""
     spec = AGCodeSpec(curve, support, deg)
     res = residue_code(spec)
-    rows = [[e.index for e in r] for r in res.generator.rows]
+    rows = [list(r) for r in res.generator.to_index_rows()]
     n = 6
     words = brute_dual_words(curve.field, rows, n)
     for size in range(0, n):
@@ -321,7 +321,7 @@ def test_residue_code_with_smaller_support(curve):
     spec = AGCodeSpec(curve, support, 2)
     res = residue_code(spec)
     assert (res.length, res.kdim) == (5, 3)
-    rows = [[e.index for e in r] for r in res.generator.rows]
+    rows = [list(r) for r in res.generator.to_index_rows()]
     words = brute_dual_words(curve.field, rows, 5)
     for size in (2, 3):
         for combo in itertools.combinations(range(1, 6), size):

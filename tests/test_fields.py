@@ -296,6 +296,23 @@ def test_byte_lane_combine_refuses_a_negative_sum():
         BaseField(5).combine([1, -2], [(0, 1), (1, 1)], 2)
 
 
+# every other field loops over the symbols, and what its arithmetic cannot
+# read ends in a SubtagError too
+@pytest.mark.parametrize(
+    "field, coeffs, vectors, error",
+    [
+        (BaseField(17), [1], [(1, 2, 3)], LengthMismatch),
+        (ExtField(BaseField(5), 3), [1], [(1, 2, 3)], LengthMismatch),
+        (BaseField(17), [2], [(1.0, 0)], FieldMismatch),
+        (BaseField(17), [2], [(300, 0)], InvalidParams),
+    ],
+    ids=["gf17-long", "gf125-long", "gf17-float", "gf17-past-table"],
+)
+def test_symbol_loop_combine_refuses_malformed_vectors(field, coeffs, vectors, error):
+    with pytest.raises(error):
+        field.combine(coeffs, vectors, 2)
+
+
 def test_field_built_again_reuses_its_compiled_code():
     # params files rebuild their fields on every load; a second build of the
     # same field binds functions made from the code of the first

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import linearized_eval, reference_field
 
 from subtag import scheme
+from subtag.adversary import CoalitionView, deterministic_forge, guess_forge
 from subtag.codes import LinearCode, rs_code
 from subtag.errors import (
     DependentBasis,
@@ -92,7 +94,8 @@ def test_distribute_columns_and_cost(rs_pp):
     b = mk.matrix @ rs_pp.code.generator
     for vk in vks:
         assert len(vk.column) == rs_pp.M + 1  # key storage per verifier
-        assert vk.column == b.column(vk.index - 1)
+        want = tuple(FieldElement(rs_pp.ext, r[vk.index - 1]) for r in b.to_index_rows())
+        assert vk.column == want
     assert ctr.ext_mults == (rs_pp.M + 1) * rs_pp.kdim * rs_pp.V
     assert ctr.frobenius_steps == 0
 
@@ -228,8 +231,8 @@ def test_combine_packets_is_symbolwise(rs_pp, f5, monkeypatch):
     assert calls == []
 
 
-def test_combine_packets_refuses_wire_symbols_out_of_range(rs_pp):
-    # a hand-built packet is checked as verify checks it, not mixed mod p
+def test_combine_packets_refuses_wire_symbols_out_of_range(rs_pp, e25):
+    # a hand-built packet is checked when it is built, not mixed mod p
     mk = keygen(rs_pp, 5)
     vk = distribute(rs_pp, mk)[0]
     good = tag_basis(rs_pp, mk, random_payload_basis(rs_pp, 5))[0]
@@ -239,14 +242,22 @@ def test_combine_packets_refuses_wire_symbols_out_of_range(rs_pp):
         (1, (0, -1, 0), InvalidParams),
         (1, (0, 2.0, 0), FieldMismatch),
     ]:
-        bad = TaggedPacket(tracker=tracker, payload=payload, tag=good.tag)
+        bad = functools.partial(TaggedPacket, tracker=tracker, payload=payload, tag=good.tag)
         with pytest.raises(err):
-            verify(rs_pp, vk, bad)
+            verify(rs_pp, vk, bad())
         for coeffs in ([1, 1], [1, 0], [0, 1]):
             with pytest.raises(err):
-                combine_packets(rs_pp, [bad, good], coeffs)
+                combine_packets(rs_pp, [bad(), good], coeffs)
             with pytest.raises(err):
-                combine_packets(rs_pp, [good, bad], coeffs)
+                combine_packets(rs_pp, [good, bad()], coeffs)
+    # so is a tag element whose index lies outside the extension field
+    with pytest.raises(InvalidParams):
+        TaggedPacket(1, good.payload, (FieldElement(rs_pp.ext, rs_pp.ext.order),) + good.tag[1:])
+    # a well-formed packet of another extension field is refused by its field
+    foreign = TaggedPacket(1, (0, 1), (FieldElement(e25, 1),) * len(good.tag))
+    for pkts in ([foreign, good], [good, foreign]):
+        with pytest.raises(FieldMismatch):
+            combine_packets(rs_pp, pkts, [1, 1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -389,8 +400,17 @@ def test_keys_and_packets_check_their_elements_when_built(rs_pp, e25):
     # one field throughout, but not the extension field: verify refuses
     with pytest.raises(FieldMismatch):
         verify(rs_pp, VerifierKey(vk.index, (FieldElement(e25, 1),) * len(col)), pkt)
+    e25_tag = (FieldElement(e25, 1),) * len(tag)
     with pytest.raises(FieldMismatch):
-        verify(rs_pp, vk, TaggedPacket(1, pkt.payload, (FieldElement(e25, 1),) * len(tag)))
+        verify(rs_pp, vk, TaggedPacket(1, pkt.payload[:2], e25_tag))
+    # a packet's payload must fit its own tag's field, and the tag must lie
+    # in an extension field, when the packet is built
+    with pytest.raises(LengthMismatch):
+        TaggedPacket(1, pkt.payload, e25_tag)
+    with pytest.raises(FieldMismatch):
+        TaggedPacket(1, pkt.payload[:1], (rs_pp.base.one,) * len(tag))
+    with pytest.raises(LengthMismatch):
+        TaggedPacket(1, pkt.payload, ())
 
 
 def test_verify_reads_the_indices_kept_at_construction(rs_pp, e25):
@@ -402,3 +422,38 @@ def test_verify_reads_the_indices_kept_at_construction(rs_pp, e25):
     for e in vk.column + pkt.tag:
         e.field = e25
     assert verify(rs_pp, vk, pkt)
+
+
+def test_keys_and_packets_the_library_makes_are_not_checked_again(rs_pp, monkeypatch):
+    symbol_checks, field_checks = [], []
+    symbols, one_field = Field._symbols, scheme._one_field
+
+    def counting_symbols(self, values):
+        out = symbols(self, values)
+        symbol_checks.append(out)
+        return out
+
+    def counting_one_field(elements):
+        field_checks.append(elements)
+        return one_field(elements)
+
+    monkeypatch.setattr(Field, "_symbols", counting_symbols)
+    monkeypatch.setattr(scheme, "_one_field", counting_one_field)
+    mk = keygen(rs_pp, 3)
+    vks = distribute(rs_pp, mk)
+    packets = (tag_payload(rs_pp, mk, (1, 0, 0)), tag_payload(rs_pp, mk, (0, 1, 0)))
+    view = CoalitionView.build(rs_pp, {1: vks[0], 2: vks[1], 3: vks[2]}, packets)
+    deterministic_forge(view, 4, (0, 0, 1))
+    guess_forge(view, 4, (0, 0, 1), seed=7)
+    assert field_checks == []
+    # a wire packet is checked once, by from_symbols, and verify reads it
+    # without a further symbol or element check
+    wire = packets[0].symbols()
+    symbol_checks.clear()
+    assert verify(rs_pp, vks[0], TaggedPacket.from_symbols(rs_pp, wire))
+    assert symbol_checks == [wire]
+    assert field_checks == []
+    # a hand-built packet is checked, once
+    TaggedPacket(1, (0, 0, 1), packets[0].tag)
+    tag = tuple(e.index for e in packets[0].tag)
+    assert len(field_checks) == 1 and symbol_checks[1:] == [(1, 0, 0, 1), tag]
