@@ -209,8 +209,8 @@ def _assemble(view: CoalitionView) -> AttackSystem:
     r0 = len(_echelon(ext, packet_rows, height)[1])
     k0 = len(_echelon(ext, cols, pp.kdim)[1])
 
-    coeff = Matrix.from_indices(ext, rows, ncols=width)
-    const = Matrix.from_indices(ext, ((c,) for c in consts), ncols=1)
+    coeff = Matrix._of(ext, tuple(map(tuple, rows)), width)
+    const = Matrix._of(ext, tuple((c,) for c in consts), 1)
     return AttackSystem(pp=pp, coefficients=coeff, constants=const, r0=r0, k0=k0)
 
 
@@ -245,8 +245,8 @@ def count_consistent_keys(system: AttackSystem) -> KeyCount:
 
 def _unflatten(pp: PublicParams, flat: Sequence[int]) -> MasterKey:
     height = pp.M + 1
-    rows = [flat[r::height] for r in range(height)]
-    return MasterKey(Matrix.from_indices(pp.ext, rows, ncols=pp.kdim))
+    rows = tuple(flat[r::height] for r in range(height))
+    return MasterKey(Matrix._of(pp.ext, rows, pp.kdim))
 
 
 def consistent_keys(system: AttackSystem) -> Iterator[MasterKey]:
@@ -346,7 +346,7 @@ def label_distribution(
         raise TargetInCoalition(f"target {target} is a coalition member")
     ext = pp.ext
     d = label_row(pp, 1, payload)
-    g = Matrix.from_indices(ext, ((x,) for x in pp.generator_indices(target)), ncols=1)
+    g = Matrix._of(ext, tuple((x,) for x in pp.generator_indices(target)), 1)
     system = assemble_system(view)
     hist: Counter[int] = Counter()
     for mk in consistent_keys(system):

@@ -127,7 +127,7 @@ class LinearCode:
             # a null basis is independent by construction: no rank check
             basis = self.generator.null_space()
             self._dual = LinearCode.__new__(LinearCode)
-            self._dual._hold(Matrix.from_indices(self.field, basis, ncols=self.length), self)
+            self._dual._hold(Matrix._of(self.field, basis, self.length), self)
         return self._dual
 
     def codewords(self) -> Iterator[tuple[int, ...]]:

@@ -250,12 +250,12 @@ class AGCodeSpec:
 def eval_code(spec: AGCodeSpec) -> LinearCode:
     """Evaluation code: rows are the basis monomials evaluated at the support."""
     field = spec.curve.field
-    rows = [
-        [mono._at(field, x, y) for x, y in spec._pairs]
+    rows = tuple(
+        tuple(mono._at(field, x, y) for x, y in spec._pairs)
         for mono in rr_basis(spec.curve, spec.degree)
-    ]
+    )
     # degree < n makes the evaluation map injective on L(degree * O)
-    return LinearCode(Matrix.from_indices(field, rows, ncols=spec.n))
+    return LinearCode(Matrix._of(field, rows, spec.n))
 
 
 def residue_code(spec: AGCodeSpec) -> LinearCode:

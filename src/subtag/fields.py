@@ -54,16 +54,17 @@ verification and the norm apply it in a chain.
 Every F-linear combination in the package goes through two methods:
 ``combine`` (sum_k c_k v_k over index vectors) and ``dot`` (sum_k x_k y_k).
 They are the one multiply-accumulate.  Packet mixing, tags, labels, matrix
-products, the Frobenius step and the attacks' key reconstructions call
-them.  Both skip zero coefficients; ``dot`` and most fields' ``combine``
-also skip zero entries, symbol by symbol.  A prime field with
-p(p - 1) <= 255 (p <= 13) combines whole vectors instead: each vector is
-one int with a byte lane per symbol, products and sums are int arithmetic,
-and ``bytes.translate`` with a 256-byte v -> v mod p table, built once per
-p, reduces every lane at once.  A reduced lane holds at most p - 1 and a
-term adds at most (p - 1)^2, so lanes are reduced after every
-(256 - p) // (p - 1)^2 nonzero terms (254 for p = 2, 15 for p = 5, 1 for
-p = 13) and never pass 255.
+products, elimination, span tests, subset walks, the Frobenius step and
+the attacks' key reconstructions call them.  Both skip zero coefficients;
+``dot`` and most fields' ``combine`` also skip zero entries, symbol by
+symbol.  A prime field with p(p - 1) <= 255 (p <= 13) combines whole
+vectors instead: each vector is one int with a byte lane per symbol,
+products and sums are int arithmetic, and ``bytes.translate`` with a
+256-byte v -> v mod p table, built once per p, reduces every lane at
+once.  A reduced lane holds at most p - 1 and a term adds at most
+(p - 1)^2, so lanes are reduced after every (256 - p) // (p - 1)^2
+nonzero terms (254 for p = 2, 15 for p = 5, 1 for p = 13) and never
+pass 255.
 """
 
 from __future__ import annotations

@@ -8,7 +8,11 @@ reproducibility, deterministic.
 A Matrix stores rows of field indices, read with ``to_index_rows``.
 Products and elimination never build FieldElement, and every vector this
 module hands back (null bases, span witnesses) is a tuple of indices;
-only the ``Matrix(...)`` constructor takes FieldElement.  Each question
+only the ``Matrix(...)`` constructor takes FieldElement.  The module does
+no vector arithmetic of its own: every product row and every row
+operation of elimination, span tests and subset walks is one
+``Field.combine``, and only scalar pivot work (inverses, quotients,
+negation, pivot factors) calls the field's index ops.  Each question
 is answered by one elimination: a system a @ X = b is solved by reducing
 the rows of a joined to the rows of b, and ``solve_all`` reads the
 particular solution and the null basis off that one reduced [A | b].
@@ -79,13 +83,16 @@ class Matrix:
 
     @classmethod
     def from_indices(cls, field: AnyField, idx_rows, ncols: int | None = None) -> "Matrix":
+        """Rows of indices of ``field``; a non-int entry raises
+        FieldMismatch and one out of range InvalidParams."""
         m = cls.__new__(cls)
-        m._set(field, tuple(tuple(map(int, row)) for row in idx_rows), ncols)
+        m._set(field, tuple(map(field._symbols, idx_rows)), ncols)
         return m
 
     @classmethod
     def _of(cls, field: AnyField, rows: IndexRows, ncols: int) -> "Matrix":
-        """Wrap index rows this module built itself; no checks, no copy."""
+        """Wrap index rows the package built itself, a tuple of equal-width
+        tuples of reduced indices; no checks, no copy."""
         m = cls.__new__(cls)
         m.field, m._rows, m.nrows, m.ncols = field, rows, len(rows), ncols
         return m
@@ -117,8 +124,8 @@ class Matrix:
         canonical form for the row space.
         """
         f = self.field
-        mul, sub, inv = f.mul_idx, f.sub_idx, f.inv_idx
-        work = [list(row) for row in self._rows]
+        combine, neg, inv = f.combine, f.neg_idx, f.inv_idx
+        work = list(self._rows)
         ncols = self.ncols
         pivots = []
         rank = 0
@@ -126,22 +133,17 @@ class Matrix:
             piv = next((r for r in range(rank, self.nrows) if work[r][col]), None)
             if piv is None:
                 continue
-            work[rank], work[piv] = work[piv], work[rank]
-            pinv = inv(work[rank][col])
-            if pinv != 1:
-                work[rank] = [mul(pinv, v) for v in work[rank]]
+            prow = combine((inv(work[piv][col]),), (work[piv],), ncols)
+            work[piv], work[rank] = work[rank], prow
             for r in range(self.nrows):
-                if r != rank and work[r][col]:
-                    c = work[r][col]
-                    work[r] = [
-                        sub(v, mul(c, w)) for v, w in zip(work[r], work[rank])
-                    ]
+                c = work[r][col]
+                if c and r != rank:
+                    work[r] = combine((1, neg(c)), (work[r], prow), ncols)
             pivots.append(col)
             rank += 1
             if rank == self.nrows:
                 break
-        reduced = Matrix._of(f, tuple(map(tuple, work)), ncols)
-        return reduced, rank, tuple(pivots)
+        return Matrix._of(f, tuple(work), ncols), rank, tuple(pivots)
 
     def rank(self) -> int:
         return self.rref()[1]
@@ -237,7 +239,7 @@ def solve_all(a: Matrix, b: Matrix) -> LinearSolution | None:
     if part is None:
         return None
     return LinearSolution(
-        particular=Matrix.from_indices(a.field, part, ncols=b.ncols),
+        particular=Matrix._of(a.field, tuple(part), b.ncols),
         null_basis=_null_basis(a.field, red, pivots, a.ncols),
     )
 
@@ -249,7 +251,7 @@ def _echelon(
     their pivot columns, from one elimination; no rows give an empty basis."""
     if not rows:
         return (), ()
-    reduced, rank, pivots = Matrix.from_indices(field, rows, ncols=width).rref()
+    reduced, rank, pivots = Matrix._of(field, tuple(map(tuple, rows)), width).rref()
     return reduced.to_index_rows()[:rank], pivots
 
 
@@ -260,13 +262,12 @@ def _in_span(
     columns, each row zero at the earlier rows' pivots), such as an
     ``_echelon`` or ``_walk`` basis?  Reduces v against it; zero means
     inside.  v must have the basis's width."""
-    mul, sub, div = field.mul_idx, field.sub_idx, field.div_idx
+    combine, neg, div = field.combine, field.neg_idx, field.div_idx
+    width = len(v)
     for row, col in zip(*basis):
         c = v[col]
         if c:
-            if row[col] != 1:
-                c = div(c, row[col])
-            v = [sub(x, mul(c, y)) for x, y in zip(v, row)]
+            v = combine((1, neg(div(c, row[col]))), (v, row), width)
     return not any(v)
 
 
@@ -293,60 +294,58 @@ def _walk(
     column's reduction as its row, so a subset costs one reduction step per
     later column instead of an elimination.
 
-    With a ``target``, every later column also carries the combination of
-    members' columns it was reduced by, as a list aligned with ``members``,
-    and so does the target's residual.  ``witness`` is then a combination
-    of the members' columns equal to the target (the unique one for
-    independent members), or None while the target lies outside their span.
+    Every reduction step is one ``Field.combine``.  With a ``target``, each
+    later column is ``height + depth`` wide: after its reduction v comes a
+    coefficient block w, aligned with the member positions, with
+    v = column j + sum_t w_t * column members[t].  A member's own slot is set
+    to 1 when its column becomes a row, so the combine that reduces a
+    column by a row also updates its coefficients.  The negated target is
+    reduced the same way, so once its residual's first ``height`` entries
+    are zero, ``witness`` is the residual's block: a combination of the
+    members' columns equal to the target (the unique one for independent
+    members).  It is None while the target lies outside their span.  The
+    rows in ``basis`` stay ``height`` wide.
     """
-    add, sub, mul, inv = field.add_idx, field.sub_idx, field.mul_idx, field.inv_idx
+    combine, mul, inv, neg = field.combine, field.mul_idx, field.inv_idx, field.neg_idx
     track = target is not None
+    height = len(columns[0]) if columns else len(target or ())
+    pad = (0,) * depth if track else ()
+    width = height + len(pad)
 
-    def enter(members, rows, pivots, later, row, residual, witness):
-        # ``later``: (j, v, w) for each column j after the last member, v its
+    def enter(members, rows, pivots, later, row, residual):
+        # ``later``: (j, v) for each column j after the last member, v its
         # reduction against every row but ``row``, the one this subset added
-        # (None when it added none), and w the members' coefficients in
-        # v = column j + sum_t w_t * column members[t]
-        if not visit(members, (rows, pivots), witness if track and not any(residual) else None):
-            return
-        if len(members) == depth:
+        # (None when it added none), followed by its coefficient block
+        witness = None
+        if track and not any(residual[:height]):
+            witness = residual[height:height + len(members)]
+        if not visit(members, (rows, pivots), witness) or len(members) == depth:
             return
         if row is not None:
-            v_row, p, w_row = row
-            s = inv(v_row[p])
+            p = pivots[-1]
+            s = inv(row[p])
             reduced = []
-            for j, v, w in later:
+            for j, v in later:
                 c = mul(v[p], s)
-                if c:
-                    v = [sub(x, mul(c, y)) for x, y in zip(v, v_row)]
-                    if track:
-                        w = [sub(x, mul(c, y)) for x, y in zip(w, w_row)]
-                        w.append(field.neg_idx(c))
-                elif track:
-                    w = [*w, 0]
-                reduced.append((j, v, w))
+                reduced.append((j, combine((1, neg(c)), (v, row), width) if c else v))
             later = reduced
-        elif track and members:
-            # the last member added no row: its coefficient is 0 throughout
-            later = [(j, v, [*w, 0]) for j, v, w in later]
-        for k, (j, v, w) in enumerate(later):
+        slot = height + len(members)
+        for k, (j, v) in enumerate(later):
             child = members + (j,)
-            p = next((t for t, x in enumerate(v) if x), None)
+            p = next((t for t in range(height) if v[t]), None)
             if p is None:
                 # dependent: no row, and the target's residual is unchanged
-                enter(child, rows, pivots, later[k + 1:], None, residual,
-                      witness + (0,) if track else None)
+                enter(child, rows, pivots, later[k + 1:], None, residual)
                 continue
-            res, lam = residual, witness
+            res = residual
             if track:
+                v = v[:slot] + (1,) + v[slot + 1:]
                 c = mul(residual[p], inv(v[p]))
-                lam = (*(add(x, mul(c, y)) for x, y in zip(witness, w)), c)
-                if c:
-                    res = [sub(x, mul(c, y)) for x, y in zip(residual, v)]
-            enter(child, rows + (v,), pivots + (p,), later[k + 1:], (v, p, w), res, lam)
+                res = combine((1, neg(c)), (residual, v), width) if c else residual
+            enter(child, rows + (v[:height],), pivots + (p,), later[k + 1:], v, res)
 
-    start = [(j, col, []) for j, col in enumerate(columns)]
-    enter((), (), (), start, None, target if track else None, () if track else None)
+    start = [(j, (*col, *pad)) for j, col in enumerate(columns)]
+    enter((), (), (), start, None, (*map(neg, target), *pad) if track else None)
 
 
 def span_witness(
@@ -363,6 +362,6 @@ def span_witness(
     """
     if not generators:
         return None if any(v) else ()
-    a = Matrix.from_indices(field, tuple(zip(*generators)), ncols=len(generators))
-    part, _, _ = _particular(a, Matrix.from_indices(field, ((x,) for x in v), ncols=1))
+    a = Matrix._of(field, tuple(zip(*generators)), len(generators))
+    part, _, _ = _particular(a, Matrix._of(field, tuple((x,) for x in v), 1))
     return None if part is None else tuple(x for (x,) in part)

@@ -48,7 +48,7 @@ from .errors import (
     UnknownNode,
 )
 from .fields import BaseField
-from .linalg import _echelon
+from .linalg import Matrix, _echelon
 from . import rng as _rng
 
 __all__ = [
@@ -451,5 +451,7 @@ def same_span(
     rows_b: Sequence[Sequence[int]],
     width: int,
 ) -> bool:
-    """Do the rows span one subspace, that is, have one ``_echelon`` basis?"""
-    return _echelon(base, rows_a, width) == _echelon(base, rows_b, width)
+    """Do the rows span one subspace, that is, have one ``_echelon`` basis?
+    Each row is checked as ``Matrix.from_indices`` checks it."""
+    a, b = (Matrix.from_indices(base, r, ncols=width).to_index_rows() for r in (rows_a, rows_b))
+    return _echelon(base, a, width) == _echelon(base, b, width)

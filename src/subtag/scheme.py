@@ -214,7 +214,10 @@ class VerifierKey:
     _indexed: tuple = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_indexed", _one_field(self.column))
+        field, idx = _one_field(self.column)
+        if idx:
+            field._symbols(idx)  # verify reads them unchecked
+        object.__setattr__(self, "_indexed", (field, idx))
 
 
 @dataclass(frozen=True)
@@ -269,10 +272,10 @@ def _check_payload(pp: PublicParams, payload: Sequence[int]) -> tuple[int, ...]:
 def keygen(pp: PublicParams, seed: int) -> MasterKey:
     """Uniform master key from the authority's labelled stream."""
     r = _rng.stream(seed, "ta")
-    rows = [
-        [r.randrange(pp.ext.order) for _ in range(pp.kdim)] for _ in range(pp.M + 1)
-    ]
-    return MasterKey(Matrix.from_indices(pp.ext, rows, ncols=pp.kdim))
+    rows = tuple(
+        tuple(r.randrange(pp.ext.order) for _ in range(pp.kdim)) for _ in range(pp.M + 1)
+    )
+    return MasterKey(Matrix._of(pp.ext, rows, pp.kdim))
 
 
 def distribute(
@@ -331,7 +334,7 @@ def tag_basis(
     if len(basis) != pp.n:
         raise InvalidParams(f"expected {pp.n} basis vectors, got {len(basis)}")
     packets = tuple(tag_payload(pp, mk, v, counter) for v in basis)
-    mat = Matrix.from_indices(pp.base, [p.payload for p in packets], ncols=pp.l)
+    mat = Matrix._of(pp.base, tuple(p.payload for p in packets), pp.l)
     if mat.rank() != pp.n:
         raise DependentBasis("payload vectors are linearly dependent over F_q")
     return packets
@@ -400,10 +403,10 @@ def random_payload_basis(pp: PublicParams, seed: int) -> tuple[tuple[int, ...], 
     """A uniform n-dimensional payload basis (rejection sampled)."""
     r = _rng.stream(seed, "source")
     for _ in range(_BASIS_ATTEMPTS):
-        rows = [
+        rows = tuple(
             tuple(r.randrange(pp.base.order) for _ in range(pp.l))
             for _ in range(pp.n)
-        ]
-        if Matrix.from_indices(pp.base, rows, ncols=pp.l).rank() == pp.n:
-            return tuple(rows)
+        )
+        if Matrix._of(pp.base, rows, pp.l).rank() == pp.n:
+            return rows
     raise RankDeficient(f"no independent basis found in {_BASIS_ATTEMPTS} attempts")

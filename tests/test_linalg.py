@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subtag.errors import DimensionMismatch, FieldMismatch
-from subtag.fields import BaseField, FieldElement
+from subtag.errors import DimensionMismatch, FieldMismatch, InvalidParams
+from subtag.fields import BaseField, ExtField, FieldElement
 from subtag.linalg import Matrix, _echelon, _in_span, _walk, solve_all, span_witness
 
 from conftest import random_full_rank
-from oracles import brute_dual_words, brute_solutions, spanned_vectors
+from oracles import brute_dual_words, brute_solutions, matvec_idx, spanned_vectors
+from test_api_frozen import ROOT, _names_read
 
 
 def M5(rows, ncols=None):
@@ -68,6 +69,25 @@ def test_constructor_checks_still_fire():
         solve_all(a, M5([[1], [2]]))
     with pytest.raises(DimensionMismatch):
         solve_all(a, Matrix.from_indices(BaseField(3), [[1]]))
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [([2.7, 1], FieldMismatch), (["3", 1], FieldMismatch), ([7, 1], InvalidParams)],
+    ids=["float", "str", "out-of-range"],
+)
+def test_from_indices_checks_its_entries(row, error):
+    # over GF(5) an entry is an int in 0..4: none is coerced or read past a table
+    with pytest.raises(error):
+        M5([[1, 0], row])
+
+
+def test_linalg_does_no_vector_arithmetic_of_its_own():
+    # every vector update is a Field.combine; only scalar pivot work reads
+    # the field's index ops
+    read = _names_read(ROOT / "src" / "subtag" / "linalg.py")
+    assert "combine" in read
+    assert read & {"add_idx", "sub_idx"} == set()
 
 
 def test_index_rref_builds_no_elements(monkeypatch):
@@ -224,7 +244,24 @@ def test_span_witness_matches_enumeration(rows):
             assert tuple(recon) == vec
 
 
-ECHELON_FIELDS = (BaseField(5), BaseField(2, 2), BaseField(3, 2))
+# one field per Field.combine path: byte lanes (GF(13) reduces after every
+# term), the prime symbol loop, tabulated XOR, Zech logarithms, and the
+# untabulated compiled products of characteristic 2 and of odd p
+ECHELON_FIELDS = (
+    BaseField(2),
+    BaseField(13),
+    BaseField(17),
+    BaseField(2, 2),
+    BaseField(3, 2),
+    ExtField(BaseField(2, 8), 3),
+    ExtField(BaseField(5), 7),
+)
+
+
+def combination(f, coeffs, vectors, width):
+    """sum_k coeffs[k] * vectors[k] by the scalar oracle, not by
+    Field.combine, which the code under test calls."""
+    return matvec_idx(f, tuple(zip(*vectors)), coeffs) if vectors else (0,) * width
 
 
 @st.composite
@@ -238,7 +275,7 @@ def rows_and_vectors(draw):
     vector = st.lists(entry, min_size=width, max_size=width).map(tuple)
     rows = draw(st.lists(vector, max_size=4))
     coeffs = draw(st.lists(st.integers(0, f.order - 1), min_size=len(rows), max_size=len(rows)))
-    combo = f.combine(coeffs, rows, width) if rows else (0,) * width
+    combo = combination(f, coeffs, rows, width)
     return f, width, rows, (draw(vector), (0,) * width, combo)
 
 
@@ -249,8 +286,24 @@ def test_echelon_is_rref_and_in_span_is_span_witness(case):
     reduced, _, pivots = Matrix.from_indices(f, rows, ncols=width).rref()
     basis = _echelon(f, rows, width)
     assert basis == (tuple(r for r in reduced.to_index_rows() if any(r)), pivots)
+    rows_b = basis[0]
+    for row, p in zip(rows_b, pivots):
+        # reduced: 1 at its pivot, zero before it and at the other pivots, and
+        # inside the rows' span by a witness the oracle checks
+        assert not any(row[:p]) and [row[q] for q in pivots] == [int(q == p) for q in pivots]
+        lam = span_witness(f, rows, row)
+        assert lam is not None and combination(f, lam, rows, width) == row
+
+    def inside(v):
+        # a reduced basis spans v exactly when v's pivot entries weight it to v
+        return combination(f, [v[p] for p in pivots], rows_b, width) == tuple(v)
+
+    assert all(inside(r) for r in rows)
     for v in vectors:
-        assert _in_span(f, basis, v) == (span_witness(f, rows, v) is not None)
+        assert _in_span(f, basis, v) == inside(v)
+        lam = span_witness(f, rows, v)
+        assert (lam is not None) == inside(v)
+        assert lam is None or combination(f, lam, rows, width) == tuple(v)
     assert _in_span(f, basis, (0,) * width)
     assert _in_span(f, basis, vectors[2])
 
@@ -271,7 +324,7 @@ def test_walk_visits_each_subset_with_its_span(case, which):
             assert _in_span(f, basis, v) == (span_witness(f, cols, v) is not None)
         assert (witness is None) == (span_witness(f, cols, target) is None)
         if witness is not None:
-            assert f.combine(witness, cols, width) == tuple(target)
+            assert combination(f, witness, cols, width) == tuple(target)
         return True
 
     _walk(f, columns, len(columns), visit, target)

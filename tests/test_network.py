@@ -8,6 +8,7 @@ from subtag import rng
 from subtag.errors import (
     CyclicGraph,
     DimensionMismatch,
+    FieldMismatch,
     InvalidParams,
     LengthMismatch,
     UnknownNode,
@@ -260,6 +261,20 @@ def test_same_span_compares_echelon_bases():
     for other in ([(2, 2, 0), (1, 0, 2)], [(1, 1, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)], []):
         assert same_span(base, rows, other, 3) == (span == spanned_vectors(base, other, 3))
     assert same_span(base, [], [(0, 0, 0)], 3)
+
+
+def test_same_span_checks_its_rows():
+    base = BaseField(5)
+    for rows, error in (
+        ([(1, 2), (3,)], DimensionMismatch),  # ragged
+        ([(1, 2, 3)], DimensionMismatch),  # wider than width
+        ([(7, 1)], InvalidParams),  # past GF(5)
+        ([(1.0, 2)], FieldMismatch),  # not an index
+    ):
+        with pytest.raises(error):
+            same_span(base, rows, [(1, 0)], 2)
+        with pytest.raises(error):
+            same_span(base, [(1, 0)], rows, 2)
 
 
 def _scan_in_edges(t, name):

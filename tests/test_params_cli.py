@@ -118,8 +118,13 @@ def _stdlib_canonical(doc) -> str:
 
 
 # keys and strings with quotes, backslashes, control characters, non-ASCII
-# letters, astral characters and lone surrogates
-_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\n\t\x7fé€\u2028\ud800\U0001f600 aZ') | st.characters())
+# letters, astral characters and lone surrogates.  Containers hold at most
+# four items and strings at most eight characters, so few drawn documents
+# pass max_leaves or repeat a dict key and have to be drawn again.
+_TEXT = st.text(
+    st.sampled_from('"\\/\x00\x1f\n\t\x7fé€\u2028\ud800\U0001f600 aZ') | st.characters(),
+    max_size=8,
+)
 _LEAVES = (
     st.integers()
     | st.integers(-(10**40), 10**40)
@@ -129,15 +134,15 @@ _LEAVES = (
     | st.none()
     | _TEXT
     # lists of plain ints, and of ints mixed with bools, which are not ints here
-    | st.lists(st.integers())
-    | st.lists(st.integers() | st.booleans())
+    | st.lists(st.integers(), max_size=4)
+    | st.lists(st.integers() | st.booleans(), max_size=4)
 )
 _DOCS = st.recursive(
     _LEAVES,
-    lambda inner: st.lists(inner)
-    | st.lists(inner).map(tuple)
-    | st.dictionaries(_TEXT, inner),
-    max_leaves=40,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=25,
 )
 
 

@@ -413,6 +413,20 @@ def test_keys_and_packets_check_their_elements_when_built(rs_pp, e25):
         TaggedPacket(1, pkt.payload, ())
 
 
+def test_hand_built_key_range_checks_its_indices(rs_pp, monkeypatch):
+    checks = []
+    original = Field._symbols
+    monkeypatch.setattr(Field, "_symbols", lambda self, v: checks.append(v) or original(self, v))
+    vk = distribute(rs_pp, keygen(rs_pp, 5))[0]
+    assert checks == []  # keys the library makes skip the check
+    # an index past F_125 is refused when the key is built, not read past
+    # verify's tables
+    for bad in (200, rs_pp.ext.order, -1):
+        with pytest.raises(InvalidParams):
+            VerifierKey(1, (FieldElement(rs_pp.ext, bad),) + vk.column[1:])
+    assert VerifierKey(1, vk.column) == vk
+
+
 def test_verify_reads_the_indices_kept_at_construction(rs_pp, e25):
     mk = keygen(rs_pp, 5)
     vk = distribute(rs_pp, mk)[0]
