@@ -20,9 +20,19 @@ Forgery follows the same linearity: when the target's generator column
 lies in the coalition's column span (``LinearCode.forgeable``, the one
 qualification test), the witness combination rebuilds the target's key
 column exactly, after which any payload outside the observed subspace
-can be tagged at will.  Otherwise the best available move is to guess
-the one label the target would accept.  Forged packets carry tracker 1,
-as source packets do, and the label histogram is taken for that tracker.
+can be tagged at will.  The consistent keys are A0 + X with D X = 0 for
+the matrix D of packet rows and X g_i = 0 for each member i, so the
+label d A g_t of a row d is fixed exactly when d lies in D's row space
+or g_t in the members' column span, and exactly uniform otherwise.
+Trackers are symbols of F_q, so while r0 <= M (every view the reports,
+scripts and tests build) the row of a payload outside the observed
+subspace lies outside the packet rows' span, by the Moore determinant,
+and an unqualified coalition's best move is to guess the one label the
+target would accept.  At r0 = M + 1 the packet rows span every row, so
+the traffic alone fixes the target's label for every payload, qualified
+coalition or not; ``deterministic_forge`` still asks the code-span test
+alone and raises NotQualified there.  Forged packets carry tracker 1, as
+source packets do, and the label histogram is taken for that tracker.
 
 A view is built from the members' keys, by verifier index, and the flat
 sequence of packets the coalition saw, which checked their own trackers

@@ -5,7 +5,7 @@ public generator matrix, how the authority's master key is spread over V
 verifiers.  Which coalitions of verifiers can cheat which targets is a
 question about column spans of the generator, or equivalently about
 supports of dual codewords.  Vectors here are index tuples over the
-code's field; FieldElement appears only in ``rs_code``'s evaluation points.
+code's field, and ``rs_code`` takes its evaluation points as indices.
 
 Every answer is a span test on ``columns``, the generator's columns as
 index tuples, read once when a code is built.  ``forgeable`` makes one.
@@ -46,8 +46,8 @@ from .errors import (
     TooLargeToEnumerate,
     TooLong,
 )
-from .fields import BaseField, ExtField, FieldElement
-from .linalg import Matrix, _walk, span_witness
+from .fields import BaseField, ExtField
+from .linalg import Matrix, _span_witness, _walk
 
 __all__ = [
     "CoalitionSpec",
@@ -234,7 +234,7 @@ class LinearCode:
             self._index_ok(j)
         cols = self.columns
         gens = [cols[j - 1] for j in spec.sorted_members]
-        witness = span_witness(self.field, gens, cols[spec.target - 1])
+        witness = _span_witness(self.field, gens, cols[spec.target - 1])
         return witness is not None, witness
 
     def access_structure(self, i: int) -> tuple[tuple[int, ...], ...]:
@@ -252,20 +252,18 @@ class LinearCode:
         return f"LinearCode[{self.length},{self.kdim}] over {self.field.name}"
 
 
-def rs_code(
-    field: AnyField, points: Sequence[Union[int, FieldElement]], kdim: int
-) -> LinearCode:
-    """Reed-Solomon code: rows point**(t-1) for t = 1..kdim, with 0**0 = 1."""
+def rs_code(field: AnyField, points: Sequence[int], kdim: int) -> LinearCode:
+    """Reed-Solomon code: rows point**(t-1) for t = 1..kdim, with 0**0 = 1.
+    The points are indices of ``field``."""
     if len(points) > field.order:
         raise TooLong(
             f"length {len(points)} exceeds the {field.order} distinct points available"
         )
-    pts = [field.element(p) for p in points]
-    if len({p.index for p in pts}) != len(pts):
+    pts = field._symbols(points)
+    if len(set(pts)) != len(pts):
         raise DuplicatePoint("evaluation points must be pairwise distinct")
     if not 1 <= kdim <= len(pts):
         raise InvalidParams(f"dimension {kdim} outside 1..{len(pts)}")
-    rows = []
-    for t in range(kdim):
-        rows.append(tuple(p**t for p in pts))
-    return LinearCode(Matrix(field, tuple(rows), ncols=len(pts)))
+    power = field.pow_idx
+    rows = tuple(tuple(power(x, t) for x in pts) for t in range(kdim))
+    return LinearCode(Matrix._of(field, rows, len(pts)))

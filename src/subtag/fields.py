@@ -16,37 +16,35 @@ A field binds its index operations once, when it is built, so no call
 branches on the kind: the digit codec ``coords_of`` (index to digits) and
 ``from_digits`` (digits to index, sum_k d_k r^k for the subfield order r),
 and ``mul_idx``, ``add_idx``, ``neg_idx`` and ``sub_idx``.
-Addition and negation go by kind:
+Addition and negation follow the field's structure, not how it was built
+or how large it is:
 
 * characteristic 2: the base-2 digits of an index are its coefficients at
   every level, so addition and subtraction are XOR and negation is the
   identity;
-* odd prime field: addition and subtraction mod p, negation by lookup in
-  a length-p table;
-* odd p, order at most ``_MUL_TABLE_MAX``: Zech logarithms on the
-  discrete-log tables.  With g the generator and 1 + g^k = g^Z(k),
-  g^a + g^b = g^(a + Z(b - a)); Z is one length-(order - 1) table, with
-  a sentinel at the one k where 1 + g^k = 0.  Negation is multiplication
-  by g^((order - 1)/2) = -1, read from a length-order table;
-* odd p, larger (extensions only): digit by digit over the subfield, in
-  the compiled code below.
+* odd prime order (``BaseField(p)`` and ``ExtField(BaseField(p), 1)``
+  alike): addition and subtraction mod p, negation by lookup in a
+  length-p table;
+* every other odd-p field: digit by digit, in the compiled code below.
 
 Multiplication and inversion use discrete-log tables whenever the order is
 at most ``_MUL_TABLE_MAX``: every base field and the small extensions.
-Every field but a prime field has its digit ops generated as one
+Every field built over a subfield has its digit ops generated as one
 straight-line source by ``_compile_ops`` when it is built: the digit
-codec, the digit-wise sums of large odd-p fields, and the schoolbook
-product of two coordinate vectors, unrolled for the field's degree, with
-digit products read off the subfield's log/exp tables, folded back with
-the monic modulus (x^l = -sum m_k x^k) from the top degree down.  Digits
-come and go by shift and mask when the subfield order is a power of two,
-by division and multiplication otherwise, and no index op loops over
-them; a prime field's codec is the identity on its one digit.  A
-tabulated field builds its tables with the product (a prime field with
-i*j mod p) and then multiplies by table lookup; a larger field multiplies
-with the compiled product itself.  A field built again with the same
-modulus reuses the compiled code.  An untabulated field inverts by the
-norm: x^-1 = (x^q x^(q^2) ... x^(q^(l-1))) N(x)^-1, where
+codec, the digit-wise sums of odd-p fields, and the schoolbook product of
+two coordinate vectors, unrolled for the field's degree, with digit
+products read off the subfield's log/exp tables, folded back with the
+monic modulus (x^l = -sum m_k x^k) from the top degree down.  Digit sums
+are XOR in characteristic 2, int sums reduced mod p over a prime
+subfield, and calls of the subfield's own ops otherwise.  Digits come and
+go by shift and mask when the subfield order is a power of two, by
+division and multiplication otherwise, and no index op loops over them;
+a prime field's codec is the identity on its one digit.  A tabulated
+field builds its tables with the product (a prime field with i*j mod p)
+and then multiplies by table lookup; a larger field multiplies with the
+compiled product itself.  A field built again with the same modulus
+reuses the compiled code.  An untabulated field inverts by the norm:
+x^-1 = (x^q x^(q^2) ... x^(q^(l-1))) N(x)^-1, where
 N(x) = x x^q ... x^(q^(l-1)) lies in F_q.  Only an extension precomputes
 the q-power Frobenius map, once, as an l x l matrix over F_q, since tag
 verification and the norm apply it in a chain.
@@ -57,11 +55,11 @@ They are the one multiply-accumulate.  Packet mixing, tags, labels, matrix
 products, elimination, span tests, subset walks, the Frobenius step and
 the attacks' key reconstructions call them.  Both skip zero coefficients;
 ``dot`` and most fields' ``combine`` also skip zero entries, symbol by
-symbol.  A prime field with p(p - 1) <= 255 (p <= 13) combines whole
-vectors instead: each vector is one int with a byte lane per symbol,
-products and sums are int arithmetic, and ``bytes.translate`` with a
-256-byte v -> v mod p table, built once per p, reduces every lane at
-once.  A reduced lane holds at most p - 1 and a term adds at most
+symbol.  A field of prime order p with p(p - 1) <= 255 (p <= 13)
+combines whole vectors instead: each vector is one int with a byte lane
+per symbol, products and sums are int arithmetic, and ``bytes.translate``
+with a 256-byte v -> v mod p table, built once per p, reduces every lane
+at once.  A reduced lane holds at most p - 1 and a term adds at most
 (p - 1)^2, so lanes are reduced after every (256 - p) // (p - 1)^2
 nonzero terms (254 for p = 2, 15 for p = 5, 1 for p = 13) and never
 pass 255.
@@ -71,7 +69,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import (
     DivisionByZero,
@@ -175,20 +173,20 @@ def _compile_ops(radix: int, degree: int, fold, sub: "Field") -> tuple:
     """The digit ops of sub[x]/(modulus), unrolled for the degree.
 
     Returns ``coords_of``, ``from_digits`` and ``mul_idx``, and for odd p
-    above ``_MUL_TABLE_MAX`` also ``add_idx``, ``sub_idx`` and ``neg_idx``,
-    which work digit by digit through the subfield's ops.  The source
-    spells out the schoolbook product of two digit vectors term by term
-    and folds it with ``fold`` (from _fold_terms) from the top degree
-    down; ``_compiled`` keeps the code of recent sources, so a field built
-    again skips the compiler.  Digits are read by shift and mask when the
-    radix is a power of two, by // and % otherwise, and placed back by
-    shift and | or by * and +.  Two digits multiply as e[la + lb] on the
-    subfield's exp/log tables: the log of 0 is the sentinel 2n
-    (n = sub.order - 1), and e is exp twice and then 2n + 1 zeros, so any
-    sum with a sentinel reads 0.  Fold terms enter as logs of -m_k.  Digit
-    sums are ^ in characteristic 2 and the subfield's add_idx otherwise.
-    Besides the names lg, e, add, sub and neg, the source holds only
-    integer literals derived from the radix and the validated modulus.
+    also ``add_idx``, ``sub_idx`` and ``neg_idx``, which work digit by
+    digit.  The source spells out the schoolbook product of two digit
+    vectors term by term and folds it with ``fold`` (from _fold_terms)
+    from the top degree down; ``_compiled`` keeps the code of recent
+    sources, so a field built again skips the compiler.  Digits are read
+    by shift and mask when the radix is a power of two, by // and %
+    otherwise, and placed back by shift and | or by * and +.  Two digits
+    multiply as e[la + lb] on the subfield's exp/log tables: the log of 0
+    is the sentinel 2n (n = sub.order - 1), and e is exp twice and then
+    2n + 1 zeros, so any sum with a sentinel reads 0.  Fold terms enter as
+    logs of -m_k.  Digit sums are ^ in characteristic 2, int sums reduced
+    mod p over a prime subfield, and the subfield's add, sub and neg
+    otherwise.  Besides those three names and lg and e, the source holds
+    only integer literals derived from the radix and the validated modulus.
     """
     n = sub.order - 1
     lg = list(sub._log)
@@ -216,10 +214,14 @@ def _compile_ops(radix: int, degree: int, fold, sub: "Field") -> tuple:
 
     if sub.char == 2:
         total = lambda terms: " ^ ".join(terms)
-        acc = lambda c, term: f"{c} ^= {term}"
+    elif sub.order == sub.char:
+        total = lambda terms: f"({' + '.join(terms)}) % {radix}" if terms[1:] else terms[0]
+        minus = lambda x, y: f"({x} - {y}) % {radix}"
+        negated = lambda x: f"-({x}) % {radix}"
     else:
         total = lambda terms: functools.reduce(lambda x, y: f"add({x}, {y})", terms)
-        acc = lambda c, term: f"{c} = add({c}, {term})"
+        minus = lambda x, y: f"sub({x}, {y})"
+        negated = lambda x: f"neg({x})"
     body = ["if not (i and j):", "    return 0"]
     body += [f"a{k} = lg[{x}]" for k, x in enumerate(digits("i"))]
     body += [f"b{k} = lg[{x}]" for k, x in enumerate(digits("j"))]
@@ -228,7 +230,9 @@ def _compile_ops(radix: int, degree: int, fold, sub: "Field") -> tuple:
         body.append(f"c{s} = {total(terms)}")
     for top in range(2 * d - 2, d - 1, -1):
         body.append(f"t = lg[c{top}]")
-        body += [acc(f"c{top - d + k}", f"e[t + {lg[m]}]") for k, m in fold]
+        for k, m in fold:
+            c = f"c{top - d + k}"
+            body.append(f"{c} = {total([c, f'e[t + {lg[m]}]'])}")
     body.append(f"return {placed([f'c{k}' for k in range(d)])}")
     names = ["coords_of", "from_digits", "mul_idx"]
     lines = [
@@ -240,15 +244,15 @@ def _compile_ops(radix: int, degree: int, fold, sub: "Field") -> tuple:
         "    def mul_idx(i, j):",
         *(f"        {line}" for line in body),
     ]
-    if sub.char != 2 and radix**d > _MUL_TABLE_MAX:
+    if sub.char != 2:
         ij = list(zip(digits("i"), digits("j")))
         lines += [
             "    def add_idx(i, j):",
-            f"        return {placed([f'add({x}, {y})' for x, y in ij])}",
+            f"        return {placed([total([x, y]) for x, y in ij])}",
             "    def sub_idx(i, j):",
-            f"        return {placed([f'sub({x}, {y})' for x, y in ij])}",
+            f"        return {placed([minus(x, y) for x, y in ij])}",
             "    def neg_idx(i):",
-            f"        return {placed([f'neg({x})' for x in digits('i')])}",
+            f"        return {placed([negated(x) for x in digits('i')])}",
         ]
         names += ["add_idx", "sub_idx", "neg_idx"]
     src = "\n".join([*lines, f"    return {', '.join(names)}"])
@@ -427,13 +431,10 @@ class Field:
         self._bind_index_ops()
 
     def _bind_index_ops(self) -> None:
-        """Pick coords_of, from_digits and the arithmetic once, by the kind of field."""
+        """Pick coords_of, from_digits and the arithmetic once, by the
+        field's structure: its characteristic and whether its order is prime."""
+        p = self.char
         if self.subfield is None:
-            p = self.char
-            if p * (p - 1) <= 255:
-                # after a reduction a lane holds at most p - 1, and each
-                # term adds at most (p - 1)^2
-                self._lanes = (_lane_residues(p), (256 - p) // (p - 1) ** 2)
             self.coords_of = lambda i: (i,)
             self.from_digits = operator.itemgetter(0)
             mul = lambda i, j: i * j % p
@@ -446,66 +447,27 @@ class Field:
             self.mul_idx = lambda i, j: exp[(log[i] + log[j]) % n] if i and j else 0
         else:
             self.mul_idx = mul
-        if self.char == 2:
+        if self.order == p and p * (p - 1) <= 255:
+            # after a reduction a lane holds at most p - 1, and each term
+            # adds at most (p - 1)^2
+            self._lanes = (_lane_residues(p), (256 - p) // (p - 1) ** 2)
+        if p == 2:
             self.add_idx = self.sub_idx = operator.xor
             self.neg_idx = operator.pos
-            return
-        if self.subfield is None:
-            p = self.char
+        elif self.order == p:
             self.neg_idx = [(-i) % p for i in range(p)].__getitem__
             self.add_idx = lambda i, j: (i + j) % p
             self.sub_idx = lambda i, j: (i - j) % p
-            return
-        if self._exp is None:
+        else:
             self.add_idx, self.sub_idx, self.neg_idx = ops[3:]
-            return
-        self._bind_zech()
 
-    def _bind_zech(self) -> None:
-        """Zech-logarithm add_idx, sub_idx and neg_idx on the exp/log tables.
-
-        i + j = g^(a + Z(b - a)) for a = log i and b = log j, and
-        i - j = g^(a + Z(b + h - a)), since -1 = g^h with h = n/2 and
-        n = order - 1.  The difference of two logs indexes Z from either
-        end, which is the reduction mod n.  Z is 2n where 1 + g^k = 0, and
-        exp repeated twice and then padded with n zeros maps that sentinel
-        to 0.
-        """
-        exp, log, r = self._exp, self._log, self._radix
-        n = len(exp)
-        h = n // 2
-        one_plus = self.subfield.add_idx
-        zech = []
-        for e in exp:
-            # adding 1 changes only the constant digit
-            s = e - e % r + one_plus(e % r, 1)
-            zech.append(log[s] if s else 2 * n)
-        minus = zech[h:] + zech[:h]
-        sums = exp + exp + [0] * n
-        neg = [0] * self.order
-        for k, e in enumerate(exp):
-            neg[e] = exp[k - h]
-        self.neg_idx = neg.__getitem__
-
-        def add_idx(i: int, j: int) -> int:
-            if i and j:
-                a = log[i]
-                return sums[a + zech[log[j] - a]]
-            return i or j
-
-        def sub_idx(i: int, j: int) -> int:
-            if i and j:
-                a = log[i]
-                return sums[a + minus[log[j] - a]]
-            return i or neg[j]
-
-        self.add_idx, self.sub_idx = add_idx, sub_idx
-
-    def from_coords(self, coords: Sequence[Union[int, FieldElement]]) -> FieldElement:
+    def from_coords(self, coords: Sequence[int]) -> FieldElement:
+        """The element whose coordinates over the subfield are the indices
+        ``coords``; a prime field takes its own index as its one coordinate."""
         if len(coords) != self.degree:
             raise LengthMismatch(f"expected {self.degree} coordinates, got {len(coords)}")
         coef = self if self.subfield is None else self.subfield
-        return FieldElement(self, self.from_digits([coef.element(c).index for c in coords]))
+        return FieldElement(self, self.from_digits(coef._symbols(coords)))
 
     def _build_log_tables(self, mul) -> None:
         """exp and log tables of a generator, found and powered with the product ``mul``."""
@@ -553,17 +515,18 @@ class Field:
         """Indices of sum_k coeffs[k] * vectors[k]; the zero vector of length
         ``width`` when there are no vectors.  Vectors may be shorter than
         ``width``; coefficients and entries must be reduced indices of this
-        field, which ``combine`` does not check symbol by symbol.  A prime
-        field with p(p - 1) <= 255 sums whole vectors as ints with a byte
-        lane per symbol (see the module docstring); every other field loops
-        over the symbols, and a unit coefficient adds its vector without
-        multiplying.  A vector longer than ``width`` raises LengthMismatch.
-        On the byte lanes an entry outside 0..255 or a negative sum raises
-        InvalidParams and a non-int entry FieldMismatch, while an unreduced
-        entry in p..255 is mixed as the int it is.  The symbol loop maps
-        what its arithmetic cannot read the same way, an entry past a table
-        to InvalidParams and a non-int one to FieldMismatch, and passes an
-        entry it can read unchecked (300 XORed over GF(2^8), or 1.0 added
+        field, which ``combine`` does not check symbol by symbol.  A field
+        of prime order p with p(p - 1) <= 255 sums whole vectors as ints
+        with a byte lane per symbol (see the module docstring); every other
+        field loops over the symbols, and a unit coefficient adds its vector
+        without multiplying.  A vector longer than ``width`` raises
+        LengthMismatch.  On the byte lanes an entry outside 0..255 or a
+        negative sum raises InvalidParams and a non-int entry FieldMismatch,
+        while an unreduced entry in p..255 is mixed as the int it is.  The
+        symbol loop maps what its arithmetic cannot read the same way, an
+        entry past a table to InvalidParams and a non-int one to
+        FieldMismatch, and passes an entry it can read unchecked (300 XORed
+        over GF(2^8), 130 added digit by digit over GF(5^3), or 1.0 added
         mod 17 under a unit coefficient)."""
         lanes = self._lanes
         if lanes is not None:

@@ -358,8 +358,19 @@ def span_witness(
     sum(lambda_j * generators[j]) == v and is aligned with the generator
     order; the zero vector is witnessed by all-zero coefficients even when
     there are no generators.  Only a particular solution is computed,
-    never the null space.
+    never the null space.  Generators of unequal widths, or of a width
+    other than v's, raise DimensionMismatch; a non-int entry raises
+    FieldMismatch and one out of range InvalidParams.
     """
+    v = field._symbols(v)
+    return _span_witness(field, Matrix.from_indices(field, generators, len(v))._rows, v)
+
+
+def _span_witness(
+    field: AnyField, generators: IndexRows, v: Sequence[int]
+) -> tuple[int, ...] | None:
+    """``span_witness`` of vectors the package built itself: equal-width
+    tuples of reduced indices, as wide as v; no checks."""
     if not generators:
         return None if any(v) else ()
     a = Matrix._of(field, tuple(zip(*generators)), len(generators))

@@ -11,6 +11,7 @@ from subtag.codes import CoalitionSpec, LinearCode, rs_code
 from subtag.ec import AGCodeSpec, EllipticCurve, ec_points, residue_code
 from subtag.errors import (
     DuplicatePoint,
+    FieldMismatch,
     InvalidParams,
     RankDeficient,
     TargetInCoalition,
@@ -122,6 +123,15 @@ def test_rs_code_input_checks(e4):
         rs_code(e4, [0, 1, 2], 0)
     with pytest.raises(InvalidParams):
         rs_code(e4, [0, 1, 2], 4)
+    # points are indices of the code's field, not its elements
+    for points, error in (
+        ([0, 4], InvalidParams),
+        ([0, -1], InvalidParams),
+        ([0, 1.0], FieldMismatch),
+        ([e4.zero, e4.one], FieldMismatch),
+    ):
+        with pytest.raises(error):
+            rs_code(e4, points, 2)
 
 
 def test_mds_access_structure_is_threshold(e25):

@@ -1,5 +1,6 @@
 import dis
 import itertools
+import operator
 import random
 import sys
 
@@ -91,8 +92,13 @@ DIFFERENTIAL_FIELDS = {
     "GF(3)^11": lambda: ExtField(BaseField(3), 11),  # untabulated, odd p
     "GF(31^2)": lambda: BaseField(31, 2),
     "GF(5)^4": lambda: ExtField(BaseField(5), 4),
-    # untabulated: Zech-added sums of base digits; a power-of-two radix
-    # other than 256; division digits and a two-term fold over GF(5)
+    # tabulated, adding as their structure says: GF(5) built as an
+    # extension adds mod 5, and GF(3^2) adds compiled digit sums mod 3
+    "GF(5)^1": lambda: ExtField(BaseField(5), 1),
+    "GF(3^2)": lambda: BaseField(3, 2),
+    # untabulated: digit sums through GF(7^2)'s own compiled ops; a
+    # power-of-two radix other than 256; division digits and a two-term
+    # fold over GF(5)
     "GF(7^2)^3": lambda: ExtField(BaseField(7, 2), 3),
     "GF(2^4)^5": lambda: ExtField(BaseField(2, 4), 5),
     "GF(5)^7": lambda: ExtField(BaseField(5), 7),
@@ -155,6 +161,9 @@ def test_index_ops_match_reference(name):
     assert f.dot([], []) == 0
 
 
+# tabulated odd-p fields, which once added by Zech logarithms on their
+# discrete-log tables and now add by their structure: mod 5 for GF(5)^1,
+# compiled digit sums for the rest
 @pytest.mark.parametrize(
     "maker",
     [
@@ -204,6 +213,40 @@ def test_index_ops_run_no_python_loop():
         if {"FOR_ITER", "JUMP_BACKWARD"} & {ins.opname for ins in dis.get_instructions(code)}
     )
     assert loops == []
+
+
+def test_addition_follows_the_field_structure():
+    # XOR in characteristic 2, mod p at prime order, compiled digit sums
+    # otherwise; no rule reads a table but a prime field's length-p
+    # negation, and byte lanes go with prime order alone
+    for name, maker in DIFFERENTIAL_FIELDS.items():
+        f = maker()
+        ops = (f.add_idx, f.sub_idx, f.neg_idx)
+        for op in ops:
+            cells = [c.cell_contents for c in getattr(op, "__closure__", None) or ()]
+            assert not any(isinstance(c, list) for c in cells), name
+        if f.char == 2:
+            assert ops == (operator.xor, operator.xor, operator.pos), name
+        elif f.order == f.char:
+            assert len(f.neg_idx.__self__) == f.char, name
+        else:
+            assert {op.__code__.co_filename for op in ops} == {"<field ops>"}, name
+        assert (f._lanes is not None) == (f.order == f.char <= 13), name
+
+
+@pytest.mark.parametrize("p", (2, 5, 13))
+def test_prime_order_extension_adds_like_its_prime_field(p):
+    base, ext = BaseField(p), ExtField(BaseField(p), 1)
+    assert ext._lanes is not None and ext._lanes == base._lanes
+    for op in ("add_idx", "sub_idx", "neg_idx"):
+        args = list(itertools.product(range(p), repeat=1 if op == "neg_idx" else 2))
+        assert [getattr(ext, op)(*a) for a in args] == [getattr(base, op)(*a) for a in args]
+    r = random.Random(p)
+    for _ in range(100):
+        count, width = r.randrange(20), r.randrange(1, 8)
+        coeffs = [r.randrange(p) for _ in range(count)]
+        vectors = [[r.randrange(p) for _ in range(width)] for _ in range(count)]
+        assert ext.combine(coeffs, vectors, width) == base.combine(coeffs, vectors, width)
 
 
 # the primes with p(p - 1) <= 255, which mix whole vectors in byte lanes,
@@ -419,6 +462,15 @@ def test_element_coords_round_trip(e9):
     for x in elements(e9):
         assert e9.from_coords(x.coords) == x
         assert e9.element(list(x.coords)) == x
+
+
+def test_from_coords_takes_index_coordinates(e9, f3):
+    # coordinates are indices of the subfield, not its elements
+    assert e9.from_coords([2, 1]).index == 5
+    with pytest.raises(FieldMismatch):
+        e9.from_coords([f3.one, f3.zero])
+    with pytest.raises(InvalidParams):
+        e9.from_coords([3, 0])
 
 
 def test_embed_is_identity_on_indices(e25, f5):

@@ -228,6 +228,26 @@ def test_span_witness_empty_generators():
     assert span_witness(f, (), (1, 0)) is None
 
 
+@pytest.mark.parametrize(
+    "gens, v, error",
+    [
+        ([(7, 1)], (2, 1), InvalidParams),
+        ([(1, 0)], (2, 5), InvalidParams),
+        ([(1, 0), (1,)], (2, 1), DimensionMismatch),
+        ([(1, 0, 0)], (2, 1), DimensionMismatch),
+        ([(1, 0)], (2, 1, 0), DimensionMismatch),
+        ([(1.0, 0)], (2, 1), FieldMismatch),
+        ([(1, 0)], ("2", 1), FieldMismatch),
+    ],
+    ids=["generator-out-of-range", "v-out-of-range", "ragged", "generator-too-wide",
+         "v-too-wide", "generator-float", "v-str"],
+)
+def test_span_witness_checks_its_inputs(gens, v, error):
+    # over GF(5) every entry is an int in 0..4 and every vector has v's width
+    with pytest.raises(error):
+        span_witness(BaseField(5), gens, v)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 2), min_size=3, max_size=3), min_size=1, max_size=4))
 def test_span_witness_matches_enumeration(rows):
@@ -245,8 +265,9 @@ def test_span_witness_matches_enumeration(rows):
 
 
 # one field per Field.combine path: byte lanes (GF(13) reduces after every
-# term), the prime symbol loop, tabulated XOR, Zech logarithms, and the
-# untabulated compiled products of characteristic 2 and of odd p
+# term), the prime symbol loop, tabulated XOR, tabulated products with
+# compiled digit sums, and the untabulated compiled products of
+# characteristic 2 and of odd p
 ECHELON_FIELDS = (
     BaseField(2),
     BaseField(13),
