@@ -13,7 +13,7 @@ from .codes import CoalitionSpec, LinearCode, rs_code
 from .ec import AGCodeSpec, EllipticCurve, ECPoint, classify_coalition, residue_code
 from .errors import SubtagError
 from .fields import BaseField, ExtField, FieldElement, frobenius
-from .linalg import Matrix, solve_all, span_witness
+from .linalg import Matrix, solve_all
 from .scheme import (
     MasterKey,
     PublicParams,
@@ -50,7 +50,6 @@ __all__ = [
     "residue_code",
     "rs_code",
     "solve_all",
-    "span_witness",
     "tag_basis",
     "tag_payload",
     "verify",

@@ -49,7 +49,8 @@ check ``spans`` makes, and ``scheme._made`` builds its packet and key
 unchecked; and the params cache each verifier's first nonzero generator
 slot and its inverse for the forged tag.  The observed payloads' span is
 a ``linalg._echelon`` basis, and a payload is tested against it by
-``linalg._in_span``.
+``linalg._in_span`` once per view: the view remembers each checked
+payload's answer, and ``LinearCode.forgeable`` its answer per coalition.
 """
 
 from __future__ import annotations
@@ -148,9 +149,24 @@ class CoalitionView:
         elimination per view."""
         return _echelon(self.pp.base, [p.payload for p in self.observed], self.pp.l)
 
+    @cached_property
+    def _spanned(self) -> dict[tuple[int, ...], bool]:
+        """Each checked payload asked about, and whether it lies in
+        ``payload_span``."""
+        return {}
+
+    def _in_payload_span(self, payload: tuple[int, ...]) -> bool:
+        """``_in_span`` of a checked payload, tested once per view."""
+        inside = self._spanned.get(payload)
+        if inside is None:
+            inside = self._spanned[payload] = _in_span(
+                self.pp.base, self.payload_span, payload
+            )
+        return inside
+
     def spans(self, payload: Sequence[int]) -> bool:
         """Is the payload, l symbols of F_q, in the observed payloads' span?"""
-        return _in_span(self.pp.base, self.payload_span, _check_payload(self.pp, payload))
+        return self._in_payload_span(_check_payload(self.pp, payload))
 
     @cached_property
     def _system(self) -> "AttackSystem":
@@ -278,7 +294,7 @@ def consistent_keys(system: AttackSystem) -> Iterator[MasterKey]:
 
 
 def _payload_outside_view(view: CoalitionView, payload: tuple[int, ...]) -> None:
-    if _in_span(view.pp.base, view.payload_span, payload):
+    if view._in_payload_span(payload):
         raise PayloadInSubspace(
             "substituted payload lies inside the observed message space"
         )
@@ -332,7 +348,12 @@ def guess_forge(
     payload: Sequence[int],
     seed: int,
 ) -> TaggedPacket:
-    """Same packet shape, but the label is a uniform guess."""
+    """Same packet shape, but the label is a uniform guess.
+
+    The payload is checked on every call, but tested against the observed
+    payloads' span once per view and payload: repeated guesses on one
+    payload reuse the first answer.
+    """
     pp = view.pp
     if target in view.members:
         raise TargetInCoalition(f"target {target} is a coalition member")

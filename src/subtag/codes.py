@@ -27,8 +27,9 @@ enumerates words.
 approximating: ``codewords`` counts words, the searches count the column
 subsets they may test, and ``adversary`` counts consistent keys.  Each
 check reads the name when it runs.  A code memoizes its dual, which links
-back to it, its minimum distance and its circuits per coordinate; a
-memoized answer still passes the guard.
+back to it, its minimum distance, its circuits per coordinate and its
+``forgeable`` answer per ``CoalitionSpec``; a memoized answer still
+passes the guard and the coordinate checks.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class LinearCode:
     that matrix's columns as index tuples (``columns``)."""
 
     __slots__ = ("field", "generator", "length", "kdim", "columns",
-                 "_dual", "_dmin", "_circuit_memo")
+                 "_dual", "_dmin", "_circuit_memo", "_forgeable_memo")
 
     def __init__(self, generator: Matrix):
         if generator.ncols < 1:
@@ -116,6 +117,7 @@ class LinearCode:
         self._dual = dual
         self._dmin = None
         self._circuit_memo = {}
+        self._forgeable_memo = {}
 
     @property
     def is_zero(self) -> bool:
@@ -227,15 +229,19 @@ class LinearCode:
 
         True exactly when the target's generator column lies in the span of
         the members' columns; the witness gives the combination as indices,
-        aligned with ``spec.sorted_members``.
+        aligned with ``spec.sorted_members``.  Memoized per spec; the
+        coordinates are checked on every call.
         """
         self._index_ok(spec.target)
         for j in spec.members:
             self._index_ok(j)
-        cols = self.columns
-        gens = [cols[j - 1] for j in spec.sorted_members]
-        witness = _span_witness(self.field, gens, cols[spec.target - 1])
-        return witness is not None, witness
+        found = self._forgeable_memo.get(spec)
+        if found is None:
+            cols = self.columns
+            gens = [cols[j - 1] for j in spec.sorted_members]
+            witness = _span_witness(self.field, gens, cols[spec.target - 1])
+            found = self._forgeable_memo[spec] = (witness is not None, witness)
+        return found
 
     def access_structure(self, i: int) -> tuple[tuple[int, ...], ...]:
         """Minimal coalitions able to forge against verifier i: the sets S

@@ -42,18 +42,27 @@ division and multiplication otherwise, and no index op loops over them;
 a prime field's codec is the identity on its one digit.  A tabulated
 field builds its tables with the product (a prime field with i*j mod p)
 and then multiplies by table lookup; a larger field multiplies with the
-compiled product itself.  A field built again with the same modulus
-reuses the compiled code.  An untabulated field inverts by the norm:
-x^-1 = (x^q x^(q^2) ... x^(q^(l-1))) N(x)^-1, where
-N(x) = x x^q ... x^(q^(l-1)) lies in F_q.  Only an extension precomputes
-the q-power Frobenius map, once, as an l x l matrix over F_q, since tag
-verification and the norm apply it in a chain.
+compiled product itself.
 
-Every F-linear combination in the package goes through two methods:
+Only an extension has a Frobenius step, x -> x^q from index to index,
+since tag and label rows and the norm apply it in a chain.  When the
+field is built, the images of the basis vectors give its l x l matrix
+over F_q, and ``_compile_frobenius`` unrolls that matrix into one
+straight-line step with the same digit code: each output digit sums the
+input digits weighted by the matrix entries, which enter the source as
+int literals (their logs over a non-prime subfield, plain products
+reduced mod p over a prime one).  The step is then checked to have
+order dividing l.  An untabulated field inverts by the norm:
+x^-1 = (x^q x^(q^2) ... x^(q^(l-1))) N(x)^-1, where
+N(x) = x x^q ... x^(q^(l-1)) lies in F_q.  A field built again with the
+same modulus reuses all of its compiled code.
+
+Every F-linear combination in the package, the compiled Frobenius step
+aside, goes through two methods:
 ``combine`` (sum_k c_k v_k over index vectors) and ``dot`` (sum_k x_k y_k).
 They are the one multiply-accumulate.  Packet mixing, tags, labels, matrix
-products, elimination, span tests, subset walks, the Frobenius step and
-the attacks' key reconstructions call them.  Both skip zero coefficients;
+products, elimination, span tests, subset walks and the attacks' key
+reconstructions call them.  Both skip zero coefficients;
 ``dot`` and most fields' ``combine`` also skip zero entries, symbol by
 symbol.  A field of prime order p with p(p - 1) <= 255 (p <= 13)
 combines whole vectors instead: each vector is one int with a byte lane
@@ -169,29 +178,16 @@ def _compiled(src: str):
     return compile(src, "<field ops>", "exec")
 
 
-def _compile_ops(radix: int, degree: int, fold, sub: "Field") -> tuple:
-    """The digit ops of sub[x]/(modulus), unrolled for the degree.
+def _digit_code(radix: int, degree: int, sub: "Field") -> tuple:
+    """Source spellings shared by the generated digit ops of sub[x]/(modulus).
 
-    Returns ``coords_of``, ``from_digits`` and ``mul_idx``, and for odd p
-    also ``add_idx``, ``sub_idx`` and ``neg_idx``, which work digit by
-    digit.  The source spells out the schoolbook product of two digit
-    vectors term by term and folds it with ``fold`` (from _fold_terms)
-    from the top degree down; ``_compiled`` keeps the code of recent
-    sources, so a field built again skips the compiler.  Digits are read
-    by shift and mask when the radix is a power of two, by // and %
-    otherwise, and placed back by shift and | or by * and +.  Two digits
-    multiply as e[la + lb] on the subfield's exp/log tables: the log of 0
-    is the sentinel 2n (n = sub.order - 1), and e is exp twice and then
-    2n + 1 zeros, so any sum with a sentinel reads 0.  Fold terms enter as
-    logs of -m_k.  Digit sums are ^ in characteristic 2, int sums reduced
-    mod p over a prime subfield, and the subfield's add, sub and neg
-    otherwise.  Besides those three names and lg and e, the source holds
-    only integer literals derived from the radix and the validated modulus.
+    ``digits(v)`` spells the digits of the index named v, read by shift and
+    mask when the radix is a power of two and by // and % otherwise;
+    ``placed(terms)`` joins digit expressions back into an index, by shift
+    and | or by * and +.  ``total``, ``minus`` and ``negated`` spell digit
+    sums: ^ in characteristic 2, int sums reduced mod p over a prime
+    subfield, and calls of the subfield's own add, sub and neg otherwise.
     """
-    n = sub.order - 1
-    lg = list(sub._log)
-    lg[0] = 2 * n
-    e = sub._exp * 2 + [0] * (2 * n + 1)
     d = degree
     shift = radix.bit_length() - 1
     if radix == 1 << shift:
@@ -212,6 +208,7 @@ def _compile_ops(radix: int, degree: int, fold, sub: "Field") -> tuple:
         # digits below the radix, so | places them as well as + does
         return join.join(t + (up.format(place[k]) if k else "") for k, t in enumerate(terms))
 
+    minus = negated = None
     if sub.char == 2:
         total = lambda terms: " ^ ".join(terms)
     elif sub.order == sub.char:
@@ -222,6 +219,49 @@ def _compile_ops(radix: int, degree: int, fold, sub: "Field") -> tuple:
         total = lambda terms: functools.reduce(lambda x, y: f"add({x}, {y})", terms)
         minus = lambda x, y: f"sub({x}, {y})"
         negated = lambda x: f"neg({x})"
+    return digits, placed, total, minus, negated
+
+
+def _log_code(sub: "Field") -> tuple[list[int], list[int]]:
+    """The subfield's log and exp tables as generated code reads them.
+
+    Two digits multiply as e[la + lb]: the log of 0 is the sentinel 2n
+    (n = sub.order - 1), and e is exp twice and then 2n + 1 zeros, so any
+    sum with a sentinel reads 0."""
+    n = sub.order - 1
+    lg = list(sub._log)
+    lg[0] = 2 * n
+    return lg, sub._exp * 2 + [0] * (2 * n + 1)
+
+
+def _run_code(lines: list[str], names: list[str], sub: "Field", lg, e) -> tuple:
+    """The functions ``names`` that the generated ``lines`` define, made
+    with lg, e and the subfield's add, sub and neg in scope."""
+    src = "\n".join(
+        ["def make(lg, e, add, sub, neg):", *lines, f"    return ({', '.join(names)},)"]
+    )
+    namespace: dict = {}
+    exec(_compiled(src), namespace)
+    return namespace["make"](lg, e, sub.add_idx, sub.sub_idx, sub.neg_idx)
+
+
+def _compile_ops(radix: int, degree: int, fold, sub: "Field") -> tuple:
+    """The digit ops of sub[x]/(modulus), unrolled for the degree.
+
+    Returns ``coords_of``, ``from_digits`` and ``mul_idx``, and for odd p
+    also ``add_idx``, ``sub_idx`` and ``neg_idx``, which work digit by
+    digit.  The source spells out the schoolbook product of two digit
+    vectors term by term, with digit products read off ``_log_code``
+    tables, and folds it with ``fold`` (from _fold_terms) from the top
+    degree down; ``_compiled`` keeps the code of recent sources, so a
+    field built again skips the compiler.  Fold terms enter as logs of
+    -m_k.  Besides lg, e and the subfield's add, sub and neg, the source
+    holds only integer literals derived from the radix and the validated
+    modulus.
+    """
+    digits, placed, total, minus, negated = _digit_code(radix, degree, sub)
+    lg, e = _log_code(sub)
+    d = degree
     body = ["if not (i and j):", "    return 0"]
     body += [f"a{k} = lg[{x}]" for k, x in enumerate(digits("i"))]
     body += [f"b{k} = lg[{x}]" for k, x in enumerate(digits("j"))]
@@ -236,7 +276,6 @@ def _compile_ops(radix: int, degree: int, fold, sub: "Field") -> tuple:
     body.append(f"return {placed([f'c{k}' for k in range(d)])}")
     names = ["coords_of", "from_digits", "mul_idx"]
     lines = [
-        "def make(lg, e, add, sub, neg):",
         "    def coords_of(i):",
         f"        return ({', '.join(digits('i'))},)",
         "    def from_digits(c):",
@@ -255,10 +294,47 @@ def _compile_ops(radix: int, degree: int, fold, sub: "Field") -> tuple:
             f"        return {placed([negated(x) for x in digits('i')])}",
         ]
         names += ["add_idx", "sub_idx", "neg_idx"]
-    src = "\n".join([*lines, f"    return {', '.join(names)}"])
-    namespace: dict = {}
-    exec(_compiled(src), namespace)
-    return namespace["make"](lg, e, sub.add_idx, sub.sub_idx, sub.neg_idx)
+    return _run_code(lines, names, sub, lg, e)
+
+
+def _compile_frobenius(radix: int, degree: int, cols, sub: "Field"):
+    """The F_sub-linear map that sends basis vector j to the digits
+    ``cols[j]``, as one straight-line step from index to index.
+
+    Output digit r is the sum over j of cols[j][r] times input digit j,
+    spelled with ``_digit_code``.  Over a prime subfield each entry enters
+    the source as its int value, and products are plain int products
+    reduced mod p with the sum; over any other subfield it enters as its
+    log, and a product reads e[lg[digit] + log].  A unit entry adds its
+    digit as it is and a zero entry adds nothing, so the source holds only
+    ints derived from the matrix and the radix.
+    """
+    digits, placed, total, _, _ = _digit_code(radix, degree, sub)
+    prime = sub.subfield is None
+    lg, e = (None, None) if prime else _log_code(sub)
+    body = [f"x{j} = {x}" for j, x in enumerate(digits("i"))]
+    if not prime:
+        # the log of each digit that some entry other than 1 scales
+        body += [f"a{j} = lg[x{j}]" for j, col in enumerate(cols) if max(col) > 1]
+    for r in range(degree):
+        terms, scaled = [], False
+        for j, col in enumerate(cols):
+            f = col[r]
+            if f == 1:
+                terms.append(f"x{j}")
+            elif f:
+                scaled = True
+                terms.append(f"{f} * x{j}" if prime else f"e[a{j} + {lg[f]}]")
+        if not terms:
+            out = "0"
+        elif prime and scaled:
+            out = f"({' + '.join(terms)}) % {radix}"
+        else:
+            out = total(terms)
+        body.append(f"c{r} = {out}")
+    body.append(f"return {placed([f'c{r}' for r in range(degree)])}")
+    lines = ["    def frobenius_idx(i):", *(f"        {line}" for line in body)]
+    return _run_code(lines, ["frobenius_idx"], sub, lg, e)[0]
 
 
 def _monic_from_value(value: int, radix: int, degree: int) -> tuple[int, ...]:
@@ -369,7 +445,7 @@ class Field:
         "order",
         "modulus",
         "name",
-        "_frobenius_cols",
+        "_frobenius",
         "coords_of",
         "from_digits",
         "add_idx",
@@ -425,7 +501,7 @@ class Field:
             self._fold = _fold_terms(modulus, subfield.neg_idx)
         self._key = (type(self), char, subfield, degree, self.modulus)
         self._hash = hash(self._key)
-        self._frobenius_cols = None
+        self._frobenius = None
         self._exp = self._log = None
         self._lanes = None
         self._bind_index_ops()
@@ -601,10 +677,11 @@ class Field:
     # -- Frobenius (extensions only) ---------------------------------------
 
     def _build_frobenius(self) -> None:
-        """The q-power map as a matrix over F_q, checked to have order dividing l."""
+        """The q-power map, compiled from its matrix over F_q and checked to
+        have order dividing l."""
         q, l = self._radix, self.degree
-        cols = tuple(self.coords_of(self.pow_idx(q**j, q)) for j in range(l))  # images of e_{j+1}
-        self._frobenius_cols = cols
+        cols = [self.coords_of(self.pow_idx(q**j, q)) for j in range(l)]  # images of e_{j+1}
+        self._frobenius = _compile_frobenius(q, l, cols, self.subfield)
         # The q-power map is an F_q-automorphism of order dividing l: l steps
         # must return every basis vector, which also makes it invertible.
         for j in range(l):
@@ -616,16 +693,15 @@ class Field:
     def frobenius_chain(self, i: int, count: int) -> tuple[int, ...]:
         """Indices of x, x^q, ..., x^(q^(count-1)) for x of index i.
 
-        Each step applies the precomputed Frobenius matrix to the
-        coordinate vector of the previous power: the images of the basis
-        vectors, weighted by its coordinates.
+        Each step is the compiled Frobenius step applied to the previous
+        power's index: the field's Frobenius matrix, unrolled into one
+        straight-line function when the field was built.
         """
-        combine, cols, l = self.subfield.combine, self._frobenius_cols, self.degree
+        step = self._frobenius
         chain = [i] if count > 0 else []
-        coords = self.coords_of(i)
-        while len(chain) < count:
-            coords = combine(coords, cols, l)
-            chain.append(self.from_digits(coords))
+        for _ in range(count - 1):
+            i = step(i)
+            chain.append(i)
         return tuple(chain)
 
     # -- element API -------------------------------------------------------

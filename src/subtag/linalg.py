@@ -37,7 +37,6 @@ __all__ = [
     "Matrix",
     "LinearSolution",
     "solve_all",
-    "span_witness",
 ]
 
 AnyField = Union[BaseField, ExtField]
@@ -348,29 +347,18 @@ def _walk(
     enter((), (), (), start, None, (*map(neg, target), *pad) if track else None)
 
 
-def span_witness(
-    field: AnyField, generators: Sequence[Sequence[int]], v: Sequence[int]
+def _span_witness(
+    field: AnyField, generators: IndexRows, v: Sequence[int]
 ) -> tuple[int, ...] | None:
     """Coefficients writing v as an F-linear combination of the generators,
     or None when v lies outside their span.
 
-    All vectors are index tuples.  The witness lambda satisfies
-    sum(lambda_j * generators[j]) == v and is aligned with the generator
-    order; the zero vector is witnessed by all-zero coefficients even when
-    there are no generators.  Only a particular solution is computed,
-    never the null space.  Generators of unequal widths, or of a width
-    other than v's, raise DimensionMismatch; a non-int entry raises
-    FieldMismatch and one out of range InvalidParams.
-    """
-    v = field._symbols(v)
-    return _span_witness(field, Matrix.from_indices(field, generators, len(v))._rows, v)
-
-
-def _span_witness(
-    field: AnyField, generators: IndexRows, v: Sequence[int]
-) -> tuple[int, ...] | None:
-    """``span_witness`` of vectors the package built itself: equal-width
-    tuples of reduced indices, as wide as v; no checks."""
+    The witness lambda satisfies sum(lambda_j * generators[j]) == v and is
+    aligned with the generator order; the zero vector is witnessed by
+    all-zero coefficients even when there are no generators.  Only a
+    particular solution is computed, never the null space.  The vectors
+    are ones the package built itself: equal-width tuples of reduced
+    indices, as wide as v, and nothing is checked."""
     if not generators:
         return None if any(v) else ()
     a = Matrix._of(field, tuple(zip(*generators)), len(generators))

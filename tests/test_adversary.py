@@ -23,7 +23,7 @@ from subtag.errors import (
     TargetInCoalition,
     TooLargeToEnumerate,
 )
-from subtag import adversary, fields
+from subtag import adversary, codes, fields
 from subtag.codes import CoalitionSpec, LinearCode, rs_code
 from subtag.fields import BaseField, ExtField, Field, FieldElement
 from subtag.linalg import Matrix
@@ -374,6 +374,69 @@ def test_guesses_on_one_view_reduce_its_payloads_once(rs_pp, monkeypatch):
     with pytest.raises(PayloadInSubspace):
         guess_forge(view, 4, (2, 3, 0), seed=0)
     assert len(calls) <= 1
+
+
+def test_guesses_on_one_payload_test_its_span_once(rs_pp, monkeypatch):
+    # every call checks its payload's symbols; the span test runs once per
+    # view and payload, and a list payload is the same payload as its tuple
+    mk = keygen(rs_pp, 3)
+    vks = distribute(rs_pp, mk)
+    packets = tag_basis(rs_pp, mk, ((1, 0, 0), (0, 1, 0)))
+    view = CoalitionView.build(rs_pp, {1: vks[0]}, packets)
+    tested, checked = [], []
+    in_span, check = adversary._in_span, adversary._check_payload
+    monkeypatch.setattr(adversary, "_in_span", lambda f, b, v: tested.append(v) or in_span(f, b, v))
+    monkeypatch.setattr(adversary, "_check_payload", lambda pp, v: checked.append(v) or check(pp, v))
+    k = 6
+    forged = [guess_forge(view, 4, (0, 0, 1), seed=s) for s in range(k)]
+    assert tested == [(0, 0, 1)]
+    assert checked == [(0, 0, 1)] * k
+    assert [guess_forge(view, 4, [0, 0, 1], seed=s) for s in range(k)] == forged
+    assert tested == [(0, 0, 1)] and len(checked) == 2 * k
+    for payload in ((2, 3, 0), [2, 3, 0], (2, 3, 0)):
+        with pytest.raises(PayloadInSubspace):
+            guess_forge(view, 4, payload, seed=0)
+    assert tested == [(0, 0, 1), (2, 3, 0)] and len(checked) == 2 * k + 3
+    # a malformed payload is refused on every call and never tested
+    for _ in range(2):
+        with pytest.raises(InvalidParams):
+            guess_forge(view, 4, (0, 0, 5), seed=0)
+    assert len(tested) == 2
+    # another view over the same traffic asks its own question
+    other = CoalitionView.build(rs_pp, {2: vks[1]}, packets)
+    guess_forge(other, 4, (0, 0, 1), seed=0)
+    assert tested == [(0, 0, 1), (2, 3, 0), (0, 0, 1)]
+
+
+def test_forgeable_answers_each_coalition_once(f5, e125, monkeypatch):
+    # a code of its own, so no other test has asked it anything yet
+    pp = PublicParams(base=f5, ext=e125, n=2, M=2, code=rs_code(e125, list(range(6)), 3))
+    mk = keygen(pp, 3)
+    vks = distribute(pp, mk)
+    packets = tag_basis(pp, mk, ((1, 0, 0), (0, 1, 0)))
+    view = CoalitionView.build(pp, {i: vks[i - 1] for i in (1, 3, 6)}, packets)
+    witnesses = []
+    real = codes._span_witness
+    monkeypatch.setattr(codes, "_span_witness", lambda *a: witnesses.append(a) or real(*a))
+    spec = CoalitionSpec(frozenset((1, 3, 6)), 2)
+    assert pp.code.forgeable(spec)[0]
+    forged = deterministic_forge(view, 2, (0, 0, 1))
+    assert verify(pp, vks[1], forged)
+    assert len(witnesses) == 1
+    assert pp.code.forgeable(CoalitionSpec(frozenset((6, 1, 3)), 2)) == pp.code.forgeable(spec)
+    assert len(witnesses) == 1
+    # out-of-range coordinates raise on every call, before the memo
+    for _ in range(2):
+        for bad in (CoalitionSpec(frozenset((1, 3)), 7), CoalitionSpec(frozenset((1, 9)), 2)):
+            with pytest.raises(InvalidParams):
+                pp.code.forgeable(bad)
+    assert len(witnesses) == 1
+    # an unqualified pair is answered once too
+    pair = CoalitionSpec(frozenset((2, 5)), 1)
+    assert pp.code.forgeable(pair) == (False, None)
+    with pytest.raises(NotQualified):
+        recover_verifier_key(CoalitionView.build(pp, {2: vks[1], 5: vks[4]}), 1)
+    assert len(witnesses) == 2
 
 
 def test_spans_checks_its_payload(rs_pp):

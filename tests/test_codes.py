@@ -19,7 +19,7 @@ from subtag.errors import (
     TooLong,
 )
 from subtag.fields import BaseField, ExtField, FieldElement
-from subtag.linalg import Matrix, solve_all, span_witness
+from subtag.linalg import Matrix, _span_witness, solve_all
 from subtag.scheme import PublicParams
 
 from conftest import random_full_rank
@@ -301,7 +301,7 @@ def _per_subset_min_distance(code):
         len(combo)
         for size in range(1, top + 1)
         for combo in itertools.combinations(code.dual().columns, size)
-        if span_witness(code.field, combo[:-1], combo[-1]) is not None
+        if _span_witness(code.field, combo[:-1], combo[-1]) is not None
     )
     return next(dependent, top + 1)
 
@@ -315,7 +315,7 @@ def _per_subset_circuits(code, i):
     found = []
     for size in range(code.kdim + 1):
         for members in itertools.combinations(others, size):
-            witness = span_witness(code.field, [cols[j - 1] for j in members], cols[i - 1])
+            witness = _span_witness(code.field, [cols[j - 1] for j in members], cols[i - 1])
             if witness is not None and all(witness):
                 found.append((members, witness))
     return tuple(found)

@@ -30,7 +30,7 @@ from subtag.errors import (
     TargetInCoalition,
 )
 from subtag.fields import BaseField, ExtField, FieldElement
-from subtag.linalg import Matrix, span_witness
+from subtag.linalg import Matrix, _span_witness
 from subtag.params import params_from_dict, params_to_dict
 from subtag.scheme import PublicParams
 
@@ -360,7 +360,7 @@ def _mask_circuits(code, i):
             mask = sum(1 << j for j in members)
             if any(m & mask == m for m in masks):
                 continue
-            witness = span_witness(code.field, [column[j] for j in members], column[i])
+            witness = _span_witness(code.field, [column[j] for j in members], column[i])
             if witness is not None:
                 found.append((members, witness))
                 masks.append(mask)

@@ -205,6 +205,8 @@ def test_index_ops_run_no_python_loop():
                 f.add_idx(x, y)
                 f.sub_idx(x, y)
                 f.mul_idx(x, y)
+                if f._frobenius is not None:
+                    f._frobenius(x)
         finally:
             sys.settrace(previous)
     loops = sorted(
@@ -213,6 +215,44 @@ def test_index_ops_run_no_python_loop():
         if {"FOR_ITER", "JUMP_BACKWARD"} & {ins.opname for ins in dis.get_instructions(code)}
     )
     assert loops == []
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_FIELDS))
+def test_frobenius_step_is_the_qth_power(name):
+    # the compiled step against square-and-multiply (or the log tables):
+    # every element of a field of order at most 2^16, a seeded sample of
+    # the larger ones; only an extension has a step
+    f = DIFFERENTIAL_FIELDS[name]()
+    if not isinstance(f, ExtField):
+        assert f._frobenius is None
+        return
+    q, step = f._radix, f._frobenius
+    if f.order <= 1 << 16:
+        xs = range(f.order)
+    else:
+        r = random.Random(name)
+        xs = [0, 1, f.order - 1, *(draw_operand(r, f) for _ in range(300))]
+    assert [step(x) for x in xs] == [f.pow_idx(x, q) for x in xs]
+    assert f.frobenius_chain(xs[-1], f.degree + 1)[-1] == xs[-1]
+    # the matrix enters the source as int literals
+    consts = step.__code__.co_consts
+    assert all(c is None or type(c) is int for c in consts), consts
+    if f.degree == 1:
+        assert all(step(x) == x for x in xs)
+
+
+def test_frobenius_chain_calls_no_combine(monkeypatch):
+    f = ExtField(BaseField(2, 8), 3)  # untabulated: the norm inverse chains too
+
+    def refuse(*args):
+        raise AssertionError("combine called")
+
+    monkeypatch.setattr(Field, "combine", refuse)
+    x = 13587199
+    chain = f.frobenius_chain(x, 4)
+    assert chain == (x, *(f.pow_idx(x, f._radix**k) for k in (1, 2)), x)
+    assert f.inv_idx(x) == 7092954
+    assert "_frobenius_cols" not in Field.__slots__
 
 
 def test_addition_follows_the_field_structure():
@@ -362,6 +402,8 @@ def test_field_built_again_reuses_its_compiled_code():
     a, b = ExtField(BaseField(5), 2), ExtField(BaseField(5), 2)
     assert a.coords_of is not b.coords_of
     assert a.coords_of.__code__ is b.coords_of.__code__
+    assert a._frobenius is not b._frobenius
+    assert a._frobenius.__code__ is b._frobenius.__code__
 
 
 def test_field_built_again_skips_the_modulus_search(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from subtag.errors import DimensionMismatch, FieldMismatch, InvalidParams
 from subtag.fields import BaseField, ExtField, FieldElement
-from subtag.linalg import Matrix, _echelon, _in_span, _walk, solve_all, span_witness
+from subtag.linalg import Matrix, _echelon, _in_span, _span_witness, _walk, solve_all
 
 from conftest import random_full_rank
 from oracles import brute_dual_words, brute_solutions, matvec_idx, spanned_vectors
@@ -218,34 +218,14 @@ def test_span_witness_frozen():
     f = BaseField(5)
     gens = ((1, 2, 0), (0, 1, 1))
     # 2*(1,2,0) + 1*(0,1,1) = (2,4+1,1) = (2,0,1)
-    assert span_witness(f, gens, (2, 0, 1)) == (2, 1)
-    assert span_witness(f, gens, (0, 0, 1)) is None
+    assert _span_witness(f, gens, (2, 0, 1)) == (2, 1)
+    assert _span_witness(f, gens, (0, 0, 1)) is None
 
 
 def test_span_witness_empty_generators():
     f = BaseField(5)
-    assert span_witness(f, (), (0, 0)) == ()
-    assert span_witness(f, (), (1, 0)) is None
-
-
-@pytest.mark.parametrize(
-    "gens, v, error",
-    [
-        ([(7, 1)], (2, 1), InvalidParams),
-        ([(1, 0)], (2, 5), InvalidParams),
-        ([(1, 0), (1,)], (2, 1), DimensionMismatch),
-        ([(1, 0, 0)], (2, 1), DimensionMismatch),
-        ([(1, 0)], (2, 1, 0), DimensionMismatch),
-        ([(1.0, 0)], (2, 1), FieldMismatch),
-        ([(1, 0)], ("2", 1), FieldMismatch),
-    ],
-    ids=["generator-out-of-range", "v-out-of-range", "ragged", "generator-too-wide",
-         "v-too-wide", "generator-float", "v-str"],
-)
-def test_span_witness_checks_its_inputs(gens, v, error):
-    # over GF(5) every entry is an int in 0..4 and every vector has v's width
-    with pytest.raises(error):
-        span_witness(BaseField(5), gens, v)
+    assert _span_witness(f, (), (0, 0)) == ()
+    assert _span_witness(f, (), (1, 0)) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -254,7 +234,7 @@ def test_span_witness_matches_enumeration(rows):
     f = BaseField(3)
     spanned = spanned_vectors(f, rows, 3)
     for vec in itertools.product(range(3), repeat=3):
-        lam = span_witness(f, rows, vec)
+        lam = _span_witness(f, rows, vec)
         assert (lam is not None) == (vec in spanned)
         if lam is not None:
             recon = [0, 0, 0]
@@ -312,7 +292,7 @@ def test_echelon_is_rref_and_in_span_is_span_witness(case):
         # reduced: 1 at its pivot, zero before it and at the other pivots, and
         # inside the rows' span by a witness the oracle checks
         assert not any(row[:p]) and [row[q] for q in pivots] == [int(q == p) for q in pivots]
-        lam = span_witness(f, rows, row)
+        lam = _span_witness(f, rows, row)
         assert lam is not None and combination(f, lam, rows, width) == row
 
     def inside(v):
@@ -322,7 +302,7 @@ def test_echelon_is_rref_and_in_span_is_span_witness(case):
     assert all(inside(r) for r in rows)
     for v in vectors:
         assert _in_span(f, basis, v) == inside(v)
-        lam = span_witness(f, rows, v)
+        lam = _span_witness(f, rows, v)
         assert (lam is not None) == inside(v)
         assert lam is None or combination(f, lam, rows, width) == tuple(v)
     assert _in_span(f, basis, (0,) * width)
@@ -342,8 +322,8 @@ def test_walk_visits_each_subset_with_its_span(case, which):
         rank = Matrix.from_indices(f, cols, ncols=width).rank() if cols else 0
         assert len(basis[1]) == rank
         for v in (*columns, *vectors):
-            assert _in_span(f, basis, v) == (span_witness(f, cols, v) is not None)
-        assert (witness is None) == (span_witness(f, cols, target) is None)
+            assert _in_span(f, basis, v) == (_span_witness(f, cols, v) is not None)
+        assert (witness is None) == (_span_witness(f, cols, target) is None)
         if witness is not None:
             assert combination(f, witness, cols, width) == tuple(target)
         return True
