@@ -377,10 +377,10 @@ def label_distribution(
         raise TargetInCoalition(f"target {target} is a coalition member")
     ext = pp.ext
     d = label_row(pp, 1, payload)
-    g = Matrix._of(ext, tuple((x,) for x in pp.generator_indices(target)), 1)
+    g = pp.generator_indices(target)
     system = assemble_system(view)
     hist: Counter[int] = Counter()
     for mk in consistent_keys(system):
-        # the target's key column is A g; its label is d weighting that column
-        hist[ext.dot(d, (b for (b,) in (mk.matrix @ g).to_index_rows()))] += 1
+        # the label is d A g: the row d A, weighted by the target's column of G
+        hist[ext.dot(ext.combine(d, mk.matrix.to_index_rows(), pp.kdim), g)] += 1
     return {FieldElement(ext, idx): cnt for idx, cnt in hist.items()}

@@ -55,7 +55,7 @@ reduced mod p over a prime one).  The step is then checked to have
 order dividing l.  An untabulated field inverts by the norm:
 x^-1 = (x^q x^(q^2) ... x^(q^(l-1))) N(x)^-1, where
 N(x) = x x^q ... x^(q^(l-1)) lies in F_q.  A field built again with the
-same modulus reuses all of its compiled code.
+same modulus binds the functions of its first build, cached per process.
 
 Every F-linear combination in the package, the compiled Frobenius step
 aside, goes through two methods:
@@ -172,12 +172,6 @@ def _lane_residues(p: int) -> bytes:
     return bytes(v % p for v in range(256))
 
 
-@functools.lru_cache(maxsize=64)
-def _compiled(src: str):
-    """Code object of generated source, so a field built again reuses it."""
-    return compile(src, "<field ops>", "exec")
-
-
 def _digit_code(radix: int, degree: int, sub: "Field") -> tuple:
     """Source spellings shared by the generated digit ops of sub[x]/(modulus).
 
@@ -241,10 +235,11 @@ def _run_code(lines: list[str], names: list[str], sub: "Field", lg, e) -> tuple:
         ["def make(lg, e, add, sub, neg):", *lines, f"    return ({', '.join(names)},)"]
     )
     namespace: dict = {}
-    exec(_compiled(src), namespace)
+    exec(compile(src, "<field ops>", "exec"), namespace)
     return namespace["make"](lg, e, sub.add_idx, sub.sub_idx, sub.neg_idx)
 
 
+@functools.lru_cache(maxsize=64)
 def _compile_ops(radix: int, degree: int, fold, sub: "Field") -> tuple:
     """The digit ops of sub[x]/(modulus), unrolled for the degree.
 
@@ -253,9 +248,8 @@ def _compile_ops(radix: int, degree: int, fold, sub: "Field") -> tuple:
     digit.  The source spells out the schoolbook product of two digit
     vectors term by term, with digit products read off ``_log_code``
     tables, and folds it with ``fold`` (from _fold_terms) from the top
-    degree down; ``_compiled`` keeps the code of recent sources, so a
-    field built again skips the compiler.  Fold terms enter as logs of
-    -m_k.  Besides lg, e and the subfield's add, sub and neg, the source
+    degree down; cached, so a field built again generates no source.
+    Fold terms enter as logs of -m_k.  Besides lg, e and the subfield's add, sub and neg, the source
     holds only integer literals derived from the radix and the validated
     modulus.
     """
@@ -297,6 +291,7 @@ def _compile_ops(radix: int, degree: int, fold, sub: "Field") -> tuple:
     return _run_code(lines, names, sub, lg, e)
 
 
+@functools.lru_cache(maxsize=64)
 def _compile_frobenius(radix: int, degree: int, cols, sub: "Field"):
     """The F_sub-linear map that sends basis vector j to the digits
     ``cols[j]``, as one straight-line step from index to index.
@@ -307,7 +302,7 @@ def _compile_frobenius(radix: int, degree: int, cols, sub: "Field"):
     reduced mod p with the sum; over any other subfield it enters as its
     log, and a product reads e[lg[digit] + log].  A unit entry adds its
     digit as it is and a zero entry adds nothing, so the source holds only
-    ints derived from the matrix and the radix.
+    ints derived from the matrix and the radix.  Cached, as ``_compile_ops``.
     """
     digits, placed, total, _, _ = _digit_code(radix, degree, sub)
     prime = sub.subfield is None
@@ -680,7 +675,7 @@ class Field:
         """The q-power map, compiled from its matrix over F_q and checked to
         have order dividing l."""
         q, l = self._radix, self.degree
-        cols = [self.coords_of(self.pow_idx(q**j, q)) for j in range(l)]  # images of e_{j+1}
+        cols = tuple(self.coords_of(self.pow_idx(q**j, q)) for j in range(l))  # images of e_{j+1}
         self._frobenius = _compile_frobenius(q, l, cols, self.subfield)
         # The q-power map is an F_q-automorphism of order dividing l: l steps
         # must return every basis vector, which also makes it invertible.

@@ -4,12 +4,13 @@ Nodes forward F_q-linear combinations of their incoming packets; the
 combination coefficients live in per-node local kernels (|In| x |Out|
 matrices, row per incoming edge in declaration order).  The source's
 kernel has one row per message packet, and by convention its first n
-out-edges carry the unit combinations e_1..e_n.  Propagating kernels
-through the graph yields one global vector f_e per edge with the defining
-property that the packet on e equals f_e applied to the stacked source
-packets; transmit() checks exactly that on honest runs and raises
-InvariantViolated if it fails.  A sink decodes the span of the payloads
-it received to its canonical basis, the ``linalg._echelon`` basis.
+out-edges carry the unit combinations e_1..e_n.  Each edge's global
+vector f_e rides in front of its packet, as in practical network coding:
+source packet j goes out behind e_j, so one mixing pass yields both, and
+on honest runs transmit() checks the defining property that the packet
+on e equals f_e applied to the stacked source packets (InvariantViolated
+otherwise).  A sink decodes the span of the payloads it received to its
+canonical basis, the ``linalg._echelon`` basis.
 
 A Topology is immutable.  Its per-node in- and out-edge indices and its
 topological order are built once, in one pass over the edges, when it is
@@ -58,7 +59,6 @@ __all__ = [
     "parse_topology",
     "butterfly",
     "random_topology",
-    "compute_global_kernels",
     "transmit",
     "same_span",
 ]
@@ -366,32 +366,23 @@ def _propagate(
     inject_at: Optional[str] = None, fake: Optional[tuple[int, ...]] = None,
 ) -> tuple[tuple[int, ...], ...]:
     """The ``width``-symbol vector on every edge when the source sends ``sent``
-    and every node but ``inject_at`` (which sends ``fake``) mixes by its kernel."""
+    and every node mixes by its kernel; ``inject_at`` then replaces the last
+    len(fake) symbols of each vector it sends by ``fake``."""
     y: list[Optional[tuple[int, ...]]] = [None] * len(t.edges)
     for name in t.topo_order():
         outs = t.out_edges(name)
         if not outs:
-            continue
-        if name == inject_at:
-            for edge_idx in outs:
-                y[edge_idx] = fake
             continue
         kern = kernels[name]
         ins = sent if name == t.source else [y[i] for i in t.in_edges(name)]
         # a node with no in-edges has the empty kernel () and sends zeros
         cols = zip(*kern) if kern else repeat(())
         for col, edge_idx in zip(cols, outs):
-            y[edge_idx] = base.combine(col, ins, width)
+            vec = base.combine(col, ins, width)
+            if name == inject_at:
+                vec = vec[: width - len(fake)] + fake
+            y[edge_idx] = vec
     return tuple(y)
-
-
-def compute_global_kernels(
-    t: Topology, base: BaseField, n: int, seed: int
-) -> tuple[dict[str, tuple[tuple[int, ...], ...]], tuple[tuple[int, ...], ...]]:
-    """Resolve kernels and propagate the unit vectors to the global vectors f_e."""
-    kernels = _resolve_kernels(t, base, n, seed)
-    units = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    return kernels, _propagate(t, base, kernels, units, n)
 
 
 def transmit(
@@ -402,11 +393,13 @@ def transmit(
     inject_at: Optional[str] = None,
     fake: Optional[Sequence[int]] = None,
 ) -> Transmission:
-    """Push n source packets through the network.
+    """Push n source packets, each behind its unit vector, through the
+    network in one mixing pass.
 
-    With ``inject_at`` set, that node discards what it should have sent
-    and pushes ``fake`` on all of its outgoing edges instead; downstream
-    packets then mix the fake as usual.
+    With ``inject_at`` set, that node sends ``fake`` on all of its
+    out-edges instead of its packets, behind the global vectors an honest
+    node would send; downstream packets then mix the fake as usual, and
+    every edge keeps its nominal global vector.
     """
     n = len(packets)
     if n == 0:
@@ -423,8 +416,11 @@ def transmit(
             raise LengthMismatch("injected packet must match the packet width")
         fake = base._symbols(fake)
 
-    kernels, f = compute_global_kernels(t, base, n, seed)
-    y = _propagate(t, base, kernels, pkts, width, inject_at, fake)
+    kernels = _resolve_kernels(t, base, n, seed)
+    sent = [(0,) * j + (1,) + (0,) * (n - 1 - j) + p for j, p in enumerate(pkts)]
+    mixed = _propagate(t, base, kernels, sent, n + width, inject_at, fake)
+    f = tuple(v[:n] for v in mixed)
+    y = tuple(v[n:] for v in mixed)
 
     if inject_at is None:
         # defining property of the global vectors, checked on honest runs

@@ -47,14 +47,15 @@ def corrupt_key_count_law(patch):
 
 
 def corrupt_global_kernel_identity(patch):
-    honest = network.compute_global_kernels
+    honest = network._propagate
 
-    def wrong_first_vector(t, base, n, seed):
-        kernels, f = honest(t, base, n, seed)
-        first = (base.add_idx(f[0][0], 1),) + f[0][1:]
-        return kernels, (first,) + f[1:]
+    def wrong_first_vector(t, base, kernels, sent, width, *rest):
+        y = honest(t, base, kernels, sent, width, *rest)
+        # edge 0's first symbol is the first entry of its global vector
+        first = (base.add_idx(y[0][0], 1),) + y[0][1:]
+        return (first,) + y[1:]
 
-    patch(network, "compute_global_kernels", wrong_first_vector)
+    patch(network, "_propagate", wrong_first_vector)
     network.transmit(network.butterfly(), BaseField(5), [(1, 0, 2), (0, 1, 4)], seed=0)
 
 

@@ -17,8 +17,8 @@ from subtag.fields import BaseField, Field
 from subtag.network import (
     Node,
     Topology,
+    _resolve_kernels,
     butterfly,
-    compute_global_kernels,
     parse_topology,
     random_topology,
     same_span,
@@ -117,7 +117,7 @@ def test_parse_ignores_comments_and_blanks():
 def test_butterfly_global_kernels_frozen():
     t = butterfly()
     base = BaseField(5)
-    _, f = compute_global_kernels(t, base, 2, seed=0)
+    f = transmit(t, base, [(1, 0), (0, 1)], seed=0).global_vectors
     # edges in declaration order: s-a, s-b, a-t1, a-c, b-c, b-t2, c-d, d-t1, d-t2
     assert f == (
         (1, 0),
@@ -231,6 +231,33 @@ def test_injection_changes_downstream():
     assert tx.injected_at == "b"
 
 
+def test_honest_transmit_mixes_each_edge_once(monkeypatch):
+    # one mixing pass carries the global vectors and the packets together,
+    # and the global-kernel check combines once more per edge: 2 x 9 edges
+    calls = []
+    original = Field.combine
+
+    def counting(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(Field, "combine", counting)
+    transmit(butterfly(), BaseField(5), [(1, 0, 2), (0, 1, 4)], seed=0)
+    assert len(calls) == 18
+
+
+@pytest.mark.parametrize("inject_at", ("s", "a", "b", "c", "d"))
+def test_injected_run_keeps_the_honest_global_vectors(inject_at):
+    t = butterfly()
+    base = BaseField(5)
+    packets, fake = [(1, 0, 2), (0, 1, 4)], (3, 3, 1)
+    honest = transmit(t, base, packets, seed=4)
+    tx = transmit(t, base, packets, seed=4, inject_at=inject_at, fake=fake)
+    assert tx.global_vectors == honest.global_vectors
+    assert tx.kernels == honest.kernels
+    assert all(tx.edge_packets[i] == fake for i in t.out_edges(inject_at))
+
+
 def test_random_topology_properties():
     for seed in range(6):
         t = random_topology(8, seed)
@@ -341,7 +368,7 @@ def test_kernels_come_from_one_stream_per_transmission(monkeypatch):
         return stream(seed, label)
 
     monkeypatch.setattr(rng, "stream", counting)
-    kernels, _ = compute_global_kernels(t, BaseField(5), 2, seed=11)
+    kernels = _resolve_kernels(t, BaseField(5), 2, seed=11)
     assert labels == ["network/kernels"]
     assert sorted(kernels) == sorted(coding)
 
@@ -359,14 +386,14 @@ def _internal_with_in_edges(t):
 def test_a_given_kernel_shifts_no_other_nodes_draws(n, seed):
     base = BaseField(5)
     t = random_topology(14, seed)
-    drawn, _ = compute_global_kernels(t, base, n, seed=seed + 100)
+    drawn = _resolve_kernels(t, base, n, seed=seed + 100)
     r = random.Random(seed)
     for name in (r.choice(_internal_with_in_edges(t)), t.source):
         rows = n if name == t.source else len(t.in_edges(name))
         width = len(t.out_edges(name))
         given = tuple(tuple(r.randrange(5) for _ in range(width)) for _ in range(rows))
         t2 = Topology(t.nodes, t.edges, {name: given})
-        kernels, _ = compute_global_kernels(t2, base, n, seed=seed + 100)
+        kernels = _resolve_kernels(t2, base, n, seed=seed + 100)
         assert kernels == {**drawn, name: given}
 
 
@@ -374,7 +401,7 @@ def test_resolved_kernels_frozen():
     # pins the order of the draws: nodes in declaration order, relays row by
     # row, the source's drawn columns one after another
     t = random_topology(25, seed=7, extra_edge_prob=0.1)
-    kernels, _ = compute_global_kernels(t, BaseField(5), 2, seed=2013)
+    kernels = _resolve_kernels(t, BaseField(5), 2, seed=2013)
     assert len(t.out_edges(t.source)) > 2
     text = repr(sorted(kernels.items()))
     digest = hashlib.sha256(text.encode()).hexdigest()
