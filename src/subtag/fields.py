@@ -58,20 +58,29 @@ N(x) = x x^q ... x^(q^(l-1)) lies in F_q.  A field built again with the
 same modulus binds the functions of its first build, cached per process.
 
 Every F-linear combination in the package, the compiled Frobenius step
-aside, goes through two methods:
-``combine`` (sum_k c_k v_k over index vectors) and ``dot`` (sum_k x_k y_k).
-They are the one multiply-accumulate.  Packet mixing, tags, labels, matrix
-products, elimination, span tests, subset walks and the attacks' key
-reconstructions call them.  Both skip zero coefficients;
-``dot`` and most fields' ``combine`` also skip zero entries, symbol by
-symbol.  A field of prime order p with p(p - 1) <= 255 (p <= 13)
-combines whole vectors instead: each vector is one int with a byte lane
-per symbol, products and sums are int arithmetic, and ``bytes.translate``
-with a 256-byte v -> v mod p table, built once per p, reduces every lane
-at once.  A reduced lane holds at most p - 1 and a term adds at most
-(p - 1)^2, so lanes are reduced after every (256 - p) // (p - 1)^2
-nonzero terms (254 for p = 2, 15 for p = 5, 1 for p = 13) and never
-pass 255.
+aside, goes through ``combine`` (sum_k c_k v_k over index vectors), its
+batch ``_mix`` (one combine per coefficient row over one set of vectors)
+or ``dot`` (sum_k x_k y_k).  They are the one multiply-accumulate.
+Packet mixing, tags, labels, verification, matrix products, elimination,
+span tests, subset walks and the attacks' key reconstructions call them.
+``dot`` sums its products unreduced and reduces once, by the rule that
+picks the field's addition: it XORs the products in characteristic 2,
+sums the plain int products and reduces mod p once at prime order, and
+otherwise runs a loop generated with the same digit code, which sums
+each product's base-p digits as ints and reduces each digit sum mod p
+once at the end.  At every level of the tower the base-p digits of an
+index are its coordinates over F_p, so this holds over a non-prime
+subfield too.  ``combine`` skips zero coefficients, and most fields'
+``combine`` also skips zero entries, symbol by symbol.  A field of prime
+order p with p(p - 1) <= 255 (p <= 13) combines whole vectors instead:
+each vector is one int with a byte lane per symbol, products and sums
+are int arithmetic, and ``bytes.translate`` with a 256-byte v -> v mod p
+table, built once per p, reduces every lane at once.  A reduced lane
+holds at most p - 1 and a term adds at most (p - 1)^2, so lanes are
+reduced after every (256 - p) // (p - 1)^2 nonzero terms (254 for p = 2,
+15 for p = 5, 1 for p = 13) and never pass 255.  ``_mix`` packs each
+vector into its lane int once, however many rows weight it, and a
+one-row ``combine`` runs the same lane code.
 """
 
 from __future__ import annotations
@@ -228,15 +237,15 @@ def _log_code(sub: "Field") -> tuple[list[int], list[int]]:
     return lg, sub._exp * 2 + [0] * (2 * n + 1)
 
 
-def _run_code(lines: list[str], names: list[str], sub: "Field", lg, e) -> tuple:
-    """The functions ``names`` that the generated ``lines`` define, made
-    with lg, e and the subfield's add, sub and neg in scope."""
-    src = "\n".join(
-        ["def make(lg, e, add, sub, neg):", *lines, f"    return ({', '.join(names)},)"]
-    )
+def _maker(lines: list[str], names: list[str], params: str = "lg, e, add, sub, neg"):
+    """The function ``make(params)`` that returns the functions ``names``
+    which the generated ``lines`` define; the ops call it with lg, e and
+    the subfield's add, sub and neg, the dot product with its field's
+    product."""
+    src = "\n".join([f"def make({params}):", *lines, f"    return ({', '.join(names)},)"])
     namespace: dict = {}
     exec(compile(src, "<field ops>", "exec"), namespace)
-    return namespace["make"](lg, e, sub.add_idx, sub.sub_idx, sub.neg_idx)
+    return namespace["make"]
 
 
 @functools.lru_cache(maxsize=64)
@@ -288,7 +297,30 @@ def _compile_ops(radix: int, degree: int, fold, sub: "Field") -> tuple:
             f"        return {placed([negated(x) for x in digits('i')])}",
         ]
         names += ["add_idx", "sub_idx", "neg_idx"]
-    return _run_code(lines, names, sub, lg, e)
+    return _maker(lines, names)(lg, e, sub.add_idx, sub.sub_idx, sub.neg_idx)
+
+
+@functools.lru_cache(maxsize=64)
+def _compile_dot(p: int, width: int, prime: "Field"):
+    """``make(mul)`` for the dot product of an odd-p field of order
+    p**width that is not F_p itself, given the field's product ``mul``.
+
+    At every level of the tower the base-p digits of an index are its
+    coordinates over F_p, so a sum is digit-wise mod p.  The loop sums each
+    product's base-p digits, spelled with ``_digit_code`` over the prime
+    field ``prime``, as plain ints, and reduces each digit sum mod p once,
+    at the end.  Cached, as ``_compile_ops``.
+    """
+    digits, placed, _, _, _ = _digit_code(p, width, prime)
+    sums = [f"c{k}" for k in range(width)]
+    lines = [
+        "    def dot(xs, ys):",
+        f"        {' = '.join(sums)} = 0",
+        "        for v in map(mul, xs, ys):",
+        *(f"            {c} += {x}" for c, x in zip(sums, digits("v"))),
+        f"        return {placed([f'{c} % {p}' for c in sums])}",
+    ]
+    return _maker(lines, ["dot"], "mul")
 
 
 @functools.lru_cache(maxsize=64)
@@ -329,7 +361,7 @@ def _compile_frobenius(radix: int, degree: int, cols, sub: "Field"):
         body.append(f"c{r} = {out}")
     body.append(f"return {placed([f'c{r}' for r in range(degree)])}")
     lines = ["    def frobenius_idx(i):", *(f"        {line}" for line in body)]
-    return _run_code(lines, ["frobenius_idx"], sub, lg, e)[0]
+    return _maker(lines, ["frobenius_idx"])(lg, e, sub.add_idx, sub.sub_idx, sub.neg_idx)[0]
 
 
 def _monic_from_value(value: int, radix: int, degree: int) -> tuple[int, ...]:
@@ -447,6 +479,7 @@ class Field:
         "neg_idx",
         "sub_idx",
         "mul_idx",
+        "_dot",
         "_label",
         "_radix",
         "_fold",
@@ -531,6 +564,23 @@ class Field:
             self.sub_idx = lambda i, j: (i - j) % p
         else:
             self.add_idx, self.sub_idx, self.neg_idx = ops[3:]
+        self._bind_dot()
+
+    def _bind_dot(self) -> None:
+        """Pick ``dot`` by the same structure as addition: XOR of the
+        products in characteristic 2, the int sum of the plain products
+        reduced mod p once at prime order, and compiled base-p digit sums,
+        each reduced mod p once, for every other odd-p field."""
+        p, mul = self.char, self.mul_idx
+        if p == 2:
+            self._dot = lambda xs, ys: functools.reduce(operator.xor, map(mul, xs, ys), 0)
+        elif self.order == p:
+            self._dot = lambda xs, ys: sum(map(operator.mul, xs, ys)) % p
+        else:
+            prime, width = self.subfield, self.degree
+            while prime.subfield is not None:
+                prime, width = prime.subfield, width * prime.degree
+            self._dot = _compile_dot(p, width, prime)(mul)[0]
 
     def from_coords(self, coords: Sequence[int]) -> FieldElement:
         """The element whose coordinates over the subfield are the indices
@@ -588,49 +638,21 @@ class Field:
         ``width``; coefficients and entries must be reduced indices of this
         field, which ``combine`` does not check symbol by symbol.  A field
         of prime order p with p(p - 1) <= 255 sums whole vectors as ints
-        with a byte lane per symbol (see the module docstring); every other
-        field loops over the symbols, and a unit coefficient adds its vector
-        without multiplying.  A vector longer than ``width`` raises
+        with a byte lane per symbol, in the lane code it shares with
+        ``_mix`` (see the module docstring); every other field loops over
+        the symbols, and a unit coefficient adds its vector without
+        multiplying.  A vector longer than ``width`` raises
         LengthMismatch.  On the byte lanes an entry outside 0..255 or a
-        negative sum raises InvalidParams and a non-int entry FieldMismatch,
-        while an unreduced entry in p..255 is mixed as the int it is.  The
+        negative sum raises InvalidParams, a non-int entry FieldMismatch
+        and a nonzero coefficient without a vector LengthMismatch, while an
+        unreduced entry in p..255 is mixed as the int it is.  The
         symbol loop maps what its arithmetic cannot read the same way, an
         entry past a table to InvalidParams and a non-int one to
         FieldMismatch, and passes an entry it can read unchecked (300 XORed
         over GF(2^8), 130 added digit by digit over GF(5^3), or 1.0 added
         mod 17 under a unit coefficient)."""
-        lanes = self._lanes
-        if lanes is not None:
-            residues, room = lanes
-            acc = terms = 0
-            try:
-                for c, vec in zip(coeffs, vectors):
-                    if c:
-                        if terms == room:
-                            acc = int.from_bytes(
-                                acc.to_bytes(width, "little").translate(residues),
-                                "little",
-                            )
-                            terms = 0
-                        acc += c * int.from_bytes(bytes(vec), "little")
-                        terms += 1
-                return tuple(acc.to_bytes(width, "little").translate(residues))
-            except OverflowError:
-                if acc < 0:
-                    raise InvalidParams(
-                        f"negative coefficient in a combination over {self.name}"
-                    ) from None
-                raise LengthMismatch(
-                    f"a vector is longer than width {width} over {self.name}"
-                ) from None
-            except ValueError:
-                raise InvalidParams(
-                    f"a vector entry is not an index of {self.name}"
-                ) from None
-            except (TypeError, AttributeError):
-                raise FieldMismatch(
-                    f"a combination over {self.name} takes int indices"
-                ) from None
+        if self._lanes is not None:
+            return self._lane_mix((coeffs,), tuple(vectors), width)[0]
         add, mul = self.add_idx, self.mul_idx
         acc = [0] * width
         vec = ()
@@ -650,14 +672,68 @@ class Field:
             raise FieldMismatch(f"a combination over {self.name} takes int indices") from None
         return tuple(acc)
 
-    def dot(self, xs: Iterable[int], ys: Iterable[int]) -> int:
-        """Index of sum_k xs[k] * ys[k]."""
-        add, mul = self.add_idx, self.mul_idx
+    def _mix(
+        self, rows: Iterable[Iterable[int]], vectors: Sequence[Sequence[int]], width: int
+    ) -> tuple[tuple[int, ...], ...]:
+        """``combine(row, vectors, width)`` for each coefficient row of
+        ``rows``, in one call: the out-edges of a network node, the rows of
+        a matrix product.  On the byte lanes each vector is packed into its
+        lane int once, however many rows weight it; every other field loops
+        over ``combine``.  Results, and the errors of malformed input, are
+        those of ``combine``."""
+        if self._lanes is None:
+            return tuple(self.combine(row, vectors, width) for row in rows)
+        return tuple(self._lane_mix(rows, vectors, width))
+
+    def _lane_mix(self, rows, vectors: Sequence[Sequence[int]], width: int) -> list:
+        """The byte-lane sums behind ``combine`` and ``_mix``, a list with
+        one vector per row.  vectors[k] is packed into one int, a byte lane
+        per symbol, the first time a nonzero coefficient weights it, and
+        kept for the later rows; a vector no row weights is never read."""
+        residues, room = self._lanes
+        packed = [None] * len(vectors)
+        out = []
         acc = 0
-        for x, y in zip(xs, ys):
-            if x and y:
-                acc = add(acc, mul(x, y))
-        return acc
+        try:
+            for coeffs in rows:
+                acc = terms = 0
+                for k, c in enumerate(coeffs):
+                    if c:
+                        if terms == room:
+                            acc = int.from_bytes(
+                                acc.to_bytes(width, "little").translate(residues), "little"
+                            )
+                            terms = 0
+                        v = packed[k]
+                        if v is None:
+                            v = packed[k] = int.from_bytes(bytes(vectors[k]), "little")
+                        acc += c * v
+                        terms += 1
+                out.append(tuple(acc.to_bytes(width, "little").translate(residues)))
+        except IndexError:
+            raise LengthMismatch(
+                f"a combination over {self.name} has more coefficients than vectors"
+            ) from None
+        except OverflowError:
+            if acc < 0:
+                raise InvalidParams(
+                    f"negative coefficient in a combination over {self.name}"
+                ) from None
+            raise LengthMismatch(
+                f"a vector is longer than width {width} over {self.name}"
+            ) from None
+        except ValueError:
+            raise InvalidParams(f"a vector entry is not an index of {self.name}") from None
+        except (TypeError, AttributeError):
+            raise FieldMismatch(f"a combination over {self.name} takes int indices") from None
+        return out
+
+    def dot(self, xs: Iterable[int], ys: Iterable[int]) -> int:
+        """Index of sum_k xs[k] * ys[k], 0 for no terms.  The products are
+        accumulated unreduced and reduced once, by the rule the field picked
+        when it was built (see the module docstring); entries are reduced
+        indices, not checked."""
+        return self._dot(xs, ys)
 
     def pow_idx(self, i: int, e: int) -> int:
         if e < 0:

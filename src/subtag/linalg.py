@@ -9,10 +9,12 @@ A Matrix stores rows of field indices, read with ``to_index_rows``.
 Products and elimination never build FieldElement, and every vector this
 module hands back (null bases, span witnesses) is a tuple of indices;
 only the ``Matrix(...)`` constructor takes FieldElement.  The module does
-no vector arithmetic of its own: every product row and every row
-operation of elimination, span tests and subset walks is one
-``Field.combine``, and only scalar pivot work (inverses, quotients,
-negation, pivot factors) calls the field's index ops.  Each question
+no vector arithmetic of its own: a product is one ``Field._mix`` call
+over the rows of its left factor, every row operation of elimination,
+span tests and subset walks is one ``Field.combine``, and only scalar
+pivot work (inverses, quotients, negation, pivot factors) calls the
+field's index ops.  A matrix keeps its elimination, so ``rank`` and
+``null_space`` eliminate it at most once.  Each question
 is answered by one elimination: a system a @ X = b is solved by reducing
 the rows of a joined to the rows of b, and ``solve_all`` reads the
 particular solution and the null basis off that one reduced [A | b].
@@ -47,7 +49,7 @@ class Matrix:
     """Immutable dense matrix over one field, stored as rows of indices;
     products and elimination read and write index rows only."""
 
-    __slots__ = ("field", "_rows", "nrows", "ncols")
+    __slots__ = ("field", "_rows", "nrows", "ncols", "_rref")
 
     def __init__(self, field: AnyField, rows, ncols: int | None = None):
         idx_rows = []
@@ -77,6 +79,7 @@ class Matrix:
         self._rows = rows
         self.nrows = len(rows)
         self.ncols = ncols
+        self._rref = None
 
     # -- constructors ----------------------------------------------------
 
@@ -93,7 +96,7 @@ class Matrix:
         """Wrap index rows the package built itself, a tuple of equal-width
         tuples of reduced indices; no checks, no copy."""
         m = cls.__new__(cls)
-        m.field, m._rows, m.nrows, m.ncols = field, rows, len(rows), ncols
+        m.field, m._rows, m.nrows, m.ncols, m._rref = field, rows, len(rows), ncols, None
         return m
 
     def to_index_rows(self) -> IndexRows:
@@ -109,9 +112,8 @@ class Matrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         # row i of the product is row i of self weighting the rows of other
-        combine, b, width = self.field.combine, other._rows, other.ncols
-        rows = tuple(combine(ar, b, width) for ar in self._rows)
-        return Matrix._of(self.field, rows, width)
+        rows = self.field._mix(self._rows, other._rows, other.ncols)
+        return Matrix._of(self.field, rows, other.ncols)
 
     # -- elimination -------------------------------------------------------
 
@@ -120,7 +122,8 @@ class Matrix:
 
         Pivoting is "first nonzero": in each column the topmost unused row
         with a nonzero entry becomes the pivot, which makes the output a
-        canonical form for the row space.
+        canonical form for the row space.  The matrix keeps the result for
+        ``_reduced``.
         """
         f = self.field
         combine, neg, inv = f.combine, f.neg_idx, f.inv_idx
@@ -142,14 +145,22 @@ class Matrix:
             rank += 1
             if rank == self.nrows:
                 break
-        return Matrix._of(f, tuple(work), ncols), rank, tuple(pivots)
+        self._rref = (Matrix._of(f, tuple(work), ncols), rank, tuple(pivots))
+        return self._rref
+
+    def _reduced(self) -> tuple["Matrix", int, tuple[int, ...]]:
+        """``rref()``, from the elimination the matrix kept if it has one.
+        A matrix is immutable, so ``rank`` and ``null_space`` eliminate it
+        at most once: a code's rank check, its dual and the params'
+        dual-column check share one elimination of the generator."""
+        return self._rref or self.rref()
 
     def rank(self) -> int:
-        return self.rref()[1]
+        return self._reduced()[1]
 
     def null_space(self) -> IndexRows:
         """Basis of {x : self @ x = 0} as index tuples, one per free column."""
-        reduced, _, pivots = self.rref()
+        reduced, _, pivots = self._reduced()
         return _null_basis(self.field, reduced.to_index_rows(), pivots, self.ncols)
 
     def __eq__(self, other) -> bool:

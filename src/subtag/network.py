@@ -9,8 +9,11 @@ vector f_e rides in front of its packet, as in practical network coding:
 source packet j goes out behind e_j, so one mixing pass yields both, and
 on honest runs transmit() checks the defining property that the packet
 on e equals f_e applied to the stacked source packets (InvariantViolated
-otherwise).  A sink decodes the span of the payloads it received to its
-canonical basis, the ``linalg._echelon`` basis.
+otherwise).  A node mixes all of its out-edges in one ``Field._mix``
+call, and the check mixes every edge's prediction in one more, so each
+in-packet is packed into its byte-lane int once per node.  A sink
+decodes the span of the payloads it received to its canonical basis, the
+``linalg._echelon`` basis.
 
 A Topology is immutable.  Its per-node in- and out-edge indices and its
 topological order are built once, in one pass over the edges, when it is
@@ -375,12 +378,13 @@ def _propagate(
             continue
         kern = kernels[name]
         ins = sent if name == t.source else [y[i] for i in t.in_edges(name)]
-        # a node with no in-edges has the empty kernel () and sends zeros
-        cols = zip(*kern) if kern else repeat(())
-        for col, edge_idx in zip(cols, outs):
-            vec = base.combine(col, ins, width)
-            if name == inject_at:
-                vec = vec[: width - len(fake)] + fake
+        # one row per out-edge; a node with no in-edges has the empty kernel
+        # () and sends zeros
+        cols = zip(*kern) if kern else ((),) * len(outs)
+        vecs = base._mix(cols, ins, width)
+        if name == inject_at:
+            vecs = [vec[: width - len(fake)] + fake for vec in vecs]
+        for edge_idx, vec in zip(outs, vecs):
             y[edge_idx] = vec
     return tuple(y)
 
@@ -423,9 +427,11 @@ def transmit(
     y = tuple(v[n:] for v in mixed)
 
     if inject_at is None:
-        # defining property of the global vectors, checked on honest runs
-        for edge_idx, vec in enumerate(f):
-            if base.combine(vec, pkts, width) != y[edge_idx]:
+        # defining property of the global vectors, checked edge by edge on
+        # honest runs; one call mixes every edge's prediction
+        predicted = base._mix(f, pkts, width)
+        for edge_idx, (want, got) in enumerate(zip(predicted, y)):
+            if want != got:
                 raise InvariantViolated(
                     f"edge {edge_idx} carries a packet its global vector does not predict"
                 )

@@ -42,8 +42,10 @@ naming the labelled streams of ``subtag.rng``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
-from typing import Optional, Sequence
+from functools import cached_property, lru_cache
+from itertools import repeat
+from collections.abc import Sequence
+from typing import Optional
 
 from .codes import LinearCode
 from .errors import (
@@ -100,6 +102,11 @@ class PublicParams:
     a whole transmission generation stays taggable), and the code must
     keep both itself and its dual at minimum distance 2 or more; either
     failing means some verifier key column or constraint would be void.
+    The dual's side is checked without building the dual: dual column j
+    is zero exactly when e_j lies in the code, that is when j is a pivot
+    whose reduced row is e_j, read off the generator's one elimination.
+    A code built as a dual (a curve's residue code) holds its dual
+    already, and its columns are read directly.
     """
 
     base: BaseField
@@ -124,14 +131,18 @@ class PublicParams:
                 raise InvalidParams(
                     f"generator column {j + 1} is zero (dual distance below 2)"
                 )
-        dual = self.code.dual()
-        if dual.is_zero:
+        code = self.code
+        if code.kdim == code.length:  # generators have full rank, so the dual is zero
             raise InvalidParams("the full space has minimum distance 1")
-        for j, col in enumerate(dual.columns):
-            if not any(col):
-                raise InvalidParams(
-                    f"dual generator column {j + 1} is zero (distance below 2)"
-                )
+        if code._dual is not None:  # built as a dual: read the one it holds
+            zero = (j for j, col in enumerate(code._dual.columns) if not any(col))
+        else:
+            reduced, _, pivots = code.generator._reduced()
+            rows = reduced.to_index_rows()
+            zero = (j for r, j in enumerate(pivots) if not any(rows[r][j + 1:]))
+        j = next(zero, None)
+        if j is not None:
+            raise InvalidParams(f"dual generator column {j + 1} is zero (distance below 2)")
 
     @property
     def l(self) -> int:
@@ -145,7 +156,7 @@ class PublicParams:
     def kdim(self) -> int:
         return self.code.kdim
 
-    @property
+    @cached_property
     def packet_symbols(self) -> int:
         """Wire size of one tagged packet, in F_q symbols."""
         return 1 + self.l + self.kdim * self.l
@@ -193,9 +204,8 @@ def _made(cls, field: ExtField, indices: tuple[int, ...], *lead):
     caller has just checked or computed, built without the constructor's
     checks; ``lead`` is the key's index or the packet's tracker and payload."""
     held = object.__new__(cls)
-    values = (*lead, tuple(FieldElement(field, i) for i in indices), (field, indices))
-    for name, value in zip(cls.__dataclass_fields__, values):
-        object.__setattr__(held, name, value)
+    values = (*lead, tuple(map(FieldElement, repeat(field), indices)), (field, indices))
+    held.__dict__.update(zip(cls.__dataclass_fields__, values))
     return held
 
 
@@ -251,16 +261,20 @@ class TaggedPacket:
 
     @classmethod
     def from_symbols(cls, pp: PublicParams, syms: Sequence[int]) -> "TaggedPacket":
-        if len(syms) != pp.packet_symbols:
+        """The packet whose wire image is ``syms``, a sequence of
+        ``pp.packet_symbols`` base-field symbols."""
+        # wires are tuples and lists, so the abstract check rarely runs
+        if not isinstance(syms, (tuple, list)) and not isinstance(syms, Sequence):
             raise LengthMismatch(
-                f"expected {pp.packet_symbols} symbols, got {len(syms)}"
+                f"expected a sequence of {pp.packet_symbols} symbols, not {type(syms).__name__}"
             )
+        if len(syms) != pp.packet_symbols:
+            raise LengthMismatch(f"expected {pp.packet_symbols} symbols, got {len(syms)}")
         syms = pp.base._symbols(syms)
-        l, ext = pp.l, pp.ext
-        tag = tuple(
-            ext.from_digits(syms[start : start + l]) for start in range(1 + l, len(syms), l)
-        )
-        return _made(cls, ext, tag, syms[0], syms[1 : 1 + l])
+        l = pp.l
+        # l references to one iterator: zip groups the tag digits l at a time
+        tag = tuple(map(pp.ext.from_digits, zip(*[iter(syms[1 + l:])] * l)))
+        return _made(cls, pp.ext, tag, syms[0], syms[1 : 1 + l])
 
 
 def _check_payload(pp: PublicParams, payload: Sequence[int]) -> tuple[int, ...]:
@@ -334,8 +348,7 @@ def tag_basis(
     if len(basis) != pp.n:
         raise InvalidParams(f"expected {pp.n} basis vectors, got {len(basis)}")
     packets = tuple(tag_payload(pp, mk, v, counter) for v in basis)
-    mat = Matrix._of(pp.base, tuple(p.payload for p in packets), pp.l)
-    if mat.rank() != pp.n:
+    if _rank(pp.base, tuple(p.payload for p in packets), pp.l) != pp.n:
         raise DependentBasis("payload vectors are linearly dependent over F_q")
     return packets
 
@@ -373,10 +386,11 @@ def verify(
     tag = _indices_in(ext, pkt)  # so the tracker and payload are ext's symbols
     if len(tag) != pp.kdim:
         raise LengthMismatch("tag has the wrong number of components")
-    lhs = _label_idx(pp, vk, _label_row(pp, pkt.tracker, pkt.payload), counter)
+    lhs = _label_idx(pp, vk, _label_row(pp, pkt.tracker, pkt.payload), None)
     rhs = ext.dot(tag, pp.generator_indices(vk.index))
     if counter is not None:
-        counter.add(mults=pp.kdim)
+        # the label's schedule and the kdim products of the tag sum at once
+        counter.add(mults=pp.M + 1 + pp.kdim, frobs=pp.M - 1)
     return lhs == rhs
 
 
@@ -399,6 +413,14 @@ def combine_packets(
     return TaggedPacket.from_symbols(pp, base.combine(base._symbols(coeffs), wires, width))
 
 
+@lru_cache(maxsize=16)
+def _rank(base: BaseField, rows: tuple[tuple[int, ...], ...], width: int) -> int:
+    """Rank of checked symbol rows over ``base``.  Cached by value, so the
+    basis ``random_payload_basis`` returns is not eliminated again when
+    ``tag_basis`` tags it: a rank depends on the field and the rows alone."""
+    return Matrix._of(base, rows, width).rank()
+
+
 def random_payload_basis(pp: PublicParams, seed: int) -> tuple[tuple[int, ...], ...]:
     """A uniform n-dimensional payload basis (rejection sampled)."""
     r = _rng.stream(seed, "source")
@@ -407,6 +429,6 @@ def random_payload_basis(pp: PublicParams, seed: int) -> tuple[tuple[int, ...], 
             tuple(r.randrange(pp.base.order) for _ in range(pp.l))
             for _ in range(pp.n)
         )
-        if Matrix._of(pp.base, rows, pp.l).rank() == pp.n:
+        if _rank(pp.base, rows, pp.l) == pp.n:
             return rows
     raise RankDeficient(f"no independent basis found in {_BASIS_ATTEMPTS} attempts")

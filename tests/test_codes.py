@@ -495,6 +495,8 @@ def test_forgeable_computes_no_null_space(monkeypatch, f5):
 
 def test_dual_runs_one_elimination(monkeypatch):
     code = rs_code(ExtField(BaseField(5), 3), range(6), 3)
+    again = rs_code(code.field, range(6), 3)
+    again.generator._rref = None  # as if its rank check had not run
     calls = []
     original = Matrix.rref
 
@@ -504,7 +506,12 @@ def test_dual_runs_one_elimination(monkeypatch):
 
     monkeypatch.setattr(Matrix, "rref", counting)
     dual = code.dual()
-    # the null basis is independent by construction: no rank check
+    # the code's rank check eliminated its generator, and the dual reads
+    # that kept elimination; the null basis is independent by
+    # construction: no rank check
+    assert calls == []
+    # a generator not eliminated yet is eliminated exactly once
+    assert again.dual().generator == dual.generator
     assert calls == [(3, 6)]
     assert (dual.length, dual.kdim, dual.generator.rank()) == (6, 3, 3)
     f = code.field

@@ -488,7 +488,8 @@ def test_ec_table_asks_each_coalition_once(monkeypatch):
 
 def test_analyze_eliminates_only_for_the_dual(monkeypatch):
     # the [8,5] access code as the access benchmark reads it, from a params
-    # document; building PublicParams already eliminated once for the dual
+    # document; building the code already eliminated its generator once,
+    # and its dual reads that kept elimination
     pp, spec = params_from_dict(params_to_dict(*_curve_code(1, 8, 3)))
     eliminations = _counting_rref(monkeypatch)
     report = cli.build_analyze_report(pp, spec, 1)

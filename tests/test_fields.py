@@ -1,5 +1,6 @@
 import dis
 import itertools
+import math
 import operator
 import random
 import sys
@@ -14,6 +15,7 @@ from subtag.errors import (
     FieldMismatch,
     InvalidParams,
     LengthMismatch,
+    SubtagError,
 )
 from subtag.fields import BaseField, ExtField, Field, FieldElement, frobenius
 from subtag.linalg import Matrix
@@ -159,6 +161,62 @@ def test_index_ops_match_reference(name):
         assert f.dot(xs, ys) == want_dot
     assert f.combine([], [], 4) == (0, 0, 0, 0)
     assert f.dot([], []) == 0
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_FIELDS))
+def test_dot_matches_a_reference_sum(name):
+    # the once-reducing dot against a sum of reference products reduced at
+    # every step: no terms, all-zero terms, short and long vectors (the
+    # digit sums of 300 products pass p many times before their one
+    # reduction), and a vector of one element at its largest
+    f = DIFFERENTIAL_FIELDS[name]()
+    ref = reference_field(f)
+
+    def want(xs, ys):
+        acc = 0
+        for x, y in zip(xs, ys):
+            acc = ref.add(acc, ref.mul(x, y))
+        return acc
+
+    r = random.Random(name)
+    top = f.order - 1
+    cases = [((), ()), ((0,) * 7, (3 % f.order,) * 7), ((top,) * 300, (top,) * 300)]
+    for width in (1, 2, 3, 5, 40, 300):
+        xs = [draw_operand(r, f) for _ in range(width)]
+        ys = [r.choice((0, 1, top, draw_operand(r, f))) for _ in range(width)]
+        cases.append((xs, ys))
+    for xs, ys in cases:
+        assert f.dot(xs, ys) == want(xs, ys), (name, len(xs))
+    # iterables are read once, and the shorter one ends the sum
+    xs, ys = cases[-1]
+    assert f.dot(iter(xs), iter(ys[:10])) == want(xs[:10], ys[:10])
+
+
+def test_dot_follows_the_field_structure():
+    # XOR of the products in characteristic 2, one int sum mod p at prime
+    # order, and generated base-p digit sums otherwise: one digit sum per
+    # F_p coordinate of the field, int constants only
+    for name, maker in DIFFERENTIAL_FIELDS.items():
+        f = maker()
+        code = f._dot.__code__
+        if f.char == 2:
+            assert "xor" in code.co_names and "reduce" in code.co_names, name
+        elif f.order == f.char:
+            assert code.co_filename != "<field ops>", name
+            assert "sum" in code.co_names and f.char in _closure_values(f._dot), name
+        else:
+            assert code.co_filename == "<field ops>", name
+            assert all(c is None or type(c) is int for c in code.co_consts), name
+            width = round(math.log(f.order, f.char))
+            assert f.char**width == f.order
+            assert [v for v in code.co_varnames if v.startswith("c")] == [
+                f"c{k}" for k in range(width)
+            ], name
+            assert _closure_values(f._dot) == [f.mul_idx], name
+
+
+def _closure_values(fn) -> list:
+    return [c.cell_contents for c in fn.__closure__ or ()]
 
 
 # tabulated odd-p fields, which once added by Zech logarithms on their
@@ -377,6 +435,83 @@ def test_byte_lane_combine_refuses_non_int_entries(p):
 def test_byte_lane_combine_refuses_a_negative_sum():
     with pytest.raises(InvalidParams):
         BaseField(5).combine([1, -2], [(0, 1), (1, 1)], 2)
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the SubtagError class it raises."""
+    try:
+        return call()
+    except SubtagError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("p", LANE_PRIMES)
+def test_batched_mix_matches_per_row_combine(p):
+    # one _mix call over several coefficient rows gives each row's combine,
+    # past the lane room too: 16 nonzero terms over F_5 (room 15), 2 over
+    # F_13 (room 1), up to 300 over F_2 (room 254); rows may be shorter
+    # than the vector list, and a vector no row weights may be anything
+    f = BaseField(p)
+    if p in (5, 13):
+        assert f._lanes[1] == {5: 15, 13: 1}[p]
+    r = random.Random(p)
+    for count in (0, 1, 2, 3, 15, 16, 17, 254, 255, 300):
+        width = r.randrange(1, 14)
+        vectors = [tuple(r.randrange(p) for _ in range(r.randrange(width + 1))) for _ in range(count)]
+        rows = [
+            [r.choice((0, 1, p - 1, r.randrange(p))) for _ in range(r.randrange(count + 1))]
+            for _ in range(r.randrange(1, 5))
+        ]
+        rows.append([p - 1] * count)  # every term at its largest
+        got = f._mix(rows, vectors, width)
+        assert got == tuple(f.combine(row, vectors, width) for row in rows)
+        assert got == tuple(combine_mod_p(p, row, vectors, width) for row in rows)
+    # a vector that no nonzero coefficient weights is never read
+    assert f._mix([(1, 0), (0,)], [(1, 1), None], 2) == ((1, 1), (0, 0))
+
+
+@pytest.mark.parametrize("p", (2, 5, 13, 17))
+@pytest.mark.parametrize(
+    "rows, vectors",
+    [
+        ([(1,), (1, 1)], [(1, 1, 1)]),  # longer than width 2
+        ([(1, 1), (0, 1)], [(1, 0), (300, 0)]),  # outside a byte
+        ([(1,), (1, 1)], [(1, 0), (-1, 0)]),
+        ([(2,), (1, 1)], [(1.0, 0), (1, 0)]),  # not an int
+        ([(1,), (1,)], [(None,)]),
+        ([(1.0,), (1,)], [(1, 0)]),  # a float coefficient
+        ([(1, 1), (1, -2)], [(0, 1), (1, 1)]),  # a negative sum
+        ([(1, 1)], [(1, 0)]),  # more coefficients than vectors
+    ],
+    ids=["long", "past-byte", "negative-entry", "float", "none", "float-coeff", "negative-sum", "extra-coeff"],
+)
+def test_batched_mix_maps_malformed_input_like_combine(p, rows, vectors):
+    # the batch raises exactly when some row's combine does, with the same
+    # SubtagError; on the byte lanes every malformed case above raises
+    f = BaseField(p)
+    per_row = [_outcome(lambda: f.combine(row, vectors, 2)) for row in rows]
+    errors = [o for o in per_row if isinstance(o, type)]
+    batched = _outcome(lambda: f._mix(rows, vectors, 2))
+    if errors:
+        assert batched == errors[0]
+    else:
+        assert batched == tuple(per_row)
+    if f._lanes is not None:
+        assert errors and issubclass(batched, SubtagError)
+
+
+def test_batched_mix_loops_over_combine_without_lanes(monkeypatch):
+    # a field without byte lanes mixes row by row through combine
+    f = ExtField(BaseField(5), 3)
+    r = random.Random(125)
+    vectors = [tuple(r.randrange(125) for _ in range(4)) for _ in range(3)]
+    rows = [tuple(r.randrange(125) for _ in range(3)) for _ in range(4)]
+    want = tuple(f.combine(row, vectors, 4) for row in rows)
+    calls = []
+    original = Field.combine
+    monkeypatch.setattr(Field, "combine", lambda self, *a: calls.append(a) or original(self, *a))
+    assert f._mix(rows, vectors, 4) == want
+    assert len(calls) == len(rows)
 
 
 # every other field loops over the symbols, and what its arithmetic cannot

@@ -232,18 +232,24 @@ def test_injection_changes_downstream():
 
 
 def test_honest_transmit_mixes_each_edge_once(monkeypatch):
-    # one mixing pass carries the global vectors and the packets together,
-    # and the global-kernel check combines once more per edge: 2 x 9 edges
-    calls = []
-    original = Field.combine
+    # one Field._mix call per sending node mixes all of its out-edges, the
+    # global vectors and the packets together (width n + w = 5), and one
+    # more mixes every edge's global vector against the source packets for
+    # the identity check (width 3); no row goes through combine alone
+    mixes, combines = [], []
+    original = Field._mix
 
-    def counting(self, *args):
-        calls.append(args)
-        return original(self, *args)
+    def counting(self, rows, vectors, width):
+        rows = tuple(rows)
+        mixes.append((len(rows), len(vectors), width))
+        return original(self, rows, vectors, width)
 
-    monkeypatch.setattr(Field, "combine", counting)
+    monkeypatch.setattr(Field, "_mix", counting)
+    monkeypatch.setattr(Field, "combine", lambda *args: combines.append(args))
     transmit(butterfly(), BaseField(5), [(1, 0, 2), (0, 1, 4)], seed=0)
-    assert len(calls) == 18
+    # nodes s, a, b, c, d in topological order: (out-edges, in-packets, width)
+    assert mixes == [(2, 2, 5), (2, 1, 5), (2, 1, 5), (1, 2, 5), (2, 1, 5), (9, 2, 3)]
+    assert combines == []
 
 
 @pytest.mark.parametrize("inject_at", ("s", "a", "b", "c", "d"))

@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from subtag.errors import (
     FieldMismatch,
     InvalidParams,
     LengthMismatch,
+    RankDeficient,
 )
 from subtag.fields import BaseField, ExtField, Field, FieldElement
 from subtag.linalg import Matrix
@@ -283,6 +285,111 @@ def test_random_payload_basis_rank(rs_pp):
     b2 = random_payload_basis(rs_pp, 3)
     assert b1 == b2
     assert Matrix.from_indices(rs_pp.base, [list(r) for r in b1], ncols=3).rank() == 2
+
+
+def test_tagging_a_random_basis_eliminates_it_once(rs_pp, monkeypatch):
+    # random_payload_basis proves its basis has rank n; tag_basis reads that
+    # rank instead of eliminating the same rows again
+    mk = keygen(rs_pp, 5)
+    scheme._rank.cache_clear()
+    calls = []
+    original = Matrix.rref
+
+    def counting(self):
+        calls.append((self.nrows, self.ncols))
+        return original(self)
+
+    monkeypatch.setattr(Matrix, "rref", counting)
+    for seed in range(6):
+        calls.clear()
+        basis = random_payload_basis(rs_pp, seed)
+        drawn = len(calls)  # one per candidate drawn
+        assert drawn >= 1 and set(calls) == {(2, 3)}
+        pkts = tag_basis(rs_pp, mk, basis)
+        assert len(calls) == drawn
+        assert tuple(p.payload for p in pkts) == basis
+    # a hand-given basis is eliminated once, and a dependent one is refused
+    calls.clear()
+    tag_basis(rs_pp, mk, [(1, 0, 0), (0, 0, 1)])
+    assert calls == [(2, 3)]
+    for _ in range(2):
+        with pytest.raises(DependentBasis):
+            tag_basis(rs_pp, mk, [(1, 0, 2), (2, 0, 4)])
+
+
+@pytest.mark.parametrize(
+    "syms",
+    [iter(range(13)), None, 5, 5.0, set(range(13)), dict.fromkeys(range(13))],
+    ids=["iterator", "none", "int", "float", "set", "dict"],
+)
+def test_from_symbols_refuses_a_non_sequence(rs_pp, syms):
+    # a set or dict of the right size has no order to read a wire in
+    with pytest.raises(LengthMismatch):
+        TaggedPacket.from_symbols(rs_pp, syms)
+    wire = tuple(range(4)) + (0,) * 9
+    for seq in (wire, list(wire), bytes(wire)):
+        assert TaggedPacket.from_symbols(rs_pp, seq).symbols() == wire
+
+
+def _dual_column_verdict(code):
+    """The check as it reads off the dual itself: None when every dual
+    column is nonzero, else the error message for the first zero one."""
+    dual = code.dual()
+    if dual.is_zero:
+        return "the full space has minimum distance 1"
+    for j, col in enumerate(dual.columns):
+        if not any(col):
+            return f"dual generator column {j + 1} is zero (distance below 2)"
+    return None
+
+
+@pytest.mark.parametrize("field_args", [(2, 2), (5, 1), (3, 2)], ids=["F4", "F5", "F9"])
+def test_dual_column_check_matches_the_dual(field_args):
+    # codes with coloops (coordinates j with e_j in the code) in every
+    # position, including several and all of them (k = V), against the
+    # verdict read off the whole dual; the rref check builds no dual, and a
+    # code built as a dual reads the one it holds
+    p, l = field_args
+    ext = ExtField(BaseField(p), l)
+    r = random.Random(repr(field_args))
+    seen = set()
+    for _ in range(150):
+        length = r.randrange(1, 8)
+        kdim = r.randrange(1, length + 1)
+        rows = [[r.randrange(ext.order) for _ in range(length)] for _ in range(kdim)]
+        # plant coloops, rows that are unit vectors e_j, so e_j is in the
+        # code; now and then a zero column, which the code itself is refused
+        # for and its dual reads as a zero dual column
+        for j in r.sample(range(length), r.randrange(min(kdim, length) + 1))[: kdim]:
+            t = r.randrange(kdim)
+            rows[t] = [1 if c == j else 0 for c in range(length)]
+        if r.random() < 0.3:
+            j = r.randrange(length)
+            for row in rows:
+                row[j] = 0
+        gen = Matrix.from_indices(ext, rows, ncols=length)
+        try:
+            code = LinearCode(gen)
+        except RankDeficient:
+            continue  # dependent rows
+        want = _dual_column_verdict(LinearCode(gen))
+        # the code alone, checked on its rref; and its dual, which holds the
+        # code as its own dual and is checked on those columns
+        for candidate, holds_dual in ((code, False), (LinearCode(gen).dual(), True)):
+            if candidate.is_zero or not all(any(col) for col in candidate.columns):
+                continue  # refused earlier, for a zero generator column
+            verdict = _dual_column_verdict(candidate) if holds_dual else want
+            if verdict is not None:
+                with pytest.raises(InvalidParams, match=re.escape(verdict)):
+                    PublicParams(base=ext.base, ext=ext, n=1, M=1, code=candidate)
+            else:
+                PublicParams(base=ext.base, ext=ext, n=1, M=1, code=candidate)
+            # no dual built for the code, and no elimination for the dual
+            assert (candidate.generator._rref if holds_dual else candidate._dual) is None
+            seen.add((holds_dual, verdict and verdict.split()[0]))
+    # both paths pass codes and find zero dual columns; k = V is refused
+    # before either
+    assert seen >= {(False, None), (False, "dual"), (False, "the"), (True, None), (True, "dual")}
 
 
 @pytest.fixture(scope="module")
