@@ -16,50 +16,50 @@ order^((M+1-r0)*(kdim-K0)) master keys; count_consistent_keys returns
 that closed form next to the solver's nullity-based count and raises
 InvariantViolated unless they agree.
 
-Forgery follows the same linearity: when the target's generator column
-lies in the coalition's column span (``LinearCode.forgeable``, the one
-qualification test), the witness combination rebuilds the target's key
-column exactly, after which any payload outside the observed subspace
-can be tagged at will.  The consistent keys are A0 + X with D X = 0 for
-the matrix D of packet rows and X g_i = 0 for each member i, so the
-label d A g_t of a row d is fixed exactly when d lies in D's row space
-or g_t in the members' column span, and exactly uniform otherwise.
-Trackers are symbols of F_q, so while r0 <= M (every view the reports,
-scripts and tests build) the row of a payload outside the observed
-subspace lies outside the packet rows' span, by the Moore determinant,
-and an unqualified coalition's best move is to guess the one label the
-target would accept.  At r0 = M + 1 the packet rows span every row, so
-the traffic alone fixes the target's label for every payload, qualified
-coalition or not; ``deterministic_forge`` still asks the code-span test
-alone and raises NotQualified there.  Forged packets carry tracker 1, as
-source packets do, and the label histogram is taken for that tracker.
+Forgery follows the same linearity.  The consistent keys are the
+solve's affine set A0 + X, with D X = 0 for the matrix D of packet rows
+and X g_i = 0 for each member i, and the label d A g_t of a row d is an
+affine form on that set: fixed exactly when d lies in D's row space or
+g_t in the members' column span, and exactly uniform otherwise.  One
+solve therefore answers every question about the target's label: a
+forgery reads the fixed label off the particular solution, and the
+histogram is one label or all of them, equally often.  Trackers are
+symbols of F_q, so while r0 <= M (every view the reports and scripts
+build) the row of a payload outside the observed subspace lies outside
+the packet rows' span, by the Moore determinant, and the label is fixed
+exactly when the target's column lies in the coalition's column span
+(``LinearCode.forgeable``); otherwise a coalition's best move is to
+guess the one label the target would accept.  At r0 = M + 1 the packet
+rows span every row, so the traffic alone fixes the target's label for
+every payload, and ``deterministic_forge`` forges for any coalition,
+an empty one included.  Forged packets carry tracker 1, as source
+packets do, and the label histogram is taken for that tracker.
 
 A view is built from the members' keys, by verifier index, and the flat
 sequence of packets the coalition saw, which checked their own trackers
 and payloads when built; the view tests only each tag's field and width.
-Enumerating consistent keys is exact and bounded by
-``codes.ENUM_GUARD``, the same bound the code enumerations read.
+No consistent key is enumerated: a histogram costs the one solve and
+1 + nullity dot products, and refuses only a uniform histogram of more
+than ``codes.ENUM_GUARD`` labels, the bound the code enumerations read.
 
 Everything here works on field indices; FieldElement appears only in the
-keys, packets and histograms handed back.  No question is asked twice: a
-view assembles its system once and reduces its observed payloads once; a
-system is solved once, for both the key count and the key enumeration;
-a forgery checks its payload once, with ``scheme._check_payload``, the
-check ``spans`` makes, and ``scheme._made`` builds its packet and key
-unchecked; and the params cache each verifier's first nonzero generator
-slot and its inverse for the forged tag.  The observed payloads' span is
-a ``linalg._echelon`` basis, and a payload is tested against it by
-``linalg._in_span`` once per view: the view remembers each checked
-payload's answer, and ``LinearCode.forgeable`` its answer per coalition.
+packets and histograms handed back.  No question is asked twice: a view
+assembles its system once and reduces its observed payloads once; a
+system is solved once, for the key count, every forgery and every
+histogram; a forgery checks its payload once, with
+``scheme._check_payload``, the check ``spans`` makes, and
+``scheme._made`` builds its packet unchecked; and the params cache each
+verifier's first nonzero generator slot and its inverse for the forged
+tag.  The observed payloads' span is a ``linalg._echelon`` basis, and a
+payload is tested against it by ``linalg._in_span`` once per view: the
+view remembers each checked payload's answer.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     InconsistentSystem,
@@ -74,7 +74,6 @@ from .errors import (
 from .fields import FieldElement
 from .linalg import LinearSolution, Matrix, _echelon, _in_span, solve_all
 from .scheme import (
-    MasterKey,
     PublicParams,
     TaggedPacket,
     VerifierKey,
@@ -93,8 +92,6 @@ __all__ = [
     "KeyCount",
     "assemble_system",
     "count_consistent_keys",
-    "consistent_keys",
-    "recover_verifier_key",
     "deterministic_forge",
     "guess_forge",
     "label_distribution",
@@ -147,7 +144,7 @@ class CoalitionView:
     def payload_span(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """Echelon basis of the observed payloads' span over F_q; one
         elimination per view."""
-        return _echelon(self.pp.base, [p.payload for p in self.observed], self.pp.l)
+        return _echelon(self.pp.base, tuple(p.payload for p in self.observed), self.pp.l)
 
     @cached_property
     def _spanned(self) -> dict[tuple[int, ...], bool]:
@@ -189,7 +186,7 @@ class AttackSystem:
 
     @cached_property
     def _solution(self) -> LinearSolution:
-        """The one elimination the key count and the key enumeration read."""
+        """The one elimination the key count and every label question read."""
         sol = solve_all(self.coefficients, self.constants)
         if sol is None:
             raise InconsistentSystem("the view admits no master key at all")
@@ -232,8 +229,8 @@ def _assemble(view: CoalitionView) -> AttackSystem:
             consts.append(b)
 
     # ranks of the packet rows and of the member columns, as pivot counts
-    r0 = len(_echelon(ext, packet_rows, height)[1])
-    k0 = len(_echelon(ext, cols, pp.kdim)[1])
+    r0 = len(_echelon(ext, tuple(packet_rows), height)[1])
+    k0 = len(_echelon(ext, tuple(cols), pp.kdim)[1])
 
     coeff = Matrix._of(ext, tuple(map(tuple, rows)), width)
     const = Matrix._of(ext, tuple((c,) for c in consts), 1)
@@ -269,50 +266,11 @@ def count_consistent_keys(system: AttackSystem) -> KeyCount:
     )
 
 
-def _unflatten(pp: PublicParams, flat: Sequence[int]) -> MasterKey:
-    height = pp.M + 1
-    rows = tuple(flat[r::height] for r in range(height))
-    return MasterKey(Matrix._of(pp.ext, rows, pp.kdim))
-
-
-def consistent_keys(system: AttackSystem) -> Iterator[MasterKey]:
-    """Every master key the view allows, via the affine solution set;
-    refuses when there are more than ``codes.ENUM_GUARD`` of them."""
-    pp = system.pp
-    sol = system._solution
-    guard = codes.ENUM_GUARD
-    if pp.ext.order**sol.nullity > guard:
-        raise TooLargeToEnumerate(
-            f"{pp.ext.order}^{sol.nullity} solutions exceed the guard {guard}"
-        )
-    # particular solution plus every combination of the null basis
-    part = tuple(r[0] for r in sol.particular.to_index_rows())
-    vectors = [part, *sol.null_basis]
-    combine, width = pp.ext.combine, len(part)
-    for combo in itertools.product(range(pp.ext.order), repeat=sol.nullity):
-        yield _unflatten(pp, combine((1,) + combo, vectors, width))
-
-
 def _payload_outside_view(view: CoalitionView, payload: tuple[int, ...]) -> None:
     if view._in_payload_span(payload):
         raise PayloadInSubspace(
             "substituted payload lies inside the observed message space"
         )
-
-
-def recover_verifier_key(view: CoalitionView, target: int) -> VerifierKey:
-    """Rebuild the target's key column from a qualified coalition's columns."""
-    pp = view.pp
-    ext = pp.ext
-    # refuses a member target; the witness is aligned with view.members
-    spec = codes.CoalitionSpec(frozenset(view.members), target)
-    qualified, witness = pp.code.forgeable(spec)
-    if not qualified:
-        raise NotQualified(
-            f"coalition {view.members} does not determine verifier {target}'s key"
-        )
-    columns = [_indices_in(ext, vk) for vk in view.keys]
-    return _made(VerifierKey, ext, ext.combine(witness, columns, pp.M + 1), target)
 
 
 def _packet(
@@ -326,10 +284,30 @@ def _packet(
     return _made(TaggedPacket, pp.ext, tuple(tag), 1, payload)
 
 
+def _fixed_label(view: CoalitionView, target: int, d: tuple[int, ...]) -> int | None:
+    """The label of row d at ``target`` when every view-consistent key gives
+    the same one, else None.
+
+    The consistent keys are the solve's affine set, the particular solution
+    plus the span of the null basis, and the label d A g_t is the affine
+    form with weight d_r g_t on the unknown a_{r,t}: constant on the set
+    when it vanishes on every null vector, and otherwise exactly uniform.
+    """
+    ext = view.pp.ext
+    mul = ext.mul_idx
+    g = view.pp.generator_indices(target)  # the range check
+    w = tuple(mul(d_r, g_t) for g_t in g for d_r in d)
+    sol = view._system._solution
+    if any(ext.dot(w, n) for n in sol.null_basis):
+        return None
+    return ext.dot(w, tuple(r[0] for r in sol.particular.to_index_rows()))
+
+
 def deterministic_forge(
     view: CoalitionView, target: int, payload: Sequence[int]
 ) -> TaggedPacket:
-    """A packet the target is guaranteed to accept, from a qualified view.
+    """A packet the target is guaranteed to accept, whenever the view fixes
+    the target's label for the payload.
 
     The payload must lie outside the coalition's observed message space,
     otherwise the "forgery" would just be an honest combination.
@@ -337,8 +315,13 @@ def deterministic_forge(
     pp = view.pp
     payload = _check_payload(pp, payload)
     _payload_outside_view(view, payload)
-    vk = recover_verifier_key(view, target)  # refuses a member target
-    lab = pp.ext.dot(_label_row(pp, 1, payload), _indices_in(pp.ext, vk))
+    if target in view.members:
+        raise TargetInCoalition(f"target {target} is a coalition member")
+    lab = _fixed_label(view, target, _label_row(pp, 1, payload))
+    if lab is None:
+        raise NotQualified(
+            f"coalition {view.members} and its traffic leave verifier {target}'s label open"
+        )
     return _packet(pp, pp.tag_slot(target), payload, lab)
 
 
@@ -369,18 +352,19 @@ def label_distribution(
     """Histogram of the target's label for a tracker-1 packet over all
     view-consistent master keys.
 
-    Exhaustive and exact; refuses, as ``consistent_keys`` does, when the
-    consistent-key set is above ``codes.ENUM_GUARD``.
+    Exact, from the one solve: all order^nullity keys give one label, or
+    each label is given by order^(nullity-1) of them.  Refuses a uniform
+    histogram of more than ``codes.ENUM_GUARD`` labels.
     """
     pp = view.pp
     if target in view.members:
         raise TargetInCoalition(f"target {target} is a coalition member")
     ext = pp.ext
-    d = label_row(pp, 1, payload)
-    g = pp.generator_indices(target)
-    system = assemble_system(view)
-    hist: Counter[int] = Counter()
-    for mk in consistent_keys(system):
-        # the label is d A g: the row d A, weighted by the target's column of G
-        hist[ext.dot(ext.combine(d, mk.matrix.to_index_rows(), pp.kdim), g)] += 1
-    return {FieldElement(ext, idx): cnt for idx, cnt in hist.items()}
+    lab = _fixed_label(view, target, label_row(pp, 1, payload))
+    nullity = view._system._solution.nullity
+    if lab is not None:
+        return {FieldElement(ext, lab): ext.order**nullity}
+    if ext.order > codes.ENUM_GUARD:
+        raise TooLargeToEnumerate(f"{ext.order} labels exceed the guard {codes.ENUM_GUARD}")
+    each = ext.order ** (nullity - 1)
+    return {FieldElement(ext, idx): each for idx in range(ext.order)}

@@ -25,11 +25,12 @@ enumerates words.
 
 ``ENUM_GUARD`` bounds the work up front, so routines refuse instead of
 approximating: ``codewords`` counts words, the searches count the column
-subsets they may test, and ``adversary`` counts consistent keys.  Each
-check reads the name when it runs.  A code memoizes its dual, which links
-back to it, its minimum distance, its circuits per coordinate and its
-``forgeable`` answer per ``CoalitionSpec``; a memoized answer still
-passes the guard and the coordinate checks.
+subsets they may test, and ``adversary`` counts the labels a uniform
+histogram would list.  Each check reads the name when it runs.  A code
+memoizes its dual, which links back to it, its minimum distance, its
+circuits per coordinate and its ``forgeable`` answer per
+``CoalitionSpec``; a memoized answer still passes the guard and the
+coordinate checks.
 """
 
 from __future__ import annotations

@@ -21,7 +21,10 @@ particular solution and the null basis off that one reduced [A | b].
 
 A span asked about many times is reduced once, by ``_echelon``, and
 ``_in_span`` tests vectors against that basis: views and sinks reduce
-against a stored basis only through these two.  Searches over column
+against a stored basis only through these two.  ``_echelon`` keeps its
+bases by value, so the same rows, from any caller, are eliminated once:
+a rank check and the basis it checked, or one source basis compared at
+every sink.  Searches over column
 subsets (distances, circuits, the ``analyze`` table) use ``_walk``: a
 depth-first walk in which each subset's semi-echelon basis extends its
 prefix's by one reduced column, which ``_in_span`` also reads.
@@ -30,6 +33,7 @@ prefix's by one reduced column, which ``_in_span`` also reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 from .errors import DimensionMismatch, FieldMismatch
@@ -254,14 +258,15 @@ def solve_all(a: Matrix, b: Matrix) -> LinearSolution | None:
     )
 
 
-def _echelon(
-    field: AnyField, rows: Sequence[Sequence[int]], width: int
-) -> tuple[IndexRows, tuple[int, ...]]:
-    """The nonzero rref rows of ``rows`` (vectors of ``width`` indices) and
-    their pivot columns, from one elimination; no rows give an empty basis."""
+@lru_cache(maxsize=64)
+def _echelon(field: AnyField, rows: IndexRows, width: int) -> tuple[IndexRows, tuple[int, ...]]:
+    """The nonzero rref rows of ``rows`` (tuples of ``width`` indices) and
+    their pivot columns, from one elimination; no rows give an empty basis.
+    Cached by value: a basis depends on the field and the rows alone, so
+    rows asked about again, by any caller, are not eliminated again."""
     if not rows:
         return (), ()
-    reduced, rank, pivots = Matrix._of(field, tuple(map(tuple, rows)), width).rref()
+    reduced, rank, pivots = Matrix._of(field, rows, width).rref()
     return reduced.to_index_rows()[:rank], pivots
 
 

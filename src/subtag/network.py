@@ -13,7 +13,8 @@ otherwise).  A node mixes all of its out-edges in one ``Field._mix``
 call, and the check mixes every edge's prediction in one more, so each
 in-packet is packed into its byte-lane int once per node.  A sink
 decodes the span of the payloads it received to its canonical basis, the
-``linalg._echelon`` basis.
+``linalg._echelon`` basis, which is kept by value: the source basis that
+``same_span`` compares every sink with is eliminated once.
 
 A Topology is immutable.  Its per-node in- and out-edge indices and its
 topological order are built once, in one pass over the edges, when it is
@@ -306,7 +307,7 @@ class Transmission:
         return tuple(self.edge_packets[i] for i in self.topology.in_edges(name))
 
     def kernel_rank_at(self, name: str) -> int:
-        rows = [self.global_vectors[i] for i in self.topology.in_edges(name)]
+        rows = tuple(self.global_vectors[i] for i in self.topology.in_edges(name))
         return len(_echelon(self.base, rows, self.n)[1])
 
 

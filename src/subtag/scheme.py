@@ -42,7 +42,7 @@ naming the labelled streams of ``subtag.rng``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import repeat
 from collections.abc import Sequence
 from typing import Optional
@@ -56,7 +56,7 @@ from .errors import (
     RankDeficient,
 )
 from .fields import BaseField, ExtField, FieldElement
-from .linalg import Matrix
+from .linalg import Matrix, _echelon
 from . import rng as _rng
 
 __all__ = [
@@ -413,12 +413,11 @@ def combine_packets(
     return TaggedPacket.from_symbols(pp, base.combine(base._symbols(coeffs), wires, width))
 
 
-@lru_cache(maxsize=16)
 def _rank(base: BaseField, rows: tuple[tuple[int, ...], ...], width: int) -> int:
-    """Rank of checked symbol rows over ``base``.  Cached by value, so the
-    basis ``random_payload_basis`` returns is not eliminated again when
-    ``tag_basis`` tags it: a rank depends on the field and the rows alone."""
-    return Matrix._of(base, rows, width).rank()
+    """Rank of checked symbol rows over ``base``, read off their cached
+    ``_echelon`` basis, so the basis ``random_payload_basis`` returns is not
+    eliminated again when ``tag_basis`` tags it."""
+    return len(_echelon(base, rows, width)[1])
 
 
 def random_payload_basis(pp: PublicParams, seed: int) -> tuple[tuple[int, ...], ...]:

@@ -290,6 +290,7 @@ def brute_consistent_keys(
     members: Sequence[int],
     columns: Sequence[Sequence[FieldElement]],
     packets: Sequence[TaggedPacket],
+    candidates: Iterable[Sequence[Sequence[FieldElement]]] | None = None,
 ) -> Iterator[tuple[tuple[FieldElement, ...], ...]]:
     """Every (M+1) x kdim master key matching the view, by trying them all.
 
@@ -298,6 +299,10 @@ def brute_consistent_keys(
     for its position first; every key formed from rows that pass is then
     checked against every packet's tag.  Keys come out in row-major
     product order; all arithmetic is on field indices.
+
+    ``candidates``, when given, are the keys tried instead of every
+    matrix: the keys of a view with fewer packets, say, which hold every
+    key of a view that sees more.  Each is checked in full all the same.
     """
     ext = pp.ext
     gens = [list(pp.generator_indices(i)) for i in members]
@@ -317,7 +322,16 @@ def brute_consistent_keys(
         )
         for pkt in packets
     ]
-    for rows in itertools.product(*row_options):
+    if candidates is None:
+        keys = itertools.product(*row_options)
+    else:
+        allowed = [set(options) for options in row_options]
+        keys = (
+            rows
+            for rows in (tuple(tuple(e.index for e in row) for row in key) for key in candidates)
+            if all(row in ok for row, ok in zip(rows, allowed))
+        )
+    for rows in keys:
         if all(
             dot_idx(ext, [row[t] for row in rows], d) == tag[t]
             for d, tag in checks
@@ -355,8 +369,21 @@ def brute_label_histogram(
     tracker: int,
     payload: Sequence[int],
 ) -> dict[int, int]:
+    keys = brute_consistent_keys(pp, members, columns, packets)
+    return brute_label_histogram_over(pp, keys, target, tracker, payload)
+
+
+def brute_label_histogram_over(
+    pp: PublicParams,
+    keys: Iterable[Sequence[Sequence[FieldElement]]],
+    target: int,
+    tracker: int,
+    payload: Sequence[int],
+) -> dict[int, int]:
+    """``brute_label_histogram`` over keys already enumerated, so one
+    enumeration serves many targets and payloads."""
     hist: dict[int, int] = {}
-    for rows in brute_consistent_keys(pp, members, columns, packets):
+    for rows in keys:
         lab = brute_label(pp, rows, target, tracker, payload)
         hist[lab.index] = hist.get(lab.index, 0) + 1
     return hist

@@ -49,6 +49,7 @@ from conftest import acceptance_lines, random_full_rank
 from oracles import (
     brute_consistent_keys,
     brute_dual_words,
+    brute_label_histogram,
     packet_powers,
     spanned_vectors,
 )
@@ -189,6 +190,11 @@ def test_criterion_3_uniform_labels_and_guess_rate(rs_pp, tiny_pp):
             hist = label_distribution(view, tgt, (0, 1))
             if len(hist) != tiny_pp.ext.order or len(set(hist.values())) != 1:
                 problems.append(("hist", i, tgt, sorted(hist.values())))
+            brute = brute_label_histogram(
+                tiny_pp, (i,), [vks[i - 1].column], list(packets), tgt, 1, (0, 1)
+            )
+            if {e.index: c for e, c in hist.items()} != brute:
+                problems.append(("brute", i, tgt, brute))
 
     mk = keygen(rs_pp, 6)
     vks = distribute(rs_pp, mk)

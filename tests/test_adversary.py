@@ -6,12 +6,10 @@ from subtag.adversary import (
     AttackSystem,
     CoalitionView,
     assemble_system,
-    consistent_keys,
     count_consistent_keys,
     deterministic_forge,
     guess_forge,
     label_distribution,
-    recover_verifier_key,
 )
 from subtag.errors import (
     FieldMismatch,
@@ -23,7 +21,7 @@ from subtag.errors import (
     TargetInCoalition,
     TooLargeToEnumerate,
 )
-from subtag import adversary, codes, fields
+from subtag import adversary, codes, fields, linalg
 from subtag.codes import CoalitionSpec, LinearCode, rs_code
 from subtag.fields import BaseField, ExtField, Field, FieldElement
 from subtag.linalg import Matrix
@@ -38,7 +36,12 @@ from subtag.scheme import (
     verify,
 )
 
-from oracles import brute_consistent_keys, brute_label_histogram
+from oracles import (
+    all_vectors,
+    brute_consistent_keys,
+    brute_label_histogram,
+    brute_label_histogram_over,
+)
 
 
 @pytest.fixture(scope="module")
@@ -109,9 +112,32 @@ def test_key_count_matches_brute_force(tiny):
         assert counts.measured == brute, (members, len(pkts))
 
 
-def test_second_session_pins_the_key(tiny_pp):
+def _flat(pp, mk):
+    """The master key in the attack system's unknowns: a_{r,t} at t*(M+1) + r."""
+    rows = mk.matrix.to_index_rows()
+    return tuple(rows[r][t] for t in range(pp.kdim) for r in range(pp.M + 1))
+
+
+def _particular(system):
+    return tuple(r[0] for r in system._solution.particular.to_index_rows())
+
+
+def _affine_keys(pp, system):
+    """Every master key in the solve's affine set, particular solution plus
+    each combination of the null basis, as index rows."""
+    sol = system._solution
+    part = _particular(system)
+    height = pp.M + 1
+    keys = set()
+    for combo in itertools.product(range(pp.ext.order), repeat=sol.nullity):
+        flat = pp.ext.combine((1, *combo), (part, *sol.null_basis), len(part))
+        keys.add(tuple(tuple(flat[r::height]) for r in range(height)))
+    return keys
+
+
+def test_second_session_pins_the_key(tiny_pp, rs_pp):
     """Tagging two independent payloads under one key raises r0 to M+1,
-    and an outsider can then solve for the whole master key."""
+    and the view's one solution is then the master key itself."""
     pp = tiny_pp
     mk = keygen(pp, 21)
     p1 = tag_payload(pp, mk, (1, 0))
@@ -121,8 +147,22 @@ def test_second_session_pins_the_key(tiny_pp):
     assert system.r0 == pp.M + 1
     counts = count_consistent_keys(system)
     assert counts.predicted == counts.measured == 1
-    only = next(iter(consistent_keys(system)))
-    assert only.matrix == mk.matrix
+    assert _particular(system) == _flat(pp, mk)
+    # over F_5 a second session on the first basis doubled raises r0 to M+1
+    # without widening the observed span: an outsider then holds the whole
+    # key and forges, against every verifier, on a payload outside that span
+    mk = keygen(rs_pp, 21)
+    vks = distribute(rs_pp, mk)
+    packets = tag_basis(rs_pp, mk, ((1, 0, 0), (0, 1, 0))) + tag_basis(
+        rs_pp, mk, ((2, 0, 0), (0, 2, 0))
+    )
+    outsider = CoalitionView.build(rs_pp, {}, packets)
+    system = assemble_system(outsider)
+    assert system.r0 == rs_pp.M + 1 and system.k0 == 0
+    assert _particular(system) == _flat(rs_pp, mk)
+    assert not outsider.spans((0, 0, 1))
+    for target in range(1, rs_pp.V + 1):
+        assert verify(rs_pp, vks[target - 1], deterministic_forge(outsider, target, (0, 0, 1)))
 
 
 def test_inconsistent_view_rejected(tiny):
@@ -132,38 +172,49 @@ def test_inconsistent_view_rejected(tiny):
     view = CoalitionView.build(pp, {1: wrong}, packets)
     with pytest.raises(InconsistentSystem):
         count_consistent_keys(assemble_system(view))
+    # the forgery and the histogram read the same solve
+    with pytest.raises(InconsistentSystem):
+        deterministic_forge(view, 3, (0, 1))
+    with pytest.raises(InconsistentSystem):
+        label_distribution(view, 3, (0, 1))
 
 
-def test_consistent_keys_enumeration_matches_brute(tiny, monkeypatch):
+def test_consistent_keys_enumeration_matches_brute(tiny):
+    # the solve's affine set is exactly the set of keys the view allows
     pp, mk, vks, packets = tiny
-    view = CoalitionView.build(pp, {1: vks[0]}, packets)
-    system = assemble_system(view)
-    got = {mk2.matrix.to_index_rows() for mk2 in consistent_keys(system)}
-    want = {
-        tuple(tuple(e.index for e in row) for row in rows)
-        for rows in brute_consistent_keys(pp, (1,), [vks[0].column], list(packets))
-    }
-    assert got == want
-    assert mk.matrix.to_index_rows() in got
-    monkeypatch.setattr("subtag.codes.ENUM_GUARD", 2)
-    with pytest.raises(TooLargeToEnumerate):
-        list(consistent_keys(system))
+    for members in ((), (1,), (1, 2)):
+        view = CoalitionView.build(pp, {i: vks[i - 1] for i in members}, packets)
+        got = _affine_keys(pp, assemble_system(view))
+        want = {
+            tuple(tuple(e.index for e in row) for row in rows)
+            for rows in brute_consistent_keys(
+                pp, members, [vks[i - 1].column for i in members], list(packets)
+            )
+        }
+        assert got == want, members
+        assert mk.matrix.to_index_rows() in got
 
 
-def test_recover_verifier_key(rs_pp):
+def test_qualified_forgery_carries_the_target_label(rs_pp):
+    from subtag.scheme import label as scheme_label
+
     mk = keygen(rs_pp, 3)
     vks = distribute(rs_pp, mk)
     packets = tag_basis(rs_pp, mk, ((1, 0, 0), (0, 1, 0)))
     view = CoalitionView.build(rs_pp, {1: vks[0], 2: vks[1], 3: vks[2]}, packets)
-    rec = recover_verifier_key(view, 5)
-    assert rec.index == 5
-    assert rec.column == vks[4].column
+    pkt = deterministic_forge(view, 5, (0, 0, 1))
+    g = rs_pp.generator_indices(5)
+    assert rs_pp.ext.dot(tuple(e.index for e in pkt.tag), g) == scheme_label(
+        rs_pp, vks[4], 1, (0, 0, 1)
+    ).index
     small = CoalitionView.build(rs_pp, {1: vks[0], 2: vks[1]}, packets)
     with pytest.raises(NotQualified):
-        recover_verifier_key(small, 5)
+        deterministic_forge(small, 5, (0, 0, 1))
 
 
-def test_recover_verifier_key_asks_forgeable_once(rs_pp, monkeypatch):
+def test_forgery_refuses_member_and_out_of_range_targets(rs_pp, monkeypatch):
+    # the payload is checked first, then the target; the one solve, not the
+    # code-span test, decides the forgery
     mk = keygen(rs_pp, 3)
     vks = distribute(rs_pp, mk)
     view = CoalitionView.build(rs_pp, {i: vks[i - 1] for i in (1, 3, 6)})
@@ -175,20 +226,24 @@ def test_recover_verifier_key_asks_forgeable_once(rs_pp, monkeypatch):
         return forgeable(self, spec)
 
     monkeypatch.setattr(LinearCode, "forgeable", counting)
-    assert recover_verifier_key(view, 2).column == vks[1].column
-    assert calls == [CoalitionSpec(frozenset((1, 3, 6)), 2)]
-    calls.clear()
+    payload = (0, 0, 1)
+    assert verify(rs_pp, vks[1], deterministic_forge(view, 2, payload))
     with pytest.raises(TargetInCoalition):
-        recover_verifier_key(view, 3)
-    with pytest.raises(InvalidParams):
-        recover_verifier_key(view, 0)
-    assert calls == []
-    with pytest.raises(InvalidParams):
-        recover_verifier_key(view, 7)
+        deterministic_forge(view, 3, payload)
+    with pytest.raises(LengthMismatch):
+        deterministic_forge(view, 3, (0, 1))
+    for target in (0, 7):
+        with pytest.raises(InvalidParams):
+            deterministic_forge(view, target, payload)
+    seen = CoalitionView.build(
+        rs_pp, {i: vks[i - 1] for i in (1, 3, 6)}, tag_basis(rs_pp, mk, (payload, (1, 0, 0)))
+    )
+    with pytest.raises(PayloadInSubspace):
+        deterministic_forge(seen, 3, payload)
     pair = CoalitionView.build(rs_pp, {2: vks[1], 5: vks[4]})
     with pytest.raises(NotQualified):
-        recover_verifier_key(pair, 1)
-    assert [c.target for c in calls] == [7, 1]
+        deterministic_forge(pair, 1, payload)
+    assert calls == []
 
 
 def test_view_checks_its_observed_packets(rs_pp, e25):
@@ -368,12 +423,17 @@ def test_guesses_on_one_view_reduce_its_payloads_once(rs_pp, monkeypatch):
         return original(self)
 
     monkeypatch.setattr(Matrix, "rref", counting)
+    # tag_basis's rank check left this basis in the echelon cache
+    guess_forge(view, 4, (0, 0, 1), seed=0)
+    assert calls == []
+    linalg._echelon.cache_clear()
+    view = CoalitionView.build(rs_pp, {1: vks[0]}, packets)
     for k in range(32):
         guess_forge(view, 4, (0, 0, 1), seed=k)
-    assert len(calls) <= 1
+    assert len(calls) == 1
     with pytest.raises(PayloadInSubspace):
         guess_forge(view, 4, (2, 3, 0), seed=0)
-    assert len(calls) <= 1
+    assert len(calls) == 1
 
 
 def test_guesses_on_one_payload_test_its_span_once(rs_pp, monkeypatch):
@@ -434,8 +494,9 @@ def test_forgeable_answers_each_coalition_once(f5, e125, monkeypatch):
     # an unqualified pair is answered once too
     pair = CoalitionSpec(frozenset((2, 5)), 1)
     assert pp.code.forgeable(pair) == (False, None)
+    assert pp.code.forgeable(CoalitionSpec(frozenset((5, 2)), 1)) == (False, None)
     with pytest.raises(NotQualified):
-        recover_verifier_key(CoalitionView.build(pp, {2: vks[1], 5: vks[4]}), 1)
+        deterministic_forge(CoalitionView.build(pp, {2: vks[1], 5: vks[4]}), 1, (0, 0, 1))
     assert len(witnesses) == 2
 
 
@@ -485,11 +546,16 @@ def test_label_distribution_refuses_above_the_guard(tiny, monkeypatch):
     pp, mk, vks, packets = tiny
     view = CoalitionView.build(pp, {1: vks[0]}, packets)
     assert count_consistent_keys(assemble_system(view)).measured == 4
+    # a uniform histogram lists every one of the 4 labels
     monkeypatch.setattr("subtag.codes.ENUM_GUARD", 3)
-    with pytest.raises(TooLargeToEnumerate, match=r"^4\^1 solutions exceed the guard 3$"):
+    with pytest.raises(TooLargeToEnumerate, match=r"^4 labels exceed the guard 3$"):
         label_distribution(view, 3, (0, 1))
     monkeypatch.setattr("subtag.codes.ENUM_GUARD", 4)
     assert sum(label_distribution(view, 3, (0, 1)).values()) == 4
+    # a fixed label is one entry, however many keys give it: the observed
+    # payload's label is fixed by the traffic
+    monkeypatch.setattr("subtag.codes.ENUM_GUARD", 1)
+    assert list(label_distribution(view, 3, (1, 0)).values()) == [4]
 
 
 def test_label_distribution_uniform_for_unqualified(tiny):
@@ -521,3 +587,88 @@ def test_label_point_mass_when_coalition_qualified(tiny):
     hist = label_distribution(view, 3, (0, 1))
     true_label = scheme_label(pp, vks[2], 1, (0, 1))
     assert hist == {true_label: sum(hist.values())}
+
+
+def _criterion_grid():
+    """Acceptance 2's parameter grid: q, l, kdim, M in {2,3} x {1,2}^3."""
+    for q, l, kdim, M in itertools.product((2, 3), (1, 2), (1, 2), (1, 2)):
+        base = BaseField(q)
+        ext = ExtField(base, l)
+        if ext.order >= 3:
+            code = rs_code(ext, [0, 1, 2], kdim)
+        else:
+            rows = [[1, 1, 1]] if kdim == 1 else [[1, 1, 0], [1, 0, 1]]
+            code = LinearCode(Matrix.from_indices(ext, rows, ncols=3))
+        yield PublicParams(base=base, ext=ext, n=min(l, M), M=M, code=code)
+
+
+def _generation(pp, j):
+    """Generation j's payload basis: the first n unit vectors scaled by
+    1 + j mod (q-1), and shifted one place after every q-1 generations.
+    Over F_3 the second generation repeats the first span doubled, so r0
+    reaches M+1 with payloads still outside the observed span; over F_2
+    each generation moves on, as in a second session."""
+    c, shift = 1 + j % (pp.base.order - 1), j // (pp.base.order - 1)
+    return tuple(
+        tuple(c if k == (i + shift) % pp.l else 0 for k in range(pp.l)) for i in range(pp.n)
+    )
+
+
+def test_label_criterion_matches_brute_force():
+    """One solve answers every label question exactly: on acceptance 2's
+    grid, after 1..M+1 generations under one key, every coalition's label
+    histogram for every target and payload equals the brute enumeration,
+    and a deterministic forgery succeeds, and is accepted, exactly when
+    that histogram has one label."""
+    forged_at_full_rank = tiny_outsider_at_full_rank = 0
+    for pp in _criterion_grid():
+        mk = keygen(pp, 7)
+        vks = distribute(pp, mk)
+        packets = ()
+        payloads = list(all_vectors(pp.base, pp.l))
+        # each coalition's keys after one more generation are among its
+        # keys before it, so the brute search is run once per coalition
+        # and then re-checks those keys against all the traffic
+        earlier = {}
+        for j in range(pp.M + 1):
+            packets += tag_basis(pp, mk, _generation(pp, j))
+            for size in range(pp.V):
+                for members in itertools.combinations(range(1, pp.V + 1), size):
+                    view = CoalitionView.build(pp, {i: vks[i - 1] for i in members}, packets)
+                    r0 = assemble_system(view).r0
+                    keys = earlier[members] = list(
+                        brute_consistent_keys(
+                            pp,
+                            members,
+                            [vks[i - 1].column for i in members],
+                            list(packets),
+                            earlier.get(members),
+                        )
+                    )
+                    for target in range(1, pp.V + 1):
+                        if target in members:
+                            continue
+                        qualified = pp.code.forgeable(CoalitionSpec(frozenset(members), target))[0]
+                        for payload in payloads:
+                            case = (pp.base.order, pp.l, pp.kdim, pp.M, j, members, target, payload)
+                            want = brute_label_histogram_over(pp, keys, target, 1, payload)
+                            hist = label_distribution(view, target, payload)
+                            assert {e.index: c for e, c in hist.items()} == want, case
+                            if view.spans(payload):
+                                with pytest.raises(PayloadInSubspace):
+                                    deterministic_forge(view, target, payload)
+                                continue
+                            # outside the observed span the traffic fixes the
+                            # label only once r0 = M + 1, by the Moore determinant
+                            assert (len(want) == 1) == (qualified or r0 == pp.M + 1), case
+                            if len(want) > 1:
+                                with pytest.raises(NotQualified):
+                                    deterministic_forge(view, target, payload)
+                                continue
+                            pkt = deterministic_forge(view, target, payload)
+                            assert verify(pp, vks[target - 1], pkt), case
+                            forged_at_full_rank += r0 == pp.M + 1 and not qualified
+                    tiny = (pp.base.order, pp.l, pp.kdim, pp.M) == (2, 2, 2, 1)
+                    tiny_outsider_at_full_rank += tiny and not members and r0 == pp.M + 1
+    assert forged_at_full_rank > 0
+    assert tiny_outsider_at_full_rank == 1

@@ -285,7 +285,7 @@ def rows_and_vectors(draw):
 def test_echelon_is_rref_and_in_span_is_span_witness(case):
     f, width, rows, vectors = case
     reduced, _, pivots = Matrix.from_indices(f, rows, ncols=width).rref()
-    basis = _echelon(f, rows, width)
+    basis = _echelon(f, tuple(rows), width)
     assert basis == (tuple(r for r in reduced.to_index_rows() if any(r)), pivots)
     rows_b = basis[0]
     for row, p in zip(rows_b, pivots):

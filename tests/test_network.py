@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from subtag import rng
+from subtag import linalg, rng
 from subtag.errors import (
     CyclicGraph,
     DimensionMismatch,
@@ -294,6 +294,28 @@ def test_same_span_compares_echelon_bases():
     for other in ([(2, 2, 0), (1, 0, 2)], [(1, 1, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)], []):
         assert same_span(base, rows, other, 3) == (span == spanned_vectors(base, other, 3))
     assert same_span(base, [], [(0, 0, 0)], 3)
+
+
+def test_sinks_eliminate_the_source_basis_once(monkeypatch):
+    # every sink compares what it received with the one source basis: the
+    # basis is eliminated for the first sink and read back for the others,
+    # and no rows are eliminated twice
+    base = BaseField(5)
+    t = random_topology(14, 5)
+    basis = ((1, 0, 2), (0, 1, 4))
+    tx = transmit(t, base, basis, 11)
+    sinks = [n.name for n in t.nodes if n.role == "sink"]
+    assert len(sinks) == 4
+    linalg._echelon.cache_clear()
+    eliminated = []
+    rref = linalg.Matrix.rref
+    monkeypatch.setattr(
+        linalg.Matrix, "rref", lambda self: eliminated.append(self.to_index_rows()) or rref(self)
+    )
+    for name in sinks:
+        same_span(base, tx.packets_at(name), [list(b) for b in basis], 3)
+    assert eliminated.count(basis) == 1
+    assert len(eliminated) == len(set(eliminated)) > 1
 
 
 def test_same_span_checks_its_rows():

@@ -372,9 +372,10 @@ def test_cli_attack_histogram(capsys, tmp_path, monkeypatch):
     assert sorted(calls) == ["AttackSystem", "solve_all"]
 
 
-def test_cli_attack_histogram_refuses_above_the_guard(capsys, tmp_path):
+def test_cli_attack_histogram_refuses_above_the_guard(capsys, tmp_path, monkeypatch):
     # an outsider's view of a q=2, l=9 instance leaves 512^3 master keys,
-    # above the one enumeration bound of 2^24
+    # above the one enumeration bound of 2^24; the histogram enumerates no
+    # key, so only its 512 labels meet the guard
     path = tmp_path / "wide.json"
     rc, _, err = _run(
         capsys,
@@ -384,13 +385,19 @@ def test_cli_attack_histogram_refuses_above_the_guard(capsys, tmp_path):
         ],
     )
     assert rc == 0, err
-    rc, out, err = _run(
-        capsys,
-        ["attack", "--params", str(path), "--target", "1", "--mode", "histogram"],
-    )
+    argv = ["attack", "--params", str(path), "--target", "1", "--mode", "histogram"]
+    rc, out, err = _run(capsys, argv)
+    assert rc == 0, err
+    report = json.loads(out)
+    assert report["measured_keys"] == 512**3
+    assert report["histogram"] == {
+        "labels": 512, "min_count": 262144, "max_count": 262144, "uniform": True,
+    }
+    monkeypatch.setattr("subtag.codes.ENUM_GUARD", 511)
+    rc, out, err = _run(capsys, argv)
     assert rc == 1
     assert out == ""
-    assert err == "subtag: 512^3 solutions exceed the guard 16777216\n"
+    assert err == "subtag: 512 labels exceed the guard 511\n"
 
 
 def test_cli_analyze(capsys, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import linearized_eval, reference_field
 
-from subtag import scheme
+from subtag import linalg, scheme
 from subtag.adversary import CoalitionView, deterministic_forge, guess_forge
 from subtag.codes import LinearCode, rs_code
 from subtag.errors import (
@@ -291,7 +291,7 @@ def test_tagging_a_random_basis_eliminates_it_once(rs_pp, monkeypatch):
     # random_payload_basis proves its basis has rank n; tag_basis reads that
     # rank instead of eliminating the same rows again
     mk = keygen(rs_pp, 5)
-    scheme._rank.cache_clear()
+    linalg._echelon.cache_clear()
     calls = []
     original = Matrix.rref
 
