@@ -59,10 +59,12 @@ same modulus binds the functions of its first build, cached per process.
 
 Every F-linear combination in the package, the compiled Frobenius step
 aside, goes through ``combine`` (sum_k c_k v_k over index vectors), its
-batch ``_mix`` (one combine per coefficient row over one set of vectors)
-or ``dot`` (sum_k x_k y_k).  They are the one multiply-accumulate.
-Packet mixing, tags, labels, verification, matrix products, elimination,
-span tests, subset walks and the attacks' key reconstructions call them.
+batch ``_mix`` (one combine per coefficient row over one set of vectors),
+``dot`` (sum_k x_k y_k) or ``_parity_check`` (is every row's dot with x
+zero?).  They are the one multiply-accumulate.  Packet mixing, tags,
+labels, matrix products, elimination, span tests, subset walks and the
+attacks' key reconstructions call the first three; verification builds a
+key's matrix with ``dot`` and checks each wire with ``_parity_check``.
 ``dot`` sums its products unreduced and reduces once, by the rule that
 picks the field's addition: it XORs the products in characteristic 2,
 sums the plain int products and reduces mod p once at prime order, and
@@ -80,12 +82,16 @@ holds at most p - 1 and a term adds at most (p - 1)^2, so lanes are
 reduced after every (256 - p) // (p - 1)^2 nonzero terms (254 for p = 2,
 15 for p = 5, 1 for p = 13) and never pass 255.  ``_mix`` packs each
 vector into its lane int once, however many rows weight it, and a
-one-row ``combine`` runs the same lane code.
+one-row ``combine`` runs the same lane code.  ``_parity_check`` turns
+the lanes the other way: it packs each column of its matrix once, a lane
+per row, so checking x is one int sum of x's entries times the columns,
+reduced as above, and a compare with zero bytes.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from typing import Iterable, Sequence
 
@@ -727,6 +733,40 @@ class Field:
         except (TypeError, AttributeError):
             raise FieldMismatch(f"a combination over {self.name} takes int indices") from None
         return out
+
+    def _parity_check(self, rows: Sequence[Sequence[int]], width: int):
+        """The predicate x -> (every row's ``dot`` with x is 0) for vectors x
+        of ``width`` reduced indices, which it does not check.
+
+        The field's structure picks the evaluation, as for ``combine``: on
+        the byte lanes each column of ``rows`` is packed once into an int
+        with a byte lane per row, and x is one int sum of its entries times
+        those columns, one ``translate`` per (256 - p) // (p - 1)^2
+        columns and a compare with zero bytes; every other field runs one
+        ``dot`` per row and stops at the first nonzero one."""
+        rows = tuple(map(tuple, rows))
+        if self._lanes is None:
+            dot = self._dot
+            return lambda x: not any(map(dot, rows, itertools.repeat(x)))
+        residues, room = self._lanes
+        height, mul = len(rows), operator.mul
+        zero = bytes(height)
+        cols = tuple(int.from_bytes(bytes(col), "little") for col in zip(*rows))
+        if width <= room:
+            return lambda x: sum(map(mul, x, cols)).to_bytes(height, "little").translate(
+                residues
+            ) == zero
+        # a reduced lane holds at most p - 1, and room terms add at most 256 - p
+        spans = tuple((lo, lo + room, cols[lo : lo + room]) for lo in range(0, width, room))
+
+        def check(x) -> bool:
+            acc = 0
+            for lo, hi, part in spans:
+                acc += sum(map(mul, x[lo:hi], part))
+                acc = int.from_bytes(acc.to_bytes(height, "little").translate(residues), "little")
+            return acc == 0
+
+        return check
 
     def dot(self, xs: Iterable[int], ys: Iterable[int]) -> int:
         """Index of sum_k xs[k] * ys[k], 0 for no terms.  The products are

@@ -15,15 +15,28 @@ accepts a received packet exactly when
     tracker * b_{0,i} + sum_t payload^(q^(t-1)) * b_{t,i}
         == sum_t tag_t * g_{t,i}.
 
-Acceptance is F_q-linear in the packet, so any honest mixture of tagged
-packets passes every verifier.
+Acceptance is F_q-linear in the packet's wire symbols, because the
+q-power map is, so any honest mixture of tagged packets passes every
+verifier.  Verifier i therefore accepts exactly the wires x with
+W_i x = 0, for one l x packet_symbols matrix W_i over F_q that the key
+and code columns fix: the null-key view of Kehdi and Li (INFOCOM 2009),
+and the inner-product check of Agrawal and Boneh's homomorphic MACs.
+verify() builds W_i on a key's first check under a PublicParams and keeps
+it on the key with those params, in O(width) dots: column b_0 for the
+tracker, sum_t u_j^(q^(t-1)) b_t for payload coordinate j (the basis
+elements' Frobenius chains are cached per params) and -u_m g_k for
+coordinate m of tag k.  ``Field._parity_check`` then checks a wire by
+the base field's structure: one lane sum and one ``translate`` on the
+byte lanes, one dot per row of W_i elsewhere.
 
-Verification costs are data-independent: per packet, M-1 Frobenius steps
-and M + kdim + 1 extension multiplications.  The optional OpCounter
-records these schedule counts so tests can pin them down.  verify(),
-tag_payload() and TaggedPacket.from_symbols() run on raw field indices:
-the label row, the label, the weighted tag sum and the unpacked tag
-chunks never build intermediate FieldElements.  Generator columns are
+The optional OpCounter records the paper's nominal schedule, not the work
+done, so tests can pin it down: a verification counts M + kdim + 1
+extension multiplications and M - 1 Frobenius steps, the cost of its
+label and tag sum, however the check runs.  Everything runs on raw field
+indices.  tag_payload() builds no intermediate FieldElements, and
+TaggedPacket.from_symbols() keeps its checked wire tuple, so symbols()
+costs nothing and verify() reads the wire; it makes the tag's indices
+and elements only when they are first read.  Generator columns are
 the code's own index tuples (``LinearCode.columns``, read through
 ``PublicParams.generator_indices``).  Each key and packet is checked
 once, where it is made, and keeps its field and its elements' indices.
@@ -31,9 +44,9 @@ From outside input, a VerifierKey checks that its column holds elements
 of one field; a TaggedPacket, that its tag holds indices of one
 extension field and its tracker and l payload coordinates are symbols
 of that field's base.  Keys and packets the library computes itself go
-through ``_made``, which skips these checks, so verify(),
+through ``_made`` or ``_wired``, which skip these checks, so verify(),
 combine_packets() and the attacks test only what needs the params: the
-kept field, the tag count, the key height and the verifier index.
+kept field, the packet width, the key height and the verifier index.
 Payloads and coefficients passed in alone are base-field symbol indices
 (``Field._symbols``), checked by each public entry.  Seeds are integers
 naming the labelled streams of ``subtag.rng``.
@@ -43,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from collections.abc import Sequence
 from typing import Optional
 
@@ -172,6 +185,17 @@ class PublicParams:
             slots.append((t, inv(col[t])))
         return tuple(slots)
 
+    @cached_property
+    def _units(self) -> tuple[int, ...]:
+        """Indices of the basis elements u_j = x^j of F_{q^l} over F_q."""
+        q = self.base.order
+        return tuple(q**j for j in range(self.l))
+
+    @cached_property
+    def _unit_chains(self) -> tuple[tuple[int, ...], ...]:
+        """(u_j, u_j^q, ..., u_j^(q^(M-1))) for each basis element u_j."""
+        return tuple(self.ext.frobenius_chain(u, self.M) for u in self._units)
+
     def generator_indices(self, i: int) -> tuple[int, ...]:
         """Column of G for verifier i (1-based), as field indices."""
         if not 1 <= i <= self.V:
@@ -222,6 +246,8 @@ class VerifierKey:
     index: int
     column: tuple[FieldElement, ...]  # M+1 extension elements
     _indexed: tuple = dc_field(init=False, compare=False, repr=False)
+    # (params, predicate): verify's parity check, built on first use
+    _check: Optional[tuple] = dc_field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         field, idx = _one_field(self.column)
@@ -238,6 +264,8 @@ class TaggedPacket:
     payload: tuple[int, ...]
     tag: tuple[FieldElement, ...]
     _indexed: tuple = dc_field(init=False, compare=False, repr=False)
+    # (field, wire): the wire image, kept by from_symbols, else made once
+    _wire: Optional[tuple] = dc_field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         field, idx = _one_field(self.tag)
@@ -252,12 +280,31 @@ class TaggedPacket:
         object.__setattr__(self, "payload", syms[1:])
         object.__setattr__(self, "_indexed", (field, idx))
 
+    def __getattr__(self, name: str):
+        # a packet built from its wire makes its tag indices and elements
+        # when they are first read
+        held = self.__dict__.get("_wire")
+        if held is None or name not in ("tag", "_indexed"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        field, wire = held
+        l = field.l
+        # l references to one iterator: zip groups the tag digits l at a time
+        idx = tuple(map(field.from_digits, zip(*[iter(wire[1 + l :])] * l)))
+        self.__dict__["_indexed"] = (field, idx)
+        self.__dict__["tag"] = tuple(map(FieldElement, repeat(field), idx))
+        return self.__dict__[name]
+
+    def _pack(self) -> tuple:
+        """(field, wire image) of a packet built from its tag, kept once made."""
+        field, idx = self._indexed
+        tag = chain.from_iterable(map(field.coords_of, idx))
+        held = (field, (self.tracker, *self.payload, *tag))
+        object.__setattr__(self, "_wire", held)
+        return held
+
     def symbols(self) -> tuple[int, ...]:
         """Flat wire image over F_q: tracker, payload, tag coordinates."""
-        out = [self.tracker, *self.payload]
-        for t in self.tag:
-            out.extend(t.coords)
-        return tuple(out)
+        return (self._wire or self._pack())[1]
 
     @classmethod
     def from_symbols(cls, pp: PublicParams, syms: Sequence[int]) -> "TaggedPacket":
@@ -270,11 +317,27 @@ class TaggedPacket:
             )
         if len(syms) != pp.packet_symbols:
             raise LengthMismatch(f"expected {pp.packet_symbols} symbols, got {len(syms)}")
-        syms = pp.base._symbols(syms)
-        l = pp.l
-        # l references to one iterator: zip groups the tag digits l at a time
-        tag = tuple(map(pp.ext.from_digits, zip(*[iter(syms[1 + l:])] * l)))
-        return _made(cls, pp.ext, tag, syms[0], syms[1 : 1 + l])
+        return _wired(cls, pp.ext, pp.base._symbols(syms))
+
+
+def _wired(cls, ext: ExtField, wire: tuple[int, ...]) -> TaggedPacket:
+    """The packet over ``ext`` whose wire image is ``wire``, a tuple of
+    checked symbols of the right width; it keeps the wire, and makes its
+    tag when the tag is first read."""
+    held = object.__new__(cls)
+    held.__dict__.update(tracker=wire[0], payload=wire[1 : 1 + ext.l], _wire=(ext, wire))
+    return held
+
+
+def _wire_in(pp: PublicParams, pkt: TaggedPacket) -> tuple[int, ...]:
+    """The wire image of a packet, once its field is pp.ext and its width
+    pp.packet_symbols: a wire of another kdim is refused, not truncated."""
+    field, wire = pkt._wire or pkt._pack()
+    if field is not pp.ext and field != pp.ext:
+        raise FieldMismatch(f"packet elements do not belong to {pp.ext.name}")
+    if len(wire) != pp.packet_symbols:
+        raise LengthMismatch("packet width does not match the parameters")
+    return wire
 
 
 def _check_payload(pp: PublicParams, payload: Sequence[int]) -> tuple[int, ...]:
@@ -361,18 +424,12 @@ def label(
     counter: Optional[OpCounter] = None,
 ) -> FieldElement:
     """Verifier-side combination of tracker and payload with the key column."""
-    return FieldElement(pp.ext, _label_idx(pp, vk, label_row(pp, tracker, payload), counter))
-
-
-def _label_idx(
-    pp: PublicParams, vk: VerifierKey, row: tuple[int, ...], counter: Optional[OpCounter]
-) -> int:
-    """Index of the label row ``row`` weighting key column b."""
+    row = label_row(pp, tracker, payload)
     if len(vk.column) != pp.M + 1:
         raise LengthMismatch("verifier key column has the wrong height")
     if counter is not None:
         counter.add(mults=pp.M + 1, frobs=pp.M - 1)
-    return pp.ext.dot(row, _indices_in(pp.ext, vk))
+    return FieldElement(pp.ext, pp.ext.dot(row, _indices_in(pp.ext, vk)))
 
 
 def verify(
@@ -381,17 +438,40 @@ def verify(
     pkt: TaggedPacket,
     counter: Optional[OpCounter] = None,
 ) -> bool:
-    """Accept iff the label equals the G-weighted tag combination."""
-    ext = pp.ext
-    tag = _indices_in(ext, pkt)  # so the tracker and payload are ext's symbols
-    if len(tag) != pp.kdim:
-        raise LengthMismatch("tag has the wrong number of components")
-    lhs = _label_idx(pp, vk, _label_row(pp, pkt.tracker, pkt.payload), None)
-    rhs = ext.dot(tag, pp.generator_indices(vk.index))
+    """Accept iff the label equals the G-weighted tag combination, that is
+    iff the key's parity check W_i is zero on the packet's wire."""
+    wire = _wire_in(pp, pkt)
+    check = vk._check
+    if check is None or check[0] is not pp:
+        check = _key_check(pp, vk)
     if counter is not None:
-        # the label's schedule and the kdim products of the tag sum at once
+        # the paper's schedule: the label's and the kdim products of the tag sum
         counter.add(mults=pp.M + 1 + pp.kdim, frobs=pp.M - 1)
-    return lhs == rhs
+    return check[1](wire)
+
+
+def _key_check(pp: PublicParams, vk: VerifierKey) -> tuple:
+    """(pp, the predicate wire -> W_i wire == 0) for key ``vk``, kept on the key.
+
+    Verifier i's difference label - sum_k tag_k g_k is F_q-linear in the
+    wire x, since the q-power map is: it is sum_c x_c w_c with w_c = b_0 for
+    the tracker, sum_t u_j^(q^(t-1)) b_t for payload coordinate j (u_j the
+    j-th basis element) and -u_m g_k for coordinate m of tag k.  Row r of
+    W_i holds the r-th coordinates of the w_c, so the check is l dot
+    products over F_q, which ``Field._parity_check`` evaluates.
+    """
+    ext = pp.ext
+    if len(vk.column) != pp.M + 1:
+        raise LengthMismatch("verifier key column has the wrong height")
+    b = _indices_in(ext, vk)
+    g = pp.generator_indices(vk.index)
+    mul, neg, units = ext.mul_idx, ext.neg_idx, pp._units
+    w = [b[0], *(ext.dot(powers, b[1:]) for powers in pp._unit_chains)]
+    w += [neg(mul(u, g_k)) for g_k in g for u in units]
+    rows = zip(*map(ext.coords_of, w))
+    check = (pp, pp.base._parity_check(rows, pp.packet_symbols))
+    object.__setattr__(vk, "_check", check)
+    return check
 
 
 def combine_packets(
@@ -407,10 +487,8 @@ def combine_packets(
     if len(packets) != len(coeffs) or not packets:
         raise LengthMismatch("need one coefficient per packet")
     width, base = pp.packet_symbols, pp.base
-    if any(len(_indices_in(pp.ext, pkt)) != pp.kdim for pkt in packets):
-        raise LengthMismatch("packet width does not match the parameters")
-    wires = [pkt.symbols() for pkt in packets]
-    return TaggedPacket.from_symbols(pp, base.combine(base._symbols(coeffs), wires, width))
+    wires = [_wire_in(pp, pkt) for pkt in packets]
+    return _wired(TaggedPacket, pp.ext, base.combine(base._symbols(coeffs), wires, width))
 
 
 def _rank(base: BaseField, rows: tuple[tuple[int, ...], ...], width: int) -> int:

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence, Union
 from subtag.ec import CoalitionClass, ECPoint, Forgeability
 from subtag.errors import FieldMismatch, LengthMismatch
 from subtag.fields import ExtField, FieldElement
-from subtag.scheme import PublicParams, TaggedPacket
+from subtag.scheme import PublicParams, TaggedPacket, VerifierKey, label_row
 
 
 # -- field arithmetic ----------------------------------------------------------
@@ -285,6 +285,31 @@ def packet_powers(pp: PublicParams, tracker: int, payload: Sequence[int]) -> lis
     return out
 
 
+def element_verify(pp: PublicParams, vk: VerifierKey, pkt: TaggedPacket) -> bool:
+    """The receiver's check on the packet's elements, as the paper writes it:
+    the label row (tracker, s, s^q, ...) weighting the key column equals
+    the tag weighting the code column, one ``dot`` each.
+
+    This is the reference for ``scheme.verify``'s parity check on the
+    wire.  It refuses what ``verify`` refuses, in the same order: a packet
+    of another field, a tag of the wrong width, a key column of the wrong
+    height, a key of another field and a verifier index out of range.
+    """
+    ext = pp.ext
+    if any(e.field != ext for e in pkt.tag):
+        raise FieldMismatch(f"packet elements do not belong to {ext.name}")
+    if len(pkt.tag) != pp.kdim:
+        raise LengthMismatch("tag has the wrong number of components")
+    if len(vk.column) != pp.M + 1:
+        raise LengthMismatch("verifier key column has the wrong height")
+    if any(e.field != ext for e in vk.column):
+        raise FieldMismatch(f"key elements do not belong to {ext.name}")
+    row = label_row(pp, pkt.tracker, pkt.payload)
+    lhs = ext.dot(row, [e.index for e in vk.column])
+    rhs = ext.dot([e.index for e in pkt.tag], pp.generator_indices(vk.index))
+    return lhs == rhs
+
+
 def brute_consistent_keys(
     pp: PublicParams,
     members: Sequence[int],
@@ -294,27 +319,25 @@ def brute_consistent_keys(
 ) -> Iterator[tuple[tuple[FieldElement, ...], ...]]:
     """Every (M+1) x kdim master key matching the view, by trying them all.
 
-    A member constraint (key row r) . g_i = column_i[r] involves row r
-    alone, so every possible row is checked against the members' entries
-    for its position first; every key formed from rows that pass is then
-    checked against every packet's tag.  Keys come out in row-major
-    product order; all arithmetic is on field indices.
+    A packet constraint (packet row d) . (key column t) = tag_t involves
+    column t alone, so column t is tried only among the vectors that pass
+    every packet's constraint at t.  A member constraint
+    sum_t a_{r,t} g_{t,i} = column_i[r] ties the columns together: the last
+    column's options are grouped by what they add to each member
+    constraint, and every choice of the other columns reads the group that
+    adds exactly what is still missing.  Keys come out row by row, in
+    column-major product order; all arithmetic is on field indices, by
+    sums and products alone.
 
     ``candidates``, when given, are the keys tried instead of every
     matrix: the keys of a view with fewer packets, say, which hold every
     key of a view that sees more.  Each is checked in full all the same.
     """
     ext = pp.ext
-    gens = [list(pp.generator_indices(i)) for i in members]
-    cols = [[e.index for e in col] for col in columns]
-    row_options = [
-        [
-            row
-            for row in all_vectors(ext, pp.kdim)
-            if all(dot_idx(ext, row, g) == col[r] for g, col in zip(gens, cols))
-        ]
-        for r in range(pp.M + 1)
-    ]
+    add, sub, mul = ext.add_idx, ext.sub_idx, ext.mul_idx
+    gens = [pp.generator_indices(i) for i in members]
+    # member i's row r, in the order ``adds`` sums them
+    want = tuple(e.index for col in columns for e in col)
     checks = [
         (
             [e.index for e in packet_powers(pp, pkt.tracker, pkt.payload)],
@@ -322,22 +345,44 @@ def brute_consistent_keys(
         )
         for pkt in packets
     ]
-    if candidates is None:
-        keys = itertools.product(*row_options)
-    else:
-        allowed = [set(options) for options in row_options]
-        keys = (
-            rows
-            for rows in (tuple(tuple(e.index for e in row) for row in key) for key in candidates)
-            if all(row in ok for row, ok in zip(rows, allowed))
-        )
-    for rows in keys:
-        if all(
-            dot_idx(ext, [row[t] for row in rows], d) == tag[t]
-            for d, tag in checks
-            for t in range(pp.kdim)
-        ):
-            yield tuple(tuple(FieldElement(ext, v) for v in row) for row in rows)
+
+    def share(t: int, col: Sequence[int]) -> tuple[int, ...]:
+        """What key column t adds to each member constraint."""
+        return tuple(mul(a, g[t]) for g in gens for a in col)
+
+    def adds(cols) -> tuple[int, ...]:
+        """What key columns 0, 1, ... add to each member constraint."""
+        total = (0,) * len(want)
+        for t, col in enumerate(cols):
+            total = tuple(map(add, total, share(t, col)))
+        return total
+
+    def fits(t: int, col: Sequence[int]) -> bool:
+        return all(dot_idx(ext, d, col) == tag[t] for d, tag in checks)
+
+    def key(cols) -> tuple[tuple[FieldElement, ...], ...]:
+        return tuple(tuple(FieldElement(ext, v) for v in row) for row in zip(*cols))
+
+    if candidates is not None:
+        for rows in candidates:
+            cols = tuple(zip(*([e.index for e in row] for row in rows)))
+            if adds(cols) == want and all(fits(t, col) for t, col in enumerate(cols)):
+                yield key(cols)
+        return
+    options = [
+        [col for col in all_vectors(ext, pp.M + 1) if fits(t, col)] for t in range(pp.kdim)
+    ]
+    *heads, tails = options
+    groups: dict[tuple[int, ...], list] = {}
+    for col in tails:
+        elements = tuple(FieldElement(ext, v) for v in col)
+        groups.setdefault(share(len(heads), col), []).append(elements)
+    for head in itertools.product(*heads):
+        missing = tuple(map(sub, want, adds(head)))
+        if missing in groups:
+            first = [tuple(FieldElement(ext, v) for v in col) for col in head]
+            for col in groups[missing]:
+                yield tuple(zip(*first, col))
 
 
 def brute_label(

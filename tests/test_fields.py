@@ -500,6 +500,41 @@ def test_batched_mix_maps_malformed_input_like_combine(p, rows, vectors):
         assert errors and issubclass(batched, SubtagError)
 
 
+@pytest.mark.parametrize(
+    "name", [*(f"GF({p})" for p in LANE_PRIMES), *DIFFERENTIAL_FIELDS]
+)
+def test_parity_check_matches_reference_dots(name):
+    # the predicate x -> (rows . x == 0) against reference sums, on the
+    # byte lanes past their room (F_5 reduces after 15 columns, F_13 after
+    # each one, F_2 after 254) and by row dots on every other field; about
+    # half the cases make every row vanish on x, by fixing each row's last
+    # entry
+    p = int(name[3:-1]) if name[3:-1].isdigit() else None
+    f = BaseField(p) if p else DIFFERENTIAL_FIELDS[name]()
+    ref = reference_field(f)
+    r = random.Random(name)
+    seen = set()
+    for width in (1, 2, 13, 16, 40) + ((300,) if p == 2 else ()):
+        for height in (1, 2, 4):
+            x = [draw_operand(r, f) for _ in range(width - 1)] + [r.randrange(1, f.order)]
+            rows = [[draw_operand(r, f) for _ in range(width)] for _ in range(height)]
+            if r.random() < 0.5:
+                for row in rows:
+                    partial = 0
+                    for a, b in zip(row[:-1], x):
+                        partial = ref.add(partial, ref.mul(a, b))
+                    row[-1] = f.div_idx(f.neg_idx(partial), x[-1])
+            want = True
+            for row in rows:
+                acc = 0
+                for a, b in zip(row, x):
+                    acc = ref.add(acc, ref.mul(a, b))
+                want = want and acc == 0
+            assert f._parity_check(rows, width)(tuple(x)) is want, (name, width, height)
+            seen.add(want)
+    assert seen == {True, False}
+
+
 def test_batched_mix_loops_over_combine_without_lanes(monkeypatch):
     # a field without byte lanes mixes row by row through combine
     f = ExtField(BaseField(5), 3)

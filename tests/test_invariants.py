@@ -5,6 +5,9 @@ the key-count law (solver nullity), the global-kernel identity (one global
 vector) and the Frobenius order (the exponent the matrix is built from).  The
 corruptions take a ``patch`` callable with the signature of ``setattr``, so
 the same code runs under pytest's monkeypatch and in a plain subprocess.
+That subprocess first runs one field's differential case of ``verify``'s
+parity check against the element check, which reports its disagreements
+instead of asserting them.
 """
 
 import os
@@ -84,6 +87,12 @@ def test_invariants_checked_under_optimize():
         "import sys\n"
         "from subtag.errors import InvariantViolated\n"
         "import test_invariants as ti\n"
+        "# before the corruptions, which stay patched\n"
+        "import test_scheme as ts\n"
+        "from test_fields import DIFFERENTIAL_FIELDS\n"
+        "ext = DIFFERENTIAL_FIELDS['GF(5)^7']()\n"
+        "compared, accepted, wrong = ts.wire_check_disagreements(ext)\n"
+        "print('wire-check', compared > 300 and accepted > 100, len(wrong), sys.flags.optimize)\n"
         "for corrupt in (\n"
         "    ti.corrupt_key_count_law,\n"
         "    ti.corrupt_global_kernel_identity,\n"
@@ -107,6 +116,7 @@ def test_invariants_checked_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
+        "wire-check", "True", "0", "1",
         "corrupt_key_count_law", "1",
         "corrupt_global_kernel_identity", "1",
         "corrupt_frobenius_order", "1",

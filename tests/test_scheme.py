@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import linearized_eval, reference_field
+from oracles import all_vectors, element_verify, linearized_eval, reference_field
+from test_fields import DIFFERENTIAL_FIELDS
 
-from subtag import linalg, scheme
+from subtag import linalg, network, scheme
 from subtag.adversary import CoalitionView, deterministic_forge, guess_forge
 from subtag.codes import LinearCode, rs_code
 from subtag.errors import (
@@ -17,6 +18,7 @@ from subtag.errors import (
     InvalidParams,
     LengthMismatch,
     RankDeficient,
+    SubtagError,
 )
 from subtag.fields import BaseField, ExtField, Field, FieldElement
 from subtag.linalg import Matrix
@@ -578,3 +580,118 @@ def test_keys_and_packets_the_library_makes_are_not_checked_again(rs_pp, monkeyp
     TaggedPacket(1, (0, 0, 1), packets[0].tag)
     tag = tuple(e.index for e in packets[0].tag)
     assert len(field_checks) == 1 and symbol_checks[1:] == [(1, 0, 0, 1), tag]
+
+
+def _outcome(check, *args):
+    """``check(*args)``, or the type of the SubtagError it raises."""
+    try:
+        return check(*args)
+    except SubtagError as exc:
+        return type(exc)
+
+
+def wire_check_disagreements(ext: ExtField, seed: int = 0) -> tuple[int, int, list]:
+    """How many (key, packet) pairs over ``ext`` were compared, how many of
+    them the oracle's ``element_verify`` accepts, and those on which
+    ``verify``'s parity check differs from it.
+
+    The packets are honest ones and their mixtures, random wires, a
+    deterministic forgery and guessed ones, and the packets a polluted
+    transmission leaves at its verifier nodes.  Every key is also checked
+    under a second code, so its parity check must be rebuilt there and
+    again on its return.  Malformed keys and packets must be refused with
+    the same error by both, and by ``from_symbols``.  The function reports
+    instead of asserting, so it runs under ``python -O`` too.
+    """
+    base, l = ext.base, ext.l
+    n = min(2, l)
+    params = functools.partial(PublicParams, base=base, ext=ext, n=n, M=n + 1)
+    pp = params(code=rs_code(ext, range(4), 2))
+    r = random.Random(seed)
+
+    def wire(width=pp.packet_symbols):
+        return tuple(r.randrange(base.order) for _ in range(width))
+
+    mk = keygen(pp, seed)
+    vks = distribute(pp, mk)
+    honest = tag_basis(pp, mk, random_payload_basis(pp, seed))
+    packets = list(honest)
+    packets += [combine_packets(pp, honest, wire(n)) for _ in range(16)]
+    packets += [TaggedPacket.from_symbols(pp, wire()) for _ in range(40)]
+    # the first two verifiers of an MDS code determine every label
+    qualified = CoalitionView.build(pp, {1: vks[0], 2: vks[1]}, honest[: l - 1])
+    payload = next(v for v in all_vectors(base, l) if not qualified.spans(v))
+    packets.append(deterministic_forge(qualified, 4, payload))
+    guessing = CoalitionView.build(pp, {1: vks[0]}, honest[: l - 1])
+    packets += [guess_forge(guessing, 4, payload, seed + k) for k in range(5)]
+    topo = network.random_topology(8, seed)
+    tx = network.transmit(
+        topo, base, [p.symbols() for p in honest], seed,
+        inject_at=topo.verifier_nodes()[0], fake=wire(),
+    )
+    for name in topo.verifier_nodes():
+        packets += [TaggedPacket.from_symbols(pp, w) for w in tx.packets_at(name)]
+
+    cases = [(pp, vk, pkt) for vk in vks for pkt in packets]
+    # the same keys under another code, then back: honest packets of pp
+    # mostly fail under pp2, so a parity check kept from pp would show
+    pp2 = params(code=rs_code(ext, range(1, 5), 2))
+    cases += [(pp2, vk, pkt) for vk in vks for pkt in packets[:8]]
+    cases += [(pp, vk, pkt) for vk in vks for pkt in packets[:8]]
+    disagreements = []
+    accepted = 0
+    for case in cases:
+        got, want = _outcome(verify, *case), _outcome(element_verify, *case)
+        accepted += want is True
+        if got != want or type(got) is not bool:
+            disagreements.append(("pair", case[1].index, case[2].symbols(), got, want))
+        if case[1]._check[0] is not case[0]:
+            disagreements.append(("kept", case[1].index, case[0] is pp, None, None))
+
+    foreign = ExtField(BaseField(3 if base.char == 2 else 2), 2)
+    other = (FieldElement(foreign, 1),)
+    vk, h = vks[0], honest[0]
+    wide = params(code=rs_code(ext, range(4), 3))
+    malformed = [
+        (vk, TaggedPacket.from_symbols(wide, wire(wide.packet_symbols)), LengthMismatch),
+        (vk, TaggedPacket(h.tracker, h.payload, h.tag[:-1]), LengthMismatch),
+        (vk, TaggedPacket(0, (0,) * foreign.l, other * pp.kdim), FieldMismatch),
+        (VerifierKey(1, vk.column[:-1]), h, LengthMismatch),
+        (VerifierKey(1, other * (pp.M + 1)), h, FieldMismatch),
+        (VerifierKey(pp.V + 1, vk.column), h, InvalidParams),
+    ]
+    for key, pkt, error in malformed:
+        got, want = _outcome(verify, pp, key, pkt), _outcome(element_verify, pp, key, pkt)
+        if not got is want is error:
+            disagreements.append(("malformed", key.index, error, got, want))
+    good = h.symbols()
+    unpacked = [
+        (good[:-1], LengthMismatch),
+        (good + (0,), LengthMismatch),
+        (iter(good), LengthMismatch),
+        ((base.order,) + good[1:], InvalidParams),
+        (good[:-1] + (-1,), InvalidParams),
+        (good[:-1] + (float(good[-1]),), FieldMismatch),
+    ]
+    for syms, error in unpacked:
+        got = _outcome(TaggedPacket.from_symbols, pp, syms)
+        if got is not error:
+            disagreements.append(("from_symbols", None, error, got, None))
+    return len(cases) + len(malformed), accepted, disagreements
+
+
+SCHEME_FIELDS = [name for name, make in DIFFERENTIAL_FIELDS.items() if isinstance(make(), ExtField)]
+
+
+@pytest.mark.parametrize("name", SCHEME_FIELDS)
+def test_wire_check_matches_the_element_check(name):
+    """verify's parity check on the wire equals the label-and-tag check on
+    elements, on every differential extension field: lanes over GF(3) and
+    GF(5) (GF(5)^7 needs two reductions per check), row dots over
+    characteristic 2 and over non-prime bases."""
+    ext = DIFFERENTIAL_FIELDS[name]()
+    compared, accepted, disagreements = wire_check_disagreements(ext)
+    assert disagreements == []
+    # honest packets and mixtures pass, random wires almost never do
+    assert compared > 300 and 100 < accepted < compared - 100
+
