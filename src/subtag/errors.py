@@ -84,7 +84,7 @@ class InvalidReport(SubtagError, ValueError):
 
 class UnsupportedSchema(SubtagError, ValueError):
     """A report schema uses a keyword or form the report checker does not
-    implement."""
+    implement, or a report kind has no schema."""
 
 
 class InvariantViolated(SubtagError):

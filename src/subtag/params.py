@@ -11,11 +11,16 @@ encoder to the stdlib's generator-based one, so ``dump_json`` is a small
 recursive writer of its own: it writes the scalar values of a dict
 inline (strings escaped by the C ``encode_basestring_ascii``), joins a
 list of plain ints in one call and hands every other leaf, floats among
-them, to the C encoder through ``json.dumps(v)``.
+them, to the C encoder through ``json.dumps(v)``.  A list of dict rows
+whose first row holds only str keys and ints, strings, bools, None or
+non-empty lists of ints (the ``ec_table`` of an ``analyze`` report) is
+written by a loop generated for that row shape, one f-string per row; at
+the first row of another shape the list takes the recursive writer.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Optional
 
@@ -90,7 +95,14 @@ def _write(value, out: list[str], nl: str) -> None:
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
-        elif set(map(type, value)) == _INT:
+            return
+        if type(value[0]) is dict:
+            shape = _row_shape(value[0])
+            text = None if shape is None else _row_writer(shape)(value, nl)
+            if text is not None:
+                out.append(text)
+                return
+        if set(map(type, value)) == _INT:
             out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{nl}]")
         else:
             sep = "[" + inner
@@ -103,6 +115,101 @@ def _write(value, out: list[str], nl: str) -> None:
         # a leaf outside a dict, floats (NaN and the infinities too) and
         # what json refuses all take the C encoder
         out.append(json.dumps(value))
+
+
+_LEAVES = frozenset({int, str, bool, type(None)})
+
+
+def _row_shape(row: dict) -> Optional[tuple]:
+    """The sorted keys of ``row`` with the type of each value, if its keys
+    are str and its values leaves the row writer knows: an int, str, bool,
+    None or a non-empty list of exact ints.  None for any other row."""
+    if not row or set(map(type, row)) != _STR:
+        return None
+    shape = []
+    for key in sorted(row):
+        v = row[key]
+        kind = type(v)
+        if kind is list:
+            if not v or set(map(type, v)) != _INT:
+                return None
+        elif kind not in _LEAVES:
+            return None
+        shape.append((key, kind))
+    return tuple(shape)
+
+
+# how the row writer spells a value of each type, given its variable
+_ROW_FIELDS = {int: "v{k}", str: "esc(v{k})", bool: "tf[v{k}]", list: "j3.join(map(str, v{k}))"}
+
+
+@functools.lru_cache(maxsize=64)
+def _row_writer(shape: tuple):
+    """``write(rows, nl)``: the text of a list of dict rows of ``shape``
+    (from ``_row_shape``) on the line ``nl``, as ``_write`` spells it, or
+    None at the first row of another shape.
+
+    The generated loop tests each row with ``type(...) is`` checks and
+    writes it with one f-string.  Its literal parts, the escaped keys with
+    their separators and indents, are built once per call.  Keys enter the
+    source only as the parameters ``k<n>``, and escaped as ``e<n>``, of
+    ``make``, never as text.
+    """
+    n = len(shape)
+    tests, lists, parts, fields = [], [], [], []
+    literal = ['"{"']  # the source of the text before the next value
+    for k, (_, kind) in enumerate(shape):
+        if k:
+            literal.append('","')
+        literal += ["i2", f"e{k}", '": "']
+        if kind is type(None):
+            tests.append(f"v{k} is not None")
+            literal.append('"null"')
+            continue
+        if kind is list:
+            tests.append(f"type(v{k}) is not list or not v{k}")
+            lists.append(f"v{k}")
+            literal += ['"["', "i3"]
+        else:
+            tests.append(f"type(v{k}) is not {kind.__name__}")
+        parts.append(f"p{k} = {' + '.join(literal)}")
+        fields += [f"{{p{k}}}", "{" + _ROW_FIELDS[kind].format(k=k) + "}"]
+        literal = ["i2", '"]"'] if kind is list else []
+    literal += ["i1", '"}"']
+    parts.append(f"end = {' + '.join(literal)}")
+    fields.append("{end}")
+    loop = [
+        "for row in rows:",
+        f"    if type(row) is not dict or len(row) != {n}:",
+        "        return None",
+        *(f"    v{k} = row[k{k}]" for k in range(n)),
+        f"    if {' or '.join(tests)}:",
+        "        return None",
+    ]
+    for v in lists:
+        loop += [f"    for item in {v}:", "        if type(item) is not int:", "            return None"]
+    row_text = "".join(fields)
+    loop.append(f'    out.append(f"{row_text}")')
+    lines = [
+        "def make(esc, tf, " + ", ".join(f"k{k}, e{k}" for k in range(n)) + "):",
+        "    def write(rows, nl):",
+        '        i1 = nl + "  "',
+        '        i2 = i1 + "  "',
+        '        i3 = i2 + "  "',
+        '        j3 = "," + i3',
+        *(f"        {part}" for part in parts),
+        "        out = []",
+        "        try:",
+        *(f"            {line}" for line in loop),
+        "        except KeyError:  # a row of n keys without one of these",
+        "            return None",
+        '        return "[" + i1 + ("," + i1).join(out) + nl + "]"',
+        "    return write",
+    ]
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<row writer>", "exec"), namespace)
+    keys = [(key, _escape(key)) for key, _ in shape]
+    return namespace["make"](_escape, ("false", "true"), *(x for pair in keys for x in pair))
 
 
 def _coords(e: FieldElement) -> list[int]:

@@ -14,13 +14,17 @@ library.  It supports exactly the seven keywords those schemas use:
 Types follow draft 2020-12 for the values JSON can hold: ``true`` is
 neither an integer nor a number, ``1.0`` is an integer, a number is an
 ``int`` or ``float``, an array is a ``list`` and an object a ``dict``.
-Each schema is compiled once, at import, into one closure per sub-schema.
-Compilation refuses any other keyword, and any form of these seven that the
-checker does not implement (a list under ``items``, a non-string ``const``),
-with ``UnsupportedSchema``, so a new schema cannot go unchecked.  A report
-that fails raises ``InvalidReport``, whose message begins with the JSON path
-of the failing value, such as ``$.ec_table[3].span_agrees``; the path is
-built only on failure.
+Each schema is compiled once, at import, into one generated Python
+function: straight-line checks for every keyword of every sub-schema, in
+the order type, const, enum, minimum, required, properties (in schema
+order), items, with a loop only for ``items``.  Keys, messages and allowed
+values enter the source as bound constants, never as text.  Compilation
+refuses any other keyword, and any form of these seven that the checker
+does not implement (a list under ``items``, a non-string ``const``), with
+``UnsupportedSchema``, so a new schema cannot go unchecked.  A report that
+fails raises ``InvalidReport``, whose message begins with the JSON path of
+the failing value, such as ``$.ec_table[3].span_agrees``; the path, item
+indices included, is built only on failure.
 """
 
 from __future__ import annotations
@@ -222,8 +226,8 @@ _KEYWORDS = frozenset({"type", "properties", "required", "items", "const", "enum
 
 
 class _Mismatch(Exception):
-    """A value fails its sub-schema; container checks add their key or index
-    to ``path`` (innermost first) as the exception passes through them."""
+    """A value fails its sub-schema; ``path`` holds the keys and indices
+    that lead to it from the report, innermost first."""
 
     def __init__(self, message: str, *path: object):
         super().__init__(message)
@@ -243,32 +247,35 @@ def _is_number(v: object) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-_TYPES: dict[str, Callable[[object], bool]] = {
-    "null": lambda v: v is None,
-    "boolean": lambda v: v is True or v is False,
-    "integer": _is_integer,
-    "number": _is_number,
-    "string": lambda v: isinstance(v, str),
-    "array": lambda v: isinstance(v, list),
-    "object": lambda v: isinstance(v, dict),
+def _first_missing(v: dict, names: tuple[str, ...]) -> str:
+    return next(name for name in names if name not in v)
+
+
+def _index_of(items: list, item: object) -> int:
+    # a check depends only on the value it checks, so an earlier item that
+    # is the same object would have failed first: the first one is it
+    return next(k for k, other in enumerate(items) if other is item)
+
+
+# the test of each type on the value named {v}
+_TYPES: dict[str, str] = {
+    "null": "{v} is None",
+    "boolean": "{v} is True or {v} is False",
+    "integer": "type({v}) is int or is_integer({v})",
+    "number": "is_number({v})",
+    "string": "isinstance({v}, str)",
+    "array": "isinstance({v}, list)",
+    "object": "isinstance({v}, dict)",
 }
 
-
-def _type_check(names: object) -> Check:
-    if isinstance(names, str):
-        names = [names]
-    if not isinstance(names, list) or not names or any(n not in _TYPES for n in names):
-        raise UnsupportedSchema(f"type must name one or more of {sorted(_TYPES)}, not {names!r}")
-    tests = tuple(_TYPES[n] for n in names)
-    expected = " or ".join(names)
-
-    def check(v: object) -> None:
-        for test in tests:
-            if test(v):
-                return
-        raise _Mismatch(f"expected {expected}, got {v!r}")
-
-    return check
+# what the generated source names besides its constants
+_HELPERS = {
+    "Mismatch": _Mismatch,
+    "is_integer": _is_integer,
+    "is_number": _is_number,
+    "first_missing": _first_missing,
+    "index_of": _index_of,
+}
 
 
 def _strings(keyword: str, values: object) -> tuple[str, ...]:
@@ -277,103 +284,147 @@ def _strings(keyword: str, values: object) -> tuple[str, ...]:
     return tuple(values)
 
 
-def _enum_check(keyword: str, allowed: tuple[str, ...]) -> Check:
-    # only strings are allowed, so == agrees with JSON Schema equality
-    # (which tells true from 1) for every value
-    def check(v: object) -> None:
-        if v not in allowed:
-            want = repr(allowed[0]) if keyword == "const" else f"one of {list(allowed)!r}"
-            raise _Mismatch(f"expected {want}, got {v!r}")
-
-    return check
+def _indented(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines]
 
 
-def _minimum_check(low: object) -> Check:
-    if not _is_number(low):
-        raise UnsupportedSchema(f"minimum must be a number, not {low!r}")
+class _Source:
+    """The constants and variable names of one generated check.
 
-    def check(v: object) -> None:
-        if _is_number(v) and v < low:
-            raise _Mismatch(f"{v!r} is less than the minimum {low!r}")
+    Every key, message and allowed value enters the source as a name
+    ``c<n>`` bound to its value, never as a literal, so no text in a schema
+    can change the code.  A path is a list of source expressions, outermost
+    first: key constants, and ``index_of`` calls that find an item's index
+    only when a check fails.
+    """
 
-    return check
+    def __init__(self):
+        self.consts: list[object] = []
+        self.vars = 0
 
+    def const(self, value: object) -> str:
+        self.consts.append(value)
+        return f"c{len(self.consts) - 1}"
 
-def _required_check(names: tuple[str, ...]) -> Check:
-    def check(v: object) -> None:
-        if isinstance(v, dict):
-            for name in names:
-                if name not in v:
-                    raise _Mismatch("required key is missing", name)
-
-    return check
-
-
-def _properties_check(properties: object) -> Check:
-    if not isinstance(properties, dict):
-        raise UnsupportedSchema(f"properties must be an object, not {properties!r}")
-    subs = tuple((name, _compile(sub)) for name, sub in properties.items())
-
-    def check(v: object) -> None:
-        if isinstance(v, dict):
-            try:
-                for name, sub in subs:
-                    if name in v:
-                        sub(v[name])
-            except _Mismatch as exc:
-                exc.path.append(name)
-                raise
-
-    return check
+    def var(self) -> str:
+        self.vars += 1
+        return f"x{self.vars}"
 
 
-def _items_check(items: object) -> Check:
-    sub = _compile(items)
-
-    def check(v: object) -> None:
-        if isinstance(v, list):
-            index = 0
-            try:
-                for index, item in enumerate(v):
-                    sub(item)
-            except _Mismatch as exc:
-                exc.path.append(index)
-                raise
-
-    return check
+def _fail(message: str, path: list[str], *inner: str) -> str:
+    """The indented line that raises ``message`` (a source expression) at
+    ``path``, below the steps ``inner``."""
+    return f"    raise Mismatch({', '.join([message, *inner, *reversed(path)])})"
 
 
-def _compile(schema: object) -> Check:
-    """One check for ``schema``; refuses anything the checker cannot check."""
+def _checks(src: _Source, schema: object, v: str, path: list[str]) -> list[str]:
+    """The lines that check the value named ``v`` against ``schema``, in
+    the order type, const, enum, minimum, required, properties, items."""
     if not isinstance(schema, dict):
         raise UnsupportedSchema(f"a schema must be an object, not {schema!r}")
     unknown = sorted(set(schema) - _KEYWORDS)
     if unknown:
         raise UnsupportedSchema(f"the report checker does not support {', '.join(unknown)}")
-    checks = []
+    lines = []
+    names = schema.get("type", [])
     if "type" in schema:
-        checks.append(_type_check(schema["type"]))
-    if "const" in schema:
-        checks.append(_enum_check("const", _strings("const", [schema["const"]])))
-    if "enum" in schema:
-        checks.append(_enum_check("enum", _strings("enum", schema["enum"])))
+        if isinstance(names, str):
+            names = [names]
+        if not isinstance(names, list) or not names or any(n not in _TYPES for n in names):
+            raise UnsupportedSchema(
+                f"type must name one or more of {sorted(_TYPES)}, not {schema['type']!r}"
+            )
+        expected = src.const(f"expected {' or '.join(names)}, got ")
+        lines += [
+            f"if not ({' or '.join(_TYPES[n].format(v=v) for n in names)}):",
+            _fail(f"{expected} + repr({v})", path),
+        ]
+    for keyword in ("const", "enum"):
+        if keyword in schema:
+            values = [schema[keyword]] if keyword == "const" else schema[keyword]
+            allowed = _strings(keyword, values)
+            # only strings are allowed, so == agrees with JSON Schema
+            # equality (which tells true from 1) for every value
+            want = repr(allowed[0]) if keyword == "const" else f"one of {list(allowed)!r}"
+            expected = src.const(f"expected {want}, got ")
+            lines += [
+                f"if {v} not in {src.const(allowed)}:",
+                _fail(f"{expected} + repr({v})", path),
+            ]
     if "minimum" in schema:
-        checks.append(_minimum_check(schema["minimum"]))
-    if "required" in schema:
-        checks.append(_required_check(_strings("required", schema["required"])))
-    if "properties" in schema:
-        checks.append(_properties_check(schema["properties"]))
-    if "items" in schema:
-        checks.append(_items_check(schema["items"]))
-    if len(checks) == 1:
-        return checks[0]
-    checks = tuple(checks)
+        low = schema["minimum"]
+        if not _is_number(low):
+            raise UnsupportedSchema(f"minimum must be a number, not {low!r}")
+        less = src.const(f" is less than the minimum {low!r}")
+        lines += [
+            f"if (type({v}) is int or is_number({v})) and {v} < {src.const(low)}:",
+            _fail(f"repr({v}) + {less}", path),
+        ]
+    # a type of exactly "object" or "array" spares the test of the container
+    for kind, body in (
+        ("object", _object_checks(src, schema, v, path)),
+        ("array", _items_checks(src, schema, v, path)),
+    ):
+        if body and names != [kind]:
+            lines += [f"if isinstance({v}, {'dict' if kind == 'object' else 'list'}):"]
+            body = _indented(body)
+        lines += body
+    return lines
 
-    def check(v: object) -> None:
-        for c in checks:
-            c(v)
 
-    return check
+def _object_checks(src: _Source, schema: dict, v: str, path: list[str]) -> list[str]:
+    lines = []
+    required = _strings("required", schema.get("required", []))
+    if required:
+        keys, missing = src.const(frozenset(required)), src.const("required key is missing")
+        lines += [
+            f"if not {v}.keys() >= {keys}:",
+            _fail(missing, path, f"first_missing({v}, {src.const(required)})"),
+        ]
+    properties = schema.get("properties", {})
+    if not isinstance(properties, dict):
+        raise UnsupportedSchema(f"properties must be an object, not {properties!r}")
+    for name, sub in properties.items():
+        key, x = src.const(name), src.var()
+        body = _checks(src, sub, x, path + [key])
+        if not body:
+            continue
+        if name in required:
+            # the required check has made sure it is there
+            lines += [f"{x} = {v}[{key}]", *body]
+        else:
+            lines += [f"if {key} in {v}:", f"    {x} = {v}[{key}]", *_indented(body)]
+    return lines
+
+
+def _items_checks(src: _Source, schema: dict, v: str, path: list[str]) -> list[str]:
+    if "items" not in schema:
+        return []
+    x = src.var()
+    body = _checks(src, schema["items"], x, path + [f"index_of({v}, {x})"])
+    return [f"for {x} in {v}:", *_indented(body)] if body else []
+
+
+def _compile(schema: object) -> Check:
+    """One generated check for ``schema``; refuses anything the checker
+    cannot check."""
+    src = _Source()
+    body = _checks(src, schema, "v", [])
+    params = [*_HELPERS, *(f"c{k}" for k in range(len(src.consts)))]
+    lines = [
+        f"def make({', '.join(params)}):",
+        "    def check(v):",
+        *("        " + line for line in body),
+        "        return None",
+        "    return check",
+    ]
+    namespace: dict = {}
+    try:
+        code = compile("\n".join(lines), "<report schema>", "exec")
+    except SyntaxError:
+        raise UnsupportedSchema("the schema nests too deeply to compile") from None
+    exec(code, namespace)
+    return namespace["make"](*_HELPERS.values(), *src.consts)
 
 
 _CHECKS: dict[str, Check] = {kind: _compile(schema) for kind, schema in REPORT_SCHEMAS.items()}
@@ -387,8 +438,14 @@ def _json_path(path: list) -> str:
 
 def validate_report(kind: str, report: dict) -> None:
     """Check ``report`` against ``REPORT_SCHEMAS[kind]``; raise InvalidReport
-    naming the path of the first value that fails."""
+    naming the path of the first value that fails, or UnsupportedSchema if
+    no schema has that kind."""
+    check = _CHECKS.get(kind)
+    if check is None:
+        raise UnsupportedSchema(
+            f"no report schema has kind {kind!r}; the kinds are {', '.join(_CHECKS)}"
+        )
     try:
-        _CHECKS[kind](report)
+        check(report)
     except _Mismatch as exc:
         raise InvalidReport(f"{_json_path(exc.path)}: {exc.message} ({kind} report)") from None

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subtag import adversary, cli, network
+from subtag import params as paramsio
 from subtag.cli import main
 from subtag.codes import rs_code
 from subtag.ec import AGCodeSpec, EllipticCurve, ec_points, residue_code
@@ -137,6 +139,48 @@ _LEAVES = (
     | st.lists(st.integers(), max_size=4)
     | st.lists(st.integers() | st.booleans(), max_size=4)
 )
+# the leaves of a row that the row writer takes, by the type it tests
+_ROW_VALUES = {
+    "int": st.integers(),
+    "str": _TEXT,
+    "bool": st.booleans(),
+    "null": st.none(),
+    "ints": st.lists(st.integers(), min_size=1, max_size=4),
+}
+# how one row leaves the shape the other rows share
+_BREAKS = ("bool", "float", "empty list", "bool list", "missing key", "extra key")
+
+
+@st.composite
+def _row_tables(draw, breaks=(None, *_BREAKS)):
+    """A list of 1-6 dict rows on one key set, with an int column and a
+    list-of-ints column; unless the drawn break is None, one row at a
+    random position breaks the shape."""
+    keys = draw(st.lists(_TEXT, min_size=2, max_size=5, unique=True))
+    kinds = ["int", "ints", *(draw(st.sampled_from(sorted(_ROW_VALUES))) for _ in keys[2:])]
+    rows = [
+        {key: draw(_ROW_VALUES[kind]) for key, kind in zip(keys, kinds)}
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    how = draw(st.sampled_from(breaks))
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    if how == "bool":
+        row[keys[0]] = draw(st.booleans())
+    elif how == "float":
+        row[keys[0]] = 1.0
+    elif how == "empty list":
+        row[keys[1]] = []
+    elif how == "bool list":
+        row[keys[1]].insert(draw(st.integers(0, len(row[keys[1]]))), draw(st.booleans()))
+    elif how == "missing key":
+        del row[draw(st.sampled_from(keys))]
+    elif how == "extra key":
+        row[draw(_TEXT.filter(lambda key: key not in keys))] = draw(st.integers())
+    elif how == "non-str key":
+        row[draw(st.integers() | st.booleans() | st.none() | st.floats(allow_nan=False))] = 0
+    return rows
+
+
 _DOCS = st.recursive(
     _LEAVES,
     lambda inner: st.lists(inner, max_size=4)
@@ -147,9 +191,29 @@ _DOCS = st.recursive(
 
 
 @settings(max_examples=400, deadline=None)
-@given(_DOCS)
+# row tables as a document and nested in one, as reports hold them
+@given(_DOCS | _row_tables() | st.dictionaries(_TEXT, _row_tables(), min_size=1, max_size=2))
 def test_dump_json_matches_the_stdlib_encoder(doc):
     assert dump_json(doc) == _stdlib_canonical(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_row_tables(breaks=("non-str key",)))
+def test_dump_json_refuses_a_row_key_that_is_not_str(rows):
+    key = next(key for row in rows for key in row if not isinstance(key, str))
+    with pytest.raises(TypeError, match=f"keys must be str, not {re.escape(repr(key))}$"):
+        dump_json({"rows": rows})
+
+
+def test_dump_json_writes_more_row_shapes_than_it_caches():
+    bound = paramsio._row_writer.cache_info().maxsize
+    tables = [
+        [{f"k{k}": k, "n": None, "c": [k, -k]}, {f"k{k}": -k, "n": None, "c": [0]}]
+        for k in range(bound + 8)
+    ]
+    for table in tables + tables[:8]:  # the first shapes again, after eviction
+        assert dump_json(table) == _stdlib_canonical(table)
+    assert paramsio._row_writer.cache_info().currsize == bound
 
 
 @pytest.mark.parametrize(

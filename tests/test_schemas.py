@@ -6,7 +6,9 @@ the commands of ``test_reports_frozen`` write and on mutated copies of them.
 """
 
 import copy
+import functools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from subtag import cli
+from subtag import cli, schemas
 from subtag.errors import InvalidReport, UnsupportedSchema
 from subtag.schemas import REPORT_SCHEMAS, _compile, validate_report
 
@@ -26,7 +28,7 @@ _DROP = object()
 
 
 @pytest.fixture(scope="module")
-def cli_reports(tmp_path_factory):
+def emitted_reports(tmp_path_factory):
     """(kind, report) for every report the frozen commands emit."""
     seen = []
 
@@ -41,6 +43,12 @@ def cli_reports(tmp_path_factory):
             if cli.main(argv) != 0:
                 raise RuntimeError(f"{name} failed")
     return seen
+
+
+@pytest.fixture
+def cli_reports(emitted_reports):
+    """A copy of ``emitted_reports`` that a test may change."""
+    return copy.deepcopy(emitted_reports)
 
 
 def _reference(kind):
@@ -132,6 +140,8 @@ def test_every_report_schema_compiles():
         {"enum": ["a", None]},
         {"minimum": True},
         {"required": "a"},
+        # deeper than the generated source can nest its loops
+        functools.reduce(lambda sub, _: {"items": sub}, range(25), {"type": "integer"}),
     ],
 )
 def test_unsupported_schema_is_refused_at_compile_time(schema):
@@ -174,6 +184,74 @@ def test_failure_names_the_path_of_the_failing_value(cli_reports):
     del report["sinks"][0]["node"]
     with pytest.raises(InvalidReport, match=r"^\$\.sinks\[0\]\.node: required key is missing"):
         validate_report(kind, report)
+
+
+# the five messages a failing value can raise, after its path
+_MESSAGES = re.compile(
+    r"expected [a-z]+( or [a-z]+)*, got .*"  # type
+    r"|expected '[^']*', got .*"  # const
+    r"|expected one of \[.*\], got .*"  # enum
+    r"|.* is less than the minimum .*"  # minimum
+    r"|required key is missing"  # required
+)
+
+
+def _json_path(path):
+    return "$" + "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)
+
+
+def test_rejections_name_the_mutated_path_or_one_below_it(cli_reports):
+    rejected = 0
+    for kind, report in cli_reports:
+        for path, mutated in _mutations(_trimmed(report)):
+            try:
+                validate_report(kind, mutated)
+            except InvalidReport as exc:
+                rejected += 1
+                text, suffix = str(exc), f" ({kind} report)"
+                where, _, message = text.removesuffix(suffix).partition(": ")
+                want = _json_path(path)
+                assert where == want or where.startswith((want + ".", want + "[")), (text, want)
+                assert _MESSAGES.fullmatch(message) and text.endswith(suffix), text
+    assert rejected > 1000, rejected
+
+
+def test_property_names_with_quotes_braces_and_newlines_keep_their_paths():
+    names = ['a"b', "c'd", "e{f}", "g\\h", "i\nj"]
+    schema = {
+        "type": "object",
+        "required": [names[0]],
+        "properties": {
+            names[1]: {
+                "type": "object",
+                "properties": {names[2]: {"type": "array", "items": {"type": "integer"}}},
+            },
+            names[3]: {"enum": [names[4]]},
+        },
+    }
+    check = schemas._compile(schema)
+    good = {names[0]: 0, names[1]: {names[2]: [1, 2]}, names[3]: names[4]}
+    check(good)
+    cases = [
+        ({names[1]: {}}, [names[0]], "required key is missing"),
+        (dict(good, **{names[1]: {names[2]: [1, "x"]}}), [names[1], names[2], 1],
+         "expected integer, got 'x'"),
+        (dict(good, **{names[3]: names[0]}), [names[3]],
+         f"expected one of {[names[4]]!r}, got {names[0]!r}"),
+    ]
+    for value, path, message in cases:
+        with pytest.raises(schemas._Mismatch) as caught:
+            check(value)
+        assert caught.value.path[::-1] == path
+        assert caught.value.message == message
+        assert schemas._json_path(caught.value.path) == _json_path(path)
+
+
+def test_unknown_report_kind_is_refused():
+    with pytest.raises(UnsupportedSchema, match="'bogus'.*analyze") as caught:
+        validate_report("bogus", {})
+    for kind in REPORT_SCHEMAS:
+        assert kind in str(caught.value)
 
 
 def _python(tmp_path, *args):
@@ -220,6 +298,17 @@ try:
     sys.exit("a setup report without its keys passed")
 except InvalidReport:
     pass
+row = {"coalition": [2, 3], "target": 1, "kind": "none",
+       "against_target": False, "span_agrees": 1}
+report = {"format": "subtag-report/analyze/1", "length": 4, "kdim": 2,
+          "dual_distance": 3, "mds": True, "target": 1,
+          "access_structure": [[2, 3]], "ec_table": [row]}
+try:
+    validate_report("analyze", report)
+    sys.exit("span_agrees = 1 passed")
+except InvalidReport as exc:
+    if not str(exc).startswith("$.ec_table[0].span_agrees: expected boolean, got 1"):
+        sys.exit(f"wrong failure: {exc}")
 """
     proc = _python(tmp_path, "-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
