@@ -19,10 +19,19 @@ from typing import Optional, Sequence
 
 from . import adversary, network, params as paramsio, scheme
 from .codes import rs_code
-from .ec import AGCodeSpec, EllipticCurve, classify_coalition, ec_points, residue_code
+from .ec import (
+    AGCodeSpec,
+    EllipticCurve,
+    Forgeability,
+    _sum_pairs,
+    _verdict,
+    classify_coalition,
+    ec_points,
+    residue_code,
+)
 from .errors import InvalidParams, NotQualified, SubtagError
 from .fields import MAX_BASE_ORDER, BaseField, ExtField, _prime_factors
-from .linalg import _in_span, _walk
+from .linalg import _in_span
 from .rng import derive_seed, stream
 from .schemas import validate_report
 
@@ -335,6 +344,10 @@ def build_analyze_report(
 ) -> dict:
     code = pp.code
     dual = code.dual()
+    # one walk fills the memos that the distance and the circuits read; with
+    # a curve it also keeps every subset of n-k-1 or n-k columns (kdim = n-k)
+    n_k = None if curve_spec is None else curve_spec.n - curve_spec.degree
+    kept = code._survey(target, None if n_k is None else n_k - 1)
     dual_distance = dual.min_distance()
     mds = dual_distance == pp.kdim + 1  # C is MDS exactly when its dual is
     coords = pp.ext.coords_of
@@ -353,39 +366,39 @@ def build_analyze_report(
     }
     if curve_spec is not None:
         # a coalition's class and column span do not depend on the target
-        n, k = curve_spec.n, curve_spec.degree
-        ext, columns, kdim = pp.ext, pp.code.columns, pp.kdim
-        ranks = {}  # the rank of each walked subset of n-k-1 or n-k columns
-        coalitions = []  # those subsets with their bases, in walk order
+        n, ext, columns, kdim = curve_spec.n, pp.ext, code.columns, pp.kdim
+        curve, pairs = curve_spec.curve, curve_spec._pairs
+        sums = {(): None}  # the point sum of each complement and its prefixes
 
-        def visit(members, basis, _):
-            if len(members) >= n - k - 1:
-                ranks[members] = len(basis[0])
-                coalitions.append((members, basis))
-            return True
+        def summed(complement):
+            if complement not in sums:
+                step = (summed(complement[:-1]), pairs[complement[-1] - 1])
+                sums[complement] = _sum_pairs(curve, step)
+            return sums[complement]
 
-        def spanned(members, basis, t):
-            if len(members) < n - k:
-                # column t lies in the span exactly when adding it, a subset
-                # the walk also visited, leaves the rank unchanged
-                return ranks[tuple(sorted(members + (t,)))] == ranks[members]
-            return ranks[members] == kdim or _in_span(ext, basis, columns[t])
-
-        _walk(ext, columns, n - k, visit)
-        coalitions.sort(key=lambda c: len(c[0]))  # stable: combinations order per size
         rows = []
-        for members, basis in coalitions:
+        # stable: combinations order per size
+        for members in sorted(kept, key=len):
             combo = tuple(j + 1 for j in members)
-            outside = [t for t in range(1, n + 1) if t not in combo]
-            cls = classify_coalition(curve_spec, combo, outside[0])
+            outside = tuple(t for t in range(1, n + 1) if t not in combo)
+            kind, single = _verdict(curve_spec, len(combo), outside, summed(outside))
+            everyone, value = kind is Forgeability.ALL_TARGETS, kind.value
+            rank = len(kept[members][0])
             for tgt in outside:
-                against = cls.against(tgt)
+                against = everyone or tgt == single
+                if len(members) < n_k:
+                    # column t lies in the span exactly when adding it, a
+                    # subset the walk also kept, leaves the rank unchanged
+                    wider = kept[tuple(sorted(members + (tgt - 1,)))]
+                    spanned = len(wider[0]) == rank
+                else:
+                    spanned = rank == kdim or _in_span(ext, kept[members], columns[tgt - 1])
                 rows.append({
                     "coalition": list(combo),
                     "target": tgt,
-                    "kind": cls.kind.value,
+                    "kind": value,
                     "against_target": against,
-                    "span_agrees": against == spanned(members, basis, tgt - 1),
+                    "span_agrees": against == spanned,
                 })
         report["ec_table"] = rows
     return report

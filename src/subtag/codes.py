@@ -20,8 +20,12 @@ no zero entry: that witness is unique, and 0 at j exactly when S - {j}
 spans.  S is an access set for i, and lambda gives the dual word with 1
 at i and -lambda_j at each j in S.  A minimum distance is the size of the
 smallest dependent set of parity-check columns; that search stops
-descending at the smallest size found so far.  Only ``codewords``
-enumerates words.
+descending at the smallest size found so far.  An ``analyze`` report asks
+both questions of one code and target, so ``_survey`` answers them, and
+keeps the bases the report's ``ec_table`` reads, in one walk over the
+code's columns; ``min_distance`` and ``_circuits`` keep their own pruned
+walks for callers that ask one question.  Only ``codewords`` enumerates
+words.
 
 ``ENUM_GUARD`` bounds the work up front, so routines refuse instead of
 approximating: ``codewords`` counts words, the searches count the column
@@ -62,6 +66,10 @@ ENUM_GUARD = 1 << 24
 AnyField = Union[BaseField, ExtField]
 
 
+def _smallest_first(circuits: list) -> tuple:
+    return tuple(sorted(circuits, key=lambda circuit: (len(circuit[0]), circuit[0])))
+
+
 def _check_subsets(n: int, sizes: range) -> None:
     """Refuse a search over the subsets of n columns with the given sizes
     when there are more than ``ENUM_GUARD`` of them."""
@@ -74,15 +82,19 @@ def _check_subsets(n: int, sizes: range) -> None:
 class CoalitionSpec:
     """A set of colluding verifier coordinates and the verifier they attack.
 
-    Coordinates are 1-based, matching how verifiers are numbered on the
-    wire and in reports.
+    Coordinates are 1-based ints, matching how verifiers are numbered on
+    the wire and in reports; a bool or a float is refused, not truncated.
     """
 
     members: frozenset[int]
     target: int
 
     def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(int(i) for i in self.members))
+        members = tuple(self.members)
+        for i in (*members, self.target):
+            if type(i) is not int:
+                raise InvalidParams(f"verifier coordinate {i!r} is not an int")
+        object.__setattr__(self, "members", frozenset(members))
         if any(i < 1 for i in self.members) or self.target < 1:
             raise InvalidParams("verifier coordinates are numbered from 1")
         if self.target in self.members:
@@ -155,11 +167,11 @@ class LinearCode:
         The smallest number of dependent parity-check columns (the columns
         of the dual's generator).  These have rank V - kdim, so any
         V - kdim + 1 of them are dependent and that size needs no test.
+        This walk stops descending at the smallest size found so far; the
+        dual's ``_survey`` also finds the distance, in the walk that finds
+        its circuits.
         """
-        if self.is_zero:
-            raise InvalidParams("minimum distance of the zero code is undefined")
-        top = self.length - self.kdim
-        _check_subsets(self.length, range(1, top + 1))
+        top = self._distance_ok()
         if self._dmin is None:
             best = top + 1
 
@@ -175,13 +187,20 @@ class LinearCode:
             self._dmin = best
         return self._dmin
 
+    def _distance_ok(self) -> int:
+        """``min_distance``'s checks; returns the largest size it tests."""
+        if self.is_zero:
+            raise InvalidParams("minimum distance of the zero code is undefined")
+        top = self.length - self.kdim
+        _check_subsets(self.length, range(1, top + 1))
+        return top
+
     def _circuits(self, i: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """Circuits through coordinate i, smallest first: each minimal set S
         of other coordinates (a sorted tuple) whose columns span column i,
-        with its span witness aligned with S."""
-        self._index_ok(i)
-        others = [j for j in range(1, self.length + 1) if j != i]
-        _check_subsets(len(others), range(self.kdim + 1))
+        with its span witness aligned with S.  This walk searches for them
+        alone; ``_survey`` finds them with the other answers of a report."""
+        others = self._circuits_ok(i)
         found = self._circuit_memo.get(i)
         if found is None:
             found = []
@@ -197,10 +216,66 @@ class LinearCode:
 
             cols = self.columns
             _walk(self.field, [cols[j - 1] for j in others], self.kdim, visit, cols[i - 1])
-            found.sort(key=lambda circuit: (len(circuit[0]), circuit[0]))
-            found = self._circuit_memo[i] = tuple(found)
+            found = self._circuit_memo[i] = _smallest_first(found)
         return found
 
+    def _circuits_ok(self, i: int) -> list[int]:
+        """``_circuits``'s checks; returns the coordinates other than i."""
+        self._index_ok(i)
+        others = [j for j in range(1, self.length + 1) if j != i]
+        _check_subsets(len(others), range(self.kdim + 1))
+        return others
+
+    def _survey(self, i: int, keep: int | None = None) -> dict:
+        """One walk for an ``analyze`` report on target i.
+
+        It walks every column, column i included, to depth kdim with
+        column i as the tracked target, and answers three questions: the
+        smallest dependent subset (the dual's distance, kdim + 1 when there
+        is none), the circuits through i (members without i, independent,
+        with a witness and no zero entry), and, when ``keep`` is not None,
+        the basis of every subset of at least ``keep`` columns.  The first
+        two go into the dual's ``_dmin`` and this code's ``_circuit_memo``,
+        so ``dual().min_distance()`` and ``_circuits(i)`` read them; the
+        last is returned as a dict from members (0-based positions) to
+        ``_walk`` bases, in walk order.  The checks of both searches run
+        first, in that order.
+
+        A subset is extended when some answer needs its supersets: always
+        with ``keep``, otherwise when it is independent and either smaller
+        than the best distance by two or more, or without i and not yet
+        spanning column i.  A survey without ``keep`` whose answers are
+        memoized walks nothing.
+        """
+        dual = self.dual()
+        top = dual._distance_ok()
+        self._circuits_ok(i)
+        kept = {}
+        if keep is None and dual._dmin is not None and i in self._circuit_memo:
+            return kept
+        best, found, t = top + 1, [], i - 1
+        extend_all = keep is not None
+
+        def visit(members, basis, witness):
+            nonlocal best
+            size = len(members)
+            if extend_all and size >= keep:
+                kept[members] = basis
+            if len(basis[1]) < size:
+                best = min(best, size)
+                return extend_all
+            if t not in members:
+                if witness is None:
+                    return True
+                if all(witness):
+                    found.append((tuple(j + 1 for j in members), witness))
+            return extend_all or size + 1 < best
+
+        cols = self.columns
+        _walk(self.field, cols, top, visit, cols[t])
+        dual._dmin = best
+        self._circuit_memo[i] = _smallest_first(found)
+        return kept
     def minimal_codewords_wrt(self, i: int) -> tuple[tuple[int, ...], ...]:
         """Codewords with component 1 at coordinate i and minimal support,
         as sorted index tuples.

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .codes import LinearCode
 from .errors import (
@@ -295,15 +295,22 @@ def classify_coalition(
 ) -> CoalitionClass:
     """Decide forgeability of a coalition by point arithmetic alone.
 
-    Coalition and target are 1-based indices into the support.  With
+    Coalition and target are 1-based indices into the support, each an
+    ``int`` (a bool or a float is refused, not truncated).  With
     k = spec.degree and n = spec.n, a coalition of size below n-k-1 can
     never forge; at exactly n-k-1 it can forge only against the support
     point equal to the complement sum (when that sum lands in the
     complement); at n-k it forges against everybody unless the complement
-    sums to O; and beyond n-k it always forges against everybody.
+    sums to O; and beyond n-k it always forges against everybody.  The
+    rule itself is ``_verdict``, which the ``analyze`` table calls with
+    complement sums it shares between coalitions.
     """
-    members = sorted(set(map(int, coalition)))
-    n, k = spec.n, spec.degree
+    coalition = list(coalition)
+    for i in (*coalition, target):
+        if type(i) is not int:
+            raise InvalidParams(f"support index {i!r} is not an int")
+    members = sorted(set(coalition))
+    n = spec.n
     for i in members + [target]:
         if not 1 <= i <= n:
             raise InvalidParams(f"support index {i} outside 1..{n}")
@@ -314,16 +321,25 @@ def classify_coalition(
     pairs, inside = spec._pairs, set(members)
     complement = [i for i in range(1, n + 1) if i not in inside]
     total = _sum_pairs(spec.curve, [pairs[i - 1] for i in complement])
-    comp_sum = _point(spec.curve, total)
-    size = len(members)
+    kind, single = _verdict(spec, len(members), complement, total)
+    return CoalitionClass(kind, _point(spec.curve, total), single)
 
+
+def _verdict(
+    spec: AGCodeSpec, size: int, complement: Sequence[int], total: Pair
+) -> tuple[Forgeability, Optional[int]]:
+    """The verdict for a coalition of ``size`` members whose ``complement``
+    (1-based support indices) sums to the point with coordinate indices
+    ``total``, and the single target when there is one."""
+    pairs, k = spec._pairs, spec.degree
+    n = len(pairs)
     if size <= n - k - 2:
-        return CoalitionClass(Forgeability.NOT_FORGEABLE, comp_sum, None)
+        return Forgeability.NOT_FORGEABLE, None
     if size == n - k - 1:
         for i in complement:
             if pairs[i - 1] == total:
-                return CoalitionClass(Forgeability.SINGLE_TARGET, comp_sum, i)
-        return CoalitionClass(Forgeability.NOT_FORGEABLE, comp_sum, None)
+                return Forgeability.SINGLE_TARGET, i
+        return Forgeability.NOT_FORGEABLE, None
     if size == n - k and total is None:
-        return CoalitionClass(Forgeability.NOT_FORGEABLE, comp_sum, None)
-    return CoalitionClass(Forgeability.ALL_TARGETS, comp_sum, None)
+        return Forgeability.NOT_FORGEABLE, None
+    return Forgeability.ALL_TARGETS, None

@@ -140,7 +140,7 @@ def _row_shape(row: dict) -> Optional[tuple]:
 
 
 # how the row writer spells a value of each type, given its variable
-_ROW_FIELDS = {int: "v{k}", str: "esc(v{k})", bool: "tf[v{k}]", list: "j3.join(map(str, v{k}))"}
+_ROW_FIELDS = {int: "v{k}", str: "esc(v{k})", bool: "tf[v{k}]", list: "s{k}"}
 
 
 @functools.lru_cache(maxsize=64)
@@ -150,10 +150,13 @@ def _row_writer(shape: tuple):
     None at the first row of another shape.
 
     The generated loop tests each row with ``type(...) is`` checks and
-    writes it with one f-string.  Its literal parts, the escaped keys with
-    their separators and indents, are built once per call.  Keys enter the
-    source only as the parameters ``k<n>``, and escaped as ``e<n>``, of
-    ``make``, never as text.
+    writes it with one f-string.  A list equal to the same key's list in
+    the row before reuses that row's text; the equality test runs after
+    the type checks, so a list holding a float or a bool that equals the
+    previous one is still refused.  Its literal parts, the escaped keys
+    with their separators and indents, are built once per call.  Keys
+    enter the source only as the parameters ``k<n>``, and escaped as
+    ``e<n>``, of ``make``, never as text.
     """
     n = len(shape)
     tests, lists, parts, fields = [], [], [], []
@@ -168,7 +171,7 @@ def _row_writer(shape: tuple):
             continue
         if kind is list:
             tests.append(f"type(v{k}) is not list or not v{k}")
-            lists.append(f"v{k}")
+            lists.append(k)
             literal += ['"["', "i3"]
         else:
             tests.append(f"type(v{k}) is not {kind.__name__}")
@@ -186,8 +189,11 @@ def _row_writer(shape: tuple):
         f"    if {' or '.join(tests)}:",
         "        return None",
     ]
-    for v in lists:
-        loop += [f"    for item in {v}:", "        if type(item) is not int:", "            return None"]
+    for k in lists:
+        loop += [f"    for item in v{k}:", "        if type(item) is not int:", "            return None"]
+    for k in lists:
+        # consecutive rows often repeat a list: reuse the previous row's text
+        loop += [f"    if v{k} != l{k}:", f"        l{k} = v{k}", f'        s{k} = j3.join(map(str, v{k}))']
     row_text = "".join(fields)
     loop.append(f'    out.append(f"{row_text}")')
     lines = [
@@ -199,6 +205,7 @@ def _row_writer(shape: tuple):
         '        j3 = "," + i3',
         *(f"        {part}" for part in parts),
         "        out = []",
+        *(f"        l{k} = None" for k in lists),
         "        try:",
         *(f"            {line}" for line in loop),
         "        except KeyError:  # a row of n keys without one of these",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from subtag import codes
 from subtag.cli import build_analyze_report
 from subtag.codes import CoalitionSpec, LinearCode, rs_code
-from subtag.ec import AGCodeSpec, EllipticCurve, ec_points, residue_code
+from subtag.ec import AGCodeSpec, EllipticCurve, classify_coalition, ec_points, residue_code
 from subtag.errors import (
     DuplicatePoint,
     FieldMismatch,
@@ -49,6 +49,25 @@ def test_coalition_spec_validation():
         CoalitionSpec(frozenset({1, 2}), 2)
     spec = CoalitionSpec(frozenset({3, 1}), 2)
     assert spec.sorted_members == (1, 3)
+
+
+@pytest.mark.parametrize(
+    "members, target",
+    [
+        ({1.7}, 8),
+        ({1.0, 2}, 8),
+        ({"1"}, 8),
+        ({True}, 8),
+        ({1}, 8.0),
+        ({1}, False),
+        ([2, 1.5], 3),
+    ],
+)
+def test_coalition_spec_refuses_coordinates_that_are_not_ints(members, target):
+    # an int() conversion would store member 1 for 1.7 and answer for a
+    # coalition nobody asked about
+    with pytest.raises(InvalidParams, match="is not an int"):
+        CoalitionSpec(frozenset(members), target)
 
 
 def test_rank_deficient_generator_rejected(f2):
@@ -370,6 +389,119 @@ def test_walk_matches_the_per_subset_searches_on_the_access_codes(shape):
     _assert_walk_matches_per_subset(residue_code(AGCodeSpec(curve, tuple(affine[:size]), degree)))
 
 
+# -- the analyze report's one survey walk against the pruned searches -------------
+
+
+def _random_columns(rng, f, kdim, length):
+    """A full-rank generator whose columns are zero about a fifth of the time."""
+    while True:
+        columns = [
+            (0,) * kdim if rng.random() < 0.2 else tuple(rng.randrange(f.order) for _ in range(kdim))
+            for _ in range(length)
+        ]
+        rows = tuple(zip(*columns))
+        if Matrix.from_indices(f, rows, ncols=length).rank() == kdim:
+            return rows
+
+
+def test_survey_matches_the_pruned_searches_and_brute_force():
+    fields = [(BaseField(2), 7), (BaseField(3), 5), (BaseField(5), 4), (BaseField(2, 2), 5)]
+    rng = random.Random(3407)
+    pairs = zero_columns = 0
+    while pairs < 400:
+        f, longest = fields[rng.randrange(len(fields))]
+        V = rng.randint(2, longest)
+        rows = _random_columns(rng, f, rng.randint(1, V), V)
+        zero_columns += any(not any(c) for c in zip(*rows))
+        if len(rows) == V:
+            # a zero dual: the survey refuses it as min_distance does
+            with pytest.raises(InvalidParams, match="zero code is undefined"):
+                make_code(f, rows)._survey(1)
+            continue
+        words = brute_codewords(f, rows, V)
+        dual_words = brute_dual_words(f, rows, V)
+        for i in range(1, V + 1):
+            # fresh objects: no answer comes from another search's memo
+            surveyed, unpruned, pruned = (make_code(f, rows) for _ in range(3))
+            assert surveyed._survey(i) == {}
+            kept = unpruned._survey(i, 0)
+            dual = surveyed.dual()
+            want = brute_min_distance(f, pruned.dual().generator.to_index_rows(), V)
+            assert dual._dmin == unpruned.dual()._dmin == pruned.dual().min_distance() == want
+            circuits = pruned._circuits(i)
+            assert surveyed._circuit_memo[i] == unpruned._circuit_memo[i] == circuits
+            assert list(dual.minimal_codewords_wrt(i)) == brute_minimal_words(dual_words, i)
+            # with keep, every subset of at most kdim columns, with its rank
+            cols = surveyed.columns
+            # (a tuple sort is the depth-first order: each subset before its supersets)
+            assert list(kept) == sorted(
+                m for size in range(len(rows) + 1) for m in itertools.combinations(range(V), size)
+            )
+            for members, (basis_rows, _) in kept.items():
+                if members:
+                    gens = Matrix.from_indices(f, [cols[j] for j in members], ncols=len(rows))
+                    assert len(basis_rows) == gens.rank(), (rows, members)
+            # the survey leaves the dual's own circuit search to its dual
+            assert list(surveyed.minimal_codewords_wrt(i)) == brute_minimal_words(list(words), i)
+            pairs += 1
+    assert zero_columns
+
+
+def _residue_spec(l, start, size, degree):
+    ext = ExtField(BaseField(5), l)
+    curve = EllipticCurve(ext, ext.one, ext.one)
+    affine = [p for p in ec_points(curve) if not p.is_infinity]
+    return AGCodeSpec(curve, tuple(affine[start:start + size]), degree)
+
+
+# (extension degree over GF(5), first support point, support size, degree)
+RESIDUE_SHAPES = (
+    (1, 0, 5, 1), (1, 3, 5, 2), (1, 0, 6, 3), (1, 2, 6, 4), (1, 0, 7, 2),
+    (1, 1, 7, 5), (1, 0, 8, 1), (2, 0, 5, 2), (2, 7, 6, 2), (2, 13, 7, 3), (2, 19, 7, 4),
+)
+
+
+@pytest.mark.parametrize("shape", RESIDUE_SHAPES, ids=str)
+def test_ec_table_rows_match_the_classifier_and_the_span(shape):
+    spec = _residue_spec(*shape)
+    n, k = spec.n, spec.degree
+    pp = PublicParams(base=BaseField(5), ext=spec.curve.field, n=shape[0], M=shape[0],
+                      code=residue_code(spec))
+    for target in (1, n):
+        table = build_analyze_report(pp, spec, target)["ec_table"]
+        want = []
+        for size in (n - k - 1, n - k):
+            for combo in itertools.combinations(range(1, n + 1), size):
+                for tgt in (t for t in range(1, n + 1) if t not in combo):
+                    cls = classify_coalition(spec, combo, tgt)
+                    span = pp.code.forgeable(CoalitionSpec(frozenset(combo), tgt))[0]
+                    assert cls.against(tgt) == span, (shape, combo, tgt)
+                    want.append([list(combo), tgt, cls.kind.value, span, True])
+        assert [list(row.values()) for row in table] == want
+
+
+def test_analyze_walks_once_per_report(monkeypatch, f5):
+    walks = []
+    walk = codes._walk
+    monkeypatch.setattr(codes, "_walk", lambda *args: walks.append(args) or walk(*args))
+    spec = _residue_spec(1, 0, 8, 3)
+    for curve_spec in (None, spec):
+        for target in (1, 8):
+            pp = PublicParams(base=f5, ext=spec.curve.field, n=1, M=1, code=residue_code(spec))
+            walks.clear()
+            report = build_analyze_report(pp, curve_spec, target)
+            assert len(walks) == 1, (curve_spec, target)
+            assert ("ec_table" in report) == (curve_spec is not None)
+    ext = ExtField(f5, 1)
+    pp = PublicParams(base=f5, ext=ext, n=1, M=1, code=rs_code(ext, range(5), 2))
+    walks.clear()
+    build_analyze_report(pp, None, 3)
+    assert len(walks) == 1
+    # a second report on the same code and target reads the memos
+    build_analyze_report(pp, None, 3)
+    assert len(walks) == 1
+
+
 def test_analyze_reports_past_the_codeword_guard():
     # RS[12,4] over GF(2^8)^3 has 2^192 codewords; its report needs only
     # column subsets of size at most 4
@@ -462,12 +594,16 @@ def test_analyze_enumerates_no_codewords(monkeypatch, f5):
         searches.append((self is pp.code, i, i not in self._circuit_memo))
         return circuits(self, i)
 
+    walks = []
+    walk = codes._walk
+    monkeypatch.setattr(codes, "_walk", lambda *args: walks.append(args) or walk(*args))
     monkeypatch.setattr(LinearCode, "codewords", counting)
     monkeypatch.setattr(LinearCode, "_circuits", searching)
     report = build_analyze_report(pp, spec, 1)
     assert words == []
-    # one circuit search for the target, which the access structure reuses
-    assert searches == [(True, 1, True), (True, 1, False)]
+    # the survey's one walk fills the memo that both circuit reads hit
+    assert len(walks) == 1
+    assert searches == [(True, 1, False), (True, 1, False)]
     supports = {
         tuple(c + 1 for c, v in enumerate(w) if any(v) and c != 0)
         for w in report["minimal_dual_codewords"]

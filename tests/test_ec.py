@@ -258,6 +258,25 @@ def test_classifier_rejects_bad_indices(curve, support):
         classify_coalition(spec, [1], 7)
 
 
+@pytest.mark.parametrize(
+    "coalition, target",
+    [
+        ([1.7, 2, 3, 4, 5], 8),
+        (["1", 2, 3, 4, 5], 8),
+        ([1, 2, 3, 4, 5], 8.0),
+        ([True, 2, 3, 4, 5], 8),
+        ([1, 2, 3, 4, 5], True),
+        ([1, 2, 3, 4, 5], "8"),
+    ],
+)
+def test_classifier_refuses_coordinates_that_are_not_ints(coalition, target):
+    # an int() conversion would answer for coalition (1, 2, 3, 4, 5) instead
+    _, spec = _curve_code(1, 8, 3)
+    with pytest.raises(InvalidParams, match="is not an int"):
+        classify_coalition(spec, coalition, target)
+    assert classify_coalition(spec, [1, 2, 3, 4, 5], 8).kind is Forgeability.ALL_TARGETS
+
+
 def test_classifier_frozen_cases(curve, support):
     spec = AGCodeSpec(curve, support, 3)
     # size n-k-2 = 1: never forgeable
@@ -467,13 +486,13 @@ def _counting_rref(monkeypatch):
 def test_ec_table_asks_each_coalition_once(monkeypatch):
     pp, spec = _curve_code(2, 6, 3)
     classified, forgeable = [], []
-    classify = cli.classify_coalition
+    verdict = cli._verdict
 
-    def counting_classify(spec, coalition, target):
-        classified.append(tuple(coalition))
-        return classify(spec, coalition, target)
+    def counting_verdict(spec, size, complement, total):
+        classified.append(tuple(t for t in range(1, spec.n + 1) if t not in complement))
+        return verdict(spec, size, complement, total)
 
-    monkeypatch.setattr(cli, "classify_coalition", counting_classify)
+    monkeypatch.setattr(cli, "_verdict", counting_verdict)
     monkeypatch.setattr(LinearCode, "forgeable", lambda *args: forgeable.append(args))
     # a residue code is built as a dual, so it already holds its own dual
     eliminations = _counting_rref(monkeypatch)

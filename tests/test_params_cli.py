@@ -147,23 +147,38 @@ _ROW_VALUES = {
     "null": st.none(),
     "ints": st.lists(st.integers(), min_size=1, max_size=4),
 }
-# how one row leaves the shape the other rows share
-_BREAKS = ("bool", "float", "empty list", "bool list", "missing key", "extra key")
+# how one row leaves the shape the other rows share; "equal list" holds a
+# float or a bool where the row before holds an equal int
+_BREAKS = ("bool", "float", "empty list", "bool list", "equal list", "missing key", "extra key")
+# how a row's list relates to the list of the row before
+_REPEATS = ("fresh", "same list", "equal list")
 
 
 @st.composite
 def _row_tables(draw, breaks=(None, *_BREAKS)):
     """A list of 1-6 dict rows on one key set, with an int column and a
-    list-of-ints column; unless the drawn break is None, one row at a
-    random position breaks the shape."""
+    list-of-ints column; a row's list may repeat the list of the row
+    before, as the same object or an equal copy.  Unless the drawn break
+    is None, one row at a random position breaks the shape, and the row
+    after it may repeat its list."""
     keys = draw(st.lists(_TEXT, min_size=2, max_size=5, unique=True))
     kinds = ["int", "ints", *(draw(st.sampled_from(sorted(_ROW_VALUES))) for _ in keys[2:])]
     rows = [
         {key: draw(_ROW_VALUES[kind]) for key, kind in zip(keys, kinds)}
         for _ in range(draw(st.integers(1, 6)))
     ]
+
+    def repeat(at):
+        how = draw(st.sampled_from(_REPEATS))
+        if how != "fresh" and 0 < at < len(rows) and keys[1] in rows[at - 1]:
+            before = rows[at - 1][keys[1]]
+            rows[at][keys[1]] = before if how == "same list" else list(before)
+
+    for at in range(1, len(rows)):
+        repeat(at)
     how = draw(st.sampled_from(breaks))
-    row = rows[draw(st.integers(0, len(rows) - 1))]
+    at = draw(st.integers(0, len(rows) - 1))
+    row = rows[at]
     if how == "bool":
         row[keys[0]] = draw(st.booleans())
     elif how == "float":
@@ -172,12 +187,17 @@ def _row_tables(draw, breaks=(None, *_BREAKS)):
         row[keys[1]] = []
     elif how == "bool list":
         row[keys[1]].insert(draw(st.integers(0, len(row[keys[1]]))), draw(st.booleans()))
+    elif how == "equal list":
+        before = rows[at - 1][keys[1]] if at else [1]
+        before[0] = 1
+        row[keys[1]] = [draw(st.sampled_from([1.0, True])), *before[1:]]
     elif how == "missing key":
         del row[draw(st.sampled_from(keys))]
     elif how == "extra key":
         row[draw(_TEXT.filter(lambda key: key not in keys))] = draw(st.integers())
     elif how == "non-str key":
         row[draw(st.integers() | st.booleans() | st.none() | st.floats(allow_nan=False))] = 0
+    repeat(at + 1)
     return rows
 
 
