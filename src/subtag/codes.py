@@ -11,25 +11,23 @@ Every answer is a span test on ``columns``, the generator's columns as
 index tuples, read once when a code is built.  ``forgeable`` makes one.
 By Massey's theorem the minimal dual codewords through coordinate i are
 the circuits of the column matroid through i: minimal sets S of other
-coordinates whose columns span column i.  The searches walk column
-subsets depth first with ``linalg._walk``, so a subset extends its
-prefix's reduction by one column instead of being eliminated afresh.
-The circuit search goes up to size kdim, extends only independent sets
-that do not span column i, and keeps S when its span witness lambda has
-no zero entry: that witness is unique, and 0 at j exactly when S - {j}
-spans.  S is an access set for i, and lambda gives the dual word with 1
-at i and -lambda_j at each j in S.  A minimum distance is the size of the
-smallest dependent set of parity-check columns; that search stops
-descending at the smallest size found so far.  An ``analyze`` report asks
-both questions of one code and target, so ``_survey`` answers them, and
-keeps the bases the report's ``ec_table`` reads, in one walk over the
-code's columns; ``min_distance`` and ``_circuits`` keep their own pruned
-walks for callers that ask one question.  Only ``codewords`` enumerates
-words.
+coordinates whose columns span column i.  One search, ``_survey``, finds
+them: it walks column subsets depth first with ``linalg._walk``, so a
+subset extends its prefix's reduction by one column instead of being
+eliminated afresh.  It goes up to size kdim, extends only independent
+sets without i that do not span column i, and keeps S when its span
+witness lambda has no zero entry: that witness is unique, and 0 at j
+exactly when S - {j} spans.  S is an access set for i, and lambda gives
+the dual word with 1 at i and -lambda_j at each j in S.  The dual's
+minimum distance, the size of the smallest dependent set of C's columns,
+falls out of the same walk, as do the bases the ``analyze`` report's
+``ec_table`` reads.  ``_circuits`` and ``min_distance`` read the memos a
+survey fills, and survey only when they miss.  Only ``codewords``
+enumerates words.
 
 ``ENUM_GUARD`` bounds the work up front, so routines refuse instead of
-approximating: ``codewords`` counts words, the searches count the column
-subsets they may test, and ``adversary`` counts the labels a uniform
+approximating: ``codewords`` counts words, the survey's checks count the
+column subsets it may test, and ``adversary`` counts the labels a uniform
 histogram would list.  Each check reads the name when it runs.  A code
 memoizes its dual, which links back to it, its minimum distance, its
 circuits per coordinate and its ``forgeable`` answer per
@@ -167,93 +165,71 @@ class LinearCode:
         The smallest number of dependent parity-check columns (the columns
         of the dual's generator).  These have rank V - kdim, so any
         V - kdim + 1 of them are dependent and that size needs no test.
-        This walk stops descending at the smallest size found so far; the
-        dual's ``_survey`` also finds the distance, in the walk that finds
-        its circuits.
+        A survey of the dual on any target finds it with that target's
+        circuits; on a miss this surveys coordinate 1.
         """
-        top = self._distance_ok()
+        self._distance_ok()
         if self._dmin is None:
-            best = top + 1
-
-            def visit(members, basis, _):
-                nonlocal best
-                if len(basis[1]) < len(members):
-                    best = min(best, len(members))
-                    return False
-                # a superset is worth testing only while it would be smaller
-                return len(members) + 1 < best
-
-            _walk(self.field, self.dual().columns, top, visit)
-            self._dmin = best
+            self.dual()._survey(1)
         return self._dmin
 
-    def _distance_ok(self) -> int:
-        """``min_distance``'s checks; returns the largest size it tests."""
+    def _distance_ok(self) -> None:
+        """``min_distance``'s checks: the zero code, then the subsets of
+        sizes 1..V - kdim of the parity-check columns."""
         if self.is_zero:
             raise InvalidParams("minimum distance of the zero code is undefined")
-        top = self.length - self.kdim
-        _check_subsets(self.length, range(1, top + 1))
-        return top
+        _check_subsets(self.length, range(1, self.length - self.kdim + 1))
 
     def _circuits(self, i: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """Circuits through coordinate i, smallest first: each minimal set S
         of other coordinates (a sorted tuple) whose columns span column i,
-        with its span witness aligned with S.  This walk searches for them
-        alone; ``_survey`` finds them with the other answers of a report."""
-        others = self._circuits_ok(i)
-        found = self._circuit_memo.get(i)
-        if found is None:
-            found = []
+        with its span witness aligned with S.  ``_survey`` finds them, with
+        the dual's distance, when they are not memoized yet."""
+        self._circuits_ok(i)
+        if i not in self._circuit_memo:
+            self._survey(i)
+        return self._circuit_memo[i]
 
-            def visit(members, basis, witness):
-                if witness is not None:
-                    # no zero entry: no proper subset spans
-                    if all(witness):
-                        found.append((tuple(others[t] for t in members), witness))
-                    return False
-                # a dependent set's supersets are never minimal
-                return len(basis[1]) == len(members)
-
-            cols = self.columns
-            _walk(self.field, [cols[j - 1] for j in others], self.kdim, visit, cols[i - 1])
-            found = self._circuit_memo[i] = _smallest_first(found)
-        return found
-
-    def _circuits_ok(self, i: int) -> list[int]:
-        """``_circuits``'s checks; returns the coordinates other than i."""
+    def _circuits_ok(self, i: int) -> None:
+        """``_circuits``'s checks: coordinate i, then the subsets of sizes
+        0..kdim of the other coordinates."""
         self._index_ok(i)
-        others = [j for j in range(1, self.length + 1) if j != i]
-        _check_subsets(len(others), range(self.kdim + 1))
-        return others
+        _check_subsets(self.length - 1, range(self.kdim + 1))
 
     def _survey(self, i: int, keep: int | None = None) -> dict:
-        """One walk for an ``analyze`` report on target i.
+        """The one column-subset search: it answers every question an
+        ``analyze`` report asks of this code and target i.
 
         It walks every column, column i included, to depth kdim with
-        column i as the tracked target, and answers three questions: the
-        smallest dependent subset (the dual's distance, kdim + 1 when there
-        is none), the circuits through i (members without i, independent,
-        with a witness and no zero entry), and, when ``keep`` is not None,
-        the basis of every subset of at least ``keep`` columns.  The first
-        two go into the dual's ``_dmin`` and this code's ``_circuit_memo``,
-        so ``dual().min_distance()`` and ``_circuits(i)`` read them; the
-        last is returned as a dict from members (0-based positions) to
-        ``_walk`` bases, in walk order.  The checks of both searches run
-        first, in that order.
+        column i as the tracked target, and finds the circuits through i
+        (members without i, independent, with a witness and no zero entry),
+        the dual's distance and, when ``keep`` is not None, the basis of
+        every subset of at least ``keep`` columns.  The first two go into
+        this code's ``_circuit_memo`` and the dual's ``_dmin``, which
+        ``_circuits(i)`` and ``dual().min_distance()`` read; the last is
+        returned as a dict from members (0-based positions) to ``_walk``
+        bases, in walk order.  The checks run first: the dual's distance
+        guard, unless the dual is the zero code, which has no distance,
+        then ``_circuits``'s checks.
 
-        A subset is extended when some answer needs its supersets: always
-        with ``keep``, otherwise when it is independent and either smaller
-        than the best distance by two or more, or without i and not yet
-        spanning column i.  A survey without ``keep`` whose answers are
-        memoized walks nothing.
+        Without ``keep`` a subset is extended only when it is independent,
+        lacks i and does not yet span column i: the circuit search.  The
+        distance is then the smaller of the smallest dependent subset
+        visited and the smallest circuit plus one (kdim + 1 when neither
+        exists).  A smallest dependent set holding i is i plus a circuit's
+        members.  One without i is either visited, or has a prefix that
+        spans column i and so holds a circuit's members.  With ``keep``
+        every subset is extended.  A survey without ``keep`` whose answers
+        are memoized walks nothing.
         """
         dual = self.dual()
-        top = dual._distance_ok()
+        if not dual.is_zero:
+            dual._distance_ok()
         self._circuits_ok(i)
         kept = {}
         if keep is None and dual._dmin is not None and i in self._circuit_memo:
             return kept
-        best, found, t = top + 1, [], i - 1
+        best, found, t = self.kdim + 1, [], i - 1
         extend_all = keep is not None
 
         def visit(members, basis, witness):
@@ -263,19 +239,21 @@ class LinearCode:
                 kept[members] = basis
             if len(basis[1]) < size:
                 best = min(best, size)
-                return extend_all
-            if t not in members:
+            elif t not in members:
                 if witness is None:
                     return True
+                # no zero entry: no proper subset spans
                 if all(witness):
                     found.append((tuple(j + 1 for j in members), witness))
-            return extend_all or size + 1 < best
+                    best = min(best, size + 1)
+            return extend_all
 
         cols = self.columns
-        _walk(self.field, cols, top, visit, cols[t])
-        dual._dmin = best
+        _walk(self.field, cols, self.kdim, visit, cols[t])
+        dual._dmin = best  # a zero dual's min_distance refuses before reading it
         self._circuit_memo[i] = _smallest_first(found)
         return kept
+
     def minimal_codewords_wrt(self, i: int) -> tuple[tuple[int, ...], ...]:
         """Codewords with component 1 at coordinate i and minimal support,
         as sorted index tuples.
@@ -295,6 +273,8 @@ class LinearCode:
         return tuple(sorted(words))
 
     def _index_ok(self, i: int) -> None:
+        if type(i) is not int:  # a bool or a float is refused, not truncated
+            raise InvalidParams(f"coordinate {i!r} is not an int")
         if not 1 <= i <= self.length:
             raise InvalidParams(f"coordinate {i} outside 1..{self.length}")
 
@@ -344,6 +324,8 @@ def rs_code(field: AnyField, points: Sequence[int], kdim: int) -> LinearCode:
     pts = field._symbols(points)
     if len(set(pts)) != len(pts):
         raise DuplicatePoint("evaluation points must be pairwise distinct")
+    if type(kdim) is not int:
+        raise InvalidParams(f"dimension {kdim!r} is not an int")
     if not 1 <= kdim <= len(pts):
         raise InvalidParams(f"dimension {kdim} outside 1..{len(pts)}")
     power = field.pow_idx

@@ -238,6 +238,8 @@ class AGCodeSpec:
                 raise InvalidParams("the pole point cannot be in the support")
         if len(set(self.points)) != len(self.points):
             raise DuplicatePoint("support points must be pairwise distinct")
+        if type(self.degree) is not int:
+            raise InvalidParams(f"degree {self.degree!r} is not an int")
         if not 0 < self.degree < len(self.points):
             raise InvalidParams("need 0 < degree < number of support points")
         object.__setattr__(self, "_pairs", tuple(_pair(p) for p in self.points))

@@ -198,6 +198,8 @@ class PublicParams:
 
     def generator_indices(self, i: int) -> tuple[int, ...]:
         """Column of G for verifier i (1-based), as field indices."""
+        if type(i) is not int:  # a bool or a float is refused, not truncated
+            raise InvalidParams(f"verifier index {i!r} is not an int")
         if not 1 <= i <= self.V:
             raise InvalidParams(f"verifier index {i} outside 1..{self.V}")
         return self.code.columns[i - 1]

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subtag import codes
+from subtag.adversary import CoalitionView, label_distribution
 from subtag.cli import build_analyze_report
 from subtag.codes import CoalitionSpec, LinearCode, rs_code
 from subtag.ec import AGCodeSpec, EllipticCurve, classify_coalition, ec_points, residue_code
@@ -20,7 +21,7 @@ from subtag.errors import (
 )
 from subtag.fields import BaseField, ExtField, FieldElement
 from subtag.linalg import Matrix, _span_witness, solve_all
-from subtag.scheme import PublicParams
+from subtag.scheme import PublicParams, distribute, keygen
 
 from conftest import random_full_rank
 from oracles import (
@@ -68,6 +69,33 @@ def test_coalition_spec_refuses_coordinates_that_are_not_ints(members, target):
     # coalition nobody asked about
     with pytest.raises(InvalidParams, match="is not an int"):
         CoalitionSpec(frozenset(members), target)
+
+
+@pytest.mark.parametrize("coordinate", [1.5, 3.0, True, "1"], ids=repr)
+def test_coordinates_that_are_not_ints_are_refused(coordinate, f5, rs_pp):
+    # True would answer for coordinate 1, and a float would reach an index
+    code = rs_code(f5, range(4), 2)
+    with pytest.raises(InvalidParams, match="is not an int"):
+        code.access_structure(coordinate)
+    with pytest.raises(InvalidParams, match="is not an int"):
+        code.minimal_codewords_wrt(coordinate)
+    with pytest.raises(InvalidParams, match="is not an int"):
+        rs_pp.generator_indices(coordinate)
+    vks = distribute(rs_pp, keygen(rs_pp, 3))
+    view = CoalitionView.build(rs_pp, {2: vks[1]})
+    with pytest.raises(InvalidParams, match="is not an int"):
+        label_distribution(view, coordinate, (0, 0, 1))
+
+
+def test_dimensions_that_are_not_ints_are_refused(f5):
+    # True would build a [4,1] code, and 2.0 would reach a range()
+    for kdim in (2.0, True):
+        with pytest.raises(InvalidParams, match="is not an int"):
+            rs_code(f5, range(4), kdim)
+    spec = _residue_spec(1, 0, 6, 2)
+    for degree in (2.0, True):
+        with pytest.raises(InvalidParams, match="is not an int"):
+            AGCodeSpec(spec.curve, spec.points, degree)
 
 
 def test_rank_deficient_generator_rejected(f2):
@@ -199,6 +227,12 @@ def test_zero_dual_of_full_code(f3):
     assert full.dual().is_zero
     assert full.columns == ((1, 0), (0, 1))
     assert full.dual().columns == ((), ())
+    # circuits are defined on both sides: no column spans another, and the
+    # empty set spans the zero code's (empty) columns
+    assert full.access_structure(1) == ()
+    assert full.minimal_codewords_wrt(1) == ((1, 0),)
+    assert full.dual().access_structure(1) == ((),)
+    # the survey behind the first answer leaves the zero code's distance refused
     with pytest.raises(InvalidParams):
         full.dual().min_distance()
 
@@ -389,7 +423,7 @@ def test_walk_matches_the_per_subset_searches_on_the_access_codes(shape):
     _assert_walk_matches_per_subset(residue_code(AGCodeSpec(curve, tuple(affine[:size]), degree)))
 
 
-# -- the analyze report's one survey walk against the pruned searches -------------
+# -- the one survey walk against the per-subset searches and brute force ----------
 
 
 def _random_columns(rng, f, kdim, length):
@@ -404,31 +438,37 @@ def _random_columns(rng, f, kdim, length):
             return rows
 
 
-def test_survey_matches_the_pruned_searches_and_brute_force():
+def test_survey_matches_the_per_subset_searches_and_brute_force():
     fields = [(BaseField(2), 7), (BaseField(3), 5), (BaseField(5), 4), (BaseField(2, 2), 5)]
     rng = random.Random(3407)
-    pairs = zero_columns = 0
+    pairs = zero_columns = zero_duals = 0
     while pairs < 400:
         f, longest = fields[rng.randrange(len(fields))]
         V = rng.randint(2, longest)
         rows = _random_columns(rng, f, rng.randint(1, V), V)
         zero_columns += any(not any(c) for c in zip(*rows))
         if len(rows) == V:
-            # a zero dual: the survey refuses it as min_distance does
+            # a zero dual: the survey finds the circuits, none here, and the
+            # dual's distance stays refused
+            full = make_code(f, rows)
+            for i in range(1, V + 1):
+                assert full._survey(i) == {}
+                assert full._circuit_memo[i] == _per_subset_circuits(full, i) == ()
             with pytest.raises(InvalidParams, match="zero code is undefined"):
-                make_code(f, rows)._survey(1)
+                full.dual().min_distance()
+            zero_duals += 1
             continue
         words = brute_codewords(f, rows, V)
         dual_words = brute_dual_words(f, rows, V)
         for i in range(1, V + 1):
-            # fresh objects: no answer comes from another search's memo
-            surveyed, unpruned, pruned = (make_code(f, rows) for _ in range(3))
+            # fresh objects: no answer comes from another survey's memo
+            surveyed, unpruned = make_code(f, rows), make_code(f, rows)
             assert surveyed._survey(i) == {}
             kept = unpruned._survey(i, 0)
             dual = surveyed.dual()
-            want = brute_min_distance(f, pruned.dual().generator.to_index_rows(), V)
-            assert dual._dmin == unpruned.dual()._dmin == pruned.dual().min_distance() == want
-            circuits = pruned._circuits(i)
+            want = brute_min_distance(f, dual.generator.to_index_rows(), V)
+            assert dual._dmin == unpruned.dual()._dmin == _per_subset_min_distance(dual) == want
+            circuits = _per_subset_circuits(surveyed, i)
             assert surveyed._circuit_memo[i] == unpruned._circuit_memo[i] == circuits
             assert list(dual.minimal_codewords_wrt(i)) == brute_minimal_words(dual_words, i)
             # with keep, every subset of at most kdim columns, with its rank
@@ -444,7 +484,7 @@ def test_survey_matches_the_pruned_searches_and_brute_force():
             # the survey leaves the dual's own circuit search to its dual
             assert list(surveyed.minimal_codewords_wrt(i)) == brute_minimal_words(list(words), i)
             pairs += 1
-    assert zero_columns
+    assert zero_columns and zero_duals
 
 
 def _residue_spec(l, start, size, degree):
@@ -499,6 +539,26 @@ def test_analyze_walks_once_per_report(monkeypatch, f5):
     assert len(walks) == 1
     # a second report on the same code and target reads the memos
     build_analyze_report(pp, None, 3)
+    assert len(walks) == 1
+
+
+def test_a_standalone_question_walks_once(monkeypatch, f5):
+    walks = []
+    walk = codes._walk
+    monkeypatch.setattr(codes, "_walk", lambda *args: walks.append(args) or walk(*args))
+    code, fresh = rs_code(f5, range(5), 2), rs_code(f5, range(5), 2)
+    # RS[5,2]: any 2 of the 4 other columns reconstruct column 3
+    access = tuple(itertools.combinations((1, 2, 4, 5), 2))
+    assert code.access_structure(3) == access
+    assert len(walks) == 1
+    # the same walk found the dual's distance, and a repeat reads the memo
+    assert code.dual().min_distance() == 3
+    assert code.access_structure(3) == access
+    assert len(walks) == 1
+    walks.clear()
+    assert fresh.dual().min_distance() == 3
+    assert len(walks) == 1
+    assert fresh.dual().min_distance() == 3
     assert len(walks) == 1
 
 
