@@ -37,22 +37,24 @@ packets do, and the label histogram is taken for that tracker.
 
 A view is built from the members' keys, by verifier index, and the flat
 sequence of packets the coalition saw, which checked their own trackers
-and payloads when built; the view tests only each tag's field and width.
+and payloads when built; the view tests each member's index, its key's
+index, height and field, and each packet's field and width once, when
+it is built, with the errors ``verify`` raises.
 No consistent key is enumerated: a histogram costs the one solve and
 1 + nullity dot products, and refuses only a uniform histogram of more
 than ``codes.ENUM_GUARD`` labels, the bound the code enumerations read.
 
-Everything here works on field indices; FieldElement appears only in the
-packets and histograms handed back.  No question is asked twice: a view
+Everything here works on field indices and wires; FieldElement appears
+only in the histograms handed back.  No question is asked twice: a view
 assembles its system once and reduces its observed payloads once; a
 system is solved once, for the key count, every forgery and every
 histogram; a forgery checks its payload once, with
-``scheme._check_payload``, the check ``spans`` makes, and
-``scheme._made`` builds its packet unchecked; and the params cache each
-verifier's first nonzero generator slot and its inverse for the forged
-tag.  The observed payloads' span is a ``linalg._echelon`` basis, and a
-payload is tested against it by ``linalg._in_span`` once per view: the
-view remembers each checked payload's answer.
+``scheme._check_payload``, the check ``spans`` makes, and ``scheme._built``
+holds its wire unchecked; and the params cache each verifier's first
+nonzero generator slot and its inverse for the forged tag.  The observed
+payloads' span is a ``linalg._echelon`` basis, and a payload is tested
+against it by ``linalg._in_span`` once per view: the view remembers each
+checked payload's answer.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from .errors import (
     InconsistentSystem,
     InvalidParams,
     InvariantViolated,
-    LengthMismatch,
     NotQualified,
     PayloadInSubspace,
     TargetInCoalition,
@@ -77,10 +78,12 @@ from .scheme import (
     PublicParams,
     TaggedPacket,
     VerifierKey,
+    _built,
     _check_payload,
-    _indices_in,
+    _key_indices,
     _label_row,
-    _made,
+    _tag_indices,
+    _wire_in,
     label as scheme_label,  # noqa: F401  bench/spans.py patches this name
     label_row,
 )
@@ -115,9 +118,13 @@ class CoalitionView:
         pp, members = self.pp, self.members
         if members != tuple(sorted(set(members))) or len(self.keys) != len(members):
             raise InvalidParams("members must be sorted and distinct, with one key each")
+        for member, vk in zip(members, self.keys):
+            pp.generator_indices(member)  # the type and range check
+            if vk.index != member:
+                raise InvalidParams(f"key for member {member} carries index {vk.index}")
+            _key_indices(pp, vk)
         for pkt in self.observed:
-            if len(_indices_in(pp.ext, pkt)) != pp.kdim:
-                raise LengthMismatch("packet tag width does not match the code")
+            _wire_in(pp, pkt)
 
     @classmethod
     def build(
@@ -128,11 +135,6 @@ class CoalitionView:
     ) -> "CoalitionView":
         """A view from member keys by index and the packets the coalition saw."""
         members = tuple(sorted(keys))
-        for i in members:
-            if not 1 <= i <= pp.V:
-                raise InvalidParams(f"member index {i} outside 1..{pp.V}")
-            if keys[i].index != i:
-                raise InvalidParams(f"key for member {i} carries index {keys[i].index}")
         return cls(
             pp=pp,
             members=members,
@@ -210,7 +212,7 @@ def _assemble(view: CoalitionView) -> AttackSystem:
     for pkt in view.observed:
         d = _label_row(pp, pkt.tracker, pkt.payload)
         packet_rows.append(d)
-        for t, tag in enumerate(_indices_in(ext, pkt)):
+        for t, tag in enumerate(_tag_indices(pkt)):
             row = [0] * width
             row[t * height : (t + 1) * height] = d
             rows.append(row)
@@ -220,9 +222,7 @@ def _assemble(view: CoalitionView) -> AttackSystem:
     for member, vk in zip(view.members, view.keys):
         g = pp.generator_indices(member)
         cols.append(g)
-        if len(vk.column) != height:
-            raise InvalidParams(f"key column for member {member} has wrong height")
-        for r, b in enumerate(_indices_in(ext, vk)):
+        for r, b in enumerate(vk._indices):
             row = [0] * width
             row[r::height] = g
             rows.append(row)
@@ -279,9 +279,18 @@ def _packet(
     """The tracker-1 packet on a checked payload that the verifier with tag
     slot (t*, 1/g[t*]) labels ``lab``: tag lab / g[t*] at t*, zero elsewhere."""
     t_star, g_inv = slot
-    tag = [0] * pp.kdim
-    tag[t_star] = pp.ext.mul_idx(lab, g_inv)
-    return _made(TaggedPacket, pp.ext, tuple(tag), 1, payload)
+    ext, zeros = pp.ext, (0,) * pp.l
+    tag = zeros * t_star + ext.coords_of(ext.mul_idx(lab, g_inv)) + zeros * (pp.kdim - 1 - t_star)
+    return _built(TaggedPacket, ext, (1, *payload, *tag))
+
+
+def _target_slot(view: CoalitionView, target: int) -> tuple[int, int]:
+    """The target's ``PublicParams.tag_slot``, once it is a verifier index
+    (so True or 1.0 is refused, not taken for member 1) outside the coalition."""
+    slot = view.pp.tag_slot(target)
+    if target in view.members:
+        raise TargetInCoalition(f"target {target} is a coalition member")
+    return slot
 
 
 def _fixed_label(view: CoalitionView, target: int, d: tuple[int, ...]) -> int | None:
@@ -315,14 +324,13 @@ def deterministic_forge(
     pp = view.pp
     payload = _check_payload(pp, payload)
     _payload_outside_view(view, payload)
-    if target in view.members:
-        raise TargetInCoalition(f"target {target} is a coalition member")
+    slot = _target_slot(view, target)
     lab = _fixed_label(view, target, _label_row(pp, 1, payload))
     if lab is None:
         raise NotQualified(
             f"coalition {view.members} and its traffic leave verifier {target}'s label open"
         )
-    return _packet(pp, pp.tag_slot(target), payload, lab)
+    return _packet(pp, slot, payload, lab)
 
 
 def guess_forge(
@@ -338,12 +346,11 @@ def guess_forge(
     payload reuse the first answer.
     """
     pp = view.pp
-    if target in view.members:
-        raise TargetInCoalition(f"target {target} is a coalition member")
+    slot = _target_slot(view, target)
     payload = _check_payload(pp, payload)
     _payload_outside_view(view, payload)
     r = _rng.stream(seed, "adversary/guess")
-    return _packet(pp, pp.tag_slot(target), payload, r.randrange(pp.ext.order))
+    return _packet(pp, slot, payload, r.randrange(pp.ext.order))
 
 
 def label_distribution(
@@ -357,8 +364,7 @@ def label_distribution(
     histogram of more than ``codes.ENUM_GUARD`` labels.
     """
     pp = view.pp
-    if target in view.members:
-        raise TargetInCoalition(f"target {target} is a coalition member")
+    _target_slot(view, target)
     ext = pp.ext
     lab = _fixed_label(view, target, label_row(pp, 1, payload))
     nullity = view._system._solution.nullity

@@ -33,20 +33,20 @@ The optional OpCounter records the paper's nominal schedule, not the work
 done, so tests can pin it down: a verification counts M + kdim + 1
 extension multiplications and M - 1 Frobenius steps, the cost of its
 label and tag sum, however the check runs.  Everything runs on raw field
-indices.  tag_payload() builds no intermediate FieldElements, and
-TaggedPacket.from_symbols() keeps its checked wire tuple, so symbols()
-costs nothing and verify() reads the wire; it makes the tag's indices
-and elements only when they are first read.  Generator columns are
-the code's own index tuples (``LinearCode.columns``, read through
-``PublicParams.generator_indices``).  Each key and packet is checked
-once, where it is made, and keeps its field and its elements' indices.
-From outside input, a VerifierKey checks that its column holds elements
-of one field; a TaggedPacket, that its tag holds indices of one
-extension field and its tracker and l payload coordinates are symbols
-of that field's base.  Keys and packets the library computes itself go
-through ``_made`` or ``_wired``, which skip these checks, so verify(),
+indices.  A packet is its wire: a TaggedPacket holds its extension field
+and its checked wire tuple, and ``tracker``, ``payload`` and ``tag`` read
+that wire, so symbols() costs nothing.  A key is its indices: a
+VerifierKey holds its index, its field, its column's index tuple and the
+parity check verify() caches.  FieldElements are made only when a caller
+reads ``tag`` or ``column``.  Generator columns are the code's own index
+tuples (``LinearCode.columns``, read through
+``PublicParams.generator_indices``).  Built by hand, a key checks that
+its column holds in-range indices of one field, and a packet that its
+tag does so in one extension field and that its tracker and l payload
+coordinates are symbols of that field's base.  Keys and packets the
+library computes go through ``_built``, unchecked, and verify(), label(),
 combine_packets() and the attacks test only what needs the params: the
-kept field, the packet width, the key height and the verifier index.
+held field, the packet width, the key height and the verifier index.
 Payloads and coefficients passed in alone are base-field symbol indices
 (``Field._symbols``), checked by each public entry.  Seeds are integers
 naming the labelled streams of ``subtag.rng``.
@@ -68,7 +68,7 @@ from .errors import (
     LengthMismatch,
     RankDeficient,
 )
-from .fields import BaseField, ExtField, FieldElement
+from .fields import BaseField, ExtField, Field, FieldElement
 from .linalg import Matrix, _echelon
 from . import rng as _rng
 
@@ -225,88 +225,75 @@ def _one_field(elements: Sequence[FieldElement]) -> tuple[object, tuple[int, ...
     return field, tuple(e.index for e in elements)
 
 
-def _made(cls, field: ExtField, indices: tuple[int, ...], *lead):
-    """A key or packet over ``field`` with these element indices, which its
-    caller has just checked or computed, built without the constructor's
-    checks; ``lead`` is the key's index or the packet's tracker and payload."""
+def _built(cls, *values):
+    """A key or packet holding ``values``, in its dataclass field order,
+    that its caller has just checked or computed: no constructor checks."""
     held = object.__new__(cls)
-    values = (*lead, tuple(map(FieldElement, repeat(field), indices)), (field, indices))
     held.__dict__.update(zip(cls.__dataclass_fields__, values))
     return held
 
 
-def _indices_in(ext: ExtField, held: "VerifierKey | TaggedPacket") -> tuple[int, ...]:
-    """The indices a key or packet kept when built, once its field is ext."""
-    field, idx = held._indexed
-    if field is not ext and field != ext:
-        raise FieldMismatch(f"{type(held).__name__} elements do not belong to {ext.name}")
-    return idx
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VerifierKey:
-    index: int
-    column: tuple[FieldElement, ...]  # M+1 extension elements
-    _indexed: tuple = dc_field(init=False, compare=False, repr=False)
-    # (params, predicate): verify's parity check, built on first use
-    _check: Optional[tuple] = dc_field(default=None, init=False, compare=False, repr=False)
+    """Verifier ``index``'s key column of M+1 extension elements, held as
+    their field and indices; ``column`` makes the elements when read."""
 
-    def __post_init__(self):
-        field, idx = _one_field(self.column)
+    index: int
+    _field: Optional[Field]
+    _indices: tuple[int, ...]
+    # (params, predicate): verify's parity check, built on first use
+    _check: Optional[tuple] = dc_field(default=None, compare=False, repr=False)
+
+    def __init__(self, index: int, column: tuple[FieldElement, ...]) -> None:
+        field, idx = _one_field(column)
         if idx:
             field._symbols(idx)  # verify reads them unchecked
-        object.__setattr__(self, "_indexed", (field, idx))
+        self.__dict__.update(index=index, _field=field, _indices=idx)
+
+    @property
+    def column(self) -> tuple[FieldElement, ...]:
+        return tuple(map(FieldElement, repeat(self._field), self._indices))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TaggedPacket:
-    """Tracker symbol, payload coordinates, and kdim tag elements."""
+    """A packet held as its field and its wire image over F_q: tracker
+    symbol, l payload coordinates, then the coordinates of kdim tag
+    elements; ``tag`` makes the elements when read."""
 
-    tracker: int
-    payload: tuple[int, ...]
-    tag: tuple[FieldElement, ...]
-    _indexed: tuple = dc_field(init=False, compare=False, repr=False)
-    # (field, wire): the wire image, kept by from_symbols, else made once
-    _wire: Optional[tuple] = dc_field(default=None, init=False, compare=False, repr=False)
+    _field: ExtField
+    _wire: tuple[int, ...]
 
-    def __post_init__(self):
-        field, idx = _one_field(self.tag)
+    def __init__(
+        self, tracker: int, payload: tuple[int, ...], tag: tuple[FieldElement, ...]
+    ) -> None:
+        field, idx = _one_field(tag)
         if not isinstance(field, ExtField):
             # an empty tag has the wrong width, any other the wrong field
             error = FieldMismatch if idx else LengthMismatch
-            raise error(f"a tag holds elements of one extension field, not {self.tag!r}")
-        if len(self.payload) != field.l:
-            raise LengthMismatch(f"payload needs {field.l} coordinates, got {len(self.payload)}")
-        syms = field.base._symbols((self.tracker, *self.payload))
-        field._symbols(idx)  # verify and combine_packets read them unchecked
-        object.__setattr__(self, "payload", syms[1:])
-        object.__setattr__(self, "_indexed", (field, idx))
+            raise error(f"a tag holds elements of one extension field, not {tag!r}")
+        if len(payload) != field.l:
+            raise LengthMismatch(f"payload needs {field.l} coordinates, got {len(payload)}")
+        head = field.base._symbols((tracker, *payload))
+        field._symbols(idx)  # coords_of reads them unchecked
+        tail = chain.from_iterable(map(field.coords_of, idx))
+        self.__dict__.update(_field=field, _wire=(*head, *tail))
 
-    def __getattr__(self, name: str):
-        # a packet built from its wire makes its tag indices and elements
-        # when they are first read
-        held = self.__dict__.get("_wire")
-        if held is None or name not in ("tag", "_indexed"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        field, wire = held
-        l = field.l
-        # l references to one iterator: zip groups the tag digits l at a time
-        idx = tuple(map(field.from_digits, zip(*[iter(wire[1 + l :])] * l)))
-        self.__dict__["_indexed"] = (field, idx)
-        self.__dict__["tag"] = tuple(map(FieldElement, repeat(field), idx))
-        return self.__dict__[name]
+    @property
+    def tracker(self) -> int:
+        return self._wire[0]
 
-    def _pack(self) -> tuple:
-        """(field, wire image) of a packet built from its tag, kept once made."""
-        field, idx = self._indexed
-        tag = chain.from_iterable(map(field.coords_of, idx))
-        held = (field, (self.tracker, *self.payload, *tag))
-        object.__setattr__(self, "_wire", held)
-        return held
+    @property
+    def payload(self) -> tuple[int, ...]:
+        return self._wire[1 : 1 + self._field.l]
+
+    @property
+    def tag(self) -> tuple[FieldElement, ...]:
+        return tuple(map(FieldElement, repeat(self._field), _tag_indices(self)))
 
     def symbols(self) -> tuple[int, ...]:
         """Flat wire image over F_q: tracker, payload, tag coordinates."""
-        return (self._wire or self._pack())[1]
+        return self._wire
 
     @classmethod
     def from_symbols(cls, pp: PublicParams, syms: Sequence[int]) -> "TaggedPacket":
@@ -319,27 +306,33 @@ class TaggedPacket:
             )
         if len(syms) != pp.packet_symbols:
             raise LengthMismatch(f"expected {pp.packet_symbols} symbols, got {len(syms)}")
-        return _wired(cls, pp.ext, pp.base._symbols(syms))
+        return _built(cls, pp.ext, pp.base._symbols(syms))
 
 
-def _wired(cls, ext: ExtField, wire: tuple[int, ...]) -> TaggedPacket:
-    """The packet over ``ext`` whose wire image is ``wire``, a tuple of
-    checked symbols of the right width; it keeps the wire, and makes its
-    tag when the tag is first read."""
-    held = object.__new__(cls)
-    held.__dict__.update(tracker=wire[0], payload=wire[1 : 1 + ext.l], _wire=(ext, wire))
-    return held
+def _tag_indices(pkt: TaggedPacket) -> tuple[int, ...]:
+    """The indices of the tag elements a packet's wire carries."""
+    field, l = pkt._field, pkt._field.l
+    # l references to one iterator: zip groups the tag digits l at a time
+    return tuple(map(field.from_digits, zip(*[iter(pkt._wire[1 + l :])] * l)))
 
 
 def _wire_in(pp: PublicParams, pkt: TaggedPacket) -> tuple[int, ...]:
     """The wire image of a packet, once its field is pp.ext and its width
     pp.packet_symbols: a wire of another kdim is refused, not truncated."""
-    field, wire = pkt._wire or pkt._pack()
-    if field is not pp.ext and field != pp.ext:
+    if pkt._field is not pp.ext and pkt._field != pp.ext:
         raise FieldMismatch(f"packet elements do not belong to {pp.ext.name}")
-    if len(wire) != pp.packet_symbols:
+    if len(pkt._wire) != pp.packet_symbols:
         raise LengthMismatch("packet width does not match the parameters")
-    return wire
+    return pkt._wire
+
+
+def _key_indices(pp: PublicParams, vk: VerifierKey) -> tuple[int, ...]:
+    """A key's column indices, once its height is M + 1 and its field pp.ext."""
+    if len(vk._indices) != pp.M + 1:
+        raise LengthMismatch("verifier key column has the wrong height")
+    if vk._field is not pp.ext and vk._field != pp.ext:
+        raise FieldMismatch(f"VerifierKey elements do not belong to {pp.ext.name}")
+    return vk._indices
 
 
 def _check_payload(pp: PublicParams, payload: Sequence[int]) -> tuple[int, ...]:
@@ -365,7 +358,7 @@ def distribute(
     if counter is not None:
         counter.add(mults=(pp.M + 1) * pp.kdim * pp.V)
     columns = zip(*b.to_index_rows())
-    return tuple(_made(VerifierKey, pp.ext, col, i) for i, col in enumerate(columns, 1))
+    return tuple(_built(VerifierKey, i, pp.ext, col) for i, col in enumerate(columns, 1))
 
 
 def label_row(pp: PublicParams, tracker: int, payload: Sequence[int]) -> tuple[int, ...]:
@@ -400,7 +393,8 @@ def tag_payload(
     tags = ext.combine(_label_row(pp, 1, payload), mk.matrix.to_index_rows(), pp.kdim)
     if counter is not None:
         counter.add(mults=pp.kdim * pp.M, frobs=pp.M - 1)
-    return _made(TaggedPacket, ext, tags, 1, payload)
+    tail = chain.from_iterable(map(ext.coords_of, tags))
+    return _built(TaggedPacket, ext, (1, *payload, *tail))
 
 
 def tag_basis(
@@ -427,11 +421,10 @@ def label(
 ) -> FieldElement:
     """Verifier-side combination of tracker and payload with the key column."""
     row = label_row(pp, tracker, payload)
-    if len(vk.column) != pp.M + 1:
-        raise LengthMismatch("verifier key column has the wrong height")
+    b = _key_indices(pp, vk)
     if counter is not None:
         counter.add(mults=pp.M + 1, frobs=pp.M - 1)
-    return FieldElement(pp.ext, pp.ext.dot(row, _indices_in(pp.ext, vk)))
+    return FieldElement(pp.ext, pp.ext.dot(row, b))
 
 
 def verify(
@@ -463,9 +456,7 @@ def _key_check(pp: PublicParams, vk: VerifierKey) -> tuple:
     products over F_q, which ``Field._parity_check`` evaluates.
     """
     ext = pp.ext
-    if len(vk.column) != pp.M + 1:
-        raise LengthMismatch("verifier key column has the wrong height")
-    b = _indices_in(ext, vk)
+    b = _key_indices(pp, vk)
     g = pp.generator_indices(vk.index)
     mul, neg, units = ext.mul_idx, ext.neg_idx, pp._units
     w = [b[0], *(ext.dot(powers, b[1:]) for powers in pp._unit_chains)]
@@ -490,7 +481,7 @@ def combine_packets(
         raise LengthMismatch("need one coefficient per packet")
     width, base = pp.packet_symbols, pp.base
     wires = [_wire_in(pp, pkt) for pkt in packets]
-    return _wired(TaggedPacket, pp.ext, base.combine(base._symbols(coeffs), wires, width))
+    return _built(TaggedPacket, pp.ext, base.combine(base._symbols(coeffs), wires, width))
 
 
 def _rank(base: BaseField, rows: tuple[tuple[int, ...], ...], width: int) -> int:

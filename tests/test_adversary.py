@@ -277,6 +277,48 @@ def test_view_checks_its_observed_packets(rs_pp, e25):
             CoalitionView(rs_pp, members, held, ())
 
 
+def test_view_checks_its_keys_as_verify_does(rs_pp, e25):
+    # a short key and a key of another field are refused when the view is
+    # built, with the errors verify and label raise for them
+    from subtag.scheme import label as scheme_label
+
+    mk = keygen(rs_pp, 7)
+    vks = distribute(rs_pp, mk)
+    pkt = tag_payload(rs_pp, mk, (1, 0, 2))
+    short = VerifierKey(1, vks[0].column[:-1])
+    foreign = VerifierKey(1, (e25.one,) * (rs_pp.M + 1))
+    for key, error in ((short, LengthMismatch), (foreign, FieldMismatch)):
+        with pytest.raises(error):
+            verify(rs_pp, key, pkt)
+        with pytest.raises(error):
+            scheme_label(rs_pp, key, 1, (1, 0, 2))
+        with pytest.raises(error):
+            CoalitionView.build(rs_pp, {1: key, 2: vks[1]}, (pkt,))
+        with pytest.raises(error):
+            CoalitionView(rs_pp, (1,), (key,), ())
+    # a direct construction checks each member and its key's index too
+    for members, held in (((2,), vks[:1]), ((7,), vks[:1]), ((1.0,), vks[:1])):
+        with pytest.raises(InvalidParams):
+            CoalitionView(rs_pp, members, held, (pkt,))
+
+
+def test_targets_are_refused_by_type_before_membership(tiny):
+    # True and 1.0 equal member 1, but are not verifier indices
+    pp, mk, vks, packets = tiny
+    view = CoalitionView.build(pp, {1: vks[0]}, packets)
+    attacks = (
+        lambda target: deterministic_forge(view, target, (0, 1)),
+        lambda target: guess_forge(view, target, (0, 1), seed=1),
+        lambda target: label_distribution(view, target, (0, 1)),
+    )
+    for attack in attacks:
+        for target in (True, 1.0, "1"):
+            with pytest.raises(InvalidParams):
+                attack(target)
+        with pytest.raises(TargetInCoalition):
+            attack(1)
+
+
 def test_deterministic_forge_end_to_end(rs_pp):
     mk = keygen(rs_pp, 3)
     vks = distribute(rs_pp, mk)

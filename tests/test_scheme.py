@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 import re
@@ -10,7 +11,13 @@ from oracles import all_vectors, element_verify, linearized_eval, reference_fiel
 from test_fields import DIFFERENTIAL_FIELDS
 
 from subtag import linalg, network, scheme
-from subtag.adversary import CoalitionView, deterministic_forge, guess_forge
+from subtag.adversary import (
+    CoalitionView,
+    assemble_system,
+    count_consistent_keys,
+    deterministic_forge,
+    guess_forge,
+)
 from subtag.codes import LinearCode, rs_code
 from subtag.errors import (
     DependentBasis,
@@ -582,6 +589,31 @@ def test_keys_and_packets_the_library_makes_are_not_checked_again(rs_pp, monkeyp
     assert len(field_checks) == 1 and symbol_checks[1:] == [(1, 0, 0, 1), tag]
 
 
+def test_hot_paths_make_no_field_elements(rs_pp, monkeypatch):
+    # keys hold indices and packets their wires: a FieldElement is made
+    # only when a caller reads a tag, a key column or a label
+    made = []
+    init = FieldElement.__init__
+
+    def counting(self, field, index):
+        made.append(index)
+        init(self, field, index)
+
+    mk = keygen(rs_pp, 3)
+    monkeypatch.setattr(FieldElement, "__init__", counting)
+    vks = distribute(rs_pp, mk)
+    packets = tag_basis(rs_pp, mk, ((1, 0, 0), (0, 1, 0)))
+    assert made == []
+    pkt = TaggedPacket.from_symbols(rs_pp, combine_packets(rs_pp, packets, [1, 2]).symbols())
+    assert all(verify(rs_pp, vk, pkt) for vk in vks)
+    assert made == []
+    view = CoalitionView.build(rs_pp, {1: vks[0], 2: vks[1], 3: vks[2]}, packets)
+    count_consistent_keys(assemble_system(view))
+    assert verify(rs_pp, vks[3], deterministic_forge(view, 4, (0, 0, 1)))
+    guess_forge(view, 4, (0, 0, 1), seed=7)
+    assert made == []
+
+
 def _outcome(check, *args):
     """``check(*args)``, or the type of the SubtagError it raises."""
     try:
@@ -695,3 +727,37 @@ def test_wire_check_matches_the_element_check(name):
     # honest packets and mixtures pass, random wires almost never do
     assert compared > 300 and 100 < accepted < compared - 100
 
+
+@pytest.mark.parametrize("name", SCHEME_FIELDS)
+def test_one_value_has_one_identity(name):
+    """A packet built by hand, by tagging, from its wire or as a unit
+    mixture is one value, and so is a key rebuilt from its column."""
+    ext = DIFFERENTIAL_FIELDS[name]()
+    n = min(2, ext.l)
+    pp = PublicParams(base=ext.base, ext=ext, n=n, M=n + 1, code=rs_code(ext, range(4), 2))
+    mk = keygen(pp, 1)
+    payload = tuple(k % ext.base.order for k in range(1, ext.l + 1))
+    # the tags as the paper writes them, one linearized map per column of A
+    rows = mk.matrix.to_index_rows()
+    s = ext.from_coords(payload)
+    tag = tuple(
+        linearized_eval([FieldElement(ext, row[t]) for row in rows], 1, s) for t in range(pp.kdim)
+    )
+    tagged = tag_payload(pp, mk, payload)
+    ways = [
+        TaggedPacket(1, payload, tag),
+        tagged,
+        TaggedPacket.from_symbols(pp, tagged.symbols()),
+        combine_packets(pp, [tagged], [1]),
+    ]
+    wire = (1, *payload, *(c for e in tag for c in e.coords))
+    for pkt in ways:
+        assert pkt == ways[0] and hash(pkt) == hash(ways[0])
+        assert (pkt.tracker, pkt.payload, pkt.tag, pkt.symbols()) == (1, payload, tag, wire)
+    for vk in distribute(pp, mk):
+        assert verify(pp, vk, tagged)  # a cached parity check is not part of the key
+        twin = VerifierKey(vk.index, vk.column)
+        assert twin == vk and hash(twin) == hash(vk)
+    for held, name in ((tagged, "tracker"), (tagged, "tag"), (vk, "column")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(held, name, None)
