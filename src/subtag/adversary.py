@@ -73,7 +73,7 @@ from .errors import (
     TooLargeToEnumerate,
 )
 from .fields import FieldElement
-from .linalg import LinearSolution, Matrix, _echelon, _in_span, solve_all
+from .linalg import LinearSolution, Matrix, _echelon, _in_span, _rank, solve_all
 from .scheme import (
     PublicParams,
     TaggedPacket,
@@ -182,10 +182,6 @@ class AttackSystem:
     r0: int
     k0: int
 
-    @property
-    def unknowns(self) -> int:
-        return self.pp.kdim * (self.pp.M + 1)
-
     @cached_property
     def _solution(self) -> LinearSolution:
         """The one elimination the key count and every label question read."""
@@ -228,9 +224,8 @@ def _assemble(view: CoalitionView) -> AttackSystem:
             rows.append(row)
             consts.append(b)
 
-    # ranks of the packet rows and of the member columns, as pivot counts
-    r0 = len(_echelon(ext, tuple(packet_rows), height)[1])
-    k0 = len(_echelon(ext, tuple(cols), pp.kdim)[1])
+    r0 = _rank(ext, tuple(packet_rows), height)
+    k0 = _rank(ext, tuple(cols), pp.kdim)
 
     coeff = Matrix._of(ext, tuple(map(tuple, rows)), width)
     const = Matrix._of(ext, tuple((c,) for c in consts), 1)
@@ -353,6 +348,23 @@ def guess_forge(
     return _packet(pp, slot, payload, r.randrange(pp.ext.order))
 
 
+def _label_counts(
+    view: CoalitionView, target: int, payload: Sequence[int]
+) -> tuple[int | None, int]:
+    """``label_distribution`` in closed form: (the one label or None when
+    every label occurs, the number of keys giving each), with its refusal."""
+    pp = view.pp
+    _target_slot(view, target)
+    ext = pp.ext
+    lab = _fixed_label(view, target, label_row(pp, 1, payload))
+    nullity = view._system._solution.nullity
+    if lab is not None:
+        return lab, ext.order**nullity
+    if ext.order > codes.ENUM_GUARD:
+        raise TooLargeToEnumerate(f"{ext.order} labels exceed the guard {codes.ENUM_GUARD}")
+    return None, ext.order ** (nullity - 1)
+
+
 def label_distribution(
     view: CoalitionView, target: int, payload: Sequence[int]
 ) -> dict[FieldElement, int]:
@@ -363,14 +375,7 @@ def label_distribution(
     each label is given by order^(nullity-1) of them.  Refuses a uniform
     histogram of more than ``codes.ENUM_GUARD`` labels.
     """
-    pp = view.pp
-    _target_slot(view, target)
-    ext = pp.ext
-    lab = _fixed_label(view, target, label_row(pp, 1, payload))
-    nullity = view._system._solution.nullity
-    if lab is not None:
-        return {FieldElement(ext, lab): ext.order**nullity}
-    if ext.order > codes.ENUM_GUARD:
-        raise TooLargeToEnumerate(f"{ext.order} labels exceed the guard {codes.ENUM_GUARD}")
-    each = ext.order ** (nullity - 1)
-    return {FieldElement(ext, idx): each for idx in range(ext.order)}
+    lab, each = _label_counts(view, target, payload)
+    ext = view.pp.ext
+    labels = range(ext.order) if lab is None else (lab,)
+    return {FieldElement(ext, idx): each for idx in labels}

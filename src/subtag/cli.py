@@ -291,19 +291,16 @@ def build_attack_report(
             "expected_rate": 1.0 / pp.ext.order,
         }
     elif mode == "histogram":
-        hist = adversary.label_distribution(view, target, payload)
-        counts_by_label = {str(e.index): c for e, c in sorted(
-            ((e, c) for e, c in hist.items()), key=lambda item: item[0].index
-        )}
-        values = list(hist.values())
+        lab, each = adversary._label_counts(view, target, payload)
+        labels = range(pp.ext.order) if lab is None else (lab,)
         block = {
-            "labels": len(hist),
-            "min_count": min(values),
-            "max_count": max(values),
-            "uniform": len(hist) == pp.ext.order and min(values) == max(values),
+            "labels": len(labels),
+            "min_count": each,
+            "max_count": each,
+            "uniform": lab is None,
         }
-        if len(hist) <= 64:
-            block["counts"] = counts_by_label
+        if len(labels) <= 64:
+            block["counts"] = {str(i): each for i in labels}
         report["outcome"] = "analyzed"
         report["histogram"] = block
     else:

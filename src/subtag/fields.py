@@ -29,6 +29,9 @@ or how large it is:
 
 Multiplication and inversion use discrete-log tables whenever the order is
 at most ``_MUL_TABLE_MAX``: every base field and the small extensions.
+A tabulated field and the code generated over it read one layout: log 0
+is the sentinel 2n (n = order - 1), exp the n powers twice, then 2n + 1
+zeros, so a product is exp[log[i] + log[j]] and an inverse exp[n - log[i]].
 Every field built over a subfield has its digit ops generated as one
 straight-line source by ``_compile_ops`` when it is built: the digit
 codec, the digit-wise sums of odd-p fields, and the schoolbook product of
@@ -114,6 +117,12 @@ __all__ = [
 # oracles elsewhere in the package remain exact.
 MAX_BASE_ORDER = 1 << 16
 _MUL_TABLE_MAX = 1 << 16
+
+
+def _check_int(what: str, v) -> None:
+    """Refuse a field parameter that is not an int; a bool is refused too."""
+    if type(v) is not int:
+        raise InvalidParams(f"{what} {v!r} is not an int")
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -231,18 +240,6 @@ def _digit_code(radix: int, degree: int, sub: "Field") -> tuple:
     return digits, placed, total, minus, negated
 
 
-def _log_code(sub: "Field") -> tuple[list[int], list[int]]:
-    """The subfield's log and exp tables as generated code reads them.
-
-    Two digits multiply as e[la + lb]: the log of 0 is the sentinel 2n
-    (n = sub.order - 1), and e is exp twice and then 2n + 1 zeros, so any
-    sum with a sentinel reads 0."""
-    n = sub.order - 1
-    lg = list(sub._log)
-    lg[0] = 2 * n
-    return lg, sub._exp * 2 + [0] * (2 * n + 1)
-
-
 def _maker(lines: list[str], names: list[str], params: str = "lg, e, add, sub, neg"):
     """The function ``make(params)`` that returns the functions ``names``
     which the generated ``lines`` define; the ops call it with lg, e and
@@ -261,15 +258,15 @@ def _compile_ops(radix: int, degree: int, fold, sub: "Field") -> tuple:
     Returns ``coords_of``, ``from_digits`` and ``mul_idx``, and for odd p
     also ``add_idx``, ``sub_idx`` and ``neg_idx``, which work digit by
     digit.  The source spells out the schoolbook product of two digit
-    vectors term by term, with digit products read off ``_log_code``
-    tables, and folds it with ``fold`` (from _fold_terms) from the top
-    degree down; cached, so a field built again generates no source.
-    Fold terms enter as logs of -m_k.  Besides lg, e and the subfield's add, sub and neg, the source
-    holds only integer literals derived from the radix and the validated
-    modulus.
+    vectors term by term, as e[lg[a] + lg[b]] over the subfield's tables,
+    and folds it with ``fold`` (from _fold_terms) from the top degree down;
+    cached, so a field built again generates no source.  Fold terms enter
+    as logs of -m_k.  Besides lg, e and the subfield's add, sub and neg,
+    the source holds only integer literals derived from the radix and the
+    validated modulus.
     """
     digits, placed, total, minus, negated = _digit_code(radix, degree, sub)
-    lg, e = _log_code(sub)
+    lg = sub._log
     d = degree
     body = ["if not (i and j):", "    return 0"]
     body += [f"a{k} = lg[{x}]" for k, x in enumerate(digits("i"))]
@@ -303,7 +300,7 @@ def _compile_ops(radix: int, degree: int, fold, sub: "Field") -> tuple:
             f"        return {placed([negated(x) for x in digits('i')])}",
         ]
         names += ["add_idx", "sub_idx", "neg_idx"]
-    return _maker(lines, names)(lg, e, sub.add_idx, sub.sub_idx, sub.neg_idx)
+    return _maker(lines, names)(lg, sub._exp, sub.add_idx, sub.sub_idx, sub.neg_idx)
 
 
 @functools.lru_cache(maxsize=64)
@@ -344,7 +341,7 @@ def _compile_frobenius(radix: int, degree: int, cols, sub: "Field"):
     """
     digits, placed, total, _, _ = _digit_code(radix, degree, sub)
     prime = sub.subfield is None
-    lg, e = (None, None) if prime else _log_code(sub)
+    lg = sub._log
     body = [f"x{j} = {x}" for j, x in enumerate(digits("i"))]
     if not prime:
         # the log of each digit that some entry other than 1 scales
@@ -367,7 +364,7 @@ def _compile_frobenius(radix: int, degree: int, cols, sub: "Field"):
         body.append(f"c{r} = {out}")
     body.append(f"return {placed([f'c{r}' for r in range(degree)])}")
     lines = ["    def frobenius_idx(i):", *(f"        {line}" for line in body)]
-    return _maker(lines, ["frobenius_idx"])(lg, e, sub.add_idx, sub.sub_idx, sub.neg_idx)[0]
+    return _maker(lines, ["frobenius_idx"])(lg, sub._exp, sub.add_idx, sub.sub_idx, sub.neg_idx)[0]
 
 
 def _monic_from_value(value: int, radix: int, degree: int) -> tuple[int, ...]:
@@ -512,13 +509,13 @@ class Field:
         self._label = label
         self._radix = char if subfield is None else subfield.order
         if modulus is not None:
-            modulus = tuple(modulus)
-            if len(modulus) != degree + 1 or modulus[-1] != 1 or any(
-                not isinstance(c, int) or not 0 <= c < self._radix for c in modulus
-            ):
-                raise InvalidParams(
-                    f"modulus must be monic of degree {degree} over 0..{self._radix - 1}"
-                )
+            modulus, r = tuple(modulus), self._radix
+            monic = f"modulus must be monic of degree {degree} over 0..{r - 1}"
+            for c in modulus:
+                _check_int(f"{monic}: coefficient", c)
+            shaped = len(modulus) == degree + 1 and modulus[-1] == 1
+            if not shaped or not all(0 <= c < r for c in modulus):
+                raise InvalidParams(monic)
             if degree == 1 and modulus != (0, 1):
                 # x + c would name the same field differently
                 raise InvalidParams(f"a degree-1 modulus must be x, not {modulus}")
@@ -553,8 +550,8 @@ class Field:
             self.coords_of, self.from_digits, mul = ops[:3]
         if self.order <= _MUL_TABLE_MAX:
             self._build_log_tables(mul)
-            exp, log, n = self._exp, self._log, self.order - 1
-            self.mul_idx = lambda i, j: exp[(log[i] + log[j]) % n] if i and j else 0
+            exp, log = self._exp, self._log
+            self.mul_idx = lambda i, j: exp[log[i] + log[j]]
         else:
             self.mul_idx = mul
         if self.order == p and p * (p - 1) <= 255:
@@ -597,7 +594,8 @@ class Field:
         return FieldElement(self, self.from_digits(coef._symbols(coords)))
 
     def _build_log_tables(self, mul) -> None:
-        """exp and log tables of a generator, found and powered with the product ``mul``."""
+        """exp and log tables of a generator, found and powered with the
+        product ``mul``, in the layout of the module docstring."""
         n = self.order - 1
         gen = 1
         if n > 1:
@@ -609,10 +607,10 @@ class Field:
         exp = [1] * n
         for i in range(1, n):
             exp[i] = mul(exp[i - 1], gen)
-        log = [0] * self.order
+        log = [2 * n] * self.order
         for i, v in enumerate(exp):
             log[v] = i
-        self._exp = exp
+        self._exp = exp * 2 + [0] * (2 * n + 1)
         self._log = log
 
     # -- index-level operations ------------------------------------------
@@ -624,8 +622,7 @@ class Field:
         if i == 0:
             raise DivisionByZero(f"inverse of zero in {self.name}")
         if self._exp is not None:
-            n = self.order - 1
-            return self._exp[(n - self._log[i]) % n]
+            return self._exp[self.order - 1 - self._log[i]]
         # Norm inverse.  An untabulated field is an extension of degree
         # l >= 2, because every base field is tabulated; the norm
         # x * rest lies in F_q, so its index is a base symbol.
@@ -781,8 +778,7 @@ class Field:
         if i == 0:
             return 1 if e == 0 else 0
         if self._exp is not None:
-            n = self.order - 1
-            return self._exp[(self._log[i] * e) % n]
+            return self._exp[self._log[i] * e % (self.order - 1)]
         return _power(self.mul_idx, i, e)
 
     # -- Frobenius (extensions only) ---------------------------------------
@@ -829,7 +825,7 @@ class Field:
         """``values`` as indices of this field, each an int in range."""
         out = tuple(values)
         for v in out:
-            if not isinstance(v, int):
+            if type(v) is not int:
                 raise FieldMismatch(f"{v!r} is not an index of {self.name}")
             if not 0 <= v < self.order:
                 raise InvalidParams(f"index {v} out of range for {self.name}")
@@ -860,6 +856,8 @@ class BaseField(Field):
     __slots__ = ("p", "m")
 
     def __init__(self, p: int, m: int = 1, modulus: Sequence[int] | None = None):
+        _check_int("characteristic", p)
+        _check_int("extension degree", m)
         # bounded before factoring p and powering p^m; p >= 2, so any m past
         # log2 of the bound overflows it
         if p > MAX_BASE_ORDER:
@@ -882,6 +880,7 @@ class ExtField(Field):
     __slots__ = ("base", "l")
 
     def __init__(self, base: BaseField, l: int, modulus: Sequence[int] | None = None):
+        _check_int("extension degree", l)
         if l < 1:
             raise InvalidParams("extension degree must be at least 1")
         self.base = base

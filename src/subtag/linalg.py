@@ -13,21 +13,22 @@ no vector arithmetic of its own: a product is one ``Field._mix`` call
 over the rows of its left factor, every row operation of elimination,
 span tests and subset walks is one ``Field.combine``, and only scalar
 pivot work (inverses, quotients, negation, pivot factors) calls the
-field's index ops.  A matrix keeps its elimination, so ``rank`` and
-``null_space`` eliminate it at most once.  Each question
-is answered by one elimination: a system a @ X = b is solved by reducing
-the rows of a joined to the rows of b, and ``solve_all`` reads the
-particular solution and the null basis off that one reduced [A | b].
+field's index ops.  ``_rref`` is the one elimination loop, and each
+question is answered by one elimination: a system a @ X = b is solved by
+reducing the rows of a joined to the rows of b, and ``solve_all`` reads
+the particular solution and the null basis off that one reduced [A | b].
 
 A span asked about many times is reduced once, by ``_echelon``, and
 ``_in_span`` tests vectors against that basis: views and sinks reduce
-against a stored basis only through these two.  ``_echelon`` keeps its
-bases by value, so the same rows, from any caller, are eliminated once:
-a rank check and the basis it checked, or one source basis compared at
-every sink.  Searches over column
-subsets (distances, circuits, the ``analyze`` table) use ``_walk``: a
-depth-first walk in which each subset's semi-echelon basis extends its
-prefix's by one reduced column, which ``_in_span`` also reads.
+against a stored basis only through these two.  ``_echelon`` is the one
+cache: it keeps bases by value, so the same rows, from any caller, are
+eliminated once.  ``Matrix.rank``, ``Matrix.null_space`` and ``_rank``
+read it, so a code's rank check, its dual and the params' dual-column
+check share one elimination of the generator, as do a rank check and the
+basis it checked, or one source basis compared at every sink.  Searches
+over column subsets (distances, circuits, the ``analyze`` table) use
+``_walk``: a depth-first walk in which each subset's semi-echelon basis
+extends its prefix's by one reduced column, which ``_in_span`` also reads.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class Matrix:
     """Immutable dense matrix over one field, stored as rows of indices;
     products and elimination read and write index rows only."""
 
-    __slots__ = ("field", "_rows", "nrows", "ncols", "_rref")
+    __slots__ = ("field", "_rows", "nrows", "ncols")
 
     def __init__(self, field: AnyField, rows, ncols: int | None = None):
         idx_rows = []
@@ -83,7 +84,6 @@ class Matrix:
         self._rows = rows
         self.nrows = len(rows)
         self.ncols = ncols
-        self._rref = None
 
     # -- constructors ----------------------------------------------------
 
@@ -100,7 +100,7 @@ class Matrix:
         """Wrap index rows the package built itself, a tuple of equal-width
         tuples of reduced indices; no checks, no copy."""
         m = cls.__new__(cls)
-        m.field, m._rows, m.nrows, m.ncols, m._rref = field, rows, len(rows), ncols, None
+        m.field, m._rows, m.nrows, m.ncols = field, rows, len(rows), ncols
         return m
 
     def to_index_rows(self) -> IndexRows:
@@ -122,50 +122,17 @@ class Matrix:
     # -- elimination -------------------------------------------------------
 
     def rref(self) -> tuple["Matrix", int, tuple[int, ...]]:
-        """Reduced row echelon form.
-
-        Pivoting is "first nonzero": in each column the topmost unused row
-        with a nonzero entry becomes the pivot, which makes the output a
-        canonical form for the row space.  The matrix keeps the result for
-        ``_reduced``.
-        """
-        f = self.field
-        combine, neg, inv = f.combine, f.neg_idx, f.inv_idx
-        work = list(self._rows)
-        ncols = self.ncols
-        pivots = []
-        rank = 0
-        for col in range(ncols):
-            piv = next((r for r in range(rank, self.nrows) if work[r][col]), None)
-            if piv is None:
-                continue
-            prow = combine((inv(work[piv][col]),), (work[piv],), ncols)
-            work[piv], work[rank] = work[rank], prow
-            for r in range(self.nrows):
-                c = work[r][col]
-                if c and r != rank:
-                    work[r] = combine((1, neg(c)), (work[r], prow), ncols)
-            pivots.append(col)
-            rank += 1
-            if rank == self.nrows:
-                break
-        self._rref = (Matrix._of(f, tuple(work), ncols), rank, tuple(pivots))
-        return self._rref
-
-    def _reduced(self) -> tuple["Matrix", int, tuple[int, ...]]:
-        """``rref()``, from the elimination the matrix kept if it has one.
-        A matrix is immutable, so ``rank`` and ``null_space`` eliminate it
-        at most once: a code's rank check, its dual and the params'
-        dual-column check share one elimination of the generator."""
-        return self._rref or self.rref()
+        """Reduced row echelon form, rank and pivot columns: ``_rref``."""
+        rows, rank, pivots = _rref(self.field, self._rows, self.ncols)
+        return Matrix._of(self.field, rows, self.ncols), rank, pivots
 
     def rank(self) -> int:
-        return self._reduced()[1]
+        return _rank(self.field, self._rows, self.ncols)
 
     def null_space(self) -> IndexRows:
         """Basis of {x : self @ x = 0} as index tuples, one per free column."""
-        reduced, _, pivots = self._reduced()
-        return _null_basis(self.field, reduced.to_index_rows(), pivots, self.ncols)
+        rows, pivots = _echelon(self.field, self._rows, self.ncols)
+        return _null_basis(self.field, rows, pivots, self.ncols)
 
     def __eq__(self, other) -> bool:
         return (
@@ -200,6 +167,34 @@ class LinearSolution:
         return len(self.null_basis)
 
 
+def _rref(field: AnyField, rows: IndexRows, ncols: int) -> tuple[IndexRows, int, tuple[int, ...]]:
+    """The one elimination loop: the rref of ``rows``, tuples of ``ncols``
+    reduced indices, its rank and its pivot columns.  Pivoting is "first
+    nonzero": in each column the topmost unused row with a nonzero entry
+    becomes the pivot, which makes the output a canonical form for the row
+    space."""
+    combine, neg, inv = field.combine, field.neg_idx, field.inv_idx
+    work = list(rows)
+    nrows = len(work)
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, nrows) if work[r][col]), None)
+        if piv is None:
+            continue
+        prow = combine((inv(work[piv][col]),), (work[piv],), ncols)
+        work[piv], work[rank] = work[rank], prow
+        for r in range(nrows):
+            c = work[r][col]
+            if c and r != rank:
+                work[r] = combine((1, neg(c)), (work[r], prow), ncols)
+        pivots.append(col)
+        rank += 1
+        if rank == nrows:
+            break
+    return tuple(work), rank, tuple(pivots)
+
+
 def _null_basis(
     field: AnyField, red: IndexRows, pivots: Sequence[int], width: int
 ) -> IndexRows:
@@ -230,8 +225,7 @@ def _particular(
         raise DimensionMismatch("right-hand side needs the same row count and field")
     width = a.ncols
     joined = tuple(x + y for x, y in zip(a._rows, b._rows))
-    reduced, _, pivots = Matrix._of(a.field, joined, width + b.ncols).rref()
-    red = reduced.to_index_rows()
+    red, _, pivots = _rref(a.field, joined, width + b.ncols)
     # a pivot in b's columns is a zero row of a against a nonzero right-hand
     # side, 0 = nonzero; otherwise the left block is the rref of a
     if pivots and pivots[-1] >= width:
@@ -266,8 +260,14 @@ def _echelon(field: AnyField, rows: IndexRows, width: int) -> tuple[IndexRows, t
     rows asked about again, by any caller, are not eliminated again."""
     if not rows:
         return (), ()
-    reduced, rank, pivots = Matrix._of(field, rows, width).rref()
-    return reduced.to_index_rows()[:rank], pivots
+    reduced, rank, pivots = _rref(field, rows, width)
+    return reduced[:rank], pivots
+
+
+def _rank(field: AnyField, rows: IndexRows, width: int) -> int:
+    """Rank of ``rows``, read off their cached ``_echelon`` basis."""
+    _, pivots = _echelon(field, rows, width)
+    return len(pivots)
 
 
 def _in_span(

@@ -53,7 +53,7 @@ from .errors import (
     UnknownNode,
 )
 from .fields import BaseField
-from .linalg import Matrix, _echelon
+from .linalg import Matrix, _echelon, _rank
 from . import rng as _rng
 
 __all__ = [
@@ -81,8 +81,8 @@ class Topology:
     """Nodes, directed edges, and optional per-node kernels.
 
     The structure helpers are lookups into indices built once in
-    ``__post_init__``.  ``kernels`` becomes a read-only mapping of
-    normalized rows, copied from the mapping passed in.
+    ``__post_init__``.  ``kernels`` becomes a read-only mapping of int
+    rows, copied from the mapping passed in; no entry is coerced.
     """
 
     nodes: tuple[Node, ...]
@@ -126,7 +126,9 @@ class Topology:
         for name, given in self.kernels.items():
             if name not in ins:
                 raise UnknownNode(f"kernel for unknown node {name}")
-            rows = kernels[name] = tuple(tuple(int(v) for v in r) for r in given)
+            rows = kernels[name] = tuple(map(tuple, given))
+            if any(type(v) is not int for r in rows for v in r):  # a bool neither
+                raise InvalidParams(f"a kernel entry at {name} is not an int")
             out_deg = len(self._out[name])
             if any(len(r) != out_deg for r in rows):
                 raise DimensionMismatch(
@@ -308,7 +310,7 @@ class Transmission:
 
     def kernel_rank_at(self, name: str) -> int:
         rows = tuple(self.global_vectors[i] for i in self.topology.in_edges(name))
-        return len(_echelon(self.base, rows, self.n)[1])
+        return _rank(self.base, rows, self.n)
 
 
 def _resolve_kernels(

@@ -69,7 +69,7 @@ from .errors import (
     RankDeficient,
 )
 from .fields import BaseField, ExtField, Field, FieldElement
-from .linalg import Matrix, _echelon
+from .linalg import Matrix, _echelon, _rank
 from . import rng as _rng
 
 __all__ = [
@@ -117,7 +117,7 @@ class PublicParams:
     failing means some verifier key column or constraint would be void.
     The dual's side is checked without building the dual: dual column j
     is zero exactly when e_j lies in the code, that is when j is a pivot
-    whose reduced row is e_j, read off the generator's one elimination.
+    whose reduced row is e_j, read off the generator's cached elimination.
     A code built as a dual (a curve's residue code) holds its dual
     already, and its columns are read directly.
     """
@@ -150,8 +150,7 @@ class PublicParams:
         if code._dual is not None:  # built as a dual: read the one it holds
             zero = (j for j, col in enumerate(code._dual.columns) if not any(col))
         else:
-            reduced, _, pivots = code.generator._reduced()
-            rows = reduced.to_index_rows()
+            rows, pivots = _echelon(code.field, code.generator.to_index_rows(), code.length)
             zero = (j for r, j in enumerate(pivots) if not any(rows[r][j + 1:]))
         j = next(zero, None)
         if j is not None:
@@ -482,13 +481,6 @@ def combine_packets(
     width, base = pp.packet_symbols, pp.base
     wires = [_wire_in(pp, pkt) for pkt in packets]
     return _built(TaggedPacket, pp.ext, base.combine(base._symbols(coeffs), wires, width))
-
-
-def _rank(base: BaseField, rows: tuple[tuple[int, ...], ...], width: int) -> int:
-    """Rank of checked symbol rows over ``base``, read off their cached
-    ``_echelon`` basis, so the basis ``random_payload_basis`` returns is not
-    eliminated again when ``tag_basis`` tags it."""
-    return len(_echelon(base, rows, width)[1])
 
 
 def random_payload_basis(pp: PublicParams, seed: int) -> tuple[tuple[int, ...], ...]:

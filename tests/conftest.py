@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from subtag import rng as _rng
+from subtag import linalg, rng as _rng
 from subtag.codes import rs_code
 from subtag.errors import DimensionMismatch, RankDeficient
 from subtag.fields import BaseField, ExtField
@@ -79,6 +79,20 @@ def tiny_pp(f2, e4):
     """Small enough to brute-force the whole key space: q=2, l=2,
     n=M=1, RS [3,2] over F_4."""
     return PublicParams(base=f2, ext=e4, n=1, M=1, code=rs_code(e4, [0, 1, 2], 2))
+
+
+def count_eliminations(monkeypatch) -> list[tuple[int, int]]:
+    """Record the shape (rows, columns) of every call of ``linalg._rref``,
+    the one elimination loop, for the rest of the test."""
+    calls = []
+    rref = linalg._rref
+
+    def counting(field, rows, ncols):
+        calls.append((len(rows), ncols))
+        return rref(field, rows, ncols)
+
+    monkeypatch.setattr(linalg, "_rref", counting)
+    return calls
 
 
 def random_full_rank(

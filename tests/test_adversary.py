@@ -36,6 +36,7 @@ from subtag.scheme import (
     verify,
 )
 
+from conftest import count_eliminations
 from oracles import (
     all_vectors,
     brute_consistent_keys,
@@ -74,7 +75,7 @@ def test_r0_k0_frozen(tiny):
     empty = CoalitionView.build(pp, {})
     s = assemble_system(empty)
     assert (s.r0, s.k0) == (0, 0)
-    assert s.unknowns == pp.kdim * (pp.M + 1)
+    assert s.coefficients.ncols == pp.kdim * (pp.M + 1)
     # one member, one packet
     view = CoalitionView.build(pp, {1: vks[0]}, packets)
     s = assemble_system(view)
@@ -457,14 +458,7 @@ def test_guesses_on_one_view_reduce_its_payloads_once(rs_pp, monkeypatch):
     vks = distribute(rs_pp, mk)
     packets = tag_basis(rs_pp, mk, ((1, 0, 0), (0, 1, 0)))
     view = CoalitionView.build(rs_pp, {1: vks[0]}, packets)
-    calls = []
-    original = Matrix.rref
-
-    def counting(self):
-        calls.append(self)
-        return original(self)
-
-    monkeypatch.setattr(Matrix, "rref", counting)
+    calls = count_eliminations(monkeypatch)
     # tag_basis's rank check left this basis in the echelon cache
     guess_forge(view, 4, (0, 0, 1), seed=0)
     assert calls == []

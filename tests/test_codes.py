@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from subtag import codes
+from subtag import codes, linalg
 from subtag.adversary import CoalitionView, label_distribution
 from subtag.cli import build_analyze_report
 from subtag.codes import CoalitionSpec, LinearCode, rs_code
@@ -23,7 +23,7 @@ from subtag.fields import BaseField, ExtField, FieldElement
 from subtag.linalg import Matrix, _span_witness, solve_all
 from subtag.scheme import PublicParams, distribute, keygen
 
-from conftest import random_full_rank
+from conftest import count_eliminations, random_full_rank
 from oracles import (
     brute_codewords,
     brute_dual_words,
@@ -692,21 +692,14 @@ def test_forgeable_computes_no_null_space(monkeypatch, f5):
 def test_dual_runs_one_elimination(monkeypatch):
     code = rs_code(ExtField(BaseField(5), 3), range(6), 3)
     again = rs_code(code.field, range(6), 3)
-    again.generator._rref = None  # as if its rank check had not run
-    calls = []
-    original = Matrix.rref
-
-    def counting(self):
-        calls.append((self.nrows, self.ncols))
-        return original(self)
-
-    monkeypatch.setattr(Matrix, "rref", counting)
+    calls = count_eliminations(monkeypatch)
     dual = code.dual()
     # the code's rank check eliminated its generator, and the dual reads
-    # that kept elimination; the null basis is independent by
+    # that cached elimination; the null basis is independent by
     # construction: no rank check
     assert calls == []
     # a generator not eliminated yet is eliminated exactly once
+    linalg._echelon.cache_clear()  # as if its rank check had not run
     assert again.dual().generator == dual.generator
     assert calls == [(3, 6)]
     assert (dual.length, dual.kdim, dual.generator.rank()) == (6, 3, 3)

@@ -30,10 +30,11 @@ from subtag.errors import (
     TargetInCoalition,
 )
 from subtag.fields import BaseField, ExtField, FieldElement
-from subtag.linalg import Matrix, _span_witness
+from subtag.linalg import _span_witness
 from subtag.params import params_from_dict, params_to_dict
 from subtag.scheme import PublicParams
 
+from conftest import count_eliminations
 from oracles import (
     brute_dual_words,
     dual_support_forges,
@@ -471,18 +472,6 @@ def test_ec_table_tests_spans_only_for_dependent_coalitions(monkeypatch, shape, 
     assert all(row["span_agrees"] for row in table)
 
 
-def _counting_rref(monkeypatch):
-    calls = []
-    original = Matrix.rref
-
-    def counting(self):
-        calls.append((self.nrows, self.ncols))
-        return original(self)
-
-    monkeypatch.setattr(Matrix, "rref", counting)
-    return calls
-
-
 def test_ec_table_asks_each_coalition_once(monkeypatch):
     pp, spec = _curve_code(2, 6, 3)
     classified, forgeable = [], []
@@ -495,7 +484,7 @@ def test_ec_table_asks_each_coalition_once(monkeypatch):
     monkeypatch.setattr(cli, "_verdict", counting_verdict)
     monkeypatch.setattr(LinearCode, "forgeable", lambda *args: forgeable.append(args))
     # a residue code is built as a dual, so it already holds its own dual
-    eliminations = _counting_rref(monkeypatch)
+    eliminations = count_eliminations(monkeypatch)
     table = cli.build_analyze_report(pp, spec, 1)["ec_table"]
     coalitions = [c for size in (2, 3) for c in itertools.combinations(range(1, 7), size)]
     assert classified == coalitions
@@ -508,9 +497,9 @@ def test_ec_table_asks_each_coalition_once(monkeypatch):
 def test_analyze_eliminates_only_for_the_dual(monkeypatch):
     # the [8,5] access code as the access benchmark reads it, from a params
     # document; building the code already eliminated its generator once,
-    # and its dual reads that kept elimination
+    # and its dual reads that cached elimination
     pp, spec = params_from_dict(params_to_dict(*_curve_code(1, 8, 3)))
-    eliminations = _counting_rref(monkeypatch)
+    eliminations = count_eliminations(monkeypatch)
     report = cli.build_analyze_report(pp, spec, 1)
     assert eliminations == []
     assert (report["dual_distance"], len(report["ec_table"])) == (5, 448)

@@ -638,6 +638,26 @@ def test_invalid_field_params():
 @pytest.mark.parametrize(
     "build",
     [
+        lambda: BaseField(5.0),
+        lambda: BaseField(True),
+        lambda: BaseField(5, 2.0),
+        lambda: BaseField(5, True),
+        lambda: ExtField(BaseField(5), 2.0),
+        lambda: ExtField(BaseField(5), True),  # built "GF(5) over GF(5)"
+        lambda: BaseField(5, modulus=(False, True)),  # built GF(5)
+        lambda: ExtField(BaseField(5), 2, (2, 0, True)),
+    ],
+    ids=["p-float", "p-bool", "m-float", "m-bool", "l-float", "l-bool", "modulus-bools",
+         "ext-modulus-bool"],
+)
+def test_field_parameters_that_are_not_ints_are_refused(build):
+    with pytest.raises(InvalidParams, match="is not an int"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
         lambda: BaseField(5, 2, (2.5, 0, 1)),  # not truncated to 2
         lambda: ExtField(BaseField(5), 2, (2.5, 0, 1)),
         lambda: BaseField(5, 1, (6, 1)),  # not reduced to (1, 1)

@@ -9,7 +9,7 @@ from subtag.errors import DimensionMismatch, FieldMismatch, InvalidParams
 from subtag.fields import BaseField, ExtField, FieldElement
 from subtag.linalg import Matrix, _echelon, _in_span, _span_witness, _walk, solve_all
 
-from conftest import random_full_rank
+from conftest import count_eliminations, random_full_rank
 from oracles import brute_dual_words, brute_solutions, matvec_idx, spanned_vectors
 from test_api_frozen import ROOT, _names_read
 
@@ -110,14 +110,8 @@ def test_index_rref_builds_no_elements(monkeypatch):
 
 
 def test_solve_all_runs_one_elimination(monkeypatch):
-    calls = []
-    original = Matrix.rref
-
-    def counting(self):
-        calls.append((self.nrows, self.ncols))
-        return original(self)
-
-    monkeypatch.setattr(Matrix, "rref", counting)
+    _echelon.cache_clear()  # so null_space below eliminates a
+    calls = count_eliminations(monkeypatch)
     a = M5([[1, 2, 0, 3], [0, 1, 1, 2], [1, 3, 1, 0]])
     b = M5([[1, 0], [2, 1], [3, 1]])
     sol = solve_all(a, b)

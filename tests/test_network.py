@@ -214,6 +214,16 @@ def test_topology_keeps_its_own_kernels():
         t.kernels["a"] = ((2,),)
 
 
+@pytest.mark.parametrize("entry", [1.7, "1", True, None], ids=["float", "str", "bool", "none"])
+def test_topology_refuses_kernel_entries_that_are_not_ints(entry):
+    # int() would have turned (1.7, "1") into (1, 1), another kernel
+    nodes = (Node("s", "source"), Node("a", "verifier"), Node("t", "sink"))
+    edges = (("s", "a"), ("a", "t"))
+    with pytest.raises(InvalidParams, match="is not an int"):
+        Topology(nodes, edges, {"a": [[entry]]})
+    assert Topology(nodes, edges, {"a": [[1]]}).kernels["a"] == ((1,),)
+
+
 def test_kernel_shape_checking():
     text = "node s source\nnode m internal\nnode t sink\nedge s m\nedge m t\nkernel m 1 1\n"
     with pytest.raises(DimensionMismatch):
@@ -308,10 +318,13 @@ def test_sinks_eliminate_the_source_basis_once(monkeypatch):
     assert len(sinks) == 4
     linalg._echelon.cache_clear()
     eliminated = []
-    rref = linalg.Matrix.rref
-    monkeypatch.setattr(
-        linalg.Matrix, "rref", lambda self: eliminated.append(self.to_index_rows()) or rref(self)
-    )
+    rref = linalg._rref
+
+    def recording(field, rows, ncols):
+        eliminated.append(rows)
+        return rref(field, rows, ncols)
+
+    monkeypatch.setattr(linalg, "_rref", recording)
     for name in sinks:
         same_span(base, tx.packets_at(name), [list(b) for b in basis], 3)
     assert eliminated.count(basis) == 1

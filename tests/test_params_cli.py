@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -482,6 +483,35 @@ def test_cli_attack_histogram_refuses_above_the_guard(capsys, tmp_path, monkeypa
     assert rc == 1
     assert out == ""
     assert err == "subtag: 512 labels exceed the guard 511\n"
+
+
+def test_cli_attack_histogram_at_the_guard_lists_no_labels(capsys, tmp_path, monkeypatch):
+    # 2^24 labels pass the guard; the report block comes from the closed
+    # form, so no label is made, and the bytes are those of the report
+    # that listed all 2^24 of them
+    params = tmp_path / "big.json"
+    rc, _, err = _run(
+        capsys,
+        [
+            "setup", "--q", "256", "--l", "3", "--n", "2", "--M", "2",
+            "--V", "8", "--kdim", "3", "--out", str(params),
+        ],
+    )
+    assert rc == 0, err
+
+    def no_labels(*args):
+        raise AssertionError("a label was made")
+
+    monkeypatch.setattr(adversary, "FieldElement", no_labels)
+    out = tmp_path / "hist.json"
+    argv = ["attack", "--params", str(params), "--target", "1", "--mode", "histogram"]
+    rc, _, err = _run(capsys, argv + ["--out", str(out)])
+    assert rc == 0, err
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "16a42799dc83220f40655eb722c1a3ed2d4faf3441a77d03705ac83ee2b8a9a0"
+    assert json.loads(out.read_text())["histogram"] == {
+        "labels": 1 << 24, "min_count": 1 << 48, "max_count": 1 << 48, "uniform": True,
+    }
 
 
 def test_cli_analyze(capsys, tmp_path):

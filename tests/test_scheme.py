@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import count_eliminations
 from oracles import all_vectors, element_verify, linearized_eval, reference_field
 from test_fields import DIFFERENTIAL_FIELDS
 
@@ -207,6 +208,8 @@ def test_from_symbols_round_trip(rs_pp):
     with pytest.raises(InvalidParams):
         bad = (9,) + pkt.symbols()[1:]
         TaggedPacket.from_symbols(rs_pp, bad)
+    with pytest.raises(FieldMismatch):  # a bool is not a symbol, though True == 1
+        TaggedPacket.from_symbols(rs_pp, (True,) + pkt.symbols()[1:])
 
 
 def test_combine_packets_is_symbolwise(rs_pp, f5, monkeypatch):
@@ -225,8 +228,9 @@ def test_combine_packets_is_symbolwise(rs_pp, f5, monkeypatch):
     with pytest.raises(FieldMismatch):
         combine_packets(rs_pp, pkts, [FieldElement(BaseField(7), 2), 3])
     # coefficients are ints, range-checked as symbols without building elements
-    with pytest.raises(FieldMismatch):
-        combine_packets(rs_pp, pkts, [2.0, 3])
+    for bad in ([2.0, 3], [True, 3]):
+        with pytest.raises(FieldMismatch):
+            combine_packets(rs_pp, pkts, bad)
     for bad in ([5, 3], [2, -1]):
         with pytest.raises(InvalidParams):
             combine_packets(rs_pp, pkts, bad)
@@ -252,6 +256,8 @@ def test_combine_packets_refuses_wire_symbols_out_of_range(rs_pp, e25):
         (1, (0, 5, 0), InvalidParams),
         (1, (0, -1, 0), InvalidParams),
         (1, (0, 2.0, 0), FieldMismatch),
+        (True, (0, 1, 0), FieldMismatch),
+        (1, (0, False, 0), FieldMismatch),
     ]:
         bad = functools.partial(TaggedPacket, tracker=tracker, payload=payload, tag=good.tag)
         with pytest.raises(err):
@@ -301,14 +307,7 @@ def test_tagging_a_random_basis_eliminates_it_once(rs_pp, monkeypatch):
     # rank instead of eliminating the same rows again
     mk = keygen(rs_pp, 5)
     linalg._echelon.cache_clear()
-    calls = []
-    original = Matrix.rref
-
-    def counting(self):
-        calls.append((self.nrows, self.ncols))
-        return original(self)
-
-    monkeypatch.setattr(Matrix, "rref", counting)
+    calls = count_eliminations(monkeypatch)
     for seed in range(6):
         calls.clear()
         basis = random_payload_basis(rs_pp, seed)
@@ -353,15 +352,17 @@ def _dual_column_verdict(code):
 
 
 @pytest.mark.parametrize("field_args", [(2, 2), (5, 1), (3, 2)], ids=["F4", "F5", "F9"])
-def test_dual_column_check_matches_the_dual(field_args):
+def test_dual_column_check_matches_the_dual(field_args, monkeypatch):
     # codes with coloops (coordinates j with e_j in the code) in every
     # position, including several and all of them (k = V), against the
-    # verdict read off the whole dual; the rref check builds no dual, and a
-    # code built as a dual reads the one it holds
+    # verdict read off the whole dual; the rref check builds no dual and
+    # reads the elimination the code's rank check cached, and a code built
+    # as a dual reads the one it holds
     p, l = field_args
     ext = ExtField(BaseField(p), l)
     r = random.Random(repr(field_args))
     seen = set()
+    eliminations = count_eliminations(monkeypatch)
     for _ in range(150):
         length = r.randrange(1, 8)
         kdim = r.randrange(1, length + 1)
@@ -388,13 +389,15 @@ def test_dual_column_check_matches_the_dual(field_args):
             if candidate.is_zero or not all(any(col) for col in candidate.columns):
                 continue  # refused earlier, for a zero generator column
             verdict = _dual_column_verdict(candidate) if holds_dual else want
+            eliminations.clear()
             if verdict is not None:
                 with pytest.raises(InvalidParams, match=re.escape(verdict)):
                     PublicParams(base=ext.base, ext=ext, n=1, M=1, code=candidate)
             else:
                 PublicParams(base=ext.base, ext=ext, n=1, M=1, code=candidate)
-            # no dual built for the code, and no elimination for the dual
-            assert (candidate.generator._rref if holds_dual else candidate._dual) is None
+            # no dual built for the code, and no elimination for either
+            assert eliminations == []
+            assert holds_dual or candidate._dual is None
             seen.add((holds_dual, verdict and verdict.split()[0]))
     # both paths pass codes and find zero dual columns; k = V is refused
     # before either
