@@ -43,24 +43,28 @@ subfield, and calls of the subfield's own ops otherwise.  Digits come and
 go by shift and mask when the subfield order is a power of two, by
 division and multiplication otherwise, and no index op loops over them;
 a prime field's codec is the identity on its one digit.  A tabulated
-field builds its tables with the product (a prime field with i*j mod p)
-and then multiplies by table lookup; a larger field multiplies with the
-compiled product itself.
+field finds the smallest generator g of its multiplicative group with the
+product, then walks its exp table with one compiled step, x -> g x (a
+prime field steps by v * g mod p), checks that the walk closes and
+reaches every nonzero index, and multiplies by table lookup; a larger
+field multiplies with the compiled product itself.
 
-Only an extension has a Frobenius step, x -> x^q from index to index,
-since tag and label rows and the norm apply it in a chain.  When the
-field is built, the images of the basis vectors give its l x l matrix
-over F_q, and ``_compile_frobenius`` unrolls that matrix into one
-straight-line step with the same digit code: each output digit sums the
-input digits weighted by the matrix entries, which enter the source as
-int literals (their logs over a non-prime subfield, plain products
-reduced mod p over a prime one).  The step is then checked to have
-order dividing l.  An untabulated field inverts by the norm:
+Multiplication by g and the Frobenius step x -> x^q are both linear over
+the subfield, and ``_compile_linear`` compiles either from the images of
+the basis vectors, found with the product, into one straight-line step
+from index to index, with the same digit code: each output digit sums
+the input digits weighted by the matrix entries, which enter the source
+as int literals (their logs over a non-prime subfield, plain products
+reduced mod p over a prime one).  Only an extension keeps a Frobenius
+step, since tag and label rows and the norm apply it in a chain; its
+l x l matrix over F_q is compiled when the field is built and checked to
+have order dividing l.  An untabulated field inverts by the norm:
 x^-1 = (x^q x^(q^2) ... x^(q^(l-1))) N(x)^-1, where
 N(x) = x x^q ... x^(q^(l-1)) lies in F_q.  A field built again with the
-same modulus binds the functions of its first build, cached per process.
+same modulus binds the functions of its first build, cached per process,
+and walks its log tables again.
 
-Every F-linear combination in the package, the compiled Frobenius step
+Every F-linear combination in the package, the compiled linear steps
 aside, goes through ``combine`` (sum_k c_k v_k over index vectors), its
 batch ``_mix`` (one combine per coefficient row over one set of vectors),
 ``dot`` (sum_k x_k y_k) or ``_parity_check`` (is every row's dot with x
@@ -327,17 +331,20 @@ def _compile_dot(p: int, width: int, prime: "Field"):
 
 
 @functools.lru_cache(maxsize=64)
-def _compile_frobenius(radix: int, degree: int, cols, sub: "Field"):
+def _compile_linear(radix: int, degree: int, cols, sub: "Field"):
     """The F_sub-linear map that sends basis vector j to the digits
     ``cols[j]``, as one straight-line step from index to index.
 
-    Output digit r is the sum over j of cols[j][r] times input digit j,
-    spelled with ``_digit_code``.  Over a prime subfield each entry enters
-    the source as its int value, and products are plain int products
-    reduced mod p with the sum; over any other subfield it enters as its
-    log, and a product reads e[lg[digit] + log].  A unit entry adds its
-    digit as it is and a zero entry adds nothing, so the source holds only
-    ints derived from the matrix and the radix.  Cached, as ``_compile_ops``.
+    It compiles two maps of a field built over ``sub``: multiplication by
+    the generator of its log tables, which walks the exp table, and the
+    q-power Frobenius step of an extension.  Output digit r is the sum
+    over j of cols[j][r] times input digit j, spelled with
+    ``_digit_code``.  Over a prime subfield each entry enters the source
+    as its int value, and products are plain int products reduced mod p
+    with the sum; over any other subfield it enters as its log, and a
+    product reads e[lg[digit] + log].  A unit entry adds its digit as it
+    is and a zero entry adds nothing, so the source holds only ints
+    derived from the matrix and the radix.  Cached, as ``_compile_ops``.
     """
     digits, placed, total, _, _ = _digit_code(radix, degree, sub)
     prime = sub.subfield is None
@@ -363,8 +370,8 @@ def _compile_frobenius(radix: int, degree: int, cols, sub: "Field"):
             out = total(terms)
         body.append(f"c{r} = {out}")
     body.append(f"return {placed([f'c{r}' for r in range(degree)])}")
-    lines = ["    def frobenius_idx(i):", *(f"        {line}" for line in body)]
-    return _maker(lines, ["frobenius_idx"])(lg, sub._exp, sub.add_idx, sub.sub_idx, sub.neg_idx)[0]
+    lines = ["    def linear_idx(i):", *(f"        {line}" for line in body)]
+    return _maker(lines, ["linear_idx"])(lg, sub._exp, sub.add_idx, sub.sub_idx, sub.neg_idx)[0]
 
 
 def _monic_from_value(value: int, radix: int, degree: int) -> tuple[int, ...]:
@@ -594,8 +601,14 @@ class Field:
         return FieldElement(self, self.from_digits(coef._symbols(coords)))
 
     def _build_log_tables(self, mul) -> None:
-        """exp and log tables of a generator, found and powered with the
-        product ``mul``, in the layout of the module docstring."""
+        """exp and log tables of the smallest generator g, in the layout of
+        the module docstring.
+
+        The product ``mul`` finds g and, over a subfield, the images of the
+        basis vectors under x -> g x, which ``_compile_linear`` turns into
+        one straight-line step; a prime field steps by v * g mod p.  The
+        walk exp[i] = step(exp[i - 1]) is then checked to close, step(g^(n-1))
+        = 1, and to reach every nonzero index once."""
         n = self.order - 1
         gen = 1
         if n > 1:
@@ -604,12 +617,25 @@ class Field:
                 if all(_power(mul, cand, n // f) != 1 for f in factors):
                     gen = cand
                     break
+        if self.subfield is None:
+            p = self.char
+            step = lambda v: v * gen % p
+        else:
+            r, d = self._radix, self.degree
+            cols = tuple(self.coords_of(mul(gen, r**j)) for j in range(d))  # images of e_{j+1}
+            step = _compile_linear(r, d, cols, self.subfield)
         exp = [1] * n
         for i in range(1, n):
-            exp[i] = mul(exp[i - 1], gen)
+            exp[i] = step(exp[i - 1])
         log = [2 * n] * self.order
         for i, v in enumerate(exp):
             log[v] = i
+        # a generator's n powers are the n nonzero indices, so each of them
+        # has a log (and 0 keeps the sentinel), and the n-th power is 1
+        if step(exp[-1]) != 1 or 2 * n in log[1:]:
+            raise InvariantViolated(
+                f"the log tables of {self.name} do not cycle through its nonzero indices"
+            )
         self._exp = exp * 2 + [0] * (2 * n + 1)
         self._log = log
 
@@ -788,7 +814,7 @@ class Field:
         have order dividing l."""
         q, l = self._radix, self.degree
         cols = tuple(self.coords_of(self.pow_idx(q**j, q)) for j in range(l))  # images of e_{j+1}
-        self._frobenius = _compile_frobenius(q, l, cols, self.subfield)
+        self._frobenius = _compile_linear(q, l, cols, self.subfield)
         # The q-power map is an F_q-automorphism of order dividing l: l steps
         # must return every basis vector, which also makes it invertible.
         for j in range(l):

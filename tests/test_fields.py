@@ -313,6 +313,75 @@ def test_frobenius_chain_calls_no_combine(monkeypatch):
     assert "_frobenius_cols" not in Field.__slots__
 
 
+TABLE_FIELDS = {
+    **DIFFERENTIAL_FIELDS,
+    "GF(2^12)": lambda: BaseField(2, 12),
+    "GF(3)^7": lambda: ExtField(BaseField(3), 7),
+    "GF(2^4)^1": lambda: ExtField(BaseField(2, 4), 1),
+    # sampled: 2000 indices each
+    "GF(2^8)^2": lambda: ExtField(BaseField(2, 8), 2),
+    "GF(2^16)": lambda: BaseField(2, 16),
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_FIELDS))
+def test_log_tables_match_reference(name):
+    # the walked tables against the reference product, in the layout of the
+    # fields module docstring; only a field of order at most 2^16 has them
+    f = TABLE_FIELDS[name]()
+    if f.order > 1 << 16:
+        assert f._exp is None and f._log is None
+        return
+    exp, log, n = f._exp, f._log, f.order - 1
+    assert (len(exp), len(log)) == (4 * n + 1, f.order)
+    assert exp[n : 2 * n] == exp[:n] and exp[2 * n :] == [0] * (2 * n + 1)
+    assert log[0] == 2 * n
+    ref = reference_field(f)
+    if n < 5000:
+        xs = range(n)
+    else:
+        xs = sorted({0, n - 1, *random.Random(name).sample(range(n), 2000)})
+    g = exp[1]
+    for i in xs:
+        assert exp[i + 1] == ref.mul(exp[i], g), i
+        assert log[exp[i]] == i
+    # g is the smallest generator: every smaller index but 0 and 1 has a
+    # log that shares a factor with n
+    assert all(math.gcd(log[c], n) > 1 for c in range(2, g))
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [lambda: BaseField(2, 12), lambda: ExtField(BaseField(5), 4)],
+    ids=["GF(2^12)", "GF(5)^4"],
+)
+def test_log_tables_walk_without_the_product(monkeypatch, maker):
+    # the product finds the generator and the images of the basis vectors
+    # under x -> g x; the compiled step walks the n - 1 powers after 1
+    f = maker()
+    exp, log = f._exp, f._log
+    product = fields._compile_ops(f._radix, f.degree, f._fold, f.subfield)[2]
+    honest_power = fields._power
+    searching, search_calls, other_calls = [False], [0], [0]
+
+    def counting_mul(i, j):
+        (search_calls if searching[0] else other_calls)[0] += 1
+        return product(i, j)
+
+    def counting_power(mul, i, e):
+        searching[0] = True
+        try:
+            return honest_power(mul, i, e)
+        finally:
+            searching[0] = False
+
+    monkeypatch.setattr(fields, "_power", counting_power)
+    f._build_log_tables(counting_mul)
+    assert (f._exp, f._log) == (exp, log)
+    assert other_calls[0] <= f.degree
+    assert 0 < search_calls[0] + other_calls[0] < (f.order - 2) // 4
+
+
 def test_addition_follows_the_field_structure():
     # XOR in characteristic 2, mod p at prime order, compiled digit sums
     # otherwise; no rule reads a table but a prime field's length-p

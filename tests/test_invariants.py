@@ -2,7 +2,9 @@
 
 Each case corrupts one input of an invariant and expects InvariantViolated:
 the key-count law (solver nullity), the global-kernel identity (one global
-vector) and the Frobenius order (the exponent the matrix is built from).  The
+vector), the Frobenius order (the exponent the matrix is built from) and the
+log-table walk (the compiled step x -> g x, which must close after n steps
+and reach every nonzero index).  The
 corruptions take a ``patch`` callable with the signature of ``setattr``, so
 the same code runs under pytest's monkeypatch and in a plain subprocess.
 That subprocess first runs one field's differential case of ``verify``'s
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from subtag import adversary, network
+from subtag import adversary, fields, network
 from subtag.adversary import CoalitionView, assemble_system, count_consistent_keys
 from subtag.codes import rs_code
 from subtag.errors import InvariantViolated
@@ -26,6 +28,7 @@ from subtag.linalg import LinearSolution, solve_all
 from subtag.scheme import PublicParams, distribute, keygen, tag_basis
 
 HERE = Path(__file__).resolve().parent
+HONEST_COMPILE_LINEAR = fields._compile_linear
 
 
 def _tiny_params():
@@ -72,10 +75,46 @@ def corrupt_frobenius_order(patch):
     ExtField(BaseField(5), 3)
 
 
+def corrupt_log_table_cover(patch):
+    def two_steps(*args):
+        step = HONEST_COMPILE_LINEAR(*args)
+        # x -> g^2 x walks half the 24 nonzero indices twice and still
+        # returns to 1, so only the cover check sees it
+        return lambda i: step(step(i))
+
+    patch(fields, "_compile_linear", two_steps)
+    BaseField(5, 2)
+
+
+def corrupt_log_table_closure(patch):
+    def never_back_to_one(*args):
+        step = HONEST_COMPILE_LINEAR(*args)
+        # every power of g in its place, but g^n comes out as 2, not 1
+        return lambda i: step(i) if step(i) != 1 else 2
+
+    patch(fields, "_compile_linear", never_back_to_one)
+    BaseField(5, 2)
+
+
+CORRUPTIONS = [
+    corrupt_key_count_law,
+    corrupt_global_kernel_identity,
+    corrupt_frobenius_order,
+    corrupt_log_table_cover,
+    corrupt_log_table_closure,
+]
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [corrupt_key_count_law, corrupt_global_kernel_identity, corrupt_frobenius_order],
-    ids=["key-count-law", "global-kernel-identity", "frobenius-order"],
+    CORRUPTIONS,
+    ids=[
+        "key-count-law",
+        "global-kernel-identity",
+        "frobenius-order",
+        "log-table-cover",
+        "log-table-closure",
+    ],
 )
 def test_corrupted_invariant_raises(monkeypatch, corrupt):
     with pytest.raises(InvariantViolated):
@@ -93,11 +132,7 @@ def test_invariants_checked_under_optimize():
         "ext = DIFFERENTIAL_FIELDS['GF(5)^7']()\n"
         "compared, accepted, wrong = ts.wire_check_disagreements(ext)\n"
         "print('wire-check', compared > 300 and accepted > 100, len(wrong), sys.flags.optimize)\n"
-        "for corrupt in (\n"
-        "    ti.corrupt_key_count_law,\n"
-        "    ti.corrupt_global_kernel_identity,\n"
-        "    ti.corrupt_frobenius_order,\n"
-        "):\n"
+        "for corrupt in ti.CORRUPTIONS:\n"
         "    try:\n"
         "        corrupt(setattr)\n"
         "    except InvariantViolated:\n"
@@ -120,4 +155,6 @@ def test_invariants_checked_under_optimize():
         "corrupt_key_count_law", "1",
         "corrupt_global_kernel_identity", "1",
         "corrupt_frobenius_order", "1",
+        "corrupt_log_table_cover", "1",
+        "corrupt_log_table_closure", "1",
     ]
