@@ -184,13 +184,17 @@ def _index_digits(value: int, radix: int, width: int) -> tuple[int, ...]:
 
 
 def _power(mul, i: int, e: int) -> int:
-    """i^e by square-and-multiply with the product ``mul``, for i != 0."""
-    acc, base = 1, i
-    while e:
-        if e & 1:
-            acc = mul(acc, base)
-        base = mul(base, base)
-        e >>= 1
+    """i^e for i != 0 and e >= 0, by left-to-right square-and-multiply
+    with the product ``mul``: starting from i, one squaring per bit of e
+    after the leading one and one product by i per set bit among them,
+    bit_length(e) + popcount(e) - 2 products in all; e = 0 gives 1."""
+    if not e:
+        return 1
+    acc = i
+    for bit in bin(e)[3:]:
+        acc = mul(acc, acc)
+        if bit == "1":
+            acc = mul(acc, i)
     return acc
 
 

@@ -171,8 +171,11 @@ def _rref(field: AnyField, rows: IndexRows, ncols: int) -> tuple[IndexRows, int,
     """The one elimination loop: the rref of ``rows``, tuples of ``ncols``
     reduced indices, its rank and its pivot columns.  Pivoting is "first
     nonzero": in each column the topmost unused row with a nonzero entry
-    becomes the pivot, which makes the output a canonical form for the row
-    space."""
+    becomes the pivot, scaled by the inverse of that entry unless the entry
+    is already 1 (a unit pivot costs no inverse and no ``combine``).  The
+    output is the rref, the one canonical form of the row space, so any
+    order of the same rows gives the same output; only the work done
+    depends on the order."""
     combine, neg, inv = field.combine, field.neg_idx, field.inv_idx
     work = list(rows)
     nrows = len(work)
@@ -182,7 +185,9 @@ def _rref(field: AnyField, rows: IndexRows, ncols: int) -> tuple[IndexRows, int,
         piv = next((r for r in range(rank, nrows) if work[r][col]), None)
         if piv is None:
             continue
-        prow = combine((inv(work[piv][col]),), (work[piv],), ncols)
+        prow = work[piv]
+        if prow[col] != 1:
+            prow = combine((inv(prow[col]),), (prow,), ncols)
         work[piv], work[rank] = work[rank], prow
         for r in range(nrows):
             c = work[r][col]

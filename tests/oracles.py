@@ -47,7 +47,8 @@ class RefQuotient:
     Indices follow the library's encoding (little-endian digits in base
     ``coef.order``), but every operation is recomputed here from the
     modulus: digit-wise add and negate, a schoolbook product reduced by
-    long division, and a Fermat inverse x^(order-2).
+    long division, powers by square-and-multiply and a Fermat inverse
+    x^(order-2).
     """
 
     def __init__(self, coef, modulus: Sequence[int]):
@@ -90,7 +91,11 @@ class RefQuotient:
         return self.index(prod[:d])
 
     def inv(self, i: int) -> int:
-        acc, base, e = 1, i, self.order - 2
+        return self.power(i, self.order - 2)
+
+    def power(self, i: int, e: int) -> int:
+        """i^e for e >= 0, right-to-left square-and-multiply."""
+        acc, base = 1, i
         while e:
             if e & 1:
                 acc = self.mul(acc, base)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -31,6 +32,7 @@ from subtag.scheme import (
     VerifierKey,
     distribute,
     keygen,
+    random_payload_basis,
     tag_basis,
     tag_payload,
     verify,
@@ -708,3 +710,80 @@ def test_label_criterion_matches_brute_force():
                     tiny_outsider_at_full_rank += tiny and not members and r0 == pp.M + 1
     assert forged_at_full_rank > 0
     assert tiny_outsider_at_full_rank == 1
+
+
+def test_attack_solve_ignores_row_order():
+    """The assembled system lists the members' key rows before the packet
+    rows.  A row space has one rref, so on random views over acceptance 2's
+    grid the packet-first and the reversed orders solve to the same
+    particular solution, null basis and nullity, and where the key space is
+    small the nullity counts the keys the brute search finds."""
+    rng = random.Random(39)
+    brute_counted = 0
+    for pp in _criterion_grid():
+        mk = keygen(pp, rng.randrange(1 << 30))
+        vks = distribute(pp, mk)
+        height = pp.M + 1
+        for _ in range(4):
+            packets = ()
+            for _ in range(rng.randrange(pp.M + 2)):
+                packets += tag_basis(pp, mk, random_payload_basis(pp, rng.randrange(1 << 30)))
+            members = tuple(sorted(rng.sample(range(1, pp.V + 1), rng.randrange(pp.V + 1))))
+            view = CoalitionView.build(pp, {i: vks[i - 1] for i in members}, packets)
+            system = assemble_system(view)
+            rows, consts = system.coefficients.to_index_rows(), system.constants.to_index_rows()
+            nkey = len(members) * height
+            assert consts[:nkey] == tuple((b,) for vk in view.keys for b in vk._indices)
+            assert len(rows) == nkey + len(packets) * pp.kdim
+            sol = system._solution
+            for order in (list(range(nkey, len(rows))) + list(range(nkey)), range(len(rows))[::-1]):
+                other = linalg.solve_all(
+                    Matrix._of(pp.ext, tuple(rows[k] for k in order), system.coefficients.ncols),
+                    Matrix._of(pp.ext, tuple(consts[k] for k in order), 1),
+                )
+                assert other.particular == sol.particular, (pp.ext.name, members)
+                assert other.null_basis == sol.null_basis
+                assert other.nullity == sol.nullity
+            if pp.ext.order ** (height * pp.kdim) <= 4096:
+                keys = brute_consistent_keys(
+                    pp, members, [vk.column for vk in view.keys], list(packets)
+                )
+                assert sum(1 for _ in keys) == pp.ext.order**sol.nullity, (pp.ext.name, members)
+                brute_counted += 1
+    assert brute_counted > 40
+
+
+def test_attack_solve_product_count(monkeypatch):
+    """A work guard that counts, not times: the extension products one
+    attack solve makes over GF(2^8)^3 on RS[8,3] with n = M = 2 and one
+    tagged basis.  With the key rows pivoting first, the view of members
+    (5, 6, 7) takes at most 130 and that of (1, 4, 5, 7) at most 120 (296
+    and 239 with the packet rows leading), and no 3- or 4-member view
+    takes more than 160 (each took at least 170 with the packet rows
+    leading)."""
+    base = BaseField(2, 8)
+    ext = ExtField(base, 3)
+    pp = PublicParams(base=base, ext=ext, n=2, M=2, code=rs_code(ext, range(8), 3))
+    mk = keygen(pp, 1)
+    vks = distribute(pp, mk)
+    packets = tag_basis(pp, mk, random_payload_basis(pp, 1))
+    product = ext.mul_idx
+    calls = [0]
+
+    def counting(i, j):
+        calls[0] += 1
+        return product(i, j)
+
+    def products(members):
+        system = assemble_system(CoalitionView.build(pp, {i: vks[i - 1] for i in members}, packets))
+        calls[0] = 0
+        monkeypatch.setattr(ext, "mul_idx", counting)
+        system._solution
+        monkeypatch.setattr(ext, "mul_idx", product)
+        return calls[0]
+
+    assert products((5, 6, 7)) <= 130
+    assert products((1, 4, 5, 7)) <= 120
+    for size in (3, 4):
+        for members in itertools.combinations(range(1, 9), size):
+            assert products(members) <= 160, members

@@ -382,6 +382,31 @@ def test_log_tables_walk_without_the_product(monkeypatch, maker):
     assert 0 < search_calls[0] + other_calls[0] < (f.order - 2) // 4
 
 
+@pytest.mark.parametrize(
+    "maker",
+    [lambda: BaseField(2, 8), lambda: ExtField(BaseField(5), 4), lambda: ExtField(BaseField(2, 8), 3)],
+    ids=["GF(2^8)", "GF(5)^4", "GF(2^8)^3"],
+)
+def test_power_squares_from_the_base(maker):
+    # left to right from i: one squaring per bit after the leading one and
+    # one product per set bit after it, so no product by the starting 1
+    # and no squaring past the last bit
+    f = maker()
+    ref = reference_field(f)
+    calls = [0]
+
+    def counting_mul(i, j):
+        calls[0] += 1
+        return f.mul_idx(i, j)
+
+    n = f.order - 1
+    for e in (0, 1, 2, 3, 5, 8, 255, n // 2, n - 1, n, n + 1, 3 * n + 7):
+        for i in (1, 2, f.order - 1):
+            calls[0] = 0
+            assert fields._power(counting_mul, i, e) == ref.power(i, e), (e, i)
+            assert calls[0] == max(e.bit_length() + bin(e).count("1") - 2, 0), (e, i)
+
+
 def test_addition_follows_the_field_structure():
     # XOR in characteristic 2, mod p at prime order, compiled digit sums
     # otherwise; no rule reads a table but a prime field's length-p

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subtag.errors import DimensionMismatch, FieldMismatch, InvalidParams
-from subtag.fields import BaseField, ExtField, FieldElement
-from subtag.linalg import Matrix, _echelon, _in_span, _span_witness, _walk, solve_all
+from subtag.fields import BaseField, ExtField, Field, FieldElement
+from subtag.linalg import Matrix, _echelon, _in_span, _rref, _span_witness, _walk, solve_all
 
 from conftest import count_eliminations, random_full_rank
 from oracles import brute_dual_words, brute_solutions, matvec_idx, spanned_vectors
@@ -130,6 +130,30 @@ def test_rref_frozen():
     # row order: (1,1,1) pivots first, then (0,2,1) scaled by 2^-1 = 3,
     # back-substituted into the first row
     assert red.to_index_rows() == ((1, 0, 3), (0, 1, 3), (0, 0, 0))
+
+
+def test_rref_keeps_unit_pivots(monkeypatch):
+    # upper unitriangular rows keep every pivot entry 1 through the
+    # elimination, in their own order and reversed: no pivot is inverted,
+    # and the output is the canonical one that a row scaled by a non-unit
+    # (whose pivot is inverted) also reduces to
+    f = ExtField(BaseField(2, 8), 3)
+    rng = random.Random(39)
+    n, width = 4, 7
+    rows = tuple(
+        tuple(0 if c < r else 1 if c == r else rng.randrange(f.order) for c in range(width))
+        for r in range(n)
+    )
+    scaled = (f.combine((rng.randrange(2, f.order),), rows[:1], width), *rows[1:])
+    want = _rref(f, scaled, width)
+    assert want[1:] == (n, tuple(range(n)))
+
+    def no_inverse(self, i):
+        raise AssertionError(f"inverted the unit pivot entry {i}")
+
+    monkeypatch.setattr(Field, "inv_idx", no_inverse)
+    assert _rref(f, rows, width) == want
+    assert _rref(f, rows[::-1], width) == want
 
 
 def test_rref_idempotent_and_span_preserving():
